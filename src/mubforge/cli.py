@@ -37,7 +37,6 @@ from .entropy import (
     DEFAULT_BUDGET,
     avg_entropy,
     bounds,
-    iter_sweep_rows,
     minimize_avg_entropy,
     sample_max_eigen,
     sweep_max_eigen,
@@ -62,7 +61,11 @@ SAMPLE_SIZE = 20_000
 
 
 def max_n() -> int:
-    return int(os.environ.get("MUBFORGE_MAX_N", "5"))
+    raw = os.environ.get("MUBFORGE_MAX_N", "5")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"MUBFORGE_MAX_N={raw!r} is not an integer") from None
 
 
 def constructible(n: int, L: int) -> bool:
@@ -166,23 +169,50 @@ def cmd_sweep(args) -> int:
     ms = build_mub_set(build_partition(args.n, args.L))
     scale = args.L if args.normalization == "sum" else 1
     try:
-        res = sweep_max_eigen(ms, budget=args.budget, workers=args.threads)
-        rows = ["b_string,lambda_max,minus_log2"]
-        for b, lam in iter_sweep_rows(ms, budget=args.budget):
-            rows.append(
-                f"{''.join(map(str, b))},{scale * lam:.12f},{-math.log2(lam):.12f}"
-            )
+        if args.out:
+            res = _sweep_to_csv(ms, args, scale)
+        else:
+            res = sweep_max_eigen(ms, budget=args.budget, workers=args.threads)
     except BudgetExceededError as exc:
         print(f"budget refusal: {exc} (try sampling or --budget)", file=sys.stderr)
         return EXIT_BUDGET
-    if args.out:
-        _write(Path(args.out), "\n".join(rows) + "\n")
     print(
         f"lambda* = {scale * res.lambda_star:.12f} ({args.normalization} form) "
         f"at b = {res.b_star}; min avg H_inf = {res.min_avg_entropy:.9f} bits "
         f"over {res.count} strings"
     )
     return EXIT_OK
+
+
+def _sweep_to_csv(ms: MubSet, args, scale: int):
+    """Unreduced sweep that writes every string's row to --out as its chunk
+    is solved. The file is created at the first chunk, so a refused sweep
+    leaves none."""
+    path = Path(args.out)
+    fh = None
+
+    def write_rows(digits, lam):
+        nonlocal fh
+        if fh is None:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fh = path.open("w")
+            fh.write("b_string,lambda_max,minus_log2\n")
+        fh.write(
+            "".join(
+                f"{''.join(map(str, b))},{scale * x:.12f},{-math.log2(x):.12f}\n"
+                for b, x in zip(digits.tolist(), lam.tolist())
+            )
+        )
+
+    try:
+        res = sweep_max_eigen(
+            ms, budget=args.budget, workers=args.threads, on_chunk=write_rows
+        )
+    finally:
+        if fh is not None:
+            fh.close()
+    print(f"wrote {path}")
+    return res
 
 
 def cmd_minimize(args) -> int:
@@ -355,10 +385,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_BAD_ARGS
     if getattr(args, "n", None) is not None:
-        if args.n < 1 or args.n > max_n():
-            print(
-                f"n={args.n} outside 1..{max_n()} (MUBFORGE_MAX_N)", file=sys.stderr
-            )
+        try:
+            limit = max_n()
+        except ValueError as exc:
+            print(f"bad arguments: {exc}", file=sys.stderr)
+            return EXIT_BAD_ARGS
+        if args.n < 1 or args.n > limit:
+            print(f"n={args.n} outside 1..{limit} (MUBFORGE_MAX_N)", file=sys.stderr)
             return EXIT_BAD_ARGS
     _echo_config(args)
     try:

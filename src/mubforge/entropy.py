@@ -13,27 +13,52 @@ Both arise from a bound on the top eigenvalue of the selector operators
 
     P_b = (1/L) sum_j |b^(j)><b^(j)|,      b in {0..d-1}^L,
 
-and sweep_max_eigen certifies tightness by exhausting all d^L of them. The
-sweep is chunked; chunk boundaries are fixed independently of the worker
-count and the reduction runs in chunk order, so results are bit-identical
-for any number of workers.
+and sweep_max_eigen certifies tightness by covering all d^L of them. Every
+selector eigenvalue goes through one chunked kernel, _eigmax_chunks.
+
+Pauli reduction. Each basis of a MubSet is the joint eigenbasis of a class
+C_j of d-1 commuting Pauli operators that, with the identity, span a
+maximal abelian algebra. A Pauli operator W satisfies W M W^dag = +-M for
+every member M, so W maps joint eigenvectors of C_j to joint eigenvectors
+(with the signs of the members it anticommutes with flipped): conjugation
+by W permutes the elements of every basis, b -> W.b, and P_{W.b} =
+W P_b W^dag has the spectrum of P_b. W fixes a pair (b_0, b_1) only if it
+flips no sign in C_0 or C_1, that is, commutes with both classes and so
+lies in both maximal abelian algebras, which share only the identity (the
+classes are disjoint). So the d^2 Pauli
+operators (up to phase) act freely on the d^2 pairs (b_0, b_1), hence
+transitively: every orbit of strings has d^2 members, exactly one of them
+with b_0 = b_1 = 0. Sweeping those d^(L-2) strings gives lambda*, and
+each histogram count times d^2. A string with prefix (0, 0) precedes all
+others, so each orbit's smallest string is in the reduced range, and so is
+the smallest string attaining lambda*: the tie rule below picks the same
+b* from either range.
+
+Ties and bins. Orbit members agree only to rounding, so eigenvalues within
+LEVEL_TOL are one level. Histogram bins group eigenvalues that chain
+within LEVEL_TOL (no fixed bin edges), and b* is the smallest string
+within LEVEL_TOL of lambda*, preferring for a MubSet the strings the cycle
+unitary maps to themselves. Chunk boundaries are fixed independently of
+the worker count and chunks are combined in order, so results are
+bit-identical for any number of workers and any chunk size.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .mub import Basis, MubSet
+from .mub import MATCH_TOL, UNBIAS_TOL, Basis, MubSet
 
 LOG2 = math.log(2)
 DEFAULT_BUDGET = 2**28
 SWEEP_CHUNK = 4096
+LEVEL_TOL = 1e-10  # eigenvalues closer than this are one level: bins, b* ties
 
 
 class BudgetExceededError(RuntimeError):
@@ -164,8 +189,43 @@ def hermitian_eigmax(M: np.ndarray) -> tuple[float, np.ndarray]:
     return lam, v
 
 
-def _projector_stack(bases) -> np.ndarray:
-    mats = [_basis_matrix(b) for b in bases]
+def _checked_matrices(ms) -> list[np.ndarray]:
+    """Basis matrices of a MubSet or a sequence of bases, checked for a sweep.
+
+    Every basis must be a d x d matrix with d >= 2, the same d for all, and
+    orthonormal to UNBIAS_TOL.
+    """
+    bases = ms.bases if isinstance(ms, MubSet) else ms
+    mats = [np.asarray(_basis_matrix(b)) for b in bases]
+    if not mats:
+        raise ValueError("need at least one basis")
+    for j, B in enumerate(mats):
+        if B.ndim != 2 or B.shape[0] != B.shape[1] or B.shape[0] < 2:
+            raise ValueError(f"basis {j} has shape {B.shape}, want d x d with d >= 2")
+        if B.shape != mats[0].shape:
+            raise ValueError(
+                f"basis {j} is {B.shape[0]}-dimensional, basis 0 {mats[0].shape[0]}"
+            )
+        dev = float(np.max(np.abs(B.conj().T @ B - np.eye(B.shape[0]))))
+        if not dev <= UNBIAS_TOL:
+            raise ValueError(
+                f"basis {j} is not orthonormal: deviation {dev:.3g} > {UNBIAS_TOL}"
+            )
+    return mats
+
+
+def _sweep_size(mats, budget: int) -> int:
+    d, L = mats[0].shape[0], len(mats)
+    total = d**L
+    if total > budget:
+        raise BudgetExceededError(
+            f"{d}^{L} = {total} eigenproblems over budget {budget}; "
+            "raise the budget or use sampling"
+        )
+    return total
+
+
+def _projector_stack(mats) -> np.ndarray:
     d = mats[0].shape[0]
     P = np.empty((len(mats), d, d, d), dtype=complex)
     for j, B in enumerate(mats):
@@ -174,17 +234,127 @@ def _projector_stack(bases) -> np.ndarray:
     return P
 
 
-def _chunk_max(projs: np.ndarray, d: int, L: int, start: int, stop: int):
-    idx = np.arange(start, stop)
-    P = np.zeros((stop - start, d, d), dtype=complex)
-    for j in range(L):
-        digits = (idx // d ** (L - 1 - j)) % d
-        P += projs[j, digits]
-    P /= L
-    lam = np.linalg.eigvalsh(P)[:, -1]
-    k = int(np.argmax(lam))
-    hist = Counter(np.round(lam, 10).tolist())
-    return float(lam[k]), start + k, hist
+def _eigmax_chunks(
+    projs: np.ndarray, strings, chunk: int = SWEEP_CHUNK, workers: int = 1
+):
+    """Top eigenvalue of the mean-form selector of every string, by chunks.
+
+    The one selector-eigenvalue kernel. `strings` is a range of string
+    indices (digit j of an index, base d with basis 0 most significant, is
+    the element of basis j) or an (n, L) array of digit rows. Yields
+    (digits, lambdas) for consecutive chunks of at most `chunk` strings, in
+    input order for any worker count. A string's eigenvalue does not depend
+    on the chunk it falls in.
+    """
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
+    L, d = projs.shape[:2]
+    if isinstance(strings, range):
+        powers = np.array([d ** (L - 1 - j) for j in range(L)])
+
+    def solve(part):
+        if isinstance(part, range):
+            digits = (np.arange(part.start, part.stop)[:, None] // powers) % d
+        else:
+            digits = part
+        P = np.zeros((len(digits), d, d), dtype=complex)
+        for j in range(L):
+            P += projs[j, digits[:, j]]
+        P /= L
+        return digits, np.linalg.eigvalsh(P)[:, -1]
+
+    parts = (strings[s : s + chunk] for s in range(0, len(strings), chunk))
+    if workers <= 1:
+        yield from map(solve, parts)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending: deque = deque()
+        for part in parts:
+            pending.append(pool.submit(solve, part))
+            if len(pending) > 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
+def _merge_bins(bins: np.ndarray) -> np.ndarray:
+    """Merge (lo, hi, count) rows whose values chain within LEVEL_TOL.
+
+    This is single-linkage grouping: values are in one bin when a chain of
+    values, each within LEVEL_TOL of the next, joins them. Bins therefore
+    have no fixed edges, and merging the bins of any split of the values
+    gives the bins of the whole.
+    """
+    bins = bins[np.argsort(bins[:, 0], kind="stable")]
+    reach = np.maximum.accumulate(bins[:, 1])
+    start = np.flatnonzero(np.r_[True, bins[1:, 0] - reach[:-1] > LEVEL_TOL])
+    return np.column_stack(
+        [
+            bins[start, 0],
+            np.maximum.reduceat(bins[:, 1], start),
+            np.add.reduceat(bins[:, 2], start),
+        ]
+    )
+
+
+def _lex_records(cands, top: float) -> list:
+    """The (string, lambda) candidates within LEVEL_TOL of top, in string
+    order, each kept only if its lambda beats every smaller string's."""
+    out: list = []
+    for b, lam in sorted(c for c in cands if c[1] >= top - LEVEL_TOL):
+        if not out or lam > out[-1][1]:
+            out.append((b, lam))
+    return out
+
+
+def _summarize(chunks, count: int, multiplicity: int = 1) -> SweepResult:
+    """lambda*, b* and the histogram of the (digits, lambdas) chunks.
+
+    b* is the lexicographically smallest string within LEVEL_TOL of
+    lambda*. Histogram keys are each bin's smallest lambda; counts are
+    scaled by `multiplicity`, the number of strings each one stands for.
+    """
+    best, cands, bins, pending = -math.inf, [], np.empty((0, 3)), []
+    for digits, lam in chunks:
+        best = max(best, float(lam.max()))
+        keep = lam >= best - LEVEL_TOL
+        new = zip(map(tuple, digits[keep].tolist()), lam[keep].tolist())
+        cands = _lex_records(cands + list(new), best)
+        pending.append(np.column_stack([lam, lam, np.ones_like(lam)]))
+        if sum(map(len, pending)) >= len(bins):  # amortized: bins may be many
+            bins, pending = _merge_bins(np.vstack([bins, *pending])), []
+    bins = _merge_bins(np.vstack([bins, *pending]))
+    hist = Counter({float(lo): int(n) * multiplicity for lo, _, n in bins})
+    return SweepResult(cands[0][0], best, hist, count)
+
+
+def _cycle_strings(ms: MubSet) -> np.ndarray:
+    """Strings b that the cycle unitary maps to themselves.
+
+    U|b_j^(j)> equals |b_{j+1}^(j+1)> up to phase for every j, cyclically,
+    so the selector P_b commutes with U. Empty if U does not cycle the bases.
+    """
+    mats = [b.vectors for b in ms.bases]
+    L, d = len(mats), mats[0].shape[0]
+    rows = []
+    for b0 in range(d):
+        b = [b0]
+        for j in range(L):
+            ov = np.abs(mats[(j + 1) % L].conj().T @ (ms.U @ mats[j][:, b[-1]])) ** 2
+            k = int(np.argmax(ov))
+            if ov[k] < 1 - MATCH_TOL:
+                break
+            b.append(k)
+        else:
+            if b[-1] == b0:
+                rows.append(b[:-1])
+    return np.array(rows, dtype=np.int64).reshape(-1, L)
+
+
+def _reported(chunks, on_chunk):
+    for digits, lam in chunks:
+        on_chunk(digits, lam)
+        yield digits, lam
 
 
 def sweep_max_eigen(
@@ -192,61 +362,49 @@ def sweep_max_eigen(
     budget: int = DEFAULT_BUDGET,
     workers: int = 1,
     chunk: int = SWEEP_CHUNK,
+    on_chunk: Callable[[np.ndarray, np.ndarray], None] | None = None,
 ) -> SweepResult:
     """Exact maximum of lambda_max(P_b, mean) over all d^L strings b.
 
-    Ties resolve to the lexicographically smallest b. Deterministic for any
-    worker count.
+    A MubSet is swept over the d^(L-2) strings with b_0 = b_1 = 0, each
+    standing for its d^2-string Pauli orbit (module docstring); raw bases
+    are swept over all d^L. `count` is d^L either way. For a MubSet, b* is
+    the smallest string within LEVEL_TOL of lambda* that the cycle unitary
+    maps to itself, if there is one; otherwise, and for raw bases, the
+    smallest string within LEVEL_TOL of lambda*. Deterministic for any
+    worker count and chunk size.
+
+    on_chunk, if given, is called with (digits, lambdas) for every chunk of
+    all d^L strings in lexicographic order; the sweep is then unreduced.
     """
-    bases = ms.bases if isinstance(ms, MubSet) else ms
-    L = len(bases)
-    d = _basis_matrix(bases[0]).shape[0]
-    total = d**L
-    if total > budget:
-        raise BudgetExceededError(
-            f"{d}^{L} = {total} eigenproblems over budget {budget}; "
-            "raise the budget or use sampling"
-        )
-    projs = _projector_stack(bases)
-    starts = list(range(0, total, chunk))
-    jobs = [(s, min(s + chunk, total)) for s in starts]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda se: _chunk_max(projs, d, L, *se), jobs)
-            )
-    else:
-        results = [_chunk_max(projs, d, L, *se) for se in jobs]
-    best_lam, best_idx = -1.0, 0
-    hist: Counter = Counter()
-    for lam, idx, h in results:  # chunk order, not completion order
-        hist.update(h)
-        if lam > best_lam:
-            best_lam, best_idx = lam, idx
-    b_star = tuple(int(best_idx // d ** (L - 1 - j)) % d for j in range(L))
-    return SweepResult(b_star, best_lam, hist, total)
+    mats = _checked_matrices(ms)
+    total = _sweep_size(mats, budget)
+    d, L = mats[0].shape[0], len(mats)
+    reduced = isinstance(ms, MubSet) and L >= 2 and on_chunk is None
+    projs = _projector_stack(mats)
+    strings = range(d ** (L - 2) if reduced else total)
+    chunks = _eigmax_chunks(projs, strings, chunk, workers)
+    if on_chunk is not None:
+        chunks = _reported(chunks, on_chunk)
+    res = _summarize(chunks, total, d * d if reduced else 1)
+    if isinstance(ms, MubSet):
+        cyc = _cycle_strings(ms)
+        if len(cyc):
+            digits, lam = next(_eigmax_chunks(projs, cyc, chunk=len(cyc)))
+            hits = digits[lam >= res.lambda_star - LEVEL_TOL]
+            if len(hits):
+                res = replace(res, b_star=min(map(tuple, hits.tolist())))
+    return res
 
 
 def sample_max_eigen(ms, samples: int, seed: int) -> SweepResult:
     """Seeded random-string estimate of the sweep maximum (lower bound)."""
-    bases = ms.bases if isinstance(ms, MubSet) else ms
-    L = len(bases)
-    d = _basis_matrix(bases[0]).shape[0]
+    mats = _checked_matrices(ms)
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
-    projs = _projector_stack(bases)
-    strings = rng.integers(0, d, size=(samples, L))
-    P = np.zeros((samples, d, d), dtype=complex)
-    for j in range(L):
-        P += projs[j, strings[:, j]]
-    P /= L
-    lam = np.linalg.eigvalsh(P)[:, -1]
-    k = int(np.argmax(lam))
-    return SweepResult(
-        tuple(int(x) for x in strings[k]),
-        float(lam[k]),
-        Counter(np.round(lam, 10).tolist()),
-        samples,
-    )
+    strings = rng.integers(0, mats[0].shape[0], size=(samples, len(mats)))
+    return _summarize(_eigmax_chunks(_projector_stack(mats), strings), samples)
 
 
 def _avg_entropy_and_grad(mats, psi, alpha):
@@ -340,25 +498,7 @@ def _descend(mats, psi, alpha, iters):
 
 def iter_sweep_rows(ms, budget: int = DEFAULT_BUDGET, chunk: int = SWEEP_CHUNK):
     """Yield (b, lambda_max) for every string in lexicographic order."""
-    bases = ms.bases if isinstance(ms, MubSet) else ms
-    L = len(bases)
-    d = _basis_matrix(bases[0]).shape[0]
-    total = d**L
-    if total > budget:
-        raise BudgetExceededError(
-            f"{d}^{L} = {total} eigenproblems over budget {budget}"
-        )
-    projs = _projector_stack(bases)
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop)
-        P = np.zeros((stop - start, d, d), dtype=complex)
-        digit_cols = []
-        for j in range(L):
-            digits = (idx // d ** (L - 1 - j)) % d
-            digit_cols.append(digits)
-            P += projs[j, digits]
-        P /= L
-        lam = np.linalg.eigvalsh(P)[:, -1]
-        for k in range(stop - start):
-            yield tuple(int(col[k]) for col in digit_cols), float(lam[k])
+    mats = _checked_matrices(ms)
+    total = _sweep_size(mats, budget)
+    for digits, lam in _eigmax_chunks(_projector_stack(mats), range(total), chunk):
+        yield from zip(map(tuple, digits.tolist()), lam.tolist())

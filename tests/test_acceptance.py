@@ -1,8 +1,7 @@
 """Acceptance criteria, one test per criterion at its stated tolerance.
 
-Each test prints a single PASS line on success (visible with pytest -s /
-the summary in test_output.txt); a failure shows up as a normal pytest
-failure for that criterion.
+Each test prints a single PASS line on success (visible with pytest -s);
+a failure shows up as a normal pytest failure for that criterion.
 """
 
 import math

@@ -153,3 +153,41 @@ def test_wigner_command(tmp_path, capsys):
     assert rows[0] == "alpha_x,alpha_y,lambda_max,W_max"
     assert len(rows) == 1 + 16
     assert "min-entropy bound" in capsys.readouterr().out
+
+
+def test_max_n_env_not_an_integer(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("MUBFORGE_MAX_N", "abc")
+    code = run(["generate", "--n", "2", "--L", "3", "--out", str(tmp_path)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "MUBFORGE_MAX_N" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_sweep_out_streams_the_same_result(tmp_path, capsys):
+    from mubforge.cli import build_partition
+    from mubforge.entropy import iter_sweep_rows
+    from mubforge.mub import build_mub_set
+
+    assert run(["sweep", "--n", "3", "--L", "3"]) == 0
+    plain = capsys.readouterr().out.splitlines()
+    out = tmp_path / "deep" / "sweep.csv"
+    args = ["sweep", "--n", "3", "--L", "3", "--threads", "2", "--out", str(out)]
+    assert run(args) == 0
+    streamed = capsys.readouterr().out.splitlines()
+    assert streamed[1] == f"wrote {out}"
+    assert streamed[2] == plain[1]
+    rows = out.read_text().splitlines()
+    ms = build_mub_set(build_partition(3, 3))
+    want = [
+        f"{''.join(map(str, b))},{lam:.12f},{-math.log2(lam):.12f}"
+        for b, lam in iter_sweep_rows(ms)
+    ]
+    assert rows == ["b_string,lambda_max,minus_log2"] + want
+
+
+def test_sweep_refusal_writes_no_file(tmp_path):
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", "--n", "2", "--L", "5", "--budget", "100", "--out", str(out)]
+    assert run(args) == 3
+    assert not out.exists()
