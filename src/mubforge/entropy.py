@@ -59,6 +59,7 @@ LOG2 = math.log(2)
 DEFAULT_BUDGET = 2**28
 SWEEP_CHUNK = 4096
 LEVEL_TOL = 1e-10  # eigenvalues closer than this are one level: bins, b* ties
+MINIMIZE_BLOCK = 128  # restarts descending together; bounds the minimizer's memory
 
 
 class BudgetExceededError(RuntimeError):
@@ -148,8 +149,8 @@ def _entropy_of(p: np.ndarray, alpha: float) -> float:
 
 def avg_entropy(ms: "MubSet | Sequence", state, alpha: float) -> float:
     """Arithmetic mean of the per-basis entropies."""
-    bases = ms.bases if isinstance(ms, MubSet) else ms
-    return sum(renyi_entropy(b, state, alpha) for b in bases) / len(bases)
+    mats = _checked_matrices(ms)
+    return sum(renyi_entropy(B, state, alpha) for B in mats) / len(mats)
 
 
 def pvec_operator(ms, b: Sequence[int], normalization: str = "mean") -> PvecOperator:
@@ -190,7 +191,7 @@ def hermitian_eigmax(M: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def _checked_matrices(ms) -> list[np.ndarray]:
-    """Basis matrices of a MubSet or a sequence of bases, checked for a sweep.
+    """Basis matrices of a MubSet or a sequence of bases, checked.
 
     Every basis must be a d x d matrix with d >= 2, the same d for all, and
     orthonormal to UNBIAS_TOL.
@@ -407,29 +408,91 @@ def sample_max_eigen(ms, samples: int, seed: int) -> SweepResult:
     return _summarize(_eigmax_chunks(_projector_stack(mats), strings), samples)
 
 
-def _avg_entropy_and_grad(mats, psi, alpha):
-    """Average entropy and its Wirtinger gradient d/d(psi*)."""
-    L = len(mats)
-    d = psi.shape[0]
-    f = 0.0
-    g = np.zeros(d, dtype=complex)
-    for B in mats:
-        c = B.conj().T @ psi
-        p = np.maximum(np.abs(c) ** 2, 1e-300)
-        if math.isinf(alpha):
-            b = int(np.argmax(p))
-            f += -math.log2(p[b])
-            w = np.zeros(d)
-            w[b] = -1.0 / (p[b] * LOG2)
-        elif alpha == 1:
-            f += float(-np.sum(p * np.log2(p)))
-            w = -(np.log2(p) + 1 / LOG2)
-        else:
-            S = float(np.sum(p**alpha))
-            f += math.log2(S) / (1 - alpha)
-            w = alpha * p ** (alpha - 1) / ((1 - alpha) * S * LOG2)
-        g += B @ (w * c)
+def _log2(x: np.ndarray) -> np.ndarray:
+    # math.log2 element by element: np.log2 differs from it in the last bit
+    # for about one argument in a thousand, which would move the objective
+    # off the one-vector oracle in tests/test_entropy.py
+    return np.array([math.log2(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_k a[r, k] b[r, k] for every row r, one BLAS dot per row."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row, summed as np.linalg.norm sums a vector."""
+    return np.sqrt(_row_dot(x.real, x.real) + _row_dot(x.imag, x.imag))
+
+
+def _avg_entropy_rows(B: np.ndarray, BH: np.ndarray, psi: np.ndarray, alpha):
+    """Average entropy (R,) and its Wirtinger gradient d/d(psi*) (R, d).
+
+    B is the (L, d, d) basis stack and BH its conjugate transpose; psi holds
+    one unit vector per row. Both products go through stacked matrix-vector
+    matmuls, c = B^dag psi and g = sum_j B_j (w * c), so each row's numbers
+    are those of the same products taken one vector at a time.
+    """
+    L = B.shape[0]
+    c = (BH @ psi[:, None, :, None])[..., 0]  # (R, L, d)
+    p = np.maximum(np.abs(c) ** 2, 1e-300)
+    if math.isinf(alpha):  # only the largest outcome of each basis counts
+        b = np.argmax(p, axis=-1)[..., None]
+        top = np.take_along_axis(p, b, -1)
+        terms = -_log2(top[..., 0])
+        w = np.zeros_like(p)
+        np.put_along_axis(w, b, -1.0 / (top * LOG2), -1)
+    elif alpha == 1:
+        lp = np.log2(p)
+        terms = -np.sum(p * lp, axis=-1)
+        w = -(lp + 1 / LOG2)
+    else:
+        S = np.sum(p**alpha, axis=-1)
+        terms = _log2(S) / (1 - alpha)
+        w = alpha * p ** (alpha - 1) / ((1 - alpha) * S * LOG2)[..., None]
+    gj = (B @ (w * c)[..., None])[..., 0]
+    f, g = np.zeros(len(psi)), np.zeros(psi.shape, dtype=complex)
+    for j in range(L):  # in basis order: np.sum regroups eight or more terms
+        f += terms[:, j]
+        g += gj[:, j]
     return f / L, g / L
+
+
+def _tangent_rows(psi: np.ndarray, g: np.ndarray):
+    """Gradient projected on the tangent space of each row, and its norm."""
+    g_t = g - _row_dot(psi.conj(), g)[:, None] * psi
+    return g_t, _row_norms(g_t)
+
+
+def _descend_rows(B, BH, psi: np.ndarray, alpha, iters: int):
+    """Projected gradient descent with backtracking, every row at once.
+
+    Each row keeps its own step size (0.5 to start, halved on a rejected
+    step, doubled up to 1 after a move) and its own stop: `iters` moves, a
+    tangent gradient below 1e-12, or a step size at 1e-14. Only live rows
+    are evaluated. Updates psi in place; returns it with its objective.
+    """
+    f, g = _avg_entropy_rows(B, BH, psi, alpha)
+    eta = np.full(len(psi), 0.5)
+    moves = np.zeros(len(psi), dtype=np.int64)
+    g_t, gn = _tangent_rows(psi, g)
+    live = ~(gn < 1e-12) & (moves < iters)
+    while live.any():
+        idx = np.flatnonzero(live)
+        step = eta[idx]
+        cand = psi[idx] - step[:, None] * g_t[idx]
+        cand /= _row_norms(cand)[:, None]
+        fc, gc = _avg_entropy_rows(B, BH, cand, alpha)
+        ok = fc < f[idx] - 0.25 * step * gn[idx] * gn[idx]  # Armijo
+        moved, stuck = idx[ok], idx[~ok]
+        psi[moved], f[moved] = cand[ok], fc[ok]
+        g_t[moved], gn[moved] = _tangent_rows(cand[ok], gc[ok])
+        eta[moved] = np.minimum(eta[moved] * 2, 1.0)
+        moves[moved] += 1
+        live[moved] = ~(gn[moved] < 1e-12) & (moves[moved] < iters)
+        eta[stuck] /= 2
+        live[stuck] = eta[stuck] > 1e-14
+    return psi, f
 
 
 def minimize_avg_entropy(
@@ -449,51 +512,34 @@ def minimize_avg_entropy(
     maxima are unique; the annealing stages funnel past the local minima the
     non-smooth objective has on its own. The result is a heuristic upper
     bound on the true minimum and is deterministic for a fixed seed.
+
+    The restarts descend together, MINIMIZE_BLOCK at a time, as the rows of
+    one (R, d) array against the stacked (L, d, d) bases; each row keeps its
+    own step size and stop rule, and every stage runs the same loop. Each
+    start is 2d normals drawn in restart order, and the first restart more
+    than 1e-15 below all earlier ones wins, so neither the value nor the
+    state depends on the block size.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    bases = ms.bases if isinstance(ms, MubSet) else ms
-    mats = [_basis_matrix(b) for b in bases]
-    d = mats[0].shape[0]
+    B = np.stack(_checked_matrices(ms)).astype(complex)
+    BH = np.ascontiguousarray(B.conj()).transpose(0, 2, 1)
+    d = B.shape[1]
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     stages = [alpha] if not math.isinf(alpha) else [2.0, surrogate_alpha, alpha]
     rng = np.random.default_rng(seed)
     best_val, best_psi = math.inf, None
-    for _ in range(restarts):
-        x = rng.normal(size=2 * d)
-        psi = x[:d] + 1j * x[d:]
-        psi /= np.linalg.norm(psi)
+    for start in range(0, restarts, MINIMIZE_BLOCK):
+        x = rng.normal(size=(min(MINIMIZE_BLOCK, restarts - start), 2 * d))
+        psi = x[:, :d] + 1j * x[:, d:]
+        psi /= _row_norms(psi)[:, None]
         for stage in stages:
-            psi = _descend(mats, psi, stage, iters)
-        val, _ = _avg_entropy_and_grad(mats, psi, alpha)
-        if val < best_val - 1e-15:
-            best_val, best_psi = val, psi
+            psi, f = _descend_rows(B, BH, psi, stage, iters)
+        for val, row in zip(f.tolist(), psi):
+            if val < best_val - 1e-15:
+                best_val, best_psi = val, row.copy()
     return best_psi, best_val
-
-
-def _descend(mats, psi, alpha, iters):
-    f, g = _avg_entropy_and_grad(mats, psi, alpha)
-    eta = 0.5
-    for _ in range(iters):
-        g_t = g - (psi.conj() @ g) * psi
-        gn = float(np.linalg.norm(g_t))
-        if gn < 1e-12:
-            break
-        moved = False
-        while eta > 1e-14:
-            cand = psi - eta * g_t
-            cand /= np.linalg.norm(cand)
-            fc, gc = _avg_entropy_and_grad(mats, cand, alpha)
-            if fc < f - 0.25 * eta * gn * gn:
-                psi, f, g = cand, fc, gc
-                moved = True
-                break
-            eta /= 2
-        if not moved:
-            break
-        eta = min(eta * 2, 1.0)
-    return psi
 
 
 def iter_sweep_rows(ms, budget: int = DEFAULT_BUDGET, chunk: int = SWEEP_CHUNK):

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -76,6 +77,15 @@ def test_minimize_command(capsys):
     assert "0.678071905" in out
 
 
+def test_minimize_stdout_unchanged(capsys):
+    # the result line of the scalar per-restart minimizer for this command
+    assert run(["minimize", "--n", "2", "--L", "4", "--restarts", "16"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "min avg H_inf ~= 0.678071905 bits over 16 restarts (seed 0); "
+        "min-entropy bound 0.678071905"
+    )
+
+
 def test_minimize_alpha_two(capsys):
     code = run(["minimize", "--n", "2", "--L", "3", "--alpha", "2", "--restarts", "16"])
     assert code == 0
@@ -111,7 +121,9 @@ def test_sweep_command(tmp_path, capsys):
 def test_sweep_budget_refusal(capsys):
     code = run(["sweep", "--n", "2", "--L", "5", "--budget", "100"])
     assert code == 3
-    assert "budget" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "budget" in err
+    assert err.count("sampling") == 1 and err.count("\n") == 1
 
 
 def test_bad_arguments_exit_code():
@@ -144,6 +156,13 @@ def test_reproduce_fig1(tmp_path):
     # L = 5: the large-L bound is the stronger one
     assert float(data[5]["large_L"]) > float(data[5]["small_L"])
     assert (tmp_path / "plot_fig1.py").exists()
+
+
+def test_reproduce_fig1_matches_fixture(tmp_path):
+    fixture = Path(__file__).parents[1] / "bench" / "fixtures" / "fig1.csv"
+    args = ["reproduce-fig", "--which", "1", "--seed", "0", "--out", str(tmp_path)]
+    assert run(args) == 0
+    assert (tmp_path / "fig1.csv").read_bytes() == fixture.read_bytes()
 
 
 def test_wigner_command(tmp_path, capsys):

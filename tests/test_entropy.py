@@ -1,9 +1,14 @@
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mubforge import entropy
 from mubforge.classes import build_classes_2n1, fixture_d4
+from mubforge.cli import build_partition
 from mubforge.entropy import (
     BudgetExceededError,
     avg_entropy,
@@ -312,3 +317,149 @@ def test_symmetrized_top_eigenstate_saturates_jensen(ms4):
     rho = np.outer(v, v.conj())
     sym = symmetrize(rho, ms4.U, 4)
     assert abs(np.trace(rho @ P.matrix) - np.trace(sym @ P.matrix)) < 1e-10
+
+
+# Test-only oracle: the scalar minimizer that the batched one replaced, one
+# restart and one vector at a time.
+def serial_avg_entropy_and_grad(mats, psi, alpha):
+    L = len(mats)
+    d = psi.shape[0]
+    f = 0.0
+    g = np.zeros(d, dtype=complex)
+    for B in mats:
+        c = B.conj().T @ psi
+        p = np.maximum(np.abs(c) ** 2, 1e-300)
+        if math.isinf(alpha):
+            b = int(np.argmax(p))
+            f += -math.log2(p[b])
+            w = np.zeros(d)
+            w[b] = -1.0 / (p[b] * entropy.LOG2)
+        elif alpha == 1:
+            f += float(-np.sum(p * np.log2(p)))
+            w = -(np.log2(p) + 1 / entropy.LOG2)
+        else:
+            S = float(np.sum(p**alpha))
+            f += math.log2(S) / (1 - alpha)
+            w = alpha * p ** (alpha - 1) / ((1 - alpha) * S * entropy.LOG2)
+        g += B @ (w * c)
+    return f / L, g / L
+
+
+def serial_descend(mats, psi, alpha, iters):
+    f, g = serial_avg_entropy_and_grad(mats, psi, alpha)
+    eta = 0.5
+    for _ in range(iters):
+        g_t = g - (psi.conj() @ g) * psi
+        gn = float(np.linalg.norm(g_t))
+        if gn < 1e-12:
+            break
+        moved = False
+        while eta > 1e-14:
+            cand = psi - eta * g_t
+            cand /= np.linalg.norm(cand)
+            fc, gc = serial_avg_entropy_and_grad(mats, cand, alpha)
+            if fc < f - 0.25 * eta * gn * gn:
+                psi, f, g = cand, fc, gc
+                moved = True
+                break
+            eta /= 2
+        if not moved:
+            break
+        eta = min(eta * 2, 1.0)
+    return psi
+
+
+def serial_minimize(ms, alpha, restarts, seed, iters=500, surrogate_alpha=20.0):
+    mats = [b.vectors for b in ms.bases]
+    d = mats[0].shape[0]
+    stages = [alpha] if not math.isinf(alpha) else [2.0, surrogate_alpha, alpha]
+    rng = np.random.default_rng(seed)
+    best_val, best_psi = math.inf, None
+    for _ in range(restarts):
+        x = rng.normal(size=2 * d)
+        psi = x[:d] + 1j * x[d:]
+        psi /= np.linalg.norm(psi)
+        for stage in stages:
+            psi = serial_descend(mats, psi, stage, iters)
+        val, _ = serial_avg_entropy_and_grad(mats, psi, alpha)
+        if val < best_val - 1e-15:
+            best_val, best_psi = val, psi
+    return best_psi, best_val
+
+
+ORACLE_SETS = {
+    "d4L2": (2, 2), "d4L3": (2, 3), "d4L4": (2, 4), "d4L5": (2, 5), "d8L3": (3, 3)
+}
+
+
+@pytest.fixture(scope="module")
+def oracle_sets():
+    return {k: build_mub_set(build_partition(*nL)) for k, nL in ORACLE_SETS.items()}
+
+
+def same_state(a, b):
+    """Distance between two unit vectors after aligning their global phase."""
+    ov = np.vdot(b, a)
+    return float(np.linalg.norm(a - ov / abs(ov) * b))
+
+
+@pytest.mark.parametrize("alpha", [1, 2, math.inf])
+@pytest.mark.parametrize("name", list(ORACLE_SETS))
+def test_batched_minimizer_matches_serial(oracle_sets, name, alpha):
+    # the value to 1e-12; the state to 1e-7, since a value known to ~1e-16
+    # pins a minimizer only to about its square root
+    ms = oracle_sets[name]
+    for seed, restarts, block in ((len(name), 3, 128), (7, 5, 2)):
+        want_psi, want = serial_minimize(ms, alpha, restarts, seed)
+        with mock.patch.object(entropy, "MINIMIZE_BLOCK", block):
+            psi, val = minimize_avg_entropy(ms, alpha, restarts=restarts, seed=seed)
+        assert abs(val - want) < 1e-12
+        assert same_state(psi, want_psi) < 1e-7
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    name=st.sampled_from(["d4L3", "d4L4", "d8L3"]),
+    seed=st.integers(0, 2**32 - 1),
+    restarts=st.integers(1, 8),
+    alpha=st.sampled_from([0.5, 1, 2, 3.0, math.inf]),
+)
+def test_minimizer_rows_stay_matched(oracle_sets, name, seed, restarts, alpha):
+    ms = oracle_sets[name]
+    psi, val = minimize_avg_entropy(ms, alpha, restarts=restarts, seed=seed)
+    assert abs(np.linalg.norm(psi) - 1) < 1e-12
+    assert abs(avg_entropy(ms, psi, alpha) - val) < 1e-12
+    with mock.patch.object(entropy, "MINIMIZE_BLOCK", 3):
+        psi3, val3 = minimize_avg_entropy(ms, alpha, restarts=restarts, seed=seed)
+    assert val3 == val
+    assert np.array_equal(psi3, psi)
+
+
+def bad_bases(ms):
+    mats = [b.vectors for b in ms.bases]
+    return {
+        "ragged": ([mats[0], mats[1][:2, :2]], "dimensional"),
+        "non-square": ([mats[0], mats[1][:, :3]], "shape"),
+        "non-orthonormal": ([mats[0], 1.01 * mats[1]], "orthonormal"),
+        "empty": ([], "at least one"),
+    }
+
+
+@pytest.mark.parametrize("case", ["ragged", "non-square", "non-orthonormal", "empty"])
+def test_minimize_rejects_bad_bases(ms4, case):
+    bases, match = bad_bases(ms4)[case]
+    with pytest.raises(ValueError, match=match):
+        minimize_avg_entropy(bases, math.inf, restarts=2)
+    psi = ms4.bases[0].vectors[:, 0]
+    with pytest.raises(ValueError, match=match):
+        avg_entropy(bases, psi, math.inf)
+
+
+def test_minimize_bad_bases_exit_code(ms4, monkeypatch, capsys):
+    from mubforge import cli
+
+    bent = replace(ms4.bases[1], vectors=1.01 * ms4.bases[1].vectors)
+    broken = replace(ms4, bases=(ms4.bases[0], bent) + ms4.bases[2:])
+    monkeypatch.setattr(cli, "build_mub_set", lambda part: broken)
+    assert cli.main(["minimize", "--n", "2", "--L", "4", "--restarts", "2"]) == 4
+    assert "not orthonormal" in capsys.readouterr().err
