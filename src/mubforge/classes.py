@@ -7,8 +7,9 @@ cycle unitary permutes one step forward (P3).
 
 Both generated families share one recipe: pick a singleton and n-1 disjoint
 commuting generator pairs as units, take every product of a nonempty subset
-of units as class 0, and push class 0 forward with the cycle unitary. The
-unit choices differ:
+of units as class 0, and push class 0 forward with the cycle's exact action
+on monomials (transform.cycle_action), which needs no dense matrix. The unit
+choices differ:
 
   * full cycle over all 2n+1 generators (2n+1 prime): singleton G_0, pairs
     (a, 2n+1-a) for a = 1..n-1, so every pair's index sum is 0 mod 2n+1 and
@@ -21,7 +22,8 @@ unit choices differ:
     which straddle adjacent swap pairs so no unit maps to itself.
 
 Disjointness of the generated classes is certified by validate_partition
-rather than assumed.
+rather than assumed; it also checks P3 against the action read off the
+dense cycle unitary.
 """
 
 from __future__ import annotations
@@ -46,7 +48,14 @@ from .pauli import (
     term_from_text,
     term_to_text,
 )
-from .transform import CycleSpec, conjugate_term, conjugation_residual, cycle_unitary
+from .transform import (
+    CliffordAction,
+    CycleSpec,
+    clifford_action,
+    conjugation_residual,
+    cycle_action,
+    cycle_unitary,
+)
 
 
 @dataclass(frozen=True)
@@ -133,14 +142,14 @@ def _subset_products(
 
 
 def _push_classes(
-    gs: GammaSet, U: np.ndarray, c0: tuple[PauliTerm, ...], singleton: int, L: int,
+    action: CliffordAction, c0: tuple[PauliTerm, ...], singleton: int, L: int,
     spec: CycleSpec,
 ) -> tuple[CommutingClass, ...]:
     """Generate classes 1..L-1 by repeated conjugation of class 0."""
     classes = [CommutingClass(c0, singleton)]
     cur, cur_single = c0, singleton
     for _ in range(L - 1):
-        cur = tuple(conjugate_term(U, m)[0] for m in cur)
+        cur = tuple(action.conjugate(m)[0] for m in cur)
         cur_single = spec.shift(cur_single)
         classes.append(CommutingClass(cur, cur_single))
     return tuple(classes)
@@ -158,10 +167,9 @@ def build_classes_2n1(n: int) -> Partition:
         raise ValueError(f"2n+1 = {L} is not prime")
     gs = build_gamma_generators(n)
     spec = CycleSpec(n, (tuple(range(L)),))
-    U = cycle_unitary(gs, spec)
     pairs = [(a, L - a) for a in range(1, n)]
     c0 = _subset_products(gs, 0, pairs)
-    classes = _push_classes(gs, U, c0, 0, L, spec)
+    classes = _push_classes(cycle_action(gs, spec), c0, 0, L, spec)
     return Partition(n, L, spec, classes)
 
 
@@ -175,7 +183,6 @@ def build_classes_Ln(n: int, L: int) -> Partition:
     gs = build_gamma_generators(n)
     groups = tuple(tuple(range(i * L, (i + 1) * L)) for i in range(2 * r))
     spec = CycleSpec(n, groups)
-    U = cycle_unitary(gs, spec)
 
     if L == 2:
         singleton = 0
@@ -188,7 +195,7 @@ def build_classes_Ln(n: int, L: int) -> Partition:
         pairs += [((2 * i) * L, (2 * i + 1) * L) for i in range(r)]
     assert len(pairs) == n - 1
     c0 = _subset_products(gs, singleton, pairs)
-    classes = _push_classes(gs, U, c0, singleton, L, spec)
+    classes = _push_classes(cycle_action(gs, spec), c0, singleton, L, spec)
     return Partition(n, L, spec, classes)
 
 
@@ -227,10 +234,16 @@ def fixture_d4(L: int) -> Partition:
 def validate_partition(part: Partition, U: np.ndarray | None = None) -> ValidationReport:
     """Check P1 (commutation), P2 (disjointness) and P3 (cycling) plus
     Hermiticity and the one-singleton-per-class rule. Failures land in the
-    report, they do not raise."""
+    report, they do not raise.
+
+    P3 maps every member exactly with the action read off U (the cycle
+    unitary of part.spec unless given). worst_p3_residual is the worst dense
+    residual of that read, over the 2n+1 generator images.
+    """
     gs = build_gamma_generators(part.n)
     if U is None:
         U = cycle_unitary(gs, part.spec)
+    action = clifford_action(gs, U)
     failures = []
 
     d = part.d
@@ -276,14 +289,16 @@ def validate_partition(part: Partition, U: np.ndarray | None = None) -> Validati
             seen[key] = ci
 
     p3 = True
-    worst = 0.0
+    worst = max(
+        conjugation_residual(U, g, *canonical(img))
+        for g, img in zip(gs.gammas, action.images)
+    )
     flips = 0
     for ci, c in enumerate(part.classes):
         target = {canonical(m)[0] for m in part.classes[(ci + 1) % part.L].members}
         got = set()
         for m in c.members:
-            term, sign = conjugate_term(U, m)
-            worst = max(worst, conjugation_residual(U, m, term, sign))
+            term, sign = action.conjugate(m)
             got.add(term)
             if sign * canonical(m)[1] != 1:
                 flips += 1

@@ -49,7 +49,14 @@ from .mub import (
     unbiasedness_deviation,
     verify_cycle,
 )
-from .wigner import complete_mub_bases, phase_space_csv, wigner_entropy_bound
+from .pauli import build_gamma_generators
+from .transform import cycle_unitary
+from .wigner import (
+    complete_mub_bases,
+    phase_space_csv,
+    point_levels,
+    wigner_entropy_bound,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -103,7 +110,8 @@ def cmd_generate(args) -> int:
         )
         return EXIT_BAD_ARGS
     part = build_partition(n, L)
-    report = validate_partition(part)
+    U = cycle_unitary(build_gamma_generators(n), part.spec)
+    report = validate_partition(part, U)
     out = Path(args.out)
     _write(out / "partition.json", partition_to_json(part))
     validation = {
@@ -120,7 +128,7 @@ def cmd_generate(args) -> int:
         _write(out / "validation.json", json.dumps(validation, indent=1))
         print("partition validation FAILED", file=sys.stderr)
         return EXIT_VALIDATION
-    ms = build_mub_set(part)
+    ms = build_mub_set(part, U)
     cyc = verify_cycle(ms)
     dev = unbiasedness_deviation(ms.bases)
     validation.update(
@@ -186,6 +194,7 @@ def _sweep_to_csv(ms: MubSet, args, scale: int):
     leaves none."""
     path = Path(args.out)
     fh = None
+    width = len(str(ms.d - 1))  # fixed-width digits keep labels unambiguous
 
     def write_rows(digits, lam):
         nonlocal fh
@@ -195,7 +204,8 @@ def _sweep_to_csv(ms: MubSet, args, scale: int):
             fh.write("b_string,lambda_max,minus_log2\n")
         fh.write(
             "".join(
-                f"{''.join(map(str, b))},{scale * x:.12f},{-math.log2(x):.12f}\n"
+                f"{''.join(f'{i:0{width}d}' for i in b)},{scale * x:.12f},"
+                f"{-math.log2(x):.12f}\n"
                 for b, x in zip(digits.tolist(), lam.tolist())
             )
         )
@@ -306,12 +316,13 @@ def cmd_wigner(args) -> int:
         bases = build_mub_set(build_classes_2n1(n)).bases
     else:
         bases = complete_mub_bases(n)
-    text = phase_space_csv(bases)
+    levels = point_levels(bases)
+    text = phase_space_csv(bases, levels=levels)
     if args.out:
         _write(Path(args.out), text)
     else:
         print(text, end="")
-    info = wigner_entropy_bound(bases, verbose=True)
+    info = wigner_entropy_bound(bases, verbose=True, levels=levels)
     print(
         f"W_max = {info['w_max']:.9f}; min-entropy bound "
         f"{info['bound_bits']:.9f} bits (selector route "

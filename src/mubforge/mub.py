@@ -3,9 +3,12 @@
 Each class of d-1 commuting involutions, together with the identity, spans a
 maximal abelian algebra, so its joint eigenspaces are one dimensional. The
 basis extraction splits the full space by the +1/-1 eigenspaces of one member
-at a time. Vectors are labeled by their sign pattern (member 0 most
-significant, +1 before -1) and each vector's global phase is fixed by making
-its largest-magnitude component real positive, ties broken by lowest index.
+at a time. Once every block is one dimensional, the remaining members only
+have their signs read off, and the vectors stay as they are. Pauli members
+act through pauli.apply, never as dense matrices. Vectors are labeled by
+their sign pattern (member 0 most significant, +1 before -1) and each
+vector's global phase is fixed by making its largest-magnitude component
+real positive, ties broken by lowest index.
 """
 
 from __future__ import annotations
@@ -14,10 +17,9 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .classes import CommutingClass, Partition
-from .pauli import build_gamma_generators, to_dense
+from .pauli import PauliTerm, apply, build_gamma_generators, is_hermitian
 from .transform import cycle_unitary
 
 EIGEN_TOL = 1e-8
@@ -80,47 +82,106 @@ def fix_phase(v: np.ndarray) -> np.ndarray:
 
 def common_eigenbasis(cc: CommutingClass, label: int = 0) -> Basis:
     """Joint eigenbasis of one commuting class, canonically ordered."""
-    mats = [to_dense(m) for m in cc.members]
-    return basis_from_involutions(mats, label)
+    return basis_from_involutions(list(cc.members), label)
 
 
-def basis_from_involutions(mats: list[np.ndarray], label: int = 0) -> Basis:
-    """Joint eigenbasis of commuting Hermitian involutions (M^2 = I)."""
-    d = mats[0].shape[0]
-    blocks: list[tuple[np.ndarray, tuple[int, ...]]] = [
-        (np.eye(d, dtype=complex), ())
+def _apply(M: "PauliTerm | np.ndarray", V: np.ndarray) -> np.ndarray:
+    return apply(M, V) if isinstance(M, PauliTerm) else M @ V
+
+
+def _check_signs(w: np.ndarray) -> None:
+    if np.any(np.abs(np.abs(w) - 1) > EIGEN_TOL):
+        raise DiagonalizationError(
+            "restricted eigenvalues are not within tolerance of +-1; "
+            "the input operators do not commute or are not involutions"
+        )
+
+
+def _restricted(M: "PauliTerm | np.ndarray", B: np.ndarray) -> np.ndarray:
+    """(B_i^H M) B_i for every block B_i of a stack B of shape (m, d, k)."""
+    if isinstance(M, PauliTerm):
+        # B^H M = (M B)^H exactly for a Hermitian monomial, and + 0.0 turns
+        # its -0.0 entries into the +0.0 a matrix product gives, so the
+        # result matches the dense route bit for bit.
+        BhM = apply(M, B.transpose(1, 0, 2)).transpose(1, 2, 0).conj() + 0.0
+    else:
+        BhM = B.conj().transpose(0, 2, 1) @ M
+    return BhM @ B
+
+
+def _by_width(blocks):
+    """Stack blocks of equal width together: [(B (m, d, k), patterns)]."""
+    widths: dict[int, list] = {}
+    for B, patterns in blocks:
+        widths.setdefault(B.shape[2], []).append((B, patterns))
+    return [
+        (np.concatenate([B for B, _ in group]), [p for _, ps in group for p in ps])
+        for group in widths.values()
     ]
+
+
+def basis_from_involutions(
+    mats: "list[PauliTerm | np.ndarray]", label: int = 0
+) -> Basis:
+    """Joint eigenbasis of commuting Hermitian involutions (M^2 = I), given
+    as Hermitian Pauli monomials or as dense matrices.
+
+    Blocks of equal width are split together: one stacked eigh per width and
+    member. Each block's vectors carry the same bits as when it is split on
+    its own.
+    """
     for M in mats:
-        split: list[tuple[np.ndarray, tuple[int, ...]]] = []
-        for B, pattern in blocks:
-            A = B.conj().T @ M @ B
-            w, V = np.linalg.eigh(A)
-            if np.max(np.abs(np.abs(w) - 1)) > EIGEN_TOL:
-                raise DiagonalizationError(
-                    "restricted eigenvalues are not within tolerance of +-1; "
-                    "the input operators do not commute or are not involutions"
-                )
-            plus, minus = w > 0, w < 0
-            if plus.any():
-                split.append((B @ V[:, plus], pattern + (1,)))
-            if minus.any():
-                split.append((B @ V[:, minus], pattern + (-1,)))
-        blocks = split
-    if any(B.shape[1] != 1 for B, _ in blocks) or len(blocks) != d:
+        if isinstance(M, PauliTerm) and not is_hermitian(M):
+            raise DiagonalizationError(f"member {M} is not Hermitian")
+    M0 = mats[0]
+    d = 2**M0.n if isinstance(M0, PauliTerm) else M0.shape[0]
+    stacks = [(np.eye(d, dtype=complex)[None], [()])]
+    split_by = 0
+    for M in mats:
+        if all(B.shape[2] == 1 for B, _ in stacks):
+            break
+        split_by += 1
+        levels, split = [], []
+        for B, patterns in stacks:
+            w, V = np.linalg.eigh(_restricted(M, B))
+            levels.append(w.ravel())
+            k = B.shape[2]
+            n_plus = np.count_nonzero(w > 0, axis=1)
+            for p in sorted(set(n_plus.tolist())):
+                sel = np.flatnonzero(n_plus == p)
+                # eigh sorts ascending: the -1 columns first, the +1 ones last
+                if p:
+                    plus = [patterns[i] + (1,) for i in sel]
+                    split.append((B[sel] @ V[sel, :, k - p :], plus))
+                if p < k:
+                    minus = [patterns[i] + (-1,) for i in sel]
+                    split.append((B[sel] @ V[sel, :, : k - p], minus))
+        _check_signs(np.concatenate(levels))
+        stacks = _by_width(split)
+    widths = [B.shape[2] for B, patterns in stacks for _ in patterns]
+    if any(k != 1 for k in widths) or len(widths) != d:
         raise DiagonalizationError(
             f"joint eigenspaces are not all one dimensional "
-            f"({[B.shape[1] for B, _ in blocks]}); class is not maximal"
+            f"({widths}); class is not maximal"
         )
+    cols = np.concatenate([B[:, :, 0] for B, _ in stacks]).T
+    # the members left over are diagonal on these vectors: read their signs
+    rest = np.array(
+        [np.real(np.sum(cols.conj() * _apply(M, cols), axis=0)) for M in mats[split_by:]]
+    ).reshape(-1, d)
+    _check_signs(rest)
+    signs = np.where(rest > 0, 1, -1).T.tolist()
+    found = [p for _, patterns in stacks for p in patterns]
+    found = [p + tuple(s) for p, s in zip(found, signs)]
     # canonical order: member 0's sign most significant, +1 before -1
-    order = sorted(range(d), key=lambda i: tuple(-s for s in blocks[i][1]))
-    vectors = np.column_stack([fix_phase(blocks[i][0][:, 0]) for i in order])
-    patterns = tuple(blocks[i][1] for i in order)
+    order = sorted(range(d), key=lambda i: tuple(-s for s in found[i]))
+    vectors = np.column_stack([fix_phase(cols[:, i]) for i in order])
+    patterns = tuple(found[i] for i in order)
     if len(set(patterns)) != d:
         raise DiagonalizationError("sign patterns are not distinct")
     for M in mats:
-        res = np.linalg.norm(M @ vectors - vectors * np.sum(
-            vectors.conj() * (M @ vectors), axis=0
-        ), axis=0)
+        MV = _apply(M, vectors)
+        res = np.linalg.norm(MV - vectors * np.sum(vectors.conj() * MV, axis=0), axis=0)
         if np.max(res) > EIGEN_TOL:
             raise DiagonalizationError(f"joint eigenvector residual {np.max(res):.3e}")
     return Basis(vectors, label, patterns)
@@ -196,6 +257,8 @@ def invariant_states(ms: MubSet) -> list[tuple[np.ndarray, complex]]:
     U is normal, so the complex Schur form is diagonal and its columns are an
     orthonormal eigenbasis; this is stable even for degenerate phases.
     """
+    import scipy.linalg  # only here: importing scipy costs the CLI ~0.3 s
+
     T, Zm = scipy.linalg.schur(ms.U, output="complex")
     out = []
     for i in range(ms.d):

@@ -25,7 +25,7 @@ for every n (a bare factor i only works for odd n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from typing import Sequence
 
@@ -124,6 +124,39 @@ def to_dense(a: PauliTerm) -> np.ndarray:
     return _PHASES[a.phase] * reduce(np.kron, factors)
 
 
+def row_mask(mask: int, n: int) -> int:
+    """A qubit mask in row-index bit order: bit j moves to bit n-1-j."""
+    out = 0
+    for j in range(n):
+        if mask >> j & 1:
+            out |= 1 << (n - 1 - j)
+    return out
+
+
+def apply(a: PauliTerm, V: np.ndarray) -> np.ndarray:
+    """to_dense(a) @ V without forming the matrix.
+
+    With x', z' the masks in row-index bit order,
+    X^x Z^z |c> = (-1)^|z' & c| |c ^ x'>, so row c of V moves to row c ^ x'
+    scaled by i^phase (-1)^|z' & c|. Every entry is one exact product, as in
+    the dense matrix product. V is a vector or a matrix with 2^n rows.
+    """
+    V = np.asarray(V)
+    d = 1 << a.n
+    if V.shape[:1] != (d,):
+        raise DimensionMismatchError(f"{a.n}-qubit term applied to shape {V.shape}")
+    rows = np.arange(d)
+    masked = rows & row_mask(a.zmask, a.n)
+    parity = np.zeros(d, dtype=rows.dtype)
+    for bit in range(a.n):
+        parity ^= masked >> bit
+    sign = 1 - 2 * (parity & 1)
+    coeff = (_PHASES[a.phase] * sign).reshape((d,) + (1,) * (V.ndim - 1))
+    out = np.empty(V.shape, dtype=complex)
+    out[rows ^ row_mask(a.xmask, a.n)] = coeff * V
+    return out
+
+
 def build_gamma_generators(n: int) -> "GammaSet":
     """The 2n+1 anticommuting Hermitian involutions on n qubits.
 
@@ -150,6 +183,13 @@ class GammaSet:
 
     n: int
     gammas: tuple[PauliTerm, ...]
+    # GF(2) elimination of G_0 .. G_{2n-1}, made once for gamma_indices
+    pivots: tuple[tuple[int, int, int], ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        object.__setattr__(self, "pivots", _eliminate(self.n, self.gammas))
 
     def __len__(self) -> int:
         return len(self.gammas)
@@ -181,32 +221,38 @@ def gamma_indices(gs: GammaSet, a: PauliTerm) -> tuple[int, ...]:
     """
     if a.n != gs.n:
         raise DimensionMismatchError(f"qubit counts differ: {a.n} != {gs.n}")
-    m = 2 * gs.n
-    # vector/matrix over GF(2), row i encodes (xmask | zmask << n) of G_i
-    rows = [(g.xmask | g.zmask << gs.n) for g in gs.gammas[:m]]
     target = a.xmask | a.zmask << gs.n
-    # Gaussian elimination tracking which generator combination built each row
-    combo = [1 << i for i in range(m)]
-    pivots = {}
-    for i in range(m):
-        r, c = rows[i], combo[i]
-        for bit, (pr, pc) in pivots.items():
-            if r >> bit & 1:
-                r ^= pr
-                c ^= pc
-        if r:
-            pivots[r.bit_length() - 1] = (r, c)
     sel = 0
-    for bit, (pr, pc) in sorted(pivots.items(), reverse=True):
+    for bit, pr, pc in gs.pivots:
         if target >> bit & 1:
             target ^= pr
             sel ^= pc
     if target:
         raise ValueError("monomial is not a generator product (bad masks)")
+    m = 2 * gs.n
     indices = [i for i in range(m) if sel >> i & 1]
     if len(indices) > gs.n:
         indices = [i for i in range(m + 1) if i not in indices]
     return tuple(indices)
+
+
+def _eliminate(n: int, gammas: Sequence[PauliTerm]) -> tuple[tuple[int, int, int], ...]:
+    """Pivot rows (bit, row, combo) of G_0 .. G_{2n-1} over GF(2), highest
+    bit first. A row encodes (xmask | zmask << n); combo records which
+    generators were added up to build it."""
+    rows = [(g.xmask | g.zmask << n) for g in gammas[: 2 * n]]
+    pivots: dict[int, tuple[int, int]] = {}
+    for i, r in enumerate(rows):
+        c = 1 << i
+        while r:
+            top = r.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = (r, c)
+                break
+            pr, pc = pivots[top]
+            r ^= pr
+            c ^= pc
+    return tuple((bit, r, c) for bit, (r, c) in sorted(pivots.items(), reverse=True))
 
 
 def term_to_text(a: PauliTerm) -> str:

@@ -16,6 +16,12 @@ G_{2n} (proportional to their full product) must pick up the determinant of
 that map. A single even-length cycle has determinant -1, so it necessarily
 flips G_{2n}. All other generators outside the cycled groups are required to
 stay fixed exactly; any other sign flip is treated as a construction bug.
+
+Since U permutes the generators up to sign, it maps every monomial to a
+signed monomial, and that image is exact bit-mask arithmetic: write the
+monomial as a phase times a product of generators and multiply their images
+(CliffordAction). Dense matrices enter only where U itself is built and
+where its action on the 2n+1 generators is read off and checked.
 """
 
 from __future__ import annotations
@@ -27,8 +33,12 @@ import numpy as np
 from .pauli import (
     GammaSet,
     PauliTerm,
+    apply,
     canonical,
+    gamma_indices,
+    gamma_product,
     multiply,
+    row_mask,
     to_dense,
 )
 
@@ -77,6 +87,53 @@ class CycleSpec:
         return i
 
 
+@dataclass(frozen=True)
+class CliffordAction:
+    """Conjugation a -> U a U^H on monomials, exactly.
+
+    images[i] is U G_i U^H with its sign folded into the phase. Conjugation
+    is an algebra automorphism, so i^k G_i1 ... G_im maps to
+    i^k images[i1] ... images[im].
+    """
+
+    gs: GammaSet
+    images: tuple[PauliTerm, ...]
+
+    def conjugate(self, a: PauliTerm) -> tuple[PauliTerm, int]:
+        """U a U^H as (canonical monomial, sign), like conjugate_term."""
+        idx = gamma_indices(self.gs, a)
+        out = PauliTerm(a.n, 0, 0, (a.phase - gamma_product(self.gs, idx).phase) % 4)
+        for i in idx:
+            out = multiply(out, self.images[i])
+        return canonical(out)
+
+
+def clifford_action(gs: GammaSet, U: np.ndarray) -> CliffordAction:
+    """Read U's action off its 2n+1 generator images (dense, checked)."""
+    minus_one = PauliTerm(gs.n, 0, 0, 2)
+    images = []
+    for g in gs.gammas:
+        term, sign = conjugate_term(U, g)
+        images.append(term if sign == 1 else multiply(minus_one, term))
+    return CliffordAction(gs, tuple(images))
+
+
+def cycle_action(gs: GammaSet, spec: CycleSpec) -> CliffordAction:
+    """The action every cycle unitary for spec has, derived from spec alone.
+
+    G_i -> G_shift(i) with sign +1 for the 2n ladder generators; the image of
+    G_2n = i^(n mod 2) G_0 ... G_{2n-1} is the same product of their images,
+    which carries the determinant sign.
+    """
+    if spec.n != gs.n:
+        raise ValueError(f"spec built for n={spec.n}, generators for n={gs.n}")
+    images = [gs[spec.shift(i)] for i in range(2 * gs.n)]
+    last = PauliTerm(gs.n, 0, 0, gs.n % 2)
+    for g in images:
+        last = multiply(last, g)
+    return CliffordAction(gs, (*images, last))
+
+
 def assert_unitary(U: np.ndarray, tol: float = UNITARITY_TOL) -> None:
     d = U.shape[0]
     err = np.linalg.norm(U.conj().T @ U - np.eye(d))
@@ -98,10 +155,11 @@ def rotation_unitary(gs: GammaSet, j: int, k: int) -> np.ndarray:
 def cycle_unitary(gs: GammaSet, spec: CycleSpec) -> np.ndarray:
     """Dense unitary whose conjugation cycles each group of generators.
 
-    The postcondition is verified before returning: every group index maps
+    The postcondition is verified before returning: U's action on the
+    generators is cycle_action(gs, spec) exactly. So every group index maps
     one step forward with sign +1, every untouched generator except G_{2n}
-    maps to itself exactly, and G_{2n} maps to itself up to the forced
-    determinant sign. Violations raise ConstructionError.
+    maps to itself, and G_{2n} maps to itself times the forced determinant
+    sign. Violations raise ConstructionError.
     """
     if spec.n != gs.n:
         raise ValueError(f"spec built for n={spec.n}, generators for n={gs.n}")
@@ -127,15 +185,12 @@ def cycle_unitary(gs: GammaSet, spec: CycleSpec) -> np.ndarray:
         U = Ug @ U
     assert_unitary(U)
 
-    grouped = {i for g in spec.groups for i in g}
-    for i in range(2 * gs.n + 1):
-        term, sign = conjugate_term(U, gs[i])
-        want = spec.shift(i)
-        rep, want_sign = canonical(gs[want])
-        if term != rep:
-            raise ConstructionError(f"G{i} maps onto {term}, wanted G{want}")
-        if sign * want_sign != 1 and (i in grouped or i != last):
-            raise ConstructionError(f"G{i} picked up sign {sign * want_sign}")
+    got = clifford_action(gs, U).images
+    for i, (term, want) in enumerate(zip(got, cycle_action(gs, spec).images)):
+        if canonical(term)[0] != canonical(want)[0]:
+            raise ConstructionError(f"G{i} maps onto {term}, wanted {want}")
+        if term != want:
+            raise ConstructionError(f"G{i} maps onto {term}, wanted the sign of {want}")
     return U
 
 
@@ -148,7 +203,7 @@ def conjugate_term(U: np.ndarray, a: PauliTerm) -> tuple[PauliTerm, int]:
     d = 2**a.n
     if U.shape != (d, d):
         raise ValueError(f"unitary is {U.shape}, term lives in dimension {d}")
-    img = U @ to_dense(a) @ U.conj().T
+    img = U @ apply(a, U.conj().T)
     # A signed monomial has one nonzero entry per column, at row c ^ rx where
     # rx is the X mask in integer-index bit order (qubit j <-> bit n-1-j).
     col0 = img[:, 0]
@@ -164,10 +219,8 @@ def conjugate_term(U: np.ndarray, a: PauliTerm) -> tuple[PauliTerm, int]:
         if abs(ratio + 1) < abs(ratio - 1):
             rz |= c
     phase = int(np.argmin([abs(val - p) for p in (1, 1j, -1, -1j)]))
-    guess = PauliTerm(
-        a.n, _revbits(rx, a.n), _revbits(rz, a.n), phase
-    )
-    residual = np.max(np.abs(img - to_dense(guess)))
+    guess = PauliTerm(a.n, row_mask(rx, a.n), row_mask(rz, a.n), phase)
+    residual = np.max(np.abs(img - apply(guess, np.eye(d))))
     if residual > MONOMIAL_TOL:
         raise NotAMonomialError(
             f"conjugation residual {residual:.3e} exceeds {MONOMIAL_TOL}"
@@ -176,14 +229,6 @@ def conjugate_term(U: np.ndarray, a: PauliTerm) -> tuple[PauliTerm, int]:
 
 
 def conjugation_residual(U: np.ndarray, a: PauliTerm, b: PauliTerm, sign: int) -> float:
-    """Max-abs deviation of U a U^H from sign * b."""
+    """Max-abs deviation of U a U^H from sign * b, from dense matrices."""
     img = U @ to_dense(a) @ U.conj().T
     return float(np.max(np.abs(img - sign * to_dense(b))))
-
-
-def _revbits(v: int, n: int) -> int:
-    out = 0
-    for j in range(n):
-        if v >> j & 1:
-            out |= 1 << (n - 1 - j)
-    return out

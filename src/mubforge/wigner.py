@@ -37,11 +37,12 @@ import numpy as np
 
 from .entropy import hermitian_eigmax, pvec_operator
 from .mub import Basis, MubSet, basis_from_involutions
-from .pauli import PauliTerm, to_dense
+from .pauli import PauliTerm
 
 IRREDUCIBLE = {1: 0b10, 2: 0b111, 3: 0b1011, 4: 0b10011, 5: 0b100101}
 
 VERTICAL = "inf"
+ROUTE_TOL = 1e-9  # the Wigner route and the selector route agree to this
 
 
 class GF:
@@ -198,25 +199,42 @@ def all_point_operators(bases, assignment=None) -> list[PhasePointOperator]:
     ]
 
 
-def wigner_entropy_bound(bases, assignment=None, verbose: bool = False):
+def point_levels(bases, assignment=None) -> list[tuple[PhasePointOperator, float]]:
+    """Every point operator with its top eigenvalue, one eigensolve each."""
+    return [
+        (A, hermitian_eigmax(A.matrix)[0])
+        for A in all_point_operators(bases, assignment)
+    ]
+
+
+def wigner_entropy_bound(bases, assignment=None, verbose: bool = False, levels=None):
     """Min-entropy bound from the Wigner maximum, for the complete set.
 
     Returns -log2[(d W_max + 1)/(d+1)] and cross-checks it against the
     mean-form selector route, which is the same number by the identity
-    A_alpha + I = sum-form P_b. With verbose=True a dict holding both the
-    normalized and the raw printed reading is returned instead.
+    A_alpha + I = sum-form P_b: that identity is checked at every point, and
+    the selector route's number is -log2 of the top eigenvalue of P_b at the
+    maximising point. levels, as returned by point_levels, spares solving
+    the points again. With verbose=True a dict holding both the normalized
+    and the raw printed reading is returned instead.
     """
     mats = _as_matrices(bases)
     d = mats[0].shape[0]
-    ops = all_point_operators(bases, assignment)
-    lam_A = max(hermitian_eigmax(A.matrix)[0] for A in ops)
+    if levels is None:
+        levels = point_levels(bases, assignment)
+    top, lam_A = max(levels, key=lambda level: level[1])
     w_max = lam_A / d
     value = -math.log2((d * w_max + 1) / (d + 1))
-    lam_P = max(
-        hermitian_eigmax(pvec_operator(bases, A.b, "mean").matrix)[0] for A in ops
-    )
-    cross = -math.log2(lam_P)
-    if abs(value - cross) > 1e-9:
+    eye = np.eye(d)
+    for A, _ in levels:
+        P = pvec_operator(bases, A.b, "mean").matrix
+        dev = float(np.max(np.abs(A.matrix + eye - len(mats) * P)))
+        if dev > ROUTE_TOL:
+            raise RuntimeError(
+                f"A{A.alpha} + I differs from the selector operator of {A.b} by {dev:.3e}"
+            )
+    cross = -math.log2(hermitian_eigmax(pvec_operator(bases, top.b, "mean").matrix)[0])
+    if abs(value - cross) > ROUTE_TOL:
         raise RuntimeError(
             f"Wigner route {value:.12f} and selector route {cross:.12f} disagree"
         )
@@ -231,7 +249,16 @@ def wigner_entropy_bound(bases, assignment=None, verbose: bool = False):
 
 
 def complete_mub_bases(n: int) -> list[Basis]:
-    """A complete set of d+1 MUBs in d = 2^n from a symplectic spread.
+    """A complete set of d+1 MUBs in d = 2^n: the joint eigenbases of the
+    spread classes, in order."""
+    return [
+        Basis(basis_from_involutions(members, label).vectors, label, ())
+        for label, members in enumerate(spread_classes(n))
+    ]
+
+
+def spread_classes(n: int) -> list[list[PauliTerm]]:
+    """The d+1 commuting classes of a symplectic spread in d = 2^n.
 
     Classes are indexed by a in GF(2^n) as {(v, S_a v)} where S_a is the
     symmetric GF(2) matrix of the bilinear form Tr(a u v), plus the all-Z
@@ -276,25 +303,18 @@ def complete_mub_bases(n: int) -> list[Basis]:
             members.append(PauliTerm(n, v, z, (v & z).bit_count() % 4))
         classes.append(members)
     classes.append([PauliTerm(n, 0, z, 0) for z in range(1, d)])
-
-    out = []
-    for label, members in enumerate(classes):
-        mats = [to_dense(m) for m in members]
-        out.append(
-            Basis(
-                basis_from_involutions(mats, label).vectors,
-                label,
-                (),
-            )
-        )
-    return out
+    return classes
 
 
-def phase_space_csv(bases, assignment=None) -> str:
-    """Report rows alpha_x, alpha_y, lambda_max, W_max for every point."""
+def phase_space_csv(bases, assignment=None, levels=None) -> str:
+    """Report rows alpha_x, alpha_y, lambda_max, W_max for every point.
+
+    levels, as returned by point_levels, spares solving the points again.
+    """
+    if levels is None:
+        levels = point_levels(bases, assignment)
     lines = ["alpha_x,alpha_y,lambda_max,W_max"]
-    for A in all_point_operators(bases, assignment):
-        lam, _ = hermitian_eigmax(A.matrix)
+    for A, lam in levels:
         lines.append(
             f"{A.alpha[0]},{A.alpha[1]},{lam:.12f},{lam / A.matrix.shape[0]:.12f}"
         )

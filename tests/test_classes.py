@@ -18,6 +18,7 @@ from mubforge.pauli import (
     canonical,
     gamma_product,
 )
+from mubforge.transform import CycleSpec, conjugate_term, conjugation_residual, cycle_unitary
 
 
 def test_fixture_d4_l3_verbatim():
@@ -253,3 +254,20 @@ def test_json_roundtrip():
 
 def test_is_prime():
     assert [m for m in range(14) if is_prime(m)] == [2, 3, 5, 7, 11, 13]
+
+
+@pytest.mark.parametrize("part", [fixture_d4(4), build_classes_2n1(3), build_classes_Ln(4, 2)])
+def test_p3_residual_is_the_worst_generator_image(part):
+    gs = build_gamma_generators(part.n)
+    U = cycle_unitary(gs, part.spec)
+    report = validate_partition(part, U)
+    want = max(conjugation_residual(U, g, *conjugate_term(U, g)) for g in gs.gammas)
+    assert report.worst_p3_residual == want
+    assert report.p3 and report.ok
+
+
+def test_validator_flags_a_unitary_that_does_not_cycle():
+    part = fixture_d4(3)
+    U = cycle_unitary(build_gamma_generators(2), CycleSpec(2, ((0, 2, 1),)))
+    report = validate_partition(part, U)
+    assert not report.p3 and not report.ok

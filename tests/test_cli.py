@@ -210,3 +210,83 @@ def test_sweep_refusal_writes_no_file(tmp_path):
     args = ["sweep", "--n", "2", "--L", "5", "--budget", "100", "--out", str(out)]
     assert run(args) == 3
     assert not out.exists()
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def test_generate_matches_fixture(tmp_path):
+    # the four files as generate wrote them before monomials were mapped exactly
+    assert run(["generate", "--n", "3", "--L", "7", "--out", str(tmp_path)]) == 0
+    for name in ("partition.json", "validation.json", "bases.json", "unitary.json"):
+        want = (FIXTURES / "generate_n3_L7" / name).read_bytes()
+        assert (tmp_path / name).read_bytes() == want, name
+
+
+def test_generate_builds_the_cycle_unitary_once(tmp_path, monkeypatch):
+    import mubforge.classes
+    import mubforge.cli
+    import mubforge.mub
+    from mubforge.transform import cycle_unitary
+
+    calls = []
+
+    def counted(gs, spec):
+        calls.append(spec)
+        return cycle_unitary(gs, spec)
+
+    for mod in (mubforge.cli, mubforge.classes, mubforge.mub):
+        monkeypatch.setattr(mod, "cycle_unitary", counted)
+    assert run(["generate", "--n", "3", "--L", "3", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
+def test_wigner_matches_fixture(capsys):
+    assert run(["wigner", "--n", "3"]) == 0
+    assert capsys.readouterr().out == (FIXTURES / "wigner_n3.txt").read_text()
+
+
+def test_wigner_solves_each_point_once(monkeypatch, capsys):
+    import mubforge.wigner
+
+    calls = {"point_operator": 0, "hermitian_eigmax": 0}
+
+    def counted(name):
+        fn = getattr(mubforge.wigner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(mubforge.wigner, name, counted(name))
+    assert run(["wigner", "--n", "3"]) == 0
+    # one operator and one solve per point, plus the selector route's solve
+    assert calls == {"point_operator": 64, "hermitian_eigmax": 65}
+
+
+def test_sweep_labels_are_unambiguous(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--n", "4", "--L", "2", "--out", str(out)]) == 0
+    labels = [row.split(",")[0] for row in out.read_text().splitlines()[1:]]
+    assert len(labels) == 256 and len(set(labels)) == 256
+    assert labels[:2] == ["0000", "0001"] and labels[-1] == "1515"
+    assert {len(b) for b in labels} == {4}
+
+
+def test_cli_import_leaves_scipy_out():
+    import subprocess
+    import sys
+
+    code = "import sys, mubforge.cli; print('scipy' in sys.modules)"
+    src = str(Path(__file__).parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={"PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"

@@ -22,7 +22,9 @@ from mubforge.mub import (
     unbiasedness_deviation,
     verify_cycle,
 )
-from mubforge.pauli import PauliTerm, build_gamma_generators, to_dense
+from mubforge.mub import EIGEN_TOL, fix_phase
+from mubforge.pauli import PauliTerm, build_gamma_generators, gamma_product, to_dense
+from mubforge.wigner import spread_classes
 
 
 def test_single_qubit_z_class_is_computational():
@@ -217,3 +219,67 @@ def test_symmetrize_rejects_bad_input():
     bad = np.diag([1.5, -0.5, 0, 0]).astype(complex)
     with pytest.raises(ValueError):
         symmetrize(bad, ms.U, 4)
+
+
+def dense_eigenbasis(mats):
+    """The dense splitting that basis_from_involutions replaced, kept as its
+    oracle: every member splits every block by eigh, 1 x 1 blocks included."""
+    d = mats[0].shape[0]
+    blocks = [(np.eye(d, dtype=complex), ())]
+    for M in mats:
+        split = []
+        for B, pattern in blocks:
+            w, V = np.linalg.eigh(B.conj().T @ M @ B)
+            assert np.max(np.abs(np.abs(w) - 1)) <= EIGEN_TOL
+            if (w > 0).any():
+                split.append((B @ V[:, w > 0], pattern + (1,)))
+            if (w < 0).any():
+                split.append((B @ V[:, w < 0], pattern + (-1,)))
+        blocks = split
+    order = sorted(range(d), key=lambda i: tuple(-s for s in blocks[i][1]))
+    vectors = np.column_stack([fix_phase(blocks[i][0][:, 0]) for i in order])
+    return vectors, tuple(blocks[i][1] for i in order)
+
+
+def _all_classes():
+    parts = [fixture_d4(3), fixture_d4(4)]
+    parts += [build_classes_2n1(n) for n in (1, 2, 3, 5)]
+    parts += [build_classes_Ln(n, L) for n, L in ((2, 2), (3, 3), (4, 2), (5, 5))]
+    classes = [list(c.members) for part in parts for c in part.classes]
+    return classes + [members for n in (1, 2, 3, 4) for members in spread_classes(n)]
+
+
+def test_pauli_route_matches_dense_route_bit_for_bit():
+    for members in _all_classes():
+        mats = [to_dense(m) for m in members]
+        want, patterns = dense_eigenbasis(mats)
+        for route in (members, mats):
+            got = basis_from_involutions(route)
+            assert got.vectors.tobytes() == want.tobytes()
+            assert got.sign_patterns == patterns
+
+
+def test_non_hermitian_member_raises():
+    gs = build_gamma_generators(2)
+    with pytest.raises(DiagonalizationError):
+        basis_from_involutions([gs[0], PauliTerm(2, 1, 1, 0), gs[4]])
+
+
+def test_noncommuting_member_after_the_split_raises():
+    # G0 and i G1 G4 split d = 4 fully; G1 anticommutes with G0 and is caught
+    # where only signs are read
+    gs = build_gamma_generators(2)
+    members = [gs[0], gamma_product(gs, [1, 4], 1), gs[1]]
+    with pytest.raises(DiagonalizationError):
+        basis_from_involutions(members)
+
+
+def test_uneven_dense_splits_match_the_oracle():
+    # commuting involutions that are not Pauli monomials split 3:1, so the
+    # blocks of one split have different widths
+    mats = [np.diag(s).astype(complex) for s in ([1, 1, 1, -1], [1, 1, -1, 1], [1, -1, 1, 1])]
+    want, patterns = dense_eigenbasis(mats)
+    got = basis_from_involutions(mats)
+    assert got.vectors.tobytes() == want.tobytes()
+    assert got.sign_patterns == patterns
+    assert np.allclose(np.abs(got.vectors), np.eye(4))

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mubforge.pauli import (
     DimensionMismatchError,
+    GammaSet,
     PauliTerm,
+    apply,
     build_gamma_generators,
     canonical,
     commutes,
@@ -219,3 +222,32 @@ def test_term_label():
     gs = build_gamma_generators(2)
     assert term_label(gamma_product(gs, [1, 4], 1), gs) == "i G1.G4"
     assert term_label(identity(2), gs) == "I"
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    bits=st.tuples(st.integers(0, 15), st.integers(0, 15), st.integers(0, 3)),
+    cols=st.integers(0, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_apply_equals_dense_product(n, bits, cols, seed):
+    a = PauliTerm(n, bits[0] % 2**n, bits[1] % 2**n, bits[2])
+    rng = np.random.default_rng(seed)
+    shape = (2**n,) if cols == 0 else (2**n, cols)
+    V = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    # one exact product per entry, so equal to the last bit
+    assert np.array_equal(apply(a, V), to_dense(a) @ V)
+    assert np.array_equal(apply(a, np.eye(2**n)), to_dense(a))
+
+
+def test_apply_rejects_wrong_dimension():
+    with pytest.raises(DimensionMismatchError):
+        apply(PauliTerm(2, 1, 0, 0), np.eye(8))
+
+
+def test_gamma_set_elimination_is_not_part_of_equality():
+    gs = build_gamma_generators(3)
+    again = GammaSet(3, gs.gammas)
+    assert gs == again and hash(gs) == hash(again)
+    assert gs.pivots == again.pivots and len(gs.pivots) == 6

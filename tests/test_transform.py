@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mubforge.classes import build_classes_2n1, build_classes_Ln, fixture_d4
 from mubforge.pauli import (
+    PauliTerm,
     build_gamma_generators,
     canonical,
     gamma_product,
@@ -13,11 +16,27 @@ from mubforge.transform import (
     CycleSpec,
     NotAMonomialError,
     assert_unitary,
+    clifford_action,
     conjugate_term,
     conjugation_residual,
+    cycle_action,
     cycle_unitary,
     rotation_unitary,
 )
+
+# every partition the constructions give with n <= 5
+PARTITIONS = [
+    (fixture_d4, (3,)),
+    (fixture_d4, (4,)),
+    (build_classes_2n1, (1,)),
+    (build_classes_2n1, (2,)),
+    (build_classes_2n1, (3,)),
+    (build_classes_2n1, (5,)),
+    (build_classes_Ln, (2, 2)),
+    (build_classes_Ln, (3, 3)),
+    (build_classes_Ln, (4, 2)),
+    (build_classes_Ln, (5, 5)),
+]
 
 
 def signed_action(U, gs):
@@ -208,3 +227,52 @@ def test_l2_unitary_is_fourier_like_on_bloch():
     X, Z = to_dense(gs[0]), to_dense(gs[1])
     assert np.allclose(U @ X @ U.conj().T, H @ X @ H.conj().T, atol=1e-12)
     assert np.allclose(U @ Z @ U.conj().T, H @ Z @ H.conj().T, atol=1e-12)
+
+
+@pytest.mark.parametrize("build,args", PARTITIONS)
+def test_exact_action_matches_dense_on_every_class(build, args):
+    part = build(*args)
+    gs = build_gamma_generators(part.n)
+    U = cycle_unitary(gs, part.spec)
+    action = clifford_action(gs, U)
+    assert action == cycle_action(gs, part.spec)
+    for c in part.classes:
+        for m in c.members:
+            assert action.conjugate(m) == conjugate_term(U, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    pairs=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=4),
+    masks=st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 3)),
+)
+def test_exact_action_matches_dense_under_random_rotations(n, pairs, masks):
+    gs = build_gamma_generators(n)
+    U = np.eye(2**n, dtype=complex)
+    for j, k in pairs:
+        j, k = j % (2 * n + 1), k % (2 * n + 1)
+        if j != k:
+            U = rotation_unitary(gs, j, k) @ U
+    top = 2**n
+    a = PauliTerm(n, masks[0] % top, masks[1] % top, masks[2])
+    assert clifford_action(gs, U).conjugate(a) == conjugate_term(U, a)
+
+
+def test_cycle_action_carries_the_determinant_sign():
+    # an even cycle has determinant -1 and flips G_{2n}; an odd one does not
+    gs = build_gamma_generators(2)
+    flipped = cycle_action(gs, CycleSpec(2, ((0, 1, 2, 3),))).images[4]
+    assert canonical(flipped) == (canonical(gs[4])[0], -canonical(gs[4])[1])
+    assert cycle_action(gs, CycleSpec(2, ((0, 1, 2),))).images[4] == gs[4]
+
+
+def test_cycle_unitary_rejects_a_wrong_action(monkeypatch):
+    import mubforge.transform
+
+    gs = build_gamma_generators(2)
+    spec = CycleSpec(2, ((0, 1, 2),))
+    wrong = cycle_action(gs, CycleSpec(2, ((0, 2, 1),)))
+    monkeypatch.setattr(mubforge.transform, "cycle_action", lambda gs, spec: wrong)
+    with pytest.raises(ConstructionError):
+        cycle_unitary(gs, spec)

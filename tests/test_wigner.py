@@ -12,6 +12,7 @@ from mubforge.wigner import (
     complete_mub_bases,
     line_indices_through,
     phase_space_csv,
+    point_levels,
     point_operator,
     striations,
     wigner_entropy_bound,
@@ -236,3 +237,23 @@ def test_phase_space_csv_shape(ms_d2):
     rows = text.strip().split("\n")
     assert rows[0] == "alpha_x,alpha_y,lambda_max,W_max"
     assert len(rows) == 1 + 4
+
+
+def test_shared_levels_give_the_same_report(ms_d4):
+    levels = point_levels(ms_d4)
+    assert len(levels) == 16
+    assert phase_space_csv(ms_d4, levels=levels) == phase_space_csv(ms_d4)
+    shared = wigner_entropy_bound(ms_d4, verbose=True, levels=levels)
+    assert shared == wigner_entropy_bound(ms_d4, verbose=True)
+
+
+def test_bound_checks_the_selector_identity_at_every_point(ms_d4):
+    # a point operator that is off at one point, away from the maximum, is
+    # caught although the maximum and its selector route are untouched
+    levels = point_levels(ms_d4)
+    low = min(range(len(levels)), key=lambda i: levels[i][1])
+    A, lam = levels[low]
+    bent = type(A)(A.alpha, A.matrix + 1e-6 * np.eye(4), A.b)
+    levels[low] = (bent, lam)
+    with pytest.raises(RuntimeError, match="selector operator"):
+        wigner_entropy_bound(ms_d4, levels=levels)
