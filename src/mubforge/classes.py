@@ -61,7 +61,7 @@ from .transform import (
 @dataclass(frozen=True)
 class CommutingClass:
     members: tuple[PauliTerm, ...]
-    singleton_index: int
+    singleton_index: int | None  # None in a partition without a cycle
 
     def __len__(self) -> int:
         return len(self.members)
@@ -71,7 +71,7 @@ class CommutingClass:
 class Partition:
     n: int
     L: int
-    spec: CycleSpec
+    spec: CycleSpec | None  # None: the classes are not cycled, as in a spread
     classes: tuple[CommutingClass, ...]
 
     @property

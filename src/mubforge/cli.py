@@ -8,13 +8,15 @@ Commands
     wigner         phase-space report for the complete set in d = 2^n
 
 Exit codes: 0 success, 2 validation failure, 3 budget refusal, 4 bad
-arguments. The environment variable MUBFORGE_MAX_N (default 5) caps n.
+arguments or an --out that cannot be written. The environment variable
+MUBFORGE_MAX_N (default 5) caps n.
 Randomized commands echo their seed; every command echoes version + config.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -44,6 +46,7 @@ from .entropy import (
 from .mub import (
     MubSet,
     build_mub_set,
+    complex_lists,
     invariant_superposition_family,
     mub_set_to_json,
     unbiasedness_deviation,
@@ -102,6 +105,8 @@ def _echo_config(args: argparse.Namespace) -> None:
 
 def cmd_generate(args) -> int:
     n, L = args.n, args.L
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
     if not constructible(n, L):
         print(
             f"unsupported (n={n}, L={L}): need L prime with L | n or "
@@ -114,16 +119,7 @@ def cmd_generate(args) -> int:
     report = validate_partition(part, U)
     out = Path(args.out)
     _write(out / "partition.json", partition_to_json(part))
-    validation = {
-        "p1": report.p1,
-        "p2": report.p2,
-        "p3": report.p3,
-        "hermitian": report.hermitian,
-        "singletons": report.singletons,
-        "worst_p3_residual": report.worst_p3_residual,
-        "p3_sign_flips": report.p3_sign_flips,
-        "failures": list(report.failures),
-    }
+    validation = dataclasses.asdict(report)  # the fields, in their order
     if not report.ok:
         _write(out / "validation.json", json.dumps(validation, indent=1))
         print("partition validation FAILED", file=sys.stderr)
@@ -132,16 +128,13 @@ def cmd_generate(args) -> int:
     cyc = verify_cycle(ms)
     dev = unbiasedness_deviation(ms.bases)
     validation.update(
-        {
-            "unbiasedness_deviation": dev,
-            "cycle_residual": cyc.worst_residual,
-            "cycle_permutations": [list(p) for p in cyc.permutations],
-        }
+        unbiasedness_deviation=dev,
+        cycle_residual=cyc.worst_residual,
+        cycle_permutations=[list(p) for p in cyc.permutations],
     )
     _write(out / "validation.json", json.dumps(validation, indent=1))
     _write(out / "bases.json", mub_set_to_json(ms, cyc))
-    unitary = [[[z.real, z.imag] for z in row] for row in ms.U]
-    _write(out / "unitary.json", json.dumps(unitary))
+    _write(out / "unitary.json", json.dumps(complex_lists(ms.U)))
     if dev > args.tol or cyc.worst_residual > args.tol:
         print("MUB validation FAILED", file=sys.stderr)
         return EXIT_VALIDATION
@@ -241,7 +234,7 @@ def cmd_minimize(args) -> int:
             "seed": args.seed,
             "restarts": args.restarts,
             "value_bits": val,
-            "state": [[z.real, z.imag] for z in psi],
+            "state": complex_lists(psi),
         }
         _write(Path(args.out), json.dumps(doc, indent=1))
     return EXIT_OK
@@ -311,18 +304,14 @@ plt.savefig("fig{which}.png", dpi=150)
 
 
 def cmd_wigner(args) -> int:
-    n = args.n
-    if n <= 2:
-        bases = build_mub_set(build_classes_2n1(n)).bases
-    else:
-        bases = complete_mub_bases(n)
-    levels = point_levels(bases)
-    text = phase_space_csv(bases, levels=levels)
+    ms = complete_mub_bases(args.n)
+    levels = point_levels(ms)
+    text = phase_space_csv(ms, levels=levels)
     if args.out:
         _write(Path(args.out), text)
     else:
         print(text, end="")
-    info = wigner_entropy_bound(bases, verbose=True, levels=levels)
+    info = wigner_entropy_bound(ms, verbose=True, levels=levels)
     print(
         f"W_max = {info['w_max']:.9f}; min-entropy bound "
         f"{info['bound_bits']:.9f} bits (selector route "
@@ -408,6 +397,9 @@ def main(argv=None) -> int:
         return EXIT_BUDGET
     except ValueError as exc:
         print(f"bad arguments: {exc}", file=sys.stderr)
+        return EXIT_BAD_ARGS
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
 
 

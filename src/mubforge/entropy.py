@@ -32,7 +32,9 @@ with b_0 = b_1 = 0. Sweeping those d^(L-2) strings gives lambda*, and
 each histogram count times d^2. A string with prefix (0, 0) precedes all
 others, so each orbit's smallest string is in the reduced range, and so is
 the smallest string attaining lambda*: the tie rule below picks the same
-b* from either range.
+b* from either range. Every complete set of d+1 bases is a MubSet built
+this way too, the symplectic spread of wigner.complete_mub_bases included,
+so its sweep gets the reduction; a spread set has no cycle unitary.
 
 Ties and bins. Orbit members agree only to rounding, so eigenvalues within
 LEVEL_TOL are one level. Histogram bins group eigenvalues that chain
@@ -53,7 +55,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .mub import MATCH_TOL, UNBIAS_TOL, Basis, MubSet
+from .mub import UNBIAS_TOL, MubSet, _cycle_strings, basis_matrices
 
 LOG2 = math.log(2)
 DEFAULT_BUDGET = 2**28
@@ -105,13 +107,9 @@ def bounds(L: int, d: int) -> BoundSet:
     return BoundSet(deutsch, small, large)
 
 
-def _basis_matrix(basis) -> np.ndarray:
-    return basis.vectors if isinstance(basis, Basis) else np.asarray(basis)
-
-
 def outcome_distribution(basis, state) -> np.ndarray:
     """p_b for a unit vector or a density matrix."""
-    B = _basis_matrix(basis)
+    (B,) = basis_matrices([basis])
     state = np.asarray(state, dtype=complex)
     if state.ndim == 1:
         if abs(np.linalg.norm(state) - 1) > 1e-8:
@@ -155,10 +153,9 @@ def avg_entropy(ms: "MubSet | Sequence", state, alpha: float) -> float:
 
 def pvec_operator(ms, b: Sequence[int], normalization: str = "mean") -> PvecOperator:
     """Selector operator for the string b, one projector per basis."""
-    bases = ms.bases if isinstance(ms, MubSet) else ms
     if normalization not in ("mean", "sum"):
         raise ValueError(f"normalization must be 'mean' or 'sum', got {normalization!r}")
-    mats = [_basis_matrix(x) for x in bases]
+    mats = basis_matrices(ms)
     d = mats[0].shape[0]
     if len(b) != len(mats):
         raise ValueError(f"string length {len(b)} != basis count {len(mats)}")
@@ -196,8 +193,7 @@ def _checked_matrices(ms) -> list[np.ndarray]:
     Every basis must be a d x d matrix with d >= 2, the same d for all, and
     orthonormal to UNBIAS_TOL.
     """
-    bases = ms.bases if isinstance(ms, MubSet) else ms
-    mats = [np.asarray(_basis_matrix(b)) for b in bases]
+    mats = basis_matrices(ms)
     if not mats:
         raise ValueError("need at least one basis")
     for j, B in enumerate(mats):
@@ -327,29 +323,6 @@ def _summarize(chunks, count: int, multiplicity: int = 1) -> SweepResult:
     bins = _merge_bins(np.vstack([bins, *pending]))
     hist = Counter({float(lo): int(n) * multiplicity for lo, _, n in bins})
     return SweepResult(cands[0][0], best, hist, count)
-
-
-def _cycle_strings(ms: MubSet) -> np.ndarray:
-    """Strings b that the cycle unitary maps to themselves.
-
-    U|b_j^(j)> equals |b_{j+1}^(j+1)> up to phase for every j, cyclically,
-    so the selector P_b commutes with U. Empty if U does not cycle the bases.
-    """
-    mats = [b.vectors for b in ms.bases]
-    L, d = len(mats), mats[0].shape[0]
-    rows = []
-    for b0 in range(d):
-        b = [b0]
-        for j in range(L):
-            ov = np.abs(mats[(j + 1) % L].conj().T @ (ms.U @ mats[j][:, b[-1]])) ** 2
-            k = int(np.argmax(ov))
-            if ov[k] < 1 - MATCH_TOL:
-                break
-            b.append(k)
-        else:
-            if b[-1] == b0:
-                rows.append(b[:-1])
-    return np.array(rows, dtype=np.int64).reshape(-1, L)
 
 
 def _reported(chunks, on_chunk):

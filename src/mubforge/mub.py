@@ -9,12 +9,17 @@ act through pauli.apply, never as dense matrices. Vectors are labeled by
 their sign pattern (member 0 most significant, +1 before -1) and each
 vector's global phase is fixed by making its largest-magnitude component
 real positive, ties broken by lowest index.
+
+build_mub_set is the one path from a Partition to a checked MubSet, for the
+cycled partitions of classes.py and the symplectic spread of wigner.py
+alike; a spread has no cycle spec, so its set has U = None.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -55,7 +60,7 @@ class Basis:
 @dataclass(frozen=True)
 class MubSet:
     bases: tuple[Basis, ...]
-    U: np.ndarray
+    U: np.ndarray | None  # None when the partition has no cycle spec
     provenance: Partition
 
     @property
@@ -187,36 +192,53 @@ def basis_from_involutions(
     return Basis(vectors, label, patterns)
 
 
+def basis_matrices(bases) -> list[np.ndarray]:
+    """The vector matrices of a MubSet or of a sequence of Basis or arrays."""
+    if isinstance(bases, MubSet):
+        bases = bases.bases
+    return [b.vectors if isinstance(b, Basis) else np.asarray(b) for b in bases]
+
+
+def complex_lists(M: np.ndarray) -> list:
+    """M as nested lists with a [real, imag] pair for each entry, for JSON."""
+    return np.stack([M.real, M.imag], -1).tolist()
+
+
 def unbiasedness_deviation(bases) -> float:
     """max over cross-basis pairs of | |<a|b>|^2 - 1/d |."""
-    mats = [b.vectors if isinstance(b, Basis) else np.asarray(b) for b in bases]
+    mats = basis_matrices(bases)
     d = mats[0].shape[0]
     worst = 0.0
-    for j in range(len(mats)):
-        for k in range(j + 1, len(mats)):
-            ov = np.abs(mats[j].conj().T @ mats[k]) ** 2
-            worst = max(worst, float(np.max(np.abs(ov - 1.0 / d))))
+    for j, k in combinations(range(len(mats)), 2):
+        ov = np.abs(mats[j].conj().T @ mats[k]) ** 2
+        worst = max(worst, float(np.max(np.abs(ov - 1.0 / d))))
     return worst
 
 
 def build_mub_set(part: Partition, U: np.ndarray | None = None) -> MubSet:
-    """Extract all joint eigenbases and verify mutual unbiasedness."""
-    if U is None:
-        gs = build_gamma_generators(part.n)
-        U = cycle_unitary(gs, part.spec)
+    """Extract all joint eigenbases and verify mutual unbiasedness. U defaults
+    to the cycle unitary of part.spec, and to None without a spec."""
+    if U is None and part.spec is not None:
+        U = cycle_unitary(build_gamma_generators(part.n), part.spec)
     bases = tuple(common_eigenbasis(c, label=i) for i, c in enumerate(part.classes))
-    dev = unbiasedness_deviation(bases)
-    if dev > UNBIAS_TOL:
-        for j in range(len(bases)):
-            for k in range(j + 1, len(bases)):
-                ov = np.abs(bases[j].vectors.conj().T @ bases[k].vectors) ** 2
-                bad = np.unravel_index(np.argmax(np.abs(ov - 1 / 2**part.n)), ov.shape)
-                if abs(ov[bad] - 1 / 2**part.n) > UNBIAS_TOL:
-                    raise UnbiasednessError(
-                        f"unbiasedness violated at bases ({j},{k}), elements {bad}, "
-                        f"|overlap|^2 = {ov[bad]:.6g}"
-                    )
+    for j, k in combinations(range(len(bases)), 2):
+        ov = np.abs(bases[j].vectors.conj().T @ bases[k].vectors) ** 2
+        bad = np.unravel_index(np.argmax(np.abs(ov - 1 / part.d)), ov.shape)
+        if abs(ov[bad] - 1 / part.d) > UNBIAS_TOL:
+            raise UnbiasednessError(
+                f"unbiasedness violated at bases ({j},{k}), elements {bad}, "
+                f"|overlap|^2 = {ov[bad]:.6g}"
+            )
     return MubSet(bases, U, part)
+
+
+def _cycle_match(ms: MubSet, j: int, b: int) -> tuple[np.ndarray, int, float]:
+    """U|b^(j)>, the element of basis j+1 (cyclically) nearest to it, and
+    their squared overlap; a match needs the overlap above 1 - MATCH_TOL."""
+    v = ms.U @ ms.bases[j].vectors[:, b]
+    ov = np.abs(ms.bases[(j + 1) % ms.L].vectors.conj().T @ v) ** 2
+    m = int(np.argmax(ov))
+    return v, m, float(ov[m])
 
 
 def verify_cycle(ms: MubSet) -> CycleReport:
@@ -224,22 +246,19 @@ def verify_cycle(ms: MubSet) -> CycleReport:
 
     Returns the worst Frobenius residual and the induced index permutations.
     Raises if some projector has no counterpart with squared overlap above
-    1 - 1e-6.
+    1 - MATCH_TOL.
     """
     worst = 0.0
     perms = []
     for j in range(ms.L):
-        Bj = ms.bases[j].vectors
         Bk = ms.bases[(j + 1) % ms.L].vectors
         perm = []
         for b in range(ms.d):
-            v = ms.U @ Bj[:, b]
-            ov = np.abs(Bk.conj().T @ v) ** 2
-            m = int(np.argmax(ov))
-            if ov[m] < 1 - MATCH_TOL:
+            v, m, ov = _cycle_match(ms, j, b)
+            if ov < 1 - MATCH_TOL:
                 raise RuntimeError(
                     f"no projector match above {1 - MATCH_TOL} overlap for "
-                    f"basis {j} element {b} (best {ov[m]:.6f})"
+                    f"basis {j} element {b} (best {ov:.6f})"
                 )
             perm.append(m)
             P_img = np.outer(v, v.conj())
@@ -249,6 +268,29 @@ def verify_cycle(ms: MubSet) -> CycleReport:
             raise RuntimeError(f"induced map at basis {j} is not a permutation")
         perms.append(tuple(perm))
     return CycleReport(worst, tuple(perms))
+
+
+def _cycle_strings(ms: MubSet) -> np.ndarray:
+    """Strings b that the cycle unitary maps to themselves.
+
+    U|b_j^(j)> equals |b_{j+1}^(j+1)> up to phase for every j, cyclically,
+    so the selector P_b commutes with U. Empty if U does not cycle the bases
+    or is None.
+    """
+    if ms.U is None:
+        return np.empty((0, ms.L), dtype=np.int64)
+    rows = []
+    for b0 in range(ms.d):
+        b = [b0]
+        for j in range(ms.L):
+            _, m, ov = _cycle_match(ms, j, b[-1])
+            if ov < 1 - MATCH_TOL:
+                break
+            b.append(m)
+        else:
+            if b[-1] == b0:
+                rows.append(b[:-1])
+    return np.array(rows, dtype=np.int64).reshape(-1, ms.L)
 
 
 def invariant_states(ms: MubSet) -> list[tuple[np.ndarray, complex]]:
@@ -331,14 +373,12 @@ def symmetrize(rho: np.ndarray, U: np.ndarray, L: int) -> np.ndarray:
 def mub_set_to_json(ms: MubSet, cycle: CycleReport | None = None) -> str:
     from .classes import partition_to_json
 
-    def cplx(M):
-        return [[[float(z.real), float(z.imag)] for z in row] for row in M]
-
     doc = {
         "d": ms.d,
         "L": ms.L,
         "bases": [
-            {"label": b.label, "vectors": cplx(b.vectors.T)} for b in ms.bases
+            {"label": b.label, "vectors": complex_lists(b.vectors.T)}
+            for b in ms.bases
         ],
         "unbiasedness_deviation": unbiasedness_deviation(ms.bases),
         "provenance": json.loads(partition_to_json(ms.provenance)),

@@ -24,6 +24,10 @@ phase-point strings. (The printed form of this bound sometimes appears
 without the 1/(d+1) normalization, which would exceed 1 inside the log; the
 normalized form is used here and both readings are reported on request.)
 
+complete_mub_bases(n) builds the complete set with mub.build_mub_set, from
+the cycled 2n+1 = d+1 classes for n <= 2 and otherwise from the symplectic
+spread spread_partition(n), which has no cycle spec and so no U.
+
 Irreducible polynomials, fixed per n: x (n=1), x^2+x+1, x^3+x+1, x^4+x+1,
 x^5+x^2+1.
 """
@@ -35,8 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classes import CommutingClass, Partition, build_classes_2n1
 from .entropy import hermitian_eigmax, pvec_operator
-from .mub import Basis, MubSet, basis_from_involutions
+from .mub import MubSet, basis_matrices, build_mub_set
 from .pauli import PauliTerm
 
 IRREDUCIBLE = {1: 0b10, 2: 0b111, 3: 0b1011, 4: 0b10011, 5: 0b100101}
@@ -133,12 +138,6 @@ def line_indices_through(n: int, alpha: tuple[int, int]) -> tuple[int, ...]:
     return tuple(gf.add(y, gf.mul(m, x)) for m in range(d)) + (x,)
 
 
-def _as_matrices(bases) -> list[np.ndarray]:
-    if isinstance(bases, MubSet):
-        bases = bases.bases
-    return [b.vectors if isinstance(b, Basis) else np.asarray(b) for b in bases]
-
-
 def _check_assignment(assignment, L: int, d: int) -> list[tuple[int, ...]]:
     if assignment is None:
         return [tuple(range(d))] * L
@@ -157,7 +156,7 @@ def point_operator(
     bases, alpha: tuple[int, int], assignment=None
 ) -> PhasePointOperator:
     """A_alpha for a complete set of d+1 bases."""
-    mats = _as_matrices(bases)
+    mats = basis_matrices(bases)
     d = mats[0].shape[0]
     if len(mats) != d + 1:
         raise ValueError(f"need a complete set of {d + 1} bases, got {len(mats)}")
@@ -190,8 +189,7 @@ def wigner_max(A: PhasePointOperator) -> float:
 
 
 def all_point_operators(bases, assignment=None) -> list[PhasePointOperator]:
-    mats = _as_matrices(bases)
-    d = mats[0].shape[0]
+    d = basis_matrices(bases)[0].shape[0]
     return [
         point_operator(bases, (x, y), assignment)
         for x in range(d)
@@ -218,8 +216,7 @@ def wigner_entropy_bound(bases, assignment=None, verbose: bool = False, levels=N
     the points again. With verbose=True a dict holding both the normalized
     and the raw printed reading is returned instead.
     """
-    mats = _as_matrices(bases)
-    d = mats[0].shape[0]
+    d = basis_matrices(bases)[0].shape[0]
     if levels is None:
         levels = point_levels(bases, assignment)
     top, lam_A = max(levels, key=lambda level: level[1])
@@ -228,7 +225,7 @@ def wigner_entropy_bound(bases, assignment=None, verbose: bool = False, levels=N
     eye = np.eye(d)
     for A, _ in levels:
         P = pvec_operator(bases, A.b, "mean").matrix
-        dev = float(np.max(np.abs(A.matrix + eye - len(mats) * P)))
+        dev = float(np.max(np.abs(A.matrix + eye - (d + 1) * P)))
         if dev > ROUTE_TOL:
             raise RuntimeError(
                 f"A{A.alpha} + I differs from the selector operator of {A.b} by {dev:.3e}"
@@ -248,44 +245,36 @@ def wigner_entropy_bound(bases, assignment=None, verbose: bool = False, levels=N
     return value
 
 
-def complete_mub_bases(n: int) -> list[Basis]:
-    """A complete set of d+1 MUBs in d = 2^n: the joint eigenbases of the
-    spread classes, in order."""
-    return [
-        Basis(basis_from_involutions(members, label).vectors, label, ())
-        for label, members in enumerate(spread_classes(n))
-    ]
+def complete_mub_bases(n: int) -> MubSet:
+    """A complete set of d+1 MUBs in d = 2^n: the cycled 2n+1 classes for
+    n <= 2, the spread classes otherwise."""
+    return build_mub_set(build_classes_2n1(n) if n <= 2 else spread_partition(n))
 
 
-def spread_classes(n: int) -> list[list[PauliTerm]]:
+def spread_partition(n: int) -> Partition:
     """The d+1 commuting classes of a symplectic spread in d = 2^n.
 
     Classes are indexed by a in GF(2^n) as {(v, S_a v)} where S_a is the
     symmetric GF(2) matrix of the bilinear form Tr(a u v), plus the all-Z
     class; differences S_a + S_b are invertible, so the classes partition all
-    nontrivial Paulis and their joint eigenbases are mutually unbiased.
+    nontrivial Paulis and their joint eigenbases are mutually unbiased. No
+    cycle spec and no singletons.
     """
     gf = GF(n)
     d = gf.order
 
     def trace(c: int) -> int:
         t = 0
-        e = c
         for _ in range(n):
-            t ^= e
-            e = gf.mul(e, e)
+            t, c = t ^ c, gf.mul(c, c)
         return t & 1
 
     def s_matrix(a: int) -> list[int]:
         # column masks of v -> S_a v in the polynomial basis
-        cols = []
-        for j in range(n):
-            col = 0
-            for i in range(n):
-                if trace(gf.mul(a, gf.mul(1 << i, 1 << j))):
-                    col |= 1 << i
-            cols.append(col)
-        return cols
+        return [
+            sum(trace(gf.mul(a, gf.mul(1 << i, 1 << j))) << i for i in range(n))
+            for j in range(n)
+        ]
 
     def apply_cols(cols: list[int], v: int) -> int:
         out = 0
@@ -294,16 +283,18 @@ def spread_classes(n: int) -> list[list[PauliTerm]]:
                 out ^= cols[j]
         return out
 
-    classes = []
+    masks = []  # the (x, z) masks of each class's members
     for a in range(d):
         cols = s_matrix(a)
-        members = []
-        for v in range(1, d):
-            z = apply_cols(cols, v)
-            members.append(PauliTerm(n, v, z, (v & z).bit_count() % 4))
-        classes.append(members)
-    classes.append([PauliTerm(n, 0, z, 0) for z in range(1, d)])
-    return classes
+        masks.append([(v, apply_cols(cols, v)) for v in range(1, d)])
+    masks.append([(0, z) for z in range(1, d)])  # the all-Z class
+    classes = tuple(
+        CommutingClass(
+            tuple(PauliTerm(n, x, z, (x & z).bit_count() % 4) for x, z in c), None
+        )
+        for c in masks
+    )
+    return Partition(n, d + 1, None, classes)
 
 
 def phase_space_csv(bases, assignment=None, levels=None) -> str:

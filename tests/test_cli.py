@@ -3,6 +3,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from mubforge.classes import partition_from_json
 from mubforge.cli import main
@@ -290,3 +291,42 @@ def test_cli_import_leaves_scipy_out():
         env={"PYTHONPATH": src},
     )
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_generate_rejects_a_bad_tolerance(tmp_path, capsys, tol):
+    # nan would pass the acceptance gate: dev > nan is always false
+    args = ["generate", "--n", "2", "--L", "3", "--out", str(tmp_path), "--tol", tol]
+    assert run(args) == 4
+    assert "--tol must be finite and > 0" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep", "--n", "2", "--L", "3"],
+        ["generate", "--n", "2", "--L", "3"],
+        ["wigner", "--n", "1"],
+        ["bounds", "--dmax", "4", "--Lmax", "3"],
+    ],
+)
+def test_unwritable_out_is_one_stderr_line(tmp_path, capsys, args):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run(args + ["--out", str(blocker / "out")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output:") and err.count("\n") == 1
+
+
+def test_tracer_targets_resolve():
+    # bench/tracer.py wraps these functions by name; a rename breaks tracing
+    import importlib.util
+
+    path = Path(__file__).parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for module, function, _ in tracer.TARGETS:
+        assert callable(getattr(importlib.import_module(module), function))

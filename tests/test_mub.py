@@ -24,7 +24,7 @@ from mubforge.mub import (
 )
 from mubforge.mub import EIGEN_TOL, fix_phase
 from mubforge.pauli import PauliTerm, build_gamma_generators, gamma_product, to_dense
-from mubforge.wigner import spread_classes
+from mubforge.wigner import spread_partition
 
 
 def test_single_qubit_z_class_is_computational():
@@ -245,8 +245,8 @@ def _all_classes():
     parts = [fixture_d4(3), fixture_d4(4)]
     parts += [build_classes_2n1(n) for n in (1, 2, 3, 5)]
     parts += [build_classes_Ln(n, L) for n, L in ((2, 2), (3, 3), (4, 2), (5, 5))]
-    classes = [list(c.members) for part in parts for c in part.classes]
-    return classes + [members for n in (1, 2, 3, 4) for members in spread_classes(n)]
+    parts += [spread_partition(n) for n in (1, 2, 3, 4)]
+    return [list(c.members) for part in parts for c in part.classes]
 
 
 def test_pauli_route_matches_dense_route_bit_for_bit():

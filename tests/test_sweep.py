@@ -18,6 +18,7 @@ from mubforge.entropy import (
     sweep_max_eigen,
 )
 from mubforge.mub import MubSet, build_mub_set
+from mubforge.wigner import spread_partition
 
 # every constructible set with at most 4096 strings (d = 64, L = 2 left out
 # for time)
@@ -241,3 +242,14 @@ def test_sweeps_accept_raw_orthonormal_arrays():
     assert sample_max_eigen(mats, samples=64, seed=0).lambda_star <= res.lambda_star
     with pytest.raises(ValueError, match="samples"):
         sample_max_eigen(mats, samples=0, seed=0)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_spread_set_reduced_sweep_matches_full_sweep(n):
+    # a spread set has Pauli classes but no cycle unitary: the reduction
+    # still holds, and no string is preferred as a cycle string
+    ms = build_mub_set(spread_partition(n))
+    assert ms.U is None and len(entropy._cycle_strings(ms)) == 0
+    res = sweep_max_eigen(ms)
+    assert res.count == (2**n) ** ms.L
+    assert_same_sweep(res, sweep_max_eigen(ms.bases))

@@ -5,7 +5,7 @@ import pytest
 
 from mubforge.classes import build_classes_2n1
 from mubforge.entropy import pvec_operator, sweep_max_eigen
-from mubforge.mub import build_mub_set, unbiasedness_deviation
+from mubforge.mub import MubSet, basis_matrices, build_mub_set, unbiasedness_deviation
 from mubforge.wigner import (
     GF,
     all_point_operators,
@@ -226,10 +226,19 @@ def test_wigner_max_vs_value(ms_d4):
 
 
 def test_complete_mub_bases_sizes():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4, 5):
         bases = complete_mub_bases(n)
-        assert len(bases) == 2**n + 1
+        assert isinstance(bases, MubSet)
+        assert bases.L == 2**n + 1
+        # cycled 2n+1 classes up to n = 2, the spread (no cycle) above
+        assert (bases.U is None) == (n >= 3)
         assert unbiasedness_deviation(bases) < 1e-8
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_phase_space_csv_same_for_mub_set_and_matrices(n):
+    ms = complete_mub_bases(n)
+    assert phase_space_csv(ms) == phase_space_csv(basis_matrices(ms))
 
 
 def test_phase_space_csv_shape(ms_d2):
