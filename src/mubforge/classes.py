@@ -319,10 +319,11 @@ def validate_partition(part: Partition, U: np.ndarray | None = None) -> Validati
 
 
 def partition_to_json(part: Partition) -> str:
+    spec = part.spec
     doc = {
         "n": part.n,
         "L": part.L,
-        "spec": {"n": part.spec.n, "groups": [list(g) for g in part.spec.groups]},
+        "spec": spec and {"n": spec.n, "groups": [list(g) for g in spec.groups]},
         "classes": [
             {
                 "singleton": c.singleton_index,
@@ -336,7 +337,8 @@ def partition_to_json(part: Partition) -> str:
 
 def partition_from_json(text: str) -> Partition:
     doc = json.loads(text)
-    spec = CycleSpec(doc["spec"]["n"], tuple(tuple(g) for g in doc["spec"]["groups"]))
+    spec = doc["spec"]  # null for a partition without a cycle, as a spread
+    spec = spec and CycleSpec(spec["n"], tuple(tuple(g) for g in spec["groups"]))
     classes = tuple(
         CommutingClass(
             tuple(term_from_text(t) for t in c["members"]),

@@ -232,10 +232,16 @@ def build_mub_set(part: Partition, U: np.ndarray | None = None) -> MubSet:
     return MubSet(bases, U, part)
 
 
+def _cycle_unitary(ms: MubSet) -> np.ndarray:
+    if ms.U is None:
+        raise ValueError("set has no cycle unitary: its partition has no cycle spec")
+    return ms.U
+
+
 def _cycle_match(ms: MubSet, j: int, b: int) -> tuple[np.ndarray, int, float]:
     """U|b^(j)>, the element of basis j+1 (cyclically) nearest to it, and
     their squared overlap; a match needs the overlap above 1 - MATCH_TOL."""
-    v = ms.U @ ms.bases[j].vectors[:, b]
+    v = _cycle_unitary(ms) @ ms.bases[j].vectors[:, b]
     ov = np.abs(ms.bases[(j + 1) % ms.L].vectors.conj().T @ v) ** 2
     m = int(np.argmax(ov))
     return v, m, float(ov[m])
@@ -301,7 +307,7 @@ def invariant_states(ms: MubSet) -> list[tuple[np.ndarray, complex]]:
     """
     import scipy.linalg  # only here: importing scipy costs the CLI ~0.3 s
 
-    T, Zm = scipy.linalg.schur(ms.U, output="complex")
+    T, Zm = scipy.linalg.schur(_cycle_unitary(ms), output="complex")
     out = []
     for i in range(ms.d):
         v = fix_phase(Zm[:, i])
@@ -311,9 +317,10 @@ def invariant_states(ms: MubSet) -> list[tuple[np.ndarray, complex]]:
 
 def cycle_coherent_family(ms: MubSet, b: int) -> np.ndarray:
     """Columns U^j |b^(0)>, j = 0..L-1: the orbit of one basis-0 vector."""
+    U = _cycle_unitary(ms)
     cols = [ms.bases[0].vectors[:, b]]
     for _ in range(ms.L - 1):
-        cols.append(ms.U @ cols[-1])
+        cols.append(U @ cols[-1])
     return np.column_stack(cols)
 
 
@@ -343,7 +350,7 @@ def invariant_superposition_family(ms: MubSet) -> list[np.ndarray]:
     over the basis-0 elements, so every returned state is an eigenvector of
     U. Near-null combinations are dropped, duplicates are not.
     """
-    UL = np.linalg.matrix_power(ms.U, ms.L)
+    UL = np.linalg.matrix_power(_cycle_unitary(ms), ms.L)
     theta = float(np.angle(UL[0, 0]))
     out = []
     for k in range(ms.L):

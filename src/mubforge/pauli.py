@@ -63,14 +63,6 @@ class PauliTerm:
         if not 0 <= self.phase < 4:
             raise ValueError(f"phase must be in 0..3, got {self.phase}")
 
-    @property
-    def weight(self) -> int:
-        """Number of qubits acted on non-trivially."""
-        return (self.xmask | self.zmask).bit_count()
-
-    def is_identity(self) -> bool:
-        return self.xmask == 0 and self.zmask == 0 and self.phase == 0
-
     def __str__(self) -> str:
         return term_to_text(self)
 

@@ -206,7 +206,7 @@ def test_criterion_09_wigner_suite():
         for A in ops:
             P = pvec_operator(ms, A.b, "sum")
             assert np.max(np.abs(A.matrix + np.eye(d) - P.matrix)) < 1e-12
-        wb = wigner_entropy_bound(ms)
+        wb = wigner_entropy_bound(ms)["bits"]
         full = sweep_max_eigen(ms)
         assert wb <= full.min_avg_entropy + 1e-9
     elapsed = time.perf_counter() - t0

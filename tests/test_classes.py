@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from mubforge.classes import (
@@ -250,6 +252,18 @@ def test_json_roundtrip():
         back = partition_from_json(text)
         assert back == part
         assert partition_to_json(back) == text
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_json_roundtrip_without_a_cycle_spec(n):
+    from mubforge.wigner import spread_partition
+
+    part = spread_partition(n)
+    text = partition_to_json(part)
+    assert json.loads(text)["spec"] is None
+    back = partition_from_json(text)
+    assert back == part
+    assert partition_to_json(back) == text
 
 
 def test_is_prime():

@@ -172,7 +172,7 @@ def test_wigner_command(tmp_path, capsys):
     rows = out.read_text().strip().split("\n")
     assert rows[0] == "alpha_x,alpha_y,lambda_max,W_max"
     assert len(rows) == 1 + 16
-    assert "min-entropy bound" in capsys.readouterr().out
+    assert "phase-point value of this net" in capsys.readouterr().out
 
 
 def test_max_n_env_not_an_integer(monkeypatch, tmp_path, capsys):
@@ -247,25 +247,26 @@ def test_wigner_matches_fixture(capsys):
     assert capsys.readouterr().out == (FIXTURES / "wigner_n3.txt").read_text()
 
 
-def test_wigner_solves_each_point_once(monkeypatch, capsys):
+def test_wigner_checks_one_point_densely(monkeypatch, capsys):
     import mubforge.wigner
 
-    calls = {"point_operator": 0, "hermitian_eigmax": 0}
+    calls = {"point_operator": 0, "hermitian_eigmax": 0, "_eigmax_chunks": 0}
 
     def counted(name):
         fn = getattr(mubforge.wigner, name)
 
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
 
         return wrapper
 
     for name in calls:
         monkeypatch.setattr(mubforge.wigner, name, counted(name))
     assert run(["wigner", "--n", "3"]) == 0
-    # one operator and one solve per point, plus the selector route's solve
-    assert calls == {"point_operator": 64, "hermitian_eigmax": 65}
+    # one kernel pass over the 64 points; at the maximising point one dense
+    # point operator, its solve and the selector route's solve
+    assert calls == {"point_operator": 1, "hermitian_eigmax": 2, "_eigmax_chunks": 1}
 
 
 def test_sweep_labels_are_unambiguous(tmp_path):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from mubforge.mub import (
     cycle_coherent_family,
     eigenvector_residual,
     invariant_states,
+    invariant_superposition_family,
+    mub_set_to_json,
     phase_ramp_states,
     symmetrize,
     unbiasedness_deviation,
@@ -24,7 +28,7 @@ from mubforge.mub import (
 )
 from mubforge.mub import EIGEN_TOL, fix_phase
 from mubforge.pauli import PauliTerm, build_gamma_generators, gamma_product, to_dense
-from mubforge.wigner import spread_partition
+from mubforge.wigner import complete_mub_bases, spread_partition
 
 
 def test_single_qubit_z_class_is_computational():
@@ -176,6 +180,25 @@ def test_cycle_coherent_family_shape():
     fam = cycle_coherent_family(ms, 2)
     assert fam.shape == (4, 3)
     assert abs(np.linalg.norm(fam[:, 1]) - 1) < 1e-12
+
+
+def test_cycle_helpers_refuse_a_set_without_a_cycle():
+    ms = complete_mub_bases(3)
+    assert ms.U is None
+    for call in (
+        lambda: verify_cycle(ms),
+        lambda: invariant_states(ms),
+        lambda: cycle_coherent_family(ms, 0),
+        lambda: invariant_superposition_family(ms),
+    ):
+        with pytest.raises(ValueError, match="no cycle unitary"):
+            call()
+
+
+def test_json_of_a_set_without_a_cycle():
+    doc = json.loads(mub_set_to_json(complete_mub_bases(3)))
+    assert doc["L"] == 9 and doc["provenance"]["spec"] is None
+    assert "cycle" not in doc
 
 
 def test_symmetrize_fixed_point_and_idempotence():

@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 from mubforge.classes import build_classes_2n1
-from mubforge.entropy import pvec_operator, sweep_max_eigen
+from mubforge.entropy import (
+    LEVEL_TOL,
+    minimize_avg_entropy,
+    pvec_operator,
+    sweep_max_eigen,
+)
 from mubforge.mub import MubSet, basis_matrices, build_mub_set, unbiasedness_deviation
 from mubforge.wigner import (
     GF,
+    ROUTE_TOL,
     all_point_operators,
     complete_mub_bases,
     line_indices_through,
@@ -184,10 +190,9 @@ def test_point_operators_resolve_identity(ms_d4):
 
 
 def test_wigner_bound_equals_selector_route(ms_d4):
-    info = wigner_entropy_bound(ms_d4, verbose=True)
-    assert abs(info["bound_bits"] - info["selector_route_bits"]) < 1e-12
-    # the raw unnormalized reading is smaller (inconsistent) for mixed rho
-    assert info["raw_unnormalized_reading"] < info["bound_bits"]
+    net = wigner_entropy_bound(ms_d4)
+    assert abs(net["bits"] - net["selector_route_bits"]) < 1e-12
+    assert abs(net["bits"] + math.log2((4 * net["w_max"] + 1) / 5)) < 1e-12
 
 
 def test_wigner_bound_identity_with_pvec(ms_d4):
@@ -201,7 +206,7 @@ def test_wigner_bound_vs_full_sweep(fix, request):
     # phase-point strings reach the full-sweep maximum for these sets
     ms = request.getfixturevalue(fix)
     full = sweep_max_eigen(ms)
-    wb = wigner_entropy_bound(ms)
+    wb = wigner_entropy_bound(ms)["bits"]
     assert wb <= full.min_avg_entropy + 1e-9
     assert abs(wb - full.min_avg_entropy) < 1e-9
 
@@ -210,7 +215,7 @@ def test_wigner_bound_d2_bloch_oracle(ms_d2):
     # analytic: lambda_max = (1 + sqrt(3)/3 * 3/2)/2 ... computed from the
     # Bloch picture: (1/3)(3/2 + |v|/2) with |v| = sqrt(3)
     want = -math.log2(0.5 + math.sqrt(3) / 6)
-    assert abs(wigner_entropy_bound(ms_d2) - want) < 1e-12
+    assert abs(wigner_entropy_bound(ms_d2)["bits"] - want) < 1e-12
 
 
 def test_wigner_max_vs_value(ms_d4):
@@ -250,19 +255,59 @@ def test_phase_space_csv_shape(ms_d2):
 
 def test_shared_levels_give_the_same_report(ms_d4):
     levels = point_levels(ms_d4)
-    assert len(levels) == 16
+    assert levels.shape == (16,)
     assert phase_space_csv(ms_d4, levels=levels) == phase_space_csv(ms_d4)
-    shared = wigner_entropy_bound(ms_d4, verbose=True, levels=levels)
-    assert shared == wigner_entropy_bound(ms_d4, verbose=True)
+    assert wigner_entropy_bound(ms_d4, levels=levels) == wigner_entropy_bound(ms_d4)
 
 
-def test_bound_checks_the_selector_identity_at_every_point(ms_d4):
-    # a point operator that is off at one point, away from the maximum, is
-    # caught although the maximum and its selector route are untouched
+def _dense_levels(bases, assignment=None):
+    ops = all_point_operators(bases, assignment)
+    return np.array([np.linalg.eigvalsh(A.matrix)[-1] for A in ops])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_kernel_levels_match_the_point_operators(n):
+    ms = complete_mub_bases(n)
+    dense = _dense_levels(ms)
+    assert np.max(np.abs(point_levels(ms) - dense)) < ROUTE_TOL
+
+
+def test_kernel_levels_match_under_a_random_assignment(ms_d4):
+    rng = np.random.default_rng(79)
+    assign = [tuple(rng.permutation(4).tolist()) for _ in range(5)]
+    dense = _dense_levels(ms_d4, assign)
+    levels = point_levels(ms_d4, assign)
+    assert np.max(np.abs(levels - dense)) < ROUTE_TOL
+    assert not np.allclose(levels, point_levels(ms_d4))  # the net matters
+    net = wigner_entropy_bound(ms_d4, assign, levels=levels)
+    assert abs(net["w_max"] - dense.max() / 4) < ROUTE_TOL
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_top_point_is_the_first_within_level_tol(n):
+    # several points share the top level up to rounding; the first wins
+    ms = complete_mub_bases(n)
+    levels = point_levels(ms)
+    ties = np.flatnonzero(levels >= levels.max() - LEVEL_TOL)
+    assert len(ties) > 1
+    top = wigner_entropy_bound(ms, levels=levels)["alpha"]
+    assert top == divmod(int(ties[0]), 2**n)
+
+
+def test_corrupted_top_level_fails_the_dense_check(ms_d4):
+    # the kernel level at the maximum is checked against the dense point
+    # operator, so a level off there is refused
     levels = point_levels(ms_d4)
-    low = min(range(len(levels)), key=lambda i: levels[i][1])
-    A, lam = levels[low]
-    bent = type(A)(A.alpha, A.matrix + 1e-6 * np.eye(4), A.b)
-    levels[low] = (bent, lam)
-    with pytest.raises(RuntimeError, match="selector operator"):
+    levels[int(np.argmax(levels))] += 1e-6
+    with pytest.raises(RuntimeError, match="point operator"):
         wigner_entropy_bound(ms_d4, levels=levels)
+
+
+def test_n3_minimizer_lies_below_the_phase_point_value():
+    # the phase-point value of one net is no lower bound on the average
+    # min-entropy: a minimized state goes below it at n = 3
+    ms = complete_mub_bases(3)
+    _, h = minimize_avg_entropy(ms, math.inf, restarts=64, seed=0)
+    net = wigner_entropy_bound(ms)
+    assert round(net["bits"], 9) == 1.386579150
+    assert h < 1.3594 < net["bits"] - 0.02
