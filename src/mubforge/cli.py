@@ -126,7 +126,7 @@ def cmd_generate(args) -> int:
         return EXIT_VALIDATION
     ms = build_mub_set(part, U)
     cyc = verify_cycle(ms)
-    dev = unbiasedness_deviation(ms.bases)
+    dev = unbiasedness_deviation(ms)
     validation.update(
         unbiasedness_deviation=dev,
         cycle_residual=cyc.worst_residual,

@@ -1,14 +1,17 @@
 """Joint eigenbases of commuting classes, unbiasedness and cycling checks.
 
-Each class of d-1 commuting involutions, together with the identity, spans a
-maximal abelian algebra, so its joint eigenspaces are one dimensional. The
-basis extraction splits the full space by the +1/-1 eigenspaces of one member
-at a time. Once every block is one dimensional, the remaining members only
-have their signs read off, and the vectors stay as they are. Pauli members
-act through pauli.apply, never as dense matrices. Vectors are labeled by
-their sign pattern (member 0 most significant, +1 before -1) and each
-vector's global phase is fixed by making its largest-magnitude component
-real positive, ties broken by lowest index.
+Each class of d-1 commuting Hermitian Pauli monomials, together with the
+identity, spans a maximal abelian algebra, so its joint eigenvectors are
+stabilizer states with closed forms (Aaronson and Gottesman, PRA 70,
+052328). basis_from_involutions builds them exactly from the Pauli masks:
+a GF(2) elimination picks n independent generators, each generator-sign
+code t gives the projector P_t as a sum over the generated group, and the
+vector is a column of P_t with entries 0, +-a or +-i a. No eigensolver and
+no tolerance is involved; every member is checked exactly to map every
+vector to its sign times itself. Vectors are labeled by their sign pattern
+(member 0 most significant, +1 before -1), and each vector's global phase
+makes its first nonzero component real positive, the fix_phase convention
+for vectors whose nonzero components share one magnitude.
 
 build_mub_set is the one path from a Partition to a checked MubSet, for the
 cycled partitions of classes.py and the symplectic spread of wigner.py
@@ -18,16 +21,25 @@ alike; a spread has no cycle spec, so its set has U = None.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
 from .classes import CommutingClass, Partition
-from .pauli import PauliTerm, apply, build_gamma_generators, is_hermitian
+from .pauli import (
+    PauliTerm,
+    build_gamma_generators,
+    commutes,
+    is_hermitian,
+    parity,
+    row_mask,
+)
 from .transform import cycle_unitary
 
-EIGEN_TOL = 1e-8
+EIGEN_TOL = 1e-8  # |eigenvalue| - 1 allowed to a dense eigensolver (the test oracle)
 UNBIAS_TOL = 1e-8
 MATCH_TOL = 1e-6
 
@@ -42,11 +54,17 @@ class UnbiasednessError(RuntimeError):
 
 @dataclass(frozen=True)
 class Basis:
-    """d orthonormal columns; column order follows the sign-pattern labels."""
+    """d orthonormal columns; column order follows the sign-pattern labels.
+
+    generators are the class members g_0.. that basis_from_involutions chose;
+    codes[b] has bit i set when column b has sign -1 under g_i.
+    """
 
     vectors: np.ndarray
     label: int
     sign_patterns: tuple[tuple[int, ...], ...] = ()
+    generators: tuple[PauliTerm, ...] = ()
+    codes: tuple[int, ...] = ()
 
     @property
     def d(self) -> int:
@@ -62,6 +80,7 @@ class MubSet:
     bases: tuple[Basis, ...]
     U: np.ndarray | None  # None when the partition has no cycle spec
     provenance: Partition
+    deviation: float | None = None  # unbiasedness_deviation, from build_mub_set
 
     @property
     def L(self) -> int:
@@ -90,106 +109,99 @@ def common_eigenbasis(cc: CommutingClass, label: int = 0) -> Basis:
     return basis_from_involutions(list(cc.members), label)
 
 
-def _apply(M: "PauliTerm | np.ndarray", V: np.ndarray) -> np.ndarray:
-    return apply(M, V) if isinstance(M, PauliTerm) else M @ V
+def _generators(members: "Sequence[PauliTerm]") -> tuple[list[PauliTerm], list[int]]:
+    """Independent members g_0.., picked in member order, and each member's
+    subset of them as a bit mask: its (x, z) masks are the XOR of the
+    subset's, so a commuting Hermitian member is +-(their product)."""
+    n = members[0].n
+    gens: list[PauliTerm] = []
+    span = {0: 0}  # (x | z << n) of every product of generators -> its subset
+    combos = []
+    for M in members:
+        row = M.xmask | M.zmask << n
+        if row not in span:
+            if not all(commutes(M, g) for g in gens):
+                raise DiagonalizationError(f"member {M} anticommutes within the class")
+            bit = 1 << len(gens)
+            span.update({r ^ row: c | bit for r, c in list(span.items())})
+            gens.append(M)
+        combos.append(span[row])
+    return gens, combos
 
 
-def _check_signs(w: np.ndarray) -> None:
-    if np.any(np.abs(np.abs(w) - 1) > EIGEN_TOL):
-        raise DiagonalizationError(
-            "restricted eigenvalues are not within tolerance of +-1; "
-            "the input operators do not commute or are not involutions"
-        )
+def basis_from_involutions(members: "Sequence[PauliTerm]", label: int = 0) -> Basis:
+    """Joint eigenbasis of commuting Hermitian Pauli monomials, exactly.
 
-
-def _restricted(M: "PauliTerm | np.ndarray", B: np.ndarray) -> np.ndarray:
-    """(B_i^H M) B_i for every block B_i of a stack B of shape (m, d, k)."""
-    if isinstance(M, PauliTerm):
-        # B^H M = (M B)^H exactly for a Hermitian monomial, and + 0.0 turns
-        # its -0.0 entries into the +0.0 a matrix product gives, so the
-        # result matches the dense route bit for bit.
-        BhM = apply(M, B.transpose(1, 0, 2)).transpose(1, 2, 0).conj() + 0.0
-    else:
-        BhM = B.conj().transpose(0, 2, 1) @ M
-    return BhM @ B
-
-
-def _by_width(blocks):
-    """Stack blocks of equal width together: [(B (m, d, k), patterns)]."""
-    widths: dict[int, list] = {}
-    for B, patterns in blocks:
-        widths.setdefault(B.shape[2], []).append((B, patterns))
-    return [
-        (np.concatenate([B for B, _ in group]), [p for _, ps in group for p in ps])
-        for group in widths.values()
-    ]
-
-
-def basis_from_involutions(
-    mats: "list[PauliTerm | np.ndarray]", label: int = 0
-) -> Basis:
-    """Joint eigenbasis of commuting Hermitian involutions (M^2 = I), given
-    as Hermitian Pauli monomials or as dense matrices.
-
-    Blocks of equal width are split together: one stacked eigh per width and
-    member. Each block's vectors carry the same bits as when it is split on
-    its own.
+    Code t (bit i: sign -1 under generator g_i) names the joint eigenvector
+    P_t e_j0 / sqrt(<j0|P_t|j0>), P_t = prod_i (I + (-1)^t_i g_i)/2 =
+    (1/d) sum_S (-1)^|S & t| g_S over the products g_S of generator subsets
+    S, and j0 the first index with <j0|P_t|j0> > 0. Its entries are exact:
+    0, +-a or +-i a with a = 1/sqrt(support size), entry j0 real positive.
     """
-    for M in mats:
-        if isinstance(M, PauliTerm) and not is_hermitian(M):
+    for M in members:
+        if not is_hermitian(M):
             raise DiagonalizationError(f"member {M} is not Hermitian")
-    M0 = mats[0]
-    d = 2**M0.n if isinstance(M0, PauliTerm) else M0.shape[0]
-    stacks = [(np.eye(d, dtype=complex)[None], [()])]
-    split_by = 0
-    for M in mats:
-        if all(B.shape[2] == 1 for B, _ in stacks):
-            break
-        split_by += 1
-        levels, split = [], []
-        for B, patterns in stacks:
-            w, V = np.linalg.eigh(_restricted(M, B))
-            levels.append(w.ravel())
-            k = B.shape[2]
-            n_plus = np.count_nonzero(w > 0, axis=1)
-            for p in sorted(set(n_plus.tolist())):
-                sel = np.flatnonzero(n_plus == p)
-                # eigh sorts ascending: the -1 columns first, the +1 ones last
-                if p:
-                    plus = [patterns[i] + (1,) for i in sel]
-                    split.append((B[sel] @ V[sel, :, k - p :], plus))
-                if p < k:
-                    minus = [patterns[i] + (-1,) for i in sel]
-                    split.append((B[sel] @ V[sel, :, : k - p], minus))
-        _check_signs(np.concatenate(levels))
-        stacks = _by_width(split)
-    widths = [B.shape[2] for B, patterns in stacks for _ in patterns]
-    if any(k != 1 for k in widths) or len(widths) != d:
+    n = members[0].n
+    d = 1 << n
+    gens, combos = _generators(members)
+    if len(gens) != n:
         raise DiagonalizationError(
-            f"joint eigenspaces are not all one dimensional "
-            f"({widths}); class is not maximal"
+            f"{len(gens)} independent members, want {n}: joint eigenspaces are "
+            "not all one dimensional; class is not maximal"
         )
-    cols = np.concatenate([B[:, :, 0] for B, _ in stacks]).T
-    # the members left over are diagonal on these vectors: read their signs
-    rest = np.array(
-        [np.real(np.sum(cols.conj() * _apply(M, cols), axis=0)) for M in mats[split_by:]]
-    ).reshape(-1, d)
-    _check_signs(rest)
-    signs = np.where(rest > 0, 1, -1).T.tolist()
-    found = [p for _, patterns in stacks for p in patterns]
-    found = [p + tuple(s) for p, s in zip(found, signs)]
+    t = np.arange(d)  # the codes, and the row indices alike
+    # g_S for every subset S, in row-index bit order (pauli.apply)
+    xs, zs, ps = np.zeros(1, int), np.zeros(1, int), np.zeros(1, int)
+    for g in gens:
+        gx, gz = row_mask(g.xmask, n), row_mask(g.zmask, n)
+        xs, zs, ps = (
+            np.concatenate([xs, xs ^ gx]),
+            np.concatenate([zs, zs ^ gz]),
+            np.concatenate([ps, ps + g.phase + 2 * parity(zs & gx)]),
+        )
+    flip = parity(t[:, None] & t)  # [t, S]: parity of |S & t|
+    # d <j|P_t|j>, a sum over the diagonal subgroup K: |K| on the support of
+    # code t, 0 off it
+    K = xs == 0
+    diag = (1 - 2 * flip[:, K]) * (1 - ps[K] % 4) @ (1 - 2 * parity(zs[K, None] & t))
+    j0 = np.argmax(diag > 0, axis=1)
+    rows = j0 ^ xs[:, None]  # [S, t]
+    expo = (2 * flip.T + ps[:, None] + 2 * parity(zs[:, None] & j0)) % 4
+    support = np.zeros((d, d), dtype=bool)
+    phase = np.zeros((d, d), dtype=np.int8)  # i^phase on the support
+    support[rows, t], phase[rows, t] = True, expo
+    # member m is i^(phase_m - ps[combo_m]) g_combo_m, with that power of i
+    # 1 or -1 as both are Hermitian; its sign on code t carries (-1)^|combo_m & t|
+    combos = np.array(combos)
+    lead = 1 - (np.array([M.phase for M in members]) - ps[combos]) % 4
+    signs = lead[:, None] * (1 - 2 * parity(combos[:, None] & t))
+    _check_eigenvectors(members, support, phase, signs)
     # canonical order: member 0's sign most significant, +1 before -1
-    order = sorted(range(d), key=lambda i: tuple(-s for s in found[i]))
-    vectors = np.column_stack([fix_phase(cols[:, i]) for i in order])
-    patterns = tuple(found[i] for i in order)
+    order = np.lexsort(-signs[::-1])
+    patterns = tuple(map(tuple, signs.T[order].tolist()))
     if len(set(patterns)) != d:
         raise DiagonalizationError("sign patterns are not distinct")
-    for M in mats:
-        MV = _apply(M, vectors)
-        res = np.linalg.norm(MV - vectors * np.sum(vectors.conj() * MV, axis=0), axis=0)
-        if np.max(res) > EIGEN_TOL:
-            raise DiagonalizationError(f"joint eigenvector residual {np.max(res):.3e}")
-    return Basis(vectors, label, patterns)
+    a = math.sqrt(np.count_nonzero(K) / d)  # 1 / sqrt(support size)
+    amp = np.array([complex(a, 0), complex(0, a), complex(-a, 0), complex(0, -a)])
+    vectors = np.where(support, amp[phase], 0)[:, order]
+    codes = tuple(order.tolist())
+    return Basis(np.ascontiguousarray(vectors), label, patterns, tuple(gens), codes)
+
+
+def _check_eigenvectors(members, support, phase, signs) -> None:
+    """Every member maps every column to its sign times itself, exactly: on
+    the masks, i^p (-1)^|z & r| v[r] lands on row r ^ x (pauli.apply)."""
+    n = members[0].n
+    r = np.arange(1 << n)
+    x = np.array([row_mask(M.xmask, n) for M in members])
+    z = np.array([row_mask(M.zmask, n) for M in members])
+    p = np.array([M.phase for M in members])
+    moved = r ^ x[:, None]  # [m, r]
+    lhs = (p[:, None] + 2 * parity(z[:, None] & r)).astype(np.int8)[:, :, None] + phase
+    rhs = phase[moved] + (1 - signs).astype(np.int8)[:, None, :]
+    same = (support[moved] == support) & (~support | ((lhs - rhs) % 4 == 0))
+    if not same.all():
+        raise DiagonalizationError("a member does not map the basis to its signs")
 
 
 def basis_matrices(bases) -> list[np.ndarray]:
@@ -205,7 +217,10 @@ def complex_lists(M: np.ndarray) -> list:
 
 
 def unbiasedness_deviation(bases) -> float:
-    """max over cross-basis pairs of | |<a|b>|^2 - 1/d |."""
+    """max over cross-basis pairs of | |<a|b>|^2 - 1/d |; for a MubSet, the
+    value build_mub_set found, when it was built there."""
+    if isinstance(bases, MubSet) and bases.deviation is not None:
+        return bases.deviation
     mats = basis_matrices(bases)
     d = mats[0].shape[0]
     worst = 0.0
@@ -216,20 +231,24 @@ def unbiasedness_deviation(bases) -> float:
 
 
 def build_mub_set(part: Partition, U: np.ndarray | None = None) -> MubSet:
-    """Extract all joint eigenbases and verify mutual unbiasedness. U defaults
-    to the cycle unitary of part.spec, and to None without a spec."""
+    """Extract all joint eigenbases and verify mutual unbiasedness, keeping
+    the worst deviation. U defaults to the cycle unitary of part.spec, and
+    to None without a spec."""
     if U is None and part.spec is not None:
         U = cycle_unitary(build_gamma_generators(part.n), part.spec)
     bases = tuple(common_eigenbasis(c, label=i) for i, c in enumerate(part.classes))
+    worst = 0.0
     for j, k in combinations(range(len(bases)), 2):
         ov = np.abs(bases[j].vectors.conj().T @ bases[k].vectors) ** 2
-        bad = np.unravel_index(np.argmax(np.abs(ov - 1 / part.d)), ov.shape)
-        if abs(ov[bad] - 1 / part.d) > UNBIAS_TOL:
+        dev = np.abs(ov - 1.0 / part.d)
+        bad = np.unravel_index(np.argmax(dev), ov.shape)
+        if dev[bad] > UNBIAS_TOL:
             raise UnbiasednessError(
                 f"unbiasedness violated at bases ({j},{k}), elements {bad}, "
                 f"|overlap|^2 = {ov[bad]:.6g}"
             )
-    return MubSet(bases, U, part)
+        worst = max(worst, float(dev[bad]))
+    return MubSet(bases, U, part, worst)
 
 
 def _cycle_unitary(ms: MubSet) -> np.ndarray:
@@ -387,7 +406,7 @@ def mub_set_to_json(ms: MubSet, cycle: CycleReport | None = None) -> str:
             {"label": b.label, "vectors": complex_lists(b.vectors.T)}
             for b in ms.bases
         ],
-        "unbiasedness_deviation": unbiasedness_deviation(ms.bases),
+        "unbiasedness_deviation": unbiasedness_deviation(ms),
         "provenance": json.loads(partition_to_json(ms.provenance)),
     }
     if cycle is not None:

@@ -125,6 +125,17 @@ def row_mask(mask: int, n: int) -> int:
     return out
 
 
+def parity(v) -> np.ndarray:
+    """Parity of the number of set bits of every entry of an array of
+    non-negative integers."""
+    v = np.array(v)
+    out = np.zeros_like(v)
+    while v.any():
+        out ^= v & 1
+        v >>= 1
+    return out
+
+
 def apply(a: PauliTerm, V: np.ndarray) -> np.ndarray:
     """to_dense(a) @ V without forming the matrix.
 
@@ -138,11 +149,7 @@ def apply(a: PauliTerm, V: np.ndarray) -> np.ndarray:
     if V.shape[:1] != (d,):
         raise DimensionMismatchError(f"{a.n}-qubit term applied to shape {V.shape}")
     rows = np.arange(d)
-    masked = rows & row_mask(a.zmask, a.n)
-    parity = np.zeros(d, dtype=rows.dtype)
-    for bit in range(a.n):
-        parity ^= masked >> bit
-    sign = 1 - 2 * (parity & 1)
+    sign = 1 - 2 * parity(rows & row_mask(a.zmask, a.n))
     coeff = (_PHASES[a.phase] * sign).reshape((d,) + (1,) * (V.ndim - 1))
     out = np.empty(V.shape, dtype=complex)
     out[rows ^ row_mask(a.xmask, a.n)] = coeff * V

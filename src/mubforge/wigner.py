@@ -17,12 +17,14 @@ subtracts the identity:
 and W_alpha(rho) = tr(A_alpha rho)/d is the discrete Wigner function. With b
 the string of elements on the lines through alpha, A_alpha + I = (d+1) P_b
 for the mean-form selector P_b, so lambda_max(A_alpha) = (d+1)
-lambda_max(P_b) - 1: point_levels solves all d^2 phase-point strings in one
-pass of the selector kernel entropy._eigmax_chunks. The dense point_operator
-is the oracle, checked once at the maximising point. The phase-point value
-of this net, -log2[(d W_max + 1)/(d+1)], is not a min-entropy bound: the
-bound maximises lambda_max(P_b) over all d^(d+1) strings, not over the d^2
-of one net (at n = 3 a minimized state reaches 1.3593 < 1.3866 bits).
+lambda_max(P_b) - 1: point_levels solves the phase-point strings in one
+pass of the selector kernel entropy._eigmax_chunks, one string per Pauli
+orbit (Pauli translations make point operators unitarily equivalent). The
+dense point_operator is the oracle, checked once at the maximising point.
+The phase-point value of this net, -log2[(d W_max + 1)/(d+1)], is not a
+min-entropy bound: the bound maximises lambda_max(P_b) over all d^(d+1)
+strings, not over the d^2 of one net (at n = 3 a minimized state reaches
+1.3593 < 1.3866 bits).
 
 The complete sets come from complete_mub_bases(n); the fields from the
 irreducible polynomials in IRREDUCIBLE.
@@ -44,7 +46,7 @@ from .entropy import (
     pvec_operator,
 )
 from .mub import MubSet, basis_matrices, build_mub_set
-from .pauli import PauliTerm
+from .pauli import PauliTerm, parity
 
 IRREDUCIBLE = {1: 0b10, 2: 0b111, 3: 0b1011, 4: 0b10011, 5: 0b100101}
 
@@ -85,6 +87,11 @@ class GF:
             a = self.mul(a, a)
             k >>= 1
         return r
+
+    def table(self) -> np.ndarray:
+        """The d x d multiplication table: table()[a, b] = a * b."""
+        d = self.order
+        return np.array([[self.mul(a, b) for b in range(d)] for a in range(d)])
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -204,14 +211,68 @@ def all_point_operators(bases, assignment=None) -> list[PhasePointOperator]:
     return [point_operator(bases, divmod(i, d), assignment) for i in range(d * d)]
 
 
+def _point_strings(n: int, assign) -> np.ndarray:
+    """The string of every point, x-major: per striation, the basis element
+    on the line through the point (as _point_string)."""
+    d = 1 << n
+    x, y = np.divmod(np.arange(d * d), d)
+    lines = np.column_stack([y[:, None] ^ GF(n).table()[:, x].T, x])
+    return np.array(assign)[np.arange(d + 1), lines]
+
+
+def pauli_representatives(ms: MubSet, strings: np.ndarray) -> np.ndarray:
+    """Each string moved by the one Pauli W that sends its (b_0, b_1) to (0, 0).
+
+    W acts on the labels of basis j through their generator-sign codes
+    (mub.Basis.codes) as t -> t ^ tau_j(W), bit i of tau_j(W) being 1 when
+    W anticommutes with generator i; P_{W.b} = W P_b W^dag has the spectrum
+    of P_b (the entropy module docstring gives the argument). Tables are per
+    basis: codes (L, d) and tau (L, d^2) over W = x | z << n.
+    """
+    n, d = ms.provenance.n, ms.d
+    w = np.arange(d * d)
+    wx, wz = w % d, w // d
+    tau = np.array(
+        [
+            sum(
+                parity((wx & g.zmask) ^ (wz & g.xmask)) << i
+                for i, g in enumerate(B.generators)
+            )
+            for B in ms.bases
+        ]
+    )
+    codes = np.array([B.codes for B in ms.bases])
+    labels = np.argsort(codes, axis=1)  # labels[j, t]: the column with code t
+    pair = tau[0] | (tau[1] << n)
+    if not np.array_equal(np.sort(pair), w):
+        raise RuntimeError("Paulis do not act freely on the labels of bases 0 and 1")
+    pauli_of = np.empty_like(w)
+    pauli_of[pair] = w
+    shift = (codes[0, strings[:, 0]] ^ codes[0, 0]) | (
+        (codes[1, strings[:, 1]] ^ codes[1, 0]) << n
+    )
+    j = np.arange(ms.L)
+    return labels[j, codes[j, strings] ^ tau[j, pauli_of[shift][:, None]]]
+
+
 def point_levels(bases, assignment=None) -> np.ndarray:
-    """lambda_max(A_alpha) at every point, x-major: (d+1) lambda_max(P_b) - 1,
-    solved by the selector kernel d strings at a time."""
+    """lambda_max(A_alpha) at every point, x-major: (d+1) lambda_max(P_b) - 1.
+
+    For a MubSet only one string per Pauli orbit is solved: each phase-point
+    string is replaced by its representative with prefix (0, 0)
+    (pauli_representatives), the distinct representatives go through the
+    selector kernel d strings at a time, and their levels are scattered
+    back. Raw bases solve all d^2 strings; that route is the oracle.
+    """
     mats, d, assign = _net(bases, assignment)
-    points = [(x, y) for x in range(d) for y in range(d)]
-    strings = np.array([_point_string(d.bit_length() - 1, p, assign) for p in points])
+    strings = _point_strings(d.bit_length() - 1, assign)
+    back = np.arange(d * d)
+    if isinstance(bases, MubSet):
+        strings, back = np.unique(
+            pauli_representatives(bases, strings), axis=0, return_inverse=True
+        )
     chunks = _eigmax_chunks(_projector_stack(mats), strings, chunk=d)
-    return (d + 1) * np.concatenate([lam for _, lam in chunks]) - 1
+    return (d + 1) * np.concatenate([lam for _, lam in chunks])[back.ravel()] - 1
 
 
 def wigner_entropy_bound(bases, assignment=None, levels=None) -> dict:

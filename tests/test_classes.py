@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mubforge.classes import (
     CommutingClass,
@@ -16,6 +17,7 @@ from mubforge.classes import (
     validate_partition,
 )
 from mubforge.pauli import (
+    PauliTerm,
     build_gamma_generators,
     canonical,
     gamma_product,
@@ -285,3 +287,55 @@ def test_validator_flags_a_unitary_that_does_not_cycle():
     U = cycle_unitary(build_gamma_generators(2), CycleSpec(2, ((0, 2, 1),)))
     report = validate_partition(part, U)
     assert not report.p3 and not report.ok
+
+
+def _constructible_partitions():
+    from mubforge.cli import build_partition, constructible
+    from mubforge.wigner import spread_partition
+
+    parts = [
+        build_partition(n, L)
+        for n in range(1, 7)
+        for L in range(2, 2 * n + 2)
+        if constructible(n, L)
+    ]
+    return parts + [spread_partition(n) for n in range(1, 6)]
+
+
+@pytest.mark.parametrize(
+    "part",
+    _constructible_partitions(),
+    ids=lambda p: f"n{p.n}L{p.L}{'' if p.spec else 'spread'}",
+)
+def test_json_roundtrip_of_every_constructible_partition(part):
+    text = partition_to_json(part)
+    back = partition_from_json(text)
+    assert back == part
+    assert partition_to_json(back) == text
+
+
+@st.composite
+def partitions(draw):
+    """Arbitrary partitions: random monomials, singletons and cycle specs."""
+    n = draw(st.integers(1, 4))
+    mask = st.integers(0, 2**n - 1)
+    term = st.builds(PauliTerm, st.just(n), mask, mask, st.integers(0, 3))
+    cls = st.builds(
+        CommutingClass,
+        st.lists(term, min_size=1, max_size=6).map(tuple),
+        st.none() | st.integers(0, 2 * n),
+    )
+    classes = tuple(draw(st.lists(cls, min_size=1, max_size=5)))
+    order = draw(st.permutations(range(2 * n + 1)))
+    length = draw(st.integers(2, 2 * n + 1))
+    spec = draw(st.none() | st.just(CycleSpec(n, (tuple(order[:length]),))))
+    return Partition(n, len(classes), spec, classes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(partitions())
+def test_json_roundtrip_of_arbitrary_partitions(part):
+    text = partition_to_json(part)
+    back = partition_from_json(text)
+    assert back == part
+    assert partition_to_json(back) == text

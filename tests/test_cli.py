@@ -217,7 +217,8 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_generate_matches_fixture(tmp_path):
-    # the four files as generate wrote them before monomials were mapped exactly
+    # partition.json and unitary.json as generate wrote them before monomials
+    # were mapped exactly; bases.json and validation.json from the exact bases
     assert run(["generate", "--n", "3", "--L", "7", "--out", str(tmp_path)]) == 0
     for name in ("partition.json", "validation.json", "bases.json", "unitary.json"):
         want = (FIXTURES / "generate_n3_L7" / name).read_bytes()
@@ -245,6 +246,25 @@ def test_generate_builds_the_cycle_unitary_once(tmp_path, monkeypatch):
 def test_wigner_matches_fixture(capsys):
     assert run(["wigner", "--n", "3"]) == 0
     assert capsys.readouterr().out == (FIXTURES / "wigner_n3.txt").read_text()
+
+
+# sha256 of the wigner --n 1..5 CSVs as the unreduced route wrote them
+WIGNER_CSV_SHA256 = {
+    1: "ad2cf8a4fee658aaf1786281368f944c8d2d9bf754c4308dcd350e47ed54f81a",
+    2: "5350e60bde2240bcd672ca8ec8430b92b340503f46280b9274d6633c904ff774",
+    3: "ff85c78ac139b67a8d5d7c0639521ef3bb90c0efb5eb1b4789a5667f1b6ee232",
+    4: "4373b9b1b5a8001e106d317969960f85c155e44feb1ba0ea654b6a774be81fa4",
+    5: "69930226b8d7d761743b0b08240615b05097e677424f743f196dd3cd4f116e04",
+}
+
+
+@pytest.mark.parametrize("n", sorted(WIGNER_CSV_SHA256))
+def test_wigner_csv_bytes_are_pinned(tmp_path, n):
+    import hashlib
+
+    out = tmp_path / "w.csv"
+    assert run(["wigner", "--n", str(n), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == WIGNER_CSV_SHA256[n]
 
 
 def test_wigner_checks_one_point_densely(monkeypatch, capsys):

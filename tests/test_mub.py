@@ -79,7 +79,7 @@ def test_noncommuting_input_raises():
 def test_not_maximal_raises():
     gs = build_gamma_generators(2)
     with pytest.raises(DiagonalizationError):
-        basis_from_involutions([to_dense(gs[0])])
+        basis_from_involutions([gs[0]])
 
 
 @pytest.mark.parametrize("L", [3, 4])
@@ -272,14 +272,17 @@ def _all_classes():
     return [list(c.members) for part in parts for c in part.classes]
 
 
-def test_pauli_route_matches_dense_route_bit_for_bit():
+def test_exact_bases_match_the_dense_oracle():
     for members in _all_classes():
-        mats = [to_dense(m) for m in members]
-        want, patterns = dense_eigenbasis(mats)
-        for route in (members, mats):
-            got = basis_from_involutions(route)
-            assert got.vectors.tobytes() == want.tobytes()
-            assert got.sign_patterns == patterns
+        want, patterns = dense_eigenbasis([to_dense(m) for m in members])
+        got = basis_from_involutions(members)
+        assert got.sign_patterns == patterns
+        assert np.max(np.abs(got.vectors - want)) <= 1e-15
+        assert got.vectors.flags.c_contiguous
+        # every entry exactly 0, +-a or +-i a, a = 1/sqrt(support size)
+        for v in got.vectors.T:
+            a = np.sqrt(1 / np.count_nonzero(v))
+            assert set(v.tolist()) <= {0, a, -a, 1j * a, -1j * a}
 
 
 def test_non_hermitian_member_raises():
@@ -297,12 +300,23 @@ def test_noncommuting_member_after_the_split_raises():
         basis_from_involutions(members)
 
 
-def test_uneven_dense_splits_match_the_oracle():
-    # commuting involutions that are not Pauli monomials split 3:1, so the
-    # blocks of one split have different widths
-    mats = [np.diag(s).astype(complex) for s in ([1, 1, 1, -1], [1, 1, -1, 1], [1, -1, 1, 1])]
-    want, patterns = dense_eigenbasis(mats)
-    got = basis_from_involutions(mats)
-    assert got.vectors.tobytes() == want.tobytes()
-    assert got.sign_patterns == patterns
-    assert np.allclose(np.abs(got.vectors), np.eye(4))
+@pytest.mark.parametrize(
+    "part", [fixture_d4(3), build_classes_2n1(3), spread_partition(4)]
+)
+def test_build_keeps_the_unbiasedness_deviation(part):
+    ms = build_mub_set(part)
+    assert ms.deviation == unbiasedness_deviation(ms)
+    assert ms.deviation == unbiasedness_deviation(ms.bases)
+    assert json.loads(mub_set_to_json(ms))["unbiasedness_deviation"] == ms.deviation
+
+
+def test_codes_name_the_generator_signs():
+    for members in _all_classes():
+        basis = basis_from_involutions(members)
+        assert sorted(basis.codes) == list(range(basis.d))
+        assert len(basis.generators) == basis.d.bit_length() - 1
+        for g in basis.generators:
+            i = members.index(g)
+            signs = [p[i] for p in basis.sign_patterns]
+            bit = basis.generators.index(g)
+            assert signs == [1 - 2 * (t >> bit & 1) for t in basis.codes]

@@ -251,3 +251,35 @@ def test_gamma_set_elimination_is_not_part_of_equality():
     again = GammaSet(3, gs.gammas)
     assert gs == again and hash(gs) == hash(again)
     assert gs.pivots == again.pivots and len(gs.pivots) == 6
+
+
+@st.composite
+def same_n_terms(draw, k):
+    """k monomials on one random qubit count."""
+    n = draw(st.integers(1, 4))
+    mask = st.integers(0, 2**n - 1)
+    phase = st.integers(0, 3)
+    return [PauliTerm(n, draw(mask), draw(mask), draw(phase)) for _ in range(k)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(same_n_terms(3))
+def test_multiply_is_associative(terms):
+    a, b, c = terms
+    assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
+
+
+@settings(max_examples=100, deadline=None)
+@given(same_n_terms(2))
+def test_multiply_phase_matches_the_dense_product(terms):
+    a, b = terms
+    # monomial matrices with entries 0, +-1, +-i: the product is exact
+    assert np.array_equal(to_dense(multiply(a, b)), to_dense(a) @ to_dense(b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(same_n_terms(2))
+def test_commutes_matches_the_dense_commutator(terms):
+    a, b = terms
+    A, B = to_dense(a), to_dense(b)
+    assert commutes(a, b) == np.array_equal(A @ B, B @ A)

@@ -11,12 +11,16 @@ from mubforge.entropy import (
     sweep_max_eigen,
 )
 from mubforge.mub import MubSet, basis_matrices, build_mub_set, unbiasedness_deviation
+from mubforge.pauli import PauliTerm, apply, commutes
 from mubforge.wigner import (
     GF,
     ROUTE_TOL,
+    _point_string,
+    _point_strings,
     all_point_operators,
     complete_mub_bases,
     line_indices_through,
+    pauli_representatives,
     phase_space_csv,
     point_levels,
     point_operator,
@@ -311,3 +315,88 @@ def test_n3_minimizer_lies_below_the_phase_point_value():
     net = wigner_entropy_bound(ms)
     assert round(net["bits"], 9) == 1.386579150
     assert h < 1.3594 < net["bits"] - 0.02
+
+
+def _label_image(basis, W):
+    """Where W sends each label of basis: to the label whose code is the
+    old one with the bits of the generators W anticommutes with flipped."""
+    flips = sum((not commutes(W, g)) << i for i, g in enumerate(basis.generators))
+    return [basis.codes.index(t ^ flips) for t in basis.codes]
+
+
+def _paulis(n, sample=None):
+    d = 2**n
+    if sample is None:
+        ws = range(d * d)
+    else:
+        ws = np.random.default_rng(83).choice(d * d, sample, replace=False)
+    return [PauliTerm(n, int(w) % d, int(w) // d, 0) for w in ws]
+
+
+@pytest.mark.parametrize("n, sample", [(1, None), (2, None), (3, None), (4, 24)])
+def test_a_pauli_permutes_every_basis_by_the_codes(n, sample):
+    ms = complete_mub_bases(n)
+    for W in _paulis(n, sample):
+        for B in ms.bases:
+            image = _label_image(B, W)
+            # |<image(b)| W |b>| = 1: W|b> is the image vector up to phase
+            ov = np.abs(B.vectors.conj().T @ apply(W, B.vectors))
+            assert np.max(np.abs(ov[image, range(ms.d)] - 1)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_representatives_are_images_under_the_one_pauli(n):
+    ms = complete_mub_bases(n)
+    images = [[_label_image(B, W) for B in ms.bases] for W in _paulis(n)]
+    strings = np.random.default_rng(89).integers(0, ms.d, size=(20, ms.L))
+    for b, rep in zip(strings, pauli_representatives(ms, strings)):
+        hits = [img for img in images if img[0][b[0]] == img[1][b[1]] == 0]
+        assert len(hits) == 1
+        assert rep.tolist() == [hits[0][j][b[j]] for j in range(ms.L)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_orbit_levels_match_the_unreduced_route(n):
+    ms = complete_mub_bases(n)
+    raw = point_levels(basis_matrices(ms))
+    assert np.max(np.abs(point_levels(ms) - raw)) < ROUTE_TOL
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_orbit_levels_match_under_a_random_assignment(n):
+    ms = complete_mub_bases(n)
+    rng = np.random.default_rng(97)
+    assign = [tuple(rng.permutation(ms.d).tolist()) for _ in range(ms.L)]
+    raw = point_levels(basis_matrices(ms), assign)
+    assert np.max(np.abs(point_levels(ms, assign) - raw)) < ROUTE_TOL
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_phase_point_strings_fall_into_d_orbits(monkeypatch, n):
+    import mubforge.wigner
+
+    kernel, solved = mubforge.wigner._eigmax_chunks, []
+
+    def counted(projs, strings, chunk):
+        solved.append(len(strings))
+        return kernel(projs, strings, chunk=chunk)
+
+    monkeypatch.setattr(mubforge.wigner, "_eigmax_chunks", counted)
+    point_levels(complete_mub_bases(n))
+    assert solved == [2**n]  # d^2 strings, one kernel call, one per orbit
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_point_strings_follow_the_lines_through_each_point(n):
+    d = 2**n
+    rng = np.random.default_rng(101 + n)
+    assign = [tuple(rng.permutation(d).tolist()) for _ in range(d + 1)]
+    want = [_point_string(n, divmod(i, d), assign) for i in range(d * d)]
+    assert _point_strings(n, assign).tolist() == [list(b) for b in want]
+
+
+def test_gf_table_is_the_multiplication():
+    gf = GF(3)
+    table = gf.table()
+    assert table.shape == (8, 8)
+    assert all(table[a, b] == gf.mul(a, b) for a in range(8) for b in range(8))
