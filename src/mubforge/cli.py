@@ -163,7 +163,13 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+def _check_threads(args) -> None:
+    if args.threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
+
+
 def cmd_sweep(args) -> int:
+    _check_threads(args)
     if not constructible(args.n, args.L):
         print(f"unsupported (n={args.n}, L={args.L})", file=sys.stderr)
         return EXIT_BAD_ARGS
@@ -247,6 +253,7 @@ def _figure_configs(which: int):
 
 
 def cmd_reproduce_fig(args) -> int:
+    _check_threads(args)
     n, d, Ls = _figure_configs(args.which)
     rows = [
         "L,d,small_L,large_L,best,sweep_bits,sweep_mode,numeric_min,invariant_min"

@@ -36,6 +36,23 @@ b* from either range. Every complete set of d+1 bases is a MubSet built
 this way too, the symplectic spread of wigner.complete_mub_bases included,
 so its sweep gets the reduction; a spread set has no cycle unitary.
 
+Cycle orbits. The cycle unitary U of a MubSet maps basis j onto basis j+1,
+cyclically: U|b^(j)> is |pi_j(b)^(j+1)> up to phase, so U.b, with
+(U.b)_{j+1} = pi_j(b_j), has P_{U.b} = U P_b U^dag and the spectrum of P_b.
+U is a Clifford unitary, U W U^dag is a Pauli W', and U.(W.b) = W'.(U.b):
+U maps Pauli orbits onto Pauli orbits. So the group the Paulis and <U>
+generate has orbits that are unions of Pauli orbits, and its orbit through
+b, with b_0 = b_1 = 0, holds d^2 |F(b)| strings, F(b) being the orbit of b
+under f(b) = the representative of U.b with prefix (0, 0)
+(mub.orbit_step). Its smallest member has prefix (0, 0) and is the
+smallest string of F(b). The sweep solves only those smallest strings,
+each weighted d^2 |F(b)|, walking f chunk by chunk. Since each orbit's
+smallest string is still solved, lambda* and the tie rule below give the
+same b* as the Pauli reduction alone. Where U is None, leaves the set or
+fails the exact check of U.(W.b) = W'.(U.b) on the labels
+(mub.PauliLabels.carried_by), f is the identity and each orbit is one
+Pauli orbit.
+
 Ties and bins. Orbit members agree only to rounding, so eigenvalues within
 LEVEL_TOL are one level. Histogram bins group eigenvalues that chain
 within LEVEL_TOL (no fixed bin edges), and b* is the smallest string
@@ -55,7 +72,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .mub import UNBIAS_TOL, MubSet, _cycle_strings, basis_matrices
+from .mub import UNBIAS_TOL, MubSet, _cycle_strings, basis_matrices, orbit_step
 
 LOG2 = math.log(2)
 DEFAULT_BUDGET = 2**28
@@ -232,16 +249,18 @@ def _projector_stack(mats) -> np.ndarray:
 
 
 def _eigmax_chunks(
-    projs: np.ndarray, strings, chunk: int = SWEEP_CHUNK, workers: int = 1
+    projs: np.ndarray, strings, chunk: int = SWEEP_CHUNK, workers: int = 1, select=None
 ):
     """Top eigenvalue of the mean-form selector of every string, by chunks.
 
     The one selector-eigenvalue kernel. `strings` is a range of string
     indices (digit j of an index, base d with basis 0 most significant, is
     the element of basis j) or an (n, L) array of digit rows. Yields
-    (digits, lambdas) for consecutive chunks of at most `chunk` strings, in
-    input order for any worker count. A string's eigenvalue does not depend
-    on the chunk it falls in.
+    (digits, lambdas, weights) for consecutive chunks of at most `chunk`
+    strings, in input order for any worker count. Weights are 1 unless
+    `select`, which maps a chunk's digits to the rows kept and their
+    weights, thins the chunk first; a chunk may then be empty. A string's
+    eigenvalue does not depend on the chunk it falls in.
     """
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
@@ -254,11 +273,15 @@ def _eigmax_chunks(
             digits = (np.arange(part.start, part.stop)[:, None] // powers) % d
         else:
             digits = part
+        if select is None:
+            weights = np.ones(len(digits), dtype=np.int64)
+        else:
+            digits, weights = select(digits)
         P = np.zeros((len(digits), d, d), dtype=complex)
         for j in range(L):
             P += projs[j, digits[:, j]]
         P /= L
-        return digits, np.linalg.eigvalsh(P)[:, -1]
+        return digits, np.linalg.eigvalsh(P)[:, -1], weights
 
     parts = (strings[s : s + chunk] for s in range(0, len(strings), chunk))
     if workers <= 1:
@@ -272,6 +295,34 @@ def _eigmax_chunks(
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
+
+
+def _orbit_minima(step, weight: int, L: int, d: int):
+    """select for _eigmax_chunks: the strings that are the smallest of their
+    orbit under the permutation `step`, each weighted `weight` times the
+    orbit's size.
+
+    Each string is walked along its orbit until the walk returns (the orbit
+    size) or passes a smaller string (not the smallest; dropped there), so
+    no table over all strings is kept.
+    """
+    powers = np.array([d ** (L - 1 - j) for j in range(L)])
+
+    def select(digits):
+        start = (digits * powers).sum(axis=1)
+        size = np.zeros(len(digits), dtype=np.int64)
+        alive, cur, k = np.arange(len(digits)), digits, 0
+        while len(alive):
+            cur, k = step(cur), k + 1
+            at = (cur * powers).sum(axis=1)
+            back, lower = at == start[alive], at < start[alive]
+            size[alive[back]] = k
+            stay = ~(back | lower)
+            alive, cur = alive[stay], cur[stay]
+        keep = size > 0
+        return digits[keep], weight * size[keep]
+
+    return select
 
 
 def _merge_bins(bins: np.ndarray) -> np.ndarray:
@@ -304,31 +355,33 @@ def _lex_records(cands, top: float) -> list:
     return out
 
 
-def _summarize(chunks, count: int, multiplicity: int = 1) -> SweepResult:
-    """lambda*, b* and the histogram of the (digits, lambdas) chunks.
+def _summarize(chunks, count: int) -> SweepResult:
+    """lambda*, b* and the histogram of the (digits, lambdas, weights) chunks.
 
     b* is the lexicographically smallest string within LEVEL_TOL of
-    lambda*. Histogram keys are each bin's smallest lambda; counts are
-    scaled by `multiplicity`, the number of strings each one stands for.
+    lambda*. Histogram keys are each bin's smallest lambda; each string
+    adds its weight, the number of strings it stands for, to its bin.
     """
     best, cands, bins, pending = -math.inf, [], np.empty((0, 3)), []
-    for digits, lam in chunks:
+    for digits, lam, weights in chunks:
+        if not len(lam):  # a chunk select left empty
+            continue
         best = max(best, float(lam.max()))
         keep = lam >= best - LEVEL_TOL
         new = zip(map(tuple, digits[keep].tolist()), lam[keep].tolist())
         cands = _lex_records(cands + list(new), best)
-        pending.append(np.column_stack([lam, lam, np.ones_like(lam)]))
+        pending.append(np.column_stack([lam, lam, weights]))
         if sum(map(len, pending)) >= len(bins):  # amortized: bins may be many
             bins, pending = _merge_bins(np.vstack([bins, *pending])), []
     bins = _merge_bins(np.vstack([bins, *pending]))
-    hist = Counter({float(lo): int(n) * multiplicity for lo, _, n in bins})
+    hist = Counter({float(lo): int(n) for lo, _, n in bins})
     return SweepResult(cands[0][0], best, hist, count)
 
 
 def _reported(chunks, on_chunk):
-    for digits, lam in chunks:
+    for digits, lam, weights in chunks:
         on_chunk(digits, lam)
-        yield digits, lam
+        yield digits, lam, weights
 
 
 def sweep_max_eigen(
@@ -340,12 +393,14 @@ def sweep_max_eigen(
 ) -> SweepResult:
     """Exact maximum of lambda_max(P_b, mean) over all d^L strings b.
 
-    A MubSet is swept over the d^(L-2) strings with b_0 = b_1 = 0, each
-    standing for its d^2-string Pauli orbit (module docstring); raw bases
-    are swept over all d^L. `count` is d^L either way. For a MubSet, b* is
-    the smallest string within LEVEL_TOL of lambda* that the cycle unitary
-    maps to itself, if there is one; otherwise, and for raw bases, the
-    smallest string within LEVEL_TOL of lambda*. Deterministic for any
+    A MubSet is swept over the strings with b_0 = b_1 = 0 that are the
+    smallest of their orbit under mub.orbit_step, each standing for the d^2
+    |orbit| strings of its orbit under the Paulis and the cycle unitary
+    (module docstring); raw bases are swept over all d^L. `count` is d^L
+    either way. For a MubSet, b* is the smallest string within LEVEL_TOL of
+    lambda* that the cycle unitary maps to itself, if there is one;
+    otherwise, and for raw bases, the smallest string within LEVEL_TOL of
+    lambda*. Deterministic for any
     worker count and chunk size.
 
     on_chunk, if given, is called with (digits, lambdas) for every chunk of
@@ -354,17 +409,20 @@ def sweep_max_eigen(
     mats = _checked_matrices(ms)
     total = _sweep_size(mats, budget)
     d, L = mats[0].shape[0], len(mats)
-    reduced = isinstance(ms, MubSet) and L >= 2 and on_chunk is None
     projs = _projector_stack(mats)
-    strings = range(d ** (L - 2) if reduced else total)
-    chunks = _eigmax_chunks(projs, strings, chunk, workers)
+    if isinstance(ms, MubSet) and L >= 2 and on_chunk is None:
+        strings = range(d ** (L - 2))
+        select = _orbit_minima(orbit_step(ms), d * d, L, d)
+    else:
+        strings, select = range(total), None
+    chunks = _eigmax_chunks(projs, strings, chunk, workers, select)
     if on_chunk is not None:
         chunks = _reported(chunks, on_chunk)
-    res = _summarize(chunks, total, d * d if reduced else 1)
+    res = _summarize(chunks, total)
     if isinstance(ms, MubSet):
         cyc = _cycle_strings(ms)
         if len(cyc):
-            digits, lam = next(_eigmax_chunks(projs, cyc, chunk=len(cyc)))
+            digits, lam, _ = next(_eigmax_chunks(projs, cyc, chunk=len(cyc)))
             hits = digits[lam >= res.lambda_star - LEVEL_TOL]
             if len(hits):
                 res = replace(res, b_star=min(map(tuple, hits.tolist())))
@@ -519,5 +577,5 @@ def iter_sweep_rows(ms, budget: int = DEFAULT_BUDGET, chunk: int = SWEEP_CHUNK):
     """Yield (b, lambda_max) for every string in lexicographic order."""
     mats = _checked_matrices(ms)
     total = _sweep_size(mats, budget)
-    for digits, lam in _eigmax_chunks(_projector_stack(mats), range(total), chunk):
+    for digits, lam, _ in _eigmax_chunks(_projector_stack(mats), range(total), chunk):
         yield from zip(map(tuple, digits.tolist()), lam.tolist())

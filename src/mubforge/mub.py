@@ -16,6 +16,13 @@ for vectors whose nonzero components share one magnitude.
 build_mub_set is the one path from a Partition to a checked MubSet, for the
 cycled partitions of classes.py and the symplectic spread of wigner.py
 alike; a spread has no cycle spec, so its set has U = None.
+
+The symmetries of a set act on strings of labels (one element per basis).
+A Pauli operator W permutes the labels of basis j through their codes as
+t -> t ^ tau_j(W) (PauliLabels, built once per set), and the cycle unitary
+sends element b of basis j to element pi_j(b) of basis j+1, cyclically
+(cycle_permutations, matched densely as in verify_cycle). orbit_step
+composes them into the map the selector sweep walks its orbits with.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
@@ -89,6 +97,88 @@ class MubSet:
     @property
     def d(self) -> int:
         return self.bases[0].d
+
+    @cached_property
+    def pauli_labels(self) -> "PauliLabels":
+        """How the Paulis permute the labels of every basis; built on first
+        use and kept."""
+        return PauliLabels.of(self)
+
+
+@dataclass(frozen=True)
+class PauliLabels:
+    """The action of the d^2 Paulis W = x | z << n on the labels of a MubSet.
+
+    W sends the label with code t in basis j (Basis.codes) to the label with
+    code t ^ tau[j, W], bit i of tau[j, W] being 1 when W anticommutes with
+    generator i of basis j; labels[j, t] is the label with code t. Only the
+    identity commutes with two disjoint maximal classes, so the Paulis act
+    freely on the pairs of codes of bases 0 and 1: pauli_of[t0, t1] is the
+    one W with tau[0, W] = t0 and tau[1, W] = t1. The set keeps the tables,
+    so codes are stored in the smallest unsigned type that holds d - 1.
+    """
+
+    codes: np.ndarray  # (L, d)
+    labels: np.ndarray  # (L, d)
+    tau: np.ndarray  # (L, d^2)
+    pauli_of: np.ndarray  # (d, d)
+
+    @staticmethod
+    def of(ms: "MubSet") -> "PauliLabels":
+        d, L = ms.d, ms.L
+        code = np.min_scalar_type(d - 1)
+        w = np.arange(d * d)
+        wx, wz = w % d, w // d
+        tau = np.array(
+            [
+                sum(
+                    parity((wx & g.zmask) ^ (wz & g.xmask)) << i
+                    for i, g in enumerate(B.generators)
+                )
+                for B in ms.bases
+            ],
+            dtype=code,
+        )
+        codes = np.array([B.codes for B in ms.bases], dtype=code)
+        labels = np.empty_like(codes)
+        labels[np.arange(L)[:, None], codes] = np.arange(d)
+        pauli_of = np.full((d, d), -1)
+        pauli_of[tau[0], tau[1]] = w
+        if np.any(pauli_of < 0):
+            raise RuntimeError(
+                "Paulis do not act freely on the labels of bases 0 and 1"
+            )
+        return PauliLabels(codes, labels, tau, pauli_of)
+
+    def representatives(self, strings: np.ndarray) -> np.ndarray:
+        """Each string moved by the one Pauli that sends its (b_0, b_1) to
+        (0, 0); P_{W.b} = W P_b W^dag has the spectrum of P_b."""
+        c, j = self.codes, np.arange(len(self.codes))
+        W = self.pauli_of[
+            c[0, strings[:, 0]] ^ c[0, 0], c[1, strings[:, 1]] ^ c[1, 0]
+        ]
+        return self.labels[j, c[j, strings] ^ self.tau[j, W[:, None]]]
+
+    def carried_by(self, pi: np.ndarray) -> bool:
+        """Whether the label maps pi (cycle_permutations) carry every Pauli
+        to one Pauli: pi_j(W.b) = W'.pi_j(b) on every basis j, with one W'
+        for each W. Then a map with these label maps sends Pauli orbits of
+        strings onto Pauli orbits."""
+        L, d = self.codes.shape
+        j, nxt = np.arange(L), np.roll(np.arange(L), -1)
+        # sigma[j, t]: the code in basis j+1 of pi_j of the label with code t
+        sigma = self.codes[nxt[:, None], pi[j[:, None], self.labels]]
+        t = np.arange(d)
+        moved = sigma[j[:, None], t ^ self.tau.T[:, :, None]] ^ sigma  # [W, j, t]
+        # W' from the codes it must flip in bases 0 (j = L-1) and 1 (j = 0)
+        image = self.pauli_of[moved[:, -1, 0], moved[:, 0, 0]]
+        return bool(np.all(moved == self.tau[nxt][:, image].T[:, :, None]))
+
+
+def pauli_representatives(ms: MubSet, strings: np.ndarray) -> np.ndarray:
+    """Each string moved by the one Pauli W that sends its (b_0, b_1) to (0, 0),
+    from the set's tables (PauliLabels.representatives)."""
+    return ms.pauli_labels.representatives(strings)
 
 
 @dataclass(frozen=True)
@@ -295,6 +385,21 @@ def verify_cycle(ms: MubSet) -> CycleReport:
     return CycleReport(worst, tuple(perms))
 
 
+def cycle_permutations(ms: MubSet) -> np.ndarray | None:
+    """pi[j, b]: the element of basis j+1 (cyclically) that U maps element b
+    of basis j onto, matched as in verify_cycle; None if U is None or some
+    element has no match (U does not cycle the bases)."""
+    if ms.U is None:
+        return None
+    pi = np.empty((ms.L, ms.d), dtype=np.int64)
+    for j in range(ms.L):
+        for b in range(ms.d):
+            _, pi[j, b], ov = _cycle_match(ms, j, b)
+            if ov < 1 - MATCH_TOL:
+                return None
+    return pi
+
+
 def _cycle_strings(ms: MubSet) -> np.ndarray:
     """Strings b that the cycle unitary maps to themselves.
 
@@ -302,20 +407,30 @@ def _cycle_strings(ms: MubSet) -> np.ndarray:
     so the selector P_b commutes with U. Empty if U does not cycle the bases
     or is None.
     """
-    if ms.U is None:
+    pi = cycle_permutations(ms)
+    if pi is None:
         return np.empty((0, ms.L), dtype=np.int64)
-    rows = []
-    for b0 in range(ms.d):
-        b = [b0]
-        for j in range(ms.L):
-            _, m, ov = _cycle_match(ms, j, b[-1])
-            if ov < 1 - MATCH_TOL:
-                break
-            b.append(m)
-        else:
-            if b[-1] == b0:
-                rows.append(b[:-1])
-    return np.array(rows, dtype=np.int64).reshape(-1, ms.L)
+    rows = np.empty((ms.d, ms.L), dtype=np.int64)
+    rows[:, 0] = np.arange(ms.d)
+    for j in range(1, ms.L):
+        rows[:, j] = pi[j - 1, rows[:, j - 1]]
+    return rows[pi[-1, rows[:, -1]] == rows[:, 0]]
+
+
+def orbit_step(ms: MubSet):
+    """The map f on strings with prefix (0, 0) whose orbits the sweep walks.
+
+    f(b) is the Pauli representative of U.b, (U.b)_{j+1} = pi_j(b_j): P_{U.b}
+    = U P_b U^dag, so f keeps the spectrum. When the label maps carry Paulis
+    to Paulis (PauliLabels.carried_by), f permutes the strings with prefix
+    (0, 0) and each of its orbits stands for d^2 |orbit| strings. f is the
+    identity when U is None, does not cycle the bases or fails that check.
+    """
+    pi = cycle_permutations(ms)
+    if pi is None or not ms.pauli_labels.carried_by(pi):
+        return lambda strings: strings
+    reps, j = ms.pauli_labels.representatives, np.arange(ms.L)
+    return lambda strings: reps(np.roll(pi[j, strings], 1, axis=1))
 
 
 def invariant_states(ms: MubSet) -> list[tuple[np.ndarray, complex]]:

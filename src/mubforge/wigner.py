@@ -45,8 +45,8 @@ from .entropy import (
     hermitian_eigmax,
     pvec_operator,
 )
-from .mub import MubSet, basis_matrices, build_mub_set
-from .pauli import PauliTerm, parity
+from .mub import MubSet, basis_matrices, build_mub_set, pauli_representatives
+from .pauli import PauliTerm
 
 IRREDUCIBLE = {1: 0b10, 2: 0b111, 3: 0b1011, 4: 0b10011, 5: 0b100101}
 
@@ -220,41 +220,6 @@ def _point_strings(n: int, assign) -> np.ndarray:
     return np.array(assign)[np.arange(d + 1), lines]
 
 
-def pauli_representatives(ms: MubSet, strings: np.ndarray) -> np.ndarray:
-    """Each string moved by the one Pauli W that sends its (b_0, b_1) to (0, 0).
-
-    W acts on the labels of basis j through their generator-sign codes
-    (mub.Basis.codes) as t -> t ^ tau_j(W), bit i of tau_j(W) being 1 when
-    W anticommutes with generator i; P_{W.b} = W P_b W^dag has the spectrum
-    of P_b (the entropy module docstring gives the argument). Tables are per
-    basis: codes (L, d) and tau (L, d^2) over W = x | z << n.
-    """
-    n, d = ms.provenance.n, ms.d
-    w = np.arange(d * d)
-    wx, wz = w % d, w // d
-    tau = np.array(
-        [
-            sum(
-                parity((wx & g.zmask) ^ (wz & g.xmask)) << i
-                for i, g in enumerate(B.generators)
-            )
-            for B in ms.bases
-        ]
-    )
-    codes = np.array([B.codes for B in ms.bases])
-    labels = np.argsort(codes, axis=1)  # labels[j, t]: the column with code t
-    pair = tau[0] | (tau[1] << n)
-    if not np.array_equal(np.sort(pair), w):
-        raise RuntimeError("Paulis do not act freely on the labels of bases 0 and 1")
-    pauli_of = np.empty_like(w)
-    pauli_of[pair] = w
-    shift = (codes[0, strings[:, 0]] ^ codes[0, 0]) | (
-        (codes[1, strings[:, 1]] ^ codes[1, 0]) << n
-    )
-    j = np.arange(ms.L)
-    return labels[j, codes[j, strings] ^ tau[j, pauli_of[shift][:, None]]]
-
-
 def point_levels(bases, assignment=None) -> np.ndarray:
     """lambda_max(A_alpha) at every point, x-major: (d+1) lambda_max(P_b) - 1.
 
@@ -272,7 +237,7 @@ def point_levels(bases, assignment=None) -> np.ndarray:
             pauli_representatives(bases, strings), axis=0, return_inverse=True
         )
     chunks = _eigmax_chunks(_projector_stack(mats), strings, chunk=d)
-    return (d + 1) * np.concatenate([lam for _, lam in chunks])[back.ravel()] - 1
+    return (d + 1) * np.concatenate([lam for _, lam, _ in chunks])[back.ravel()] - 1
 
 
 def wigner_entropy_bound(bases, assignment=None, levels=None) -> dict:

@@ -243,6 +243,38 @@ def test_generate_builds_the_cycle_unitary_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("n, L", [(2, 4), (2, 5), (3, 3), (3, 7)])
+def test_sweep_stdout_matches_fixture(capsys, n, L):
+    # stdout as the Pauli-only sweep printed it, before cycle orbits
+    assert run(["sweep", "--n", str(n), "--L", str(L)]) == 0
+    want = (FIXTURES / f"sweep_n{n}_L{L}.txt").read_text()
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep", "--n", "2", "--L", "3"],
+        ["reproduce-fig", "--which", "1"],
+    ],
+)
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_are_refused(tmp_path, monkeypatch, capsys, args, threads):
+    import mubforge.cli
+    import mubforge.entropy
+
+    def no_pool(*a, **k):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(mubforge.entropy, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(mubforge.cli, "build_mub_set", no_pool)
+    out = ["--out", str(tmp_path / "out")]
+    assert run(args + ["--threads", threads] + out) == 4
+    err = capsys.readouterr().err
+    assert err == f"bad arguments: --threads must be >= 1, got {threads}\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_wigner_matches_fixture(capsys):
     assert run(["wigner", "--n", "3"]) == 0
     assert capsys.readouterr().out == (FIXTURES / "wigner_n3.txt").read_text()

@@ -1,6 +1,8 @@
-"""The selector sweep: Pauli reduction, tolerance-aware bins and ties, input
-checks. The unreduced kernel (raw bases, or a MubSet swept with on_chunk)
-is the oracle for the reduced one."""
+"""The selector sweep: orbits of the Paulis and the cycle unitary,
+tolerance-aware bins and ties, input checks. The unreduced kernel (raw
+bases, or a MubSet swept with on_chunk) is the oracle for the reduced one,
+and orbits found by brute force over all d^L strings, from dense matrices,
+are the oracle for the orbit walk."""
 
 from dataclasses import replace
 
@@ -17,7 +19,14 @@ from mubforge.entropy import (
     sample_max_eigen,
     sweep_max_eigen,
 )
-from mubforge.mub import MubSet, build_mub_set
+from mubforge.mub import (
+    MubSet,
+    build_mub_set,
+    cycle_permutations,
+    orbit_step,
+    verify_cycle,
+)
+from mubforge.pauli import PauliTerm, to_dense
 from mubforge.wigner import spread_partition
 
 # every constructible set with at most 4096 strings (d = 64, L = 2 left out
@@ -105,32 +114,136 @@ def test_reduced_b_star_prefers_cycle_strings(small_ms):
         assert res.b_star[:2] == (0, 0)
 
 
-def test_reduced_sweep_solves_d_to_the_L_minus_2(monkeypatch):
-    ms = build_mub_set(build_partition(2, 5))
+@pytest.mark.parametrize("n, L, orbits", [(2, 5, 16), (3, 7, 4688)])
+def test_reduced_sweep_solves_one_string_per_orbit(monkeypatch, n, L, orbits):
+    # one string per orbit of the Paulis and the cycle unitary, then the
+    # strings the cycle unitary fixes; the raw route solves all d^L
+    ms = build_mub_set(build_partition(n, L))
     solved = []
     kernel = entropy._eigmax_chunks
 
     def counting(*args, **kwargs):
-        for digits, lam in kernel(*args, **kwargs):
+        for digits, lam, weights in kernel(*args, **kwargs):
             solved.append(len(lam))
-            yield digits, lam
+            yield digits, lam, weights
 
     monkeypatch.setattr(entropy, "_eigmax_chunks", counting)
     sweep_max_eigen(ms)
     cycle = len(entropy._cycle_strings(ms))
-    assert sum(solved) == 4**3 + cycle
-    solved.clear()
-    sweep_max_eigen(ms.bases)
-    assert sum(solved) == 4**5
+    assert sum(solved) == orbits + cycle
+    if n == 2:
+        solved.clear()
+        sweep_max_eigen(ms.bases)
+        assert sum(solved) == 4**5
+
+
+def _dense_label_maps(ms):
+    """The label permutation of every basis under X_i and Z_i, i < n, and
+    under U, from dense matrices: (perm over all d^L strings) for each."""
+    n, d, L = ms.provenance.n, ms.d, ms.L
+    digits = (np.arange(d**L)[:, None] // d ** np.arange(L - 1, -1, -1)) % d
+    powers = d ** np.arange(L - 1, -1, -1)
+    maps = []
+    for x, z in [(1 << i, 0) for i in range(n)] + [(0, 1 << i) for i in range(n)]:
+        W = to_dense(PauliTerm(n, x, z, 0))
+        per = [
+            np.argmax(np.abs(B.vectors.conj().T @ W @ B.vectors), axis=0)
+            for B in ms.bases
+        ]
+        maps.append(np.column_stack([per[j][digits[:, j]] for j in range(L)]))
+    try:
+        pi = np.array(verify_cycle(ms).permutations)
+    except (ValueError, RuntimeError):  # no U, or U leaves the set
+        pi = None
+    if pi is not None:
+        moved = np.column_stack([pi[j][digits[:, j]] for j in range(L)])
+        maps.append(np.roll(moved, 1, axis=1))
+    return [m @ powers for m in maps]
+
+
+def brute_force_orbits(ms):
+    """Smallest member and size of the orbit of every one of the d^L strings
+    under the group the dense label maps generate."""
+    maps = _dense_label_maps(ms)
+    low = np.arange(ms.d**ms.L)
+    while True:
+        nxt = low.copy()
+        for m in maps:  # a generator and its inverse carry the same minimum
+            np.minimum.at(nxt, m, low)
+            nxt = np.minimum(nxt, nxt[m])
+        if np.array_equal(nxt, low):
+            return low, np.bincount(low, minlength=len(low))[low]
+        low = nxt
+
+
+def _five_of_seven():
+    # five of the seven d = 8 classes: U leaves the sub-set
+    part = build_classes_2n1(3)
+    full = build_mub_set(part)
+    return MubSet(full.bases[:5], full.U, replace(part, L=5, classes=part.classes[:5]))
+
+
+ORBIT_SETS = [("constructed", p) for p in SMALL_SETS] + [
+    ("spread", 1),
+    ("spread", 2),
+    ("five_of_seven", None),
+]
+
+
+@pytest.mark.parametrize("kind, arg", ORBIT_SETS, ids=lambda a: str(a))
+def test_orbit_walk_matches_brute_force_orbits(kind, arg):
+    ms = {
+        "constructed": lambda: build_mub_set(build_partition(*arg)),
+        "spread": lambda: build_mub_set(spread_partition(arg)),
+        "five_of_seven": _five_of_seven,
+    }[kind]()
+    d, L = ms.d, ms.L
+    low, size = brute_force_orbits(ms)
+    minima = np.flatnonzero(low == np.arange(d**L))
+    assert np.all(minima < d ** (L - 2))  # every smallest member has prefix (0, 0)
+    select = entropy._orbit_minima(orbit_step(ms), d * d, L, d)
+    digits = (np.arange(d ** (L - 2))[:, None] // d ** np.arange(L - 1, -1, -1)) % d
+    kept, weights = select(digits)
+    assert (kept @ d ** np.arange(L - 1, -1, -1)).tolist() == minima.tolist()
+    assert weights.tolist() == size[minima].tolist()
+    assert weights.sum() == d**L
+
+
+def test_orbit_step_is_the_identity_without_a_cycle():
+    for ms in (build_mub_set(spread_partition(2)), _five_of_seven()):
+        digits = np.random.default_rng(5).integers(0, ms.d, size=(30, ms.L))
+        digits[:, :2] = 0
+        assert np.array_equal(orbit_step(ms)(digits), digits)
+
+
+def test_label_maps_that_break_the_pauli_action_are_refused():
+    ms = build_mub_set(build_partition(3, 3))
+    pi = cycle_permutations(ms)
+    assert ms.pauli_labels.carried_by(pi)
+    bad = pi.copy()
+    bad[0, [0, 1]] = bad[0, [1, 0]]  # no affine map of GF(2)^3 is a transposition
+    assert not ms.pauli_labels.carried_by(bad)
+
+
+def test_cycle_orbits_match_the_pauli_only_route_d8_L7(monkeypatch):
+    # the same lambda*, b* and histogram counts as walking no cycle orbits
+    ms = build_mub_set(build_partition(3, 7))
+    res = sweep_max_eigen(ms)
+    monkeypatch.setattr(entropy, "orbit_step", lambda ms: lambda strings: strings)
+    pauli_only = sweep_max_eigen(ms)
+    assert_same_sweep(res, pauli_only)
+    assert res.b_star == pauli_only.b_star == (0, 0, 0, 2, 0, 0, 5)
+    assert sum(res.histogram.values()) == res.count == 8**7
+
+
+def test_cycle_orbit_sweep_is_bit_identical_for_two_workers():
+    ms = build_mub_set(build_partition(3, 7))
+    assert sweep_max_eigen(ms, workers=2) == sweep_max_eigen(ms)
 
 
 def test_five_basis_sub_partition_d8():
-    # five of the seven d = 8 classes: the reduction needs only Pauli
-    # classes, not a complete or cycled set
-    part = build_classes_2n1(3)
-    full = build_mub_set(part)
-    sub = replace(part, L=5, classes=part.classes[:5])
-    five = MubSet(full.bases[:5], full.U, sub)
+    # the reduction needs only Pauli classes, not a complete or cycled set
+    five = _five_of_seven()
     assert len(entropy._cycle_strings(five)) == 0  # U leaves the sub-set
     res = sweep_max_eigen(five)
     oracle = sweep_max_eigen(five.bases)
@@ -178,7 +291,7 @@ def test_bins_ignore_ulps_and_splits(levels, ulps, cuts):
     assert len(whole) <= len(set(levels))
     bins = np.empty((0, 3))
     for part in np.split(vals, sorted(set(min(c, len(vals)) for c in cuts))):
-        if not len(part):  # the kernel never yields an empty chunk
+        if not len(part):  # _summarize skips empty chunks
             continue
         pts = np.column_stack([part, part, np.ones_like(part)])
         bins = entropy._merge_bins(np.vstack([bins, pts]))

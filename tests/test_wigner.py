@@ -400,3 +400,16 @@ def test_gf_table_is_the_multiplication():
     table = gf.table()
     assert table.shape == (8, 8)
     assert all(table[a, b] == gf.mul(a, b) for a in range(8) for b in range(8))
+
+
+def test_pauli_tables_are_built_once_per_set(monkeypatch):
+    from mubforge.mub import PauliLabels
+
+    built, of = [], PauliLabels.of
+    counted = staticmethod(lambda ms: built.append(ms) or of(ms))
+    monkeypatch.setattr(PauliLabels, "of", counted)
+    ms = complete_mub_bases(3)
+    first = point_levels(ms)
+    assert np.array_equal(point_levels(ms), first)
+    pauli_representatives(ms, np.zeros((1, ms.L), dtype=np.int64))
+    assert built == [ms]
