@@ -264,6 +264,8 @@ def _eigmax_chunks(
     """
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     L, d = projs.shape[:2]
     if isinstance(strings, range):
         powers = np.array([d ** (L - 1 - j) for j in range(L)])
@@ -284,7 +286,7 @@ def _eigmax_chunks(
         return digits, np.linalg.eigvalsh(P)[:, -1], weights
 
     parts = (strings[s : s + chunk] for s in range(0, len(strings), chunk))
-    if workers <= 1:
+    if workers == 1:
         yield from map(solve, parts)
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -440,10 +442,11 @@ def sample_max_eigen(ms, samples: int, seed: int) -> SweepResult:
 
 
 def _log2(x: np.ndarray) -> np.ndarray:
-    # math.log2 element by element: np.log2 differs from it in the last bit
-    # for about one argument in a thousand, which would move the objective
-    # off the one-vector oracle in tests/test_entropy.py
-    return np.array([math.log2(v) for v in x.ravel().tolist()]).reshape(x.shape)
+    # math.log2 element by element, streamed through fromiter: np.log2 differs
+    # from it in the last bit for about one argument in a thousand, which
+    # would move the objective off the one-vector oracle in tests/test_entropy.py
+    logs = np.fromiter(map(math.log2, x.ravel().tolist()), float, x.size)
+    return logs.reshape(x.shape)
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -452,41 +455,63 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of every row, summed as np.linalg.norm sums a vector."""
-    return np.sqrt(_row_dot(x.real, x.real) + _row_dot(x.imag, x.imag))
+    """Euclidean norm of every row of a complex (R, d) array, summed as
+    np.linalg.norm sums a vector: a BLAS dot of the real parts plus one of
+    the imaginary parts, all 2R dots in one stacked matmul."""
+    v = x.view(float).reshape(len(x), -1, 2).transpose(0, 2, 1)  # (R, 2, d)
+    sq = (v[:, :, None, :] @ v[..., None])[..., 0, 0]
+    return np.sqrt(sq[:, 0] + sq[:, 1])
 
 
-def _avg_entropy_rows(B: np.ndarray, BH: np.ndarray, psi: np.ndarray, alpha):
+def _basis_stack(ms):
+    """(B, BH, cols) for the checked bases: the (L, d, d) stack, its conjugate
+    transposes, and the (L d, d) columns, row j d + k being column k of B_j."""
+    B = np.stack(_checked_matrices(ms)).astype(complex)
+    BH = np.ascontiguousarray(B.conj()).transpose(0, 2, 1)
+    return B, BH, B.transpose(0, 2, 1).reshape(-1, B.shape[1])
+
+
+def _avg_entropy_rows(stack, psi: np.ndarray, alpha):
     """Average entropy (R,) and its Wirtinger gradient d/d(psi*) (R, d).
 
-    B is the (L, d, d) basis stack and BH its conjugate transpose; psi holds
-    one unit vector per row. Both products go through stacked matrix-vector
-    matmuls, c = B^dag psi and g = sum_j B_j (w * c), so each row's numbers
-    are those of the same products taken one vector at a time.
+    stack is _basis_stack's (B, BH, cols); psi holds one unit vector per row.
+    Intermediates are basis-major, (L, R, ...). Each row's numbers are those
+    of the one-vector computation (serial_avg_entropy_and_grad in
+    tests/test_entropy.py), up to the sign of a zero:
+    - c = B^dag psi goes through stacked matrix-vector matmuls, the same
+      BLAS call per row and basis as the one-vector product; for finite
+      alpha so does g = sum_j B_j (w * c).
+    - For alpha = inf, w * c has one nonzero entry per basis, so B_j (w * c)
+      is a gather: column b_j of B_j times that entry. On stabilizer bases
+      every entry of B_j is 0, +-a or +-ia, so each product is rounded once,
+      as inside the matrix-vector product; on other bases it may differ in
+      the last bit.
+    - The L terms are summed over the leading axis, which numpy reduces by
+      adding one term at a time in basis order, as the one-vector loop does
+      (a reduction along the last axis regroups the terms).
     """
-    L = B.shape[0]
-    c = (BH @ psi[:, None, :, None])[..., 0]  # (R, L, d)
+    B, BH, cols = stack
+    L, d = BH.shape[:2]
+    c = (BH[:, None] @ psi[:, :, None])[..., 0]  # (L, R, d)
     p = np.maximum(np.abs(c) ** 2, 1e-300)
     if math.isinf(alpha):  # only the largest outcome of each basis counts
-        b = np.argmax(p, axis=-1)[..., None]
-        top = np.take_along_axis(p, b, -1)
-        terms = -_log2(top[..., 0])
-        w = np.zeros_like(p)
-        np.put_along_axis(w, b, -1.0 / (top * LOG2), -1)
+        b = p.argmax(axis=-1)  # (L, R)
+        at = b.ravel() + np.arange(0, p.size, d)  # flat index of each maximum
+        top = p.take(at)
+        terms = -_log2(top)
+        coef = (c.take(at) * (-1.0 / (top * LOG2))).reshape(b.shape + (1,))
+        g = cols.take(b + np.arange(0, L * d, d)[:, None], axis=0) * coef
     elif alpha == 1:
         lp = np.log2(p)
-        terms = -np.sum(p * lp, axis=-1)
-        w = -(lp + 1 / LOG2)
+        terms = -np.add.reduce(p * lp, axis=-1)
+        g = (B[:, None] @ (-(lp + 1 / LOG2) * c)[..., None])[..., 0]
     else:
-        S = np.sum(p**alpha, axis=-1)
+        S = np.add.reduce(p**alpha, axis=-1)
         terms = _log2(S) / (1 - alpha)
         w = alpha * p ** (alpha - 1) / ((1 - alpha) * S * LOG2)[..., None]
-    gj = (B @ (w * c)[..., None])[..., 0]
-    f, g = np.zeros(len(psi)), np.zeros(psi.shape, dtype=complex)
-    for j in range(L):  # in basis order: np.sum regroups eight or more terms
-        f += terms[:, j]
-        g += gj[:, j]
-    return f / L, g / L
+        g = (B[:, None] @ (w * c)[..., None])[..., 0]
+    f = np.add.reduce(terms.reshape(L, -1), axis=0)
+    return f / L, np.add.reduce(g, axis=0) / L
 
 
 def _tangent_rows(psi: np.ndarray, g: np.ndarray):
@@ -495,34 +520,53 @@ def _tangent_rows(psi: np.ndarray, g: np.ndarray):
     return g_t, _row_norms(g_t)
 
 
-def _descend_rows(B, BH, psi: np.ndarray, alpha, iters: int):
+def _descend_rows(stack, psi: np.ndarray, alpha, iters: int):
     """Projected gradient descent with backtracking, every row at once.
 
-    Each row keeps its own step size (0.5 to start, halved on a rejected
+    Each row keeps its own step size eta (0.5 to start, halved on a rejected
     step, doubled up to 1 after a move) and its own stop: `iters` moves, a
-    tangent gradient below 1e-12, or a step size at 1e-14. Only live rows
-    are evaluated. Updates psi in place; returns it with its objective.
+    tangent gradient below 1e-12, or eta at 1e-14. Only live rows are
+    evaluated, and each takes the one-vector descent's steps with the same
+    numbers:
+    - The live rows' state is kept packed. Every iteration halves all step
+      sizes; only the rows that moved get their new state, tangent gradient
+      and a step size 4 times the halved one, capped at 1. A row is written
+      back to psi and f when it stops.
+    - eta is a power of two, so the Armijo threshold f - 0.25 eta gn gn
+      equals f - eta q with q = 0.25 gn gn, and q < 0.25 (1e-12)^2 exactly
+      when gn < 1e-12.
+    Updates psi in place; returns it with its objective.
     """
-    f, g = _avg_entropy_rows(B, BH, psi, alpha)
-    eta = np.full(len(psi), 0.5)
-    moves = np.zeros(len(psi), dtype=np.int64)
+    q_stop = 0.25 * 1e-12 * 1e-12  # q of the largest gn below 1e-12 is below this
+    f, g = _avg_entropy_rows(stack, psi, alpha)
     g_t, gn = _tangent_rows(psi, g)
-    live = ~(gn < 1e-12) & (moves < iters)
-    while live.any():
-        idx = np.flatnonzero(live)
-        step = eta[idx]
-        cand = psi[idx] - step[:, None] * g_t[idx]
+    rows = np.flatnonzero(~(gn < 1e-12))
+    x, fx, gx, q = psi[rows], f[rows], g_t[rows], 0.25 * gn[rows] * gn[rows]
+    eta = np.full(len(rows), 0.5)
+    moves = np.zeros(len(rows), dtype=np.int64)
+    it = 0
+    while len(rows):
+        it += 1
+        cand = x - eta[:, None] * gx
         cand /= _row_norms(cand)[:, None]
-        fc, gc = _avg_entropy_rows(B, BH, cand, alpha)
-        ok = fc < f[idx] - 0.25 * step * gn[idx] * gn[idx]  # Armijo
-        moved, stuck = idx[ok], idx[~ok]
-        psi[moved], f[moved] = cand[ok], fc[ok]
-        g_t[moved], gn[moved] = _tangent_rows(cand[ok], gc[ok])
-        eta[moved] = np.minimum(eta[moved] * 2, 1.0)
-        moves[moved] += 1
-        live[moved] = ~(gn[moved] < 1e-12) & (moves[moved] < iters)
-        eta[stuck] /= 2
-        live[stuck] = eta[stuck] > 1e-14
+        fc, gc = _avg_entropy_rows(stack, cand, alpha)
+        moved = np.flatnonzero(fc < fx - eta * q)  # Armijo
+        eta *= 0.5
+        if len(moved):
+            cand = cand[moved]
+            gm, gnm = _tangent_rows(cand, gc[moved])
+            x[moved], gx[moved], fx[moved] = cand, gm, fc[moved]
+            q[moved] = 0.25 * gnm * gnm
+            eta[moved] = np.minimum(eta[moved] * 4, 1.0)
+            moves[moved] += 1
+        stop = (eta <= 1e-14) | (q < q_stop)
+        if it >= iters:  # before that no row can have made `iters` moves
+            stop |= moves >= iters
+        if stop.any():
+            psi[rows[stop]], f[rows[stop]] = x[stop], fx[stop]
+            keep = ~stop
+            rows, x, fx, gx = rows[keep], x[keep], fx[keep], gx[keep]
+            q, eta, moves = q[keep], eta[keep], moves[keep]
     return psi, f
 
 
@@ -552,12 +596,15 @@ def minimize_avg_entropy(
     state depends on the block size.
     """
     if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    B = np.stack(_checked_matrices(ms)).astype(complex)
-    BH = np.ascontiguousarray(B.conj()).transpose(0, 2, 1)
-    d = B.shape[1]
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if iters < 1:
+        raise ValueError(f"iters must be >= 1, got {iters}")
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
+    if not surrogate_alpha > 0:
+        raise ValueError(f"surrogate_alpha must be positive, got {surrogate_alpha}")
+    stack = _basis_stack(ms)
+    d = stack[0].shape[1]
     stages = [alpha] if not math.isinf(alpha) else [2.0, surrogate_alpha, alpha]
     rng = np.random.default_rng(seed)
     best_val, best_psi = math.inf, None
@@ -566,7 +613,7 @@ def minimize_avg_entropy(
         psi = x[:, :d] + 1j * x[:, d:]
         psi /= _row_norms(psi)[:, None]
         for stage in stages:
-            psi, f = _descend_rows(B, BH, psi, stage, iters)
+            psi, f = _descend_rows(stack, psi, stage, iters)
         for val, row in zip(f.tolist(), psi):
             if val < best_val - 1e-15:
                 best_val, best_psi = val, row.copy()

@@ -166,6 +166,14 @@ def test_reproduce_fig1_matches_fixture(tmp_path):
     assert (tmp_path / "fig1.csv").read_bytes() == fixture.read_bytes()
 
 
+def test_reproduce_fig2_full_matches_fixture(tmp_path):
+    # pins the d = 8 sweep and minimizer rows
+    fixture = Path(__file__).parents[1] / "bench" / "fixtures" / "fig2.csv"
+    args = ["reproduce-fig", "--which", "2", "--full", "--seed", "0"]
+    assert run(args + ["--out", str(tmp_path)]) == 0
+    assert (tmp_path / "fig2.csv").read_bytes() == fixture.read_bytes()
+
+
 def test_wigner_command(tmp_path, capsys):
     out = tmp_path / "wigner.csv"
     assert run(["wigner", "--n", "2", "--out", str(out)]) == 0

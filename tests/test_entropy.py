@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 from unittest import mock
@@ -403,18 +404,91 @@ def same_state(a, b):
     return float(np.linalg.norm(a - ov / abs(ov) * b))
 
 
+@functools.lru_cache(maxsize=None)
+def serial_runs(name, alpha):
+    """serial_minimize at the oracle tests' (seed, restarts) pairs."""
+    ms = build_mub_set(build_partition(*ORACLE_SETS[name]))
+    return [
+        serial_minimize(ms, alpha, restarts, seed)
+        for seed, restarts, _ in oracle_runs(name)
+    ]
+
+
+def oracle_runs(name):
+    """(seed, restarts, block) of the oracle comparisons for one set."""
+    return ((len(name), 3, 128), (7, 5, 2))
+
+
+def batched_runs(ms, name, alpha):
+    for seed, restarts, block in oracle_runs(name):
+        with mock.patch.object(entropy, "MINIMIZE_BLOCK", block):
+            yield minimize_avg_entropy(ms, alpha, restarts=restarts, seed=seed)
+
+
 @pytest.mark.parametrize("alpha", [1, 2, math.inf])
 @pytest.mark.parametrize("name", list(ORACLE_SETS))
 def test_batched_minimizer_matches_serial(oracle_sets, name, alpha):
     # the value to 1e-12; the state to 1e-7, since a value known to ~1e-16
     # pins a minimizer only to about its square root
     ms = oracle_sets[name]
-    for seed, restarts, block in ((len(name), 3, 128), (7, 5, 2)):
-        want_psi, want = serial_minimize(ms, alpha, restarts, seed)
-        with mock.patch.object(entropy, "MINIMIZE_BLOCK", block):
-            psi, val = minimize_avg_entropy(ms, alpha, restarts=restarts, seed=seed)
+    for (psi, val), (want_psi, want) in zip(
+        batched_runs(ms, name, alpha), serial_runs(name, alpha)
+    ):
         assert abs(val - want) < 1e-12
         assert same_state(psi, want_psi) < 1e-7
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1, 2, 3.0, math.inf])
+@pytest.mark.parametrize("name", list(ORACLE_SETS))
+def test_batched_minimizer_is_serial_to_the_bit(oracle_sets, name, alpha):
+    # every row takes the one-vector descent's steps with the same numbers
+    ms = oracle_sets[name]
+    for (psi, val), (want_psi, want) in zip(
+        batched_runs(ms, name, alpha), serial_runs(name, alpha)
+    ):
+        assert val == want
+        assert np.array_equal(psi, want_psi)
+
+
+def test_log2_is_math_log2():
+    # np.log2 differs from math.log2 in the last bit for a few arguments in a
+    # thousand on some builds; the objective must carry math.log2's bits
+    x = np.random.default_rng(67).uniform(1e-3, 1.0, size=(50, 200))
+    want = np.array([[math.log2(v) for v in row] for row in x.tolist()])
+    assert np.array_equal(entropy._log2(x), want)
+
+
+def random_rows(rng, rows, d):
+    x = rng.normal(size=(rows, 2 * d))
+    psi = x[:, :d] + 1j * x[:, d:]
+    return psi / np.linalg.norm(psi, axis=1)[:, None]
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1, 2, 3.0, 20.0, math.inf])
+@pytest.mark.parametrize("name", list(ORACLE_SETS))
+def test_batched_kernel_is_serial_to_the_bit(oracle_sets, name, alpha):
+    ms = oracle_sets[name]
+    mats = [b.vectors for b in ms.bases]
+    psi = random_rows(np.random.default_rng(len(name)), 37, ms.d)
+    f, g = entropy._avg_entropy_rows(entropy._basis_stack(ms), psi, alpha)
+    for r, row in enumerate(psi):
+        want_f, want_g = serial_avg_entropy_and_grad(mats, row, alpha)
+        assert f[r] == want_f
+        assert np.array_equal(g[r], want_g)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1, 2, 3.0, 20.0, math.inf])
+def test_batched_kernel_on_random_unitaries(alpha):
+    # raw bases with no zero entries: the alpha = inf gradient, a gather in
+    # place of a matrix-vector product, may differ in the last bit
+    rng = np.random.default_rng(61)
+    mats = [np.linalg.qr(random_rows(rng, 4, 4).T)[0] for _ in range(3)]
+    psi = random_rows(rng, 37, 4)
+    f, g = entropy._avg_entropy_rows(entropy._basis_stack(mats), psi, alpha)
+    for r, row in enumerate(psi):
+        want_f, want_g = serial_avg_entropy_and_grad(mats, row, alpha)
+        assert f[r] == want_f
+        assert np.max(np.abs(g[r] - want_g)) <= 1e-15
 
 
 @settings(max_examples=20, deadline=None)
@@ -453,6 +527,27 @@ def test_minimize_rejects_bad_bases(ms4, case):
     psi = ms4.bases[0].vectors[:, 0]
     with pytest.raises(ValueError, match=match):
         avg_entropy(bases, psi, math.inf)
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"iters": 0}, "iters"),
+        ({"iters": -5}, "iters"),
+        ({"surrogate_alpha": -1.0}, "surrogate_alpha"),
+        ({"surrogate_alpha": 0.0}, "surrogate_alpha"),
+        ({"surrogate_alpha": math.nan}, "surrogate_alpha"),
+        ({"alpha": math.nan}, "alpha"),
+        ({"restarts": 0}, "restarts"),
+    ],
+)
+def test_minimize_rejects_bad_arguments_before_any_work(kwargs, match):
+    # the bases are not even looked at: an empty list would fail later
+    args = {"alpha": math.inf, "restarts": 2, **kwargs}
+    with mock.patch.object(entropy, "_basis_stack") as stack:
+        with pytest.raises(ValueError, match=match):
+            minimize_avg_entropy([], **args)
+    stack.assert_not_called()
 
 
 def test_minimize_bad_bases_exit_code(ms4, monkeypatch, capsys):

@@ -366,3 +366,15 @@ def test_spread_set_reduced_sweep_matches_full_sweep(n):
     res = sweep_max_eigen(ms)
     assert res.count == (2**n) ** ms.L
     assert_same_sweep(res, sweep_max_eigen(ms.bases))
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [({"workers": 0}, "workers"), ({"workers": -3}, "workers"), ({"chunk": 0}, "chunk")],
+)
+def test_sweep_rejects_bad_workers_and_chunk(kwargs, match):
+    ms = build_mub_set(build_partition(2, 3))
+    with pytest.raises(ValueError, match=match):
+        sweep_max_eigen(ms, **kwargs)
+    with pytest.raises(ValueError, match=match):
+        sweep_max_eigen(ms.bases, **kwargs)
