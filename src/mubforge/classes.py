@@ -21,15 +21,15 @@ choices differ:
   * L = 2 (pair swaps): singleton G_0 and the staggered pairs (2i-1, 2i),
     which straddle adjacent swap pairs so no unit maps to itself.
 
-Disjointness of the generated classes is certified by validate_partition
-rather than assumed; it also checks P3 against the action read off the
-dense cycle unitary.
+Disjointness of the generated classes is certified by check_partition
+rather than assumed, exactly on the mask arrays; validate_partition runs it
+with the action read off the dense cycle unitary.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -39,12 +39,11 @@ from .pauli import (
     PauliTerm,
     build_gamma_generators,
     canonical,
-    commutes,
     gamma_indices,
     gamma_product,
     identity,
-    is_hermitian,
     multiply,
+    parity,
     term_from_text,
     term_to_text,
 )
@@ -141,16 +140,27 @@ def _subset_products(
     return tuple(members)
 
 
+def _masks(members: Sequence[PauliTerm]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, z, phase) arrays of a sequence of monomials."""
+    rows = [(m.xmask, m.zmask, m.phase) for m in members]
+    x, z, p = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    return x, z, p
+
+
 def _push_classes(
     action: CliffordAction, c0: tuple[PauliTerm, ...], singleton: int, L: int,
     spec: CycleSpec,
 ) -> tuple[CommutingClass, ...]:
-    """Generate classes 1..L-1 by repeated conjugation of class 0."""
+    """Generate classes 1..L-1 by repeated conjugation of class 0, one
+    batched step per class; signs are dropped (canonical members)."""
+    n = action.gs.n
     classes = [CommutingClass(c0, singleton)]
-    cur, cur_single = c0, singleton
+    x, z, p = _masks(c0)
+    cur_single = singleton
     for _ in range(L - 1):
-        cur = tuple(action.conjugate(m)[0] for m in cur)
+        x, z, p, _ = action.conjugate_masks(x, z, p)
         cur_single = spec.shift(cur_single)
+        cur = tuple(map(PauliTerm, [n] * len(x), x.tolist(), z.tolist(), p.tolist()))
         classes.append(CommutingClass(cur, cur_single))
     return tuple(classes)
 
@@ -232,79 +242,79 @@ def fixture_d4(L: int) -> Partition:
 
 
 def validate_partition(part: Partition, U: np.ndarray | None = None) -> ValidationReport:
-    """Check P1 (commutation), P2 (disjointness) and P3 (cycling) plus
-    Hermiticity and the one-singleton-per-class rule. Failures land in the
-    report, they do not raise.
-
-    P3 maps every member exactly with the action read off U (the cycle
-    unitary of part.spec unless given). worst_p3_residual is the worst dense
-    residual of that read, over the 2n+1 generator images.
-    """
+    """check_partition with the action read off U (the cycle unitary of
+    part.spec unless given). worst_p3_residual is the worst dense residual
+    of that read, over the 2n+1 generator images."""
     gs = build_gamma_generators(part.n)
     if U is None:
         U = cycle_unitary(gs, part.spec)
     action = clifford_action(gs, U)
-    failures = []
+    worst = max(
+        conjugation_residual(U, g, *canonical(img))
+        for g, img in zip(gs.gammas, action.images)
+    )
+    return replace(check_partition(part, action), worst_p3_residual=worst)
 
-    d = part.d
-    p1 = True
-    hermitian = True
-    singletons = True
-    gen_keys = {canonical(g)[0]: i for i, g in enumerate(gs.gammas)}
-    for ci, c in enumerate(part.classes):
+
+def check_partition(part: Partition, action: CliffordAction) -> ValidationReport:
+    """Check P1 (commutation), P2 (disjointness) and P3 (cycling under
+    action) plus Hermiticity and the one-singleton-per-class rule, exactly on
+    the mask arrays. Failures land in the report, they do not raise; an exact
+    action has no residual, so worst_p3_residual is 0.
+    """
+    n, d = part.n, part.d
+    failures = []
+    masks = [_masks(c.members) for c in part.classes]
+
+    def key(x, z, p):  # the canonical monomial up to sign, as one integer
+        return x | z << n | (p & 1) << 2 * n
+
+    gen_keys = key(*_masks(action.gs.gammas))
+    p1 = hermitian = singletons = True
+    for ci, (c, (x, z, p)) in enumerate(zip(part.classes, masks)):
         if len(c.members) != d - 1:
             singletons = False
             failures.append(f"class {ci} has {len(c.members)} members, want {d - 1}")
-        found = [
-            gen_keys[canonical(m)[0]]
-            for m in c.members
-            if canonical(m)[0] in gen_keys
-        ]
+        is_gen = key(x, z, p)[:, None] == gen_keys
+        found = is_gen[is_gen.any(1)].argmax(1).tolist()
         if found != [c.singleton_index]:
             singletons = False
             failures.append(
                 f"class {ci}: generators {found} found, declared {c.singleton_index}"
             )
-        for i, a in enumerate(c.members):
-            if not is_hermitian(a):
+        # a Hermitian monomial squares to +I, so both fail on the same members
+        odd = (p + parity(x & z)) % 2 == 1
+        anti = np.triu(parity(x[:, None] & z ^ z[:, None] & x), 1)
+        for i in np.flatnonzero(odd | anti.any(1)).tolist():
+            if odd[i]:
                 hermitian = False
                 failures.append(f"class {ci} member {i} is not Hermitian")
-            sq = multiply(a, a)
-            if sq.xmask or sq.zmask or sq.phase:
-                hermitian = False
                 failures.append(f"class {ci} member {i} does not square to +I")
-            for b in c.members[i + 1 :]:
-                if not commutes(a, b):
-                    p1 = False
-                    failures.append(f"class {ci}: non-commuting pair found")
+            if anti[i].any():
+                p1 = False
+                pairs = int(anti[i].sum())
+                failures += [f"class {ci}: non-commuting pair found"] * pairs
 
-    p2 = True
-    seen: dict[PauliTerm, int] = {}
-    for ci, c in enumerate(part.classes):
-        for m in c.members:
-            key = canonical(m)[0]
-            if key in seen:
-                p2 = False
-                failures.append(f"member shared by classes {seen[key]} and {ci}")
-            seen[key] = ci
+    # P2: each repeat of a member names the class it was last seen in
+    keys = np.concatenate([key(*m) for m in masks])
+    sizes = [len(c.members) for c in part.classes]
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    order = np.argsort(keys, kind="stable")
+    rep = np.flatnonzero(keys[order][1:] == keys[order][:-1])
+    for later, earlier in sorted(zip(order[rep + 1].tolist(), order[rep].tolist())):
+        failures.append(f"member shared by classes {owner[earlier]} and {owner[later]}")
+    p2 = rep.size == 0
 
+    x, z, p = (np.concatenate(col) for col in zip(*masks))
+    gx, gz, gp, sign = action.conjugate_masks(x, z, p)
+    flips = int(np.count_nonzero(sign * (1 - (p & 2)) != 1))
+    got = np.split(key(gx, gz, gp), np.cumsum(sizes)[:-1])
     p3 = True
-    worst = max(
-        conjugation_residual(U, g, *canonical(img))
-        for g, img in zip(gs.gammas, action.images)
-    )
-    flips = 0
-    for ci, c in enumerate(part.classes):
-        target = {canonical(m)[0] for m in part.classes[(ci + 1) % part.L].members}
-        got = set()
-        for m in c.members:
-            term, sign = action.conjugate(m)
-            got.add(term)
-            if sign * canonical(m)[1] != 1:
-                flips += 1
-        if got != target:
+    for ci in range(part.L):
+        nxt = (ci + 1) % part.L
+        if not np.array_equal(np.unique(got[ci]), np.unique(keys[owner == nxt])):
             p3 = False
-            failures.append(f"class {ci} does not map onto class {(ci + 1) % part.L}")
+            failures.append(f"class {ci} does not map onto class {nxt}")
 
     return ValidationReport(
         p1=p1,
@@ -312,7 +322,7 @@ def validate_partition(part: Partition, U: np.ndarray | None = None) -> Validati
         p3=p3,
         hermitian=hermitian,
         singletons=singletons,
-        worst_p3_residual=worst,
+        worst_p3_residual=0.0,
         p3_sign_flips=flips,
         failures=tuple(failures),
     )

@@ -7,9 +7,11 @@ Commands
     reproduce-fig  per-L comparison data (bounds, sweep, minimizer, circles)
     wigner         phase-space report for the complete set in d = 2^n
 
-Exit codes: 0 success, 2 validation failure, 3 budget refusal, 4 bad
-arguments or an --out that cannot be written. The environment variable
-MUBFORGE_MAX_N (default 5) caps n.
+Exit codes: 0 success, 2 validation failure (a failed check, or a set that
+cannot be built: bases not unbiased or not diagonalizable, a unitary that
+does not cycle them), 3 budget refusal, 4 bad arguments or an --out that
+cannot be written. The environment variable MUBFORGE_MAX_N (default 5)
+caps n.
 Randomized commands echo their seed; every command echoes version + config.
 """
 
@@ -44,16 +46,19 @@ from .entropy import (
     sweep_max_eigen,
 )
 from .mub import (
+    CycleMatchError,
+    DiagonalizationError,
     MubSet,
+    UnbiasednessError,
     build_mub_set,
-    complex_lists,
+    complex_json,
     invariant_superposition_family,
     mub_set_to_json,
     unbiasedness_deviation,
     verify_cycle,
 )
 from .pauli import build_gamma_generators
-from .transform import cycle_unitary
+from .transform import ConstructionError, cycle_unitary
 from .wigner import (
     complete_mub_bases,
     phase_space_csv,
@@ -134,7 +139,7 @@ def cmd_generate(args) -> int:
     )
     _write(out / "validation.json", json.dumps(validation, indent=1))
     _write(out / "bases.json", mub_set_to_json(ms, cyc))
-    _write(out / "unitary.json", json.dumps(complex_lists(ms.U)))
+    _write(out / "unitary.json", complex_json(ms.U))
     if dev > args.tol or cyc.worst_residual > args.tol:
         print("MUB validation FAILED", file=sys.stderr)
         return EXIT_VALIDATION
@@ -240,9 +245,11 @@ def cmd_minimize(args) -> int:
             "seed": args.seed,
             "restarts": args.restarts,
             "value_bits": val,
-            "state": complex_lists(psi),
+            "state": None,
         }
-        _write(Path(args.out), json.dumps(doc, indent=1))
+        state = complex_json(psi, indent=1, level=1)
+        text = json.dumps(doc, indent=1).replace('"state": null', f'"state": {state}')
+        _write(Path(args.out), text)
     return EXIT_OK
 
 
@@ -403,6 +410,11 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except (
+        UnbiasednessError, DiagonalizationError, ConstructionError, CycleMatchError
+    ) as exc:
+        print(f"construction failed: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except ValueError as exc:
         print(f"bad arguments: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS

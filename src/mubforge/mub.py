@@ -60,6 +60,10 @@ class UnbiasednessError(RuntimeError):
     """A constructed pair of bases is not mutually unbiased."""
 
 
+class CycleMatchError(RuntimeError):
+    """The cycle unitary does not map a basis onto the next one."""
+
+
 @dataclass(frozen=True)
 class Basis:
     """d orthonormal columns; column order follows the sign-pattern labels.
@@ -301,9 +305,36 @@ def basis_matrices(bases) -> list[np.ndarray]:
     return [b.vectors if isinstance(b, Basis) else np.asarray(b) for b in bases]
 
 
-def complex_lists(M: np.ndarray) -> list:
-    """M as nested lists with a [real, imag] pair for each entry, for JSON."""
-    return np.stack([M.real, M.imag], -1).tolist()
+def complex_json(M: np.ndarray, indent: int | None = None, level: int = 0) -> str:
+    """json.dumps(M as nested lists with a [real, imag] pair for each entry,
+    indent=indent), written as if nested level deep in a document.
+
+    json.dumps runs once per distinct entry, entries grouped by their bit
+    pattern (so -0.0 and 0.0 stay apart), and the tokens are joined.
+    """
+    M = np.ascontiguousarray(M, dtype=complex)
+    values, inverse = np.unique(
+        M.reshape(-1).view(np.dtype((np.void, M.itemsize))), return_inverse=True
+    )
+    values = values.view(complex)
+    pairs = np.stack([values.real, values.imag], -1).tolist()
+    tokens = [json.dumps(pair, indent=indent) for pair in pairs]
+    if indent is not None:
+        pad = "\n" + " " * (indent * (level + M.ndim))
+        tokens = [t.replace("\n", pad) for t in tokens]
+    items = np.array(tokens, dtype=object)[inverse.reshape(M.shape)].tolist()
+
+    def join(rows, depth):
+        if indent is None:
+            head, sep, tail = "[", ", ", "]"
+        else:
+            head = "[\n" + " " * (indent * (level + depth + 1))
+            sep, tail = "," + head[1:], "\n" + " " * (indent * (level + depth)) + "]"
+        if depth < M.ndim - 1:
+            rows = [join(r, depth + 1) for r in rows]
+        return head + sep.join(rows) + tail
+
+    return join(items, 0)
 
 
 def unbiasedness_deviation(bases) -> float:
@@ -334,7 +365,8 @@ def build_mub_set(part: Partition, U: np.ndarray | None = None) -> MubSet:
         bad = np.unravel_index(np.argmax(dev), ov.shape)
         if dev[bad] > UNBIAS_TOL:
             raise UnbiasednessError(
-                f"unbiasedness violated at bases ({j},{k}), elements {bad}, "
+                f"unbiasedness violated at bases ({j},{k}), elements "
+                f"{tuple(map(int, bad))}, "
                 f"|overlap|^2 = {ov[bad]:.6g}"
             )
         worst = max(worst, float(dev[bad]))
@@ -347,40 +379,48 @@ def _cycle_unitary(ms: MubSet) -> np.ndarray:
     return ms.U
 
 
-def _cycle_match(ms: MubSet, j: int, b: int) -> tuple[np.ndarray, int, float]:
-    """U|b^(j)>, the element of basis j+1 (cyclically) nearest to it, and
-    their squared overlap; a match needs the overlap above 1 - MATCH_TOL."""
-    v = _cycle_unitary(ms) @ ms.bases[j].vectors[:, b]
-    ov = np.abs(ms.bases[(j + 1) % ms.L].vectors.conj().T @ v) ** 2
-    m = int(np.argmax(ov))
-    return v, m, float(ov[m])
+def _cycle_match(ms: MubSet, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """For every element b of basis j, the element m[b] of basis j+1
+    (cyclically) nearest to U|b^(j)> and their squared overlap ov[b], from
+    one product |B_{j+1}^H U B_j|^2; a match needs ov above 1 - MATCH_TOL."""
+    Bk = ms.bases[(j + 1) % ms.L].vectors
+    ov = np.abs(Bk.conj().T @ (_cycle_unitary(ms) @ ms.bases[j].vectors)) ** 2
+    m = np.argmax(ov, axis=0)
+    return m, ov[m, np.arange(ms.d)]
 
 
 def verify_cycle(ms: MubSet) -> CycleReport:
     """Match U-conjugated projectors of basis j against basis j+1.
 
     Returns the worst Frobenius residual and the induced index permutations.
-    Raises if some projector has no counterpart with squared overlap above
-    1 - MATCH_TOL.
+    Raises CycleMatchError if some projector has no counterpart with squared
+    overlap above 1 - MATCH_TOL, or the matches of a basis are no
+    permutation. Each residual uses its own matrix-vector product U|b^(j)>:
+    the columns of one matrix product U B_j round differently.
     """
+    U = _cycle_unitary(ms)
     worst = 0.0
     perms = []
+    P_img, P_tgt = np.empty((2, ms.d, ms.d), dtype=complex)  # reused per column
     for j in range(ms.L):
-        Bk = ms.bases[(j + 1) % ms.L].vectors
-        perm = []
-        for b in range(ms.d):
-            v, m, ov = _cycle_match(ms, j, b)
-            if ov < 1 - MATCH_TOL:
-                raise RuntimeError(
-                    f"no projector match above {1 - MATCH_TOL} overlap for "
-                    f"basis {j} element {b} (best {ov:.6f})"
-                )
-            perm.append(m)
-            P_img = np.outer(v, v.conj())
-            P_tgt = np.outer(Bk[:, m], Bk[:, m].conj())
-            worst = max(worst, float(np.linalg.norm(P_img - P_tgt)))
+        perm, ov = _cycle_match(ms, j)
+        bad = np.flatnonzero(ov < 1 - MATCH_TOL)
+        if bad.size:
+            b = bad[0]
+            raise CycleMatchError(
+                f"no projector match above {1 - MATCH_TOL} overlap for "
+                f"basis {j} element {b} (best {ov[b]:.6f})"
+            )
+        perm = perm.tolist()
         if sorted(perm) != list(range(ms.d)):
-            raise RuntimeError(f"induced map at basis {j} is not a permutation")
+            raise CycleMatchError(f"induced map at basis {j} is not a permutation")
+        Bj, Bk = ms.bases[j].vectors, ms.bases[(j + 1) % ms.L].vectors
+        for b, m in enumerate(perm):
+            v, w = U @ Bj[:, b], Bk[:, m]
+            np.outer(v, v.conj(), out=P_img)
+            np.outer(w, w.conj(), out=P_tgt)
+            res = np.linalg.norm(np.subtract(P_img, P_tgt, out=P_img))
+            worst = max(worst, float(res))
         perms.append(tuple(perm))
     return CycleReport(worst, tuple(perms))
 
@@ -393,10 +433,9 @@ def cycle_permutations(ms: MubSet) -> np.ndarray | None:
         return None
     pi = np.empty((ms.L, ms.d), dtype=np.int64)
     for j in range(ms.L):
-        for b in range(ms.d):
-            _, pi[j, b], ov = _cycle_match(ms, j, b)
-            if ov < 1 - MATCH_TOL:
-                return None
+        pi[j], ov = _cycle_match(ms, j)
+        if np.any(ov < 1 - MATCH_TOL):
+            return None
     return pi
 
 
@@ -512,15 +551,14 @@ def symmetrize(rho: np.ndarray, U: np.ndarray, L: int) -> np.ndarray:
 
 
 def mub_set_to_json(ms: MubSet, cycle: CycleReport | None = None) -> str:
+    """The set as JSON: the text of json.dumps(doc) with each basis's
+    vectors written by complex_json."""
     from .classes import partition_to_json
 
     doc = {
         "d": ms.d,
         "L": ms.L,
-        "bases": [
-            {"label": b.label, "vectors": complex_lists(b.vectors.T)}
-            for b in ms.bases
-        ],
+        "bases": None,
         "unbiasedness_deviation": unbiasedness_deviation(ms),
         "provenance": json.loads(partition_to_json(ms.provenance)),
     }
@@ -529,4 +567,9 @@ def mub_set_to_json(ms: MubSet, cycle: CycleReport | None = None) -> str:
             "worst_residual": cycle.worst_residual,
             "permutations": [list(p) for p in cycle.permutations],
         }
-    return json.dumps(doc)
+    bases = ", ".join(
+        f'{{"label": {b.label}, "vectors": {complex_json(b.vectors.T)}}}'
+        for b in ms.bases
+    )
+    # "bases" is the third key, after two numbers, so this is its null
+    return json.dumps(doc).replace('"bases": null', f'"bases": [{bases}]', 1)

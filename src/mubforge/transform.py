@@ -18,8 +18,9 @@ flips G_{2n}. All other generators outside the cycled groups are required to
 stay fixed exactly; any other sign flip is treated as a construction bug.
 
 Since U permutes the generators up to sign, it maps every monomial to a
-signed monomial, and that image is exact bit-mask arithmetic: write the
-monomial as a phase times a product of generators and multiply their images
+signed monomial, and that image is exact bit-mask arithmetic: the images of
+the single-qubit X_q and Z_q follow from the generator images, and a whole
+array of monomials is mapped by folding in those images bit by bit
 (CliffordAction). Dense matrices enter only where U itself is built and
 where its action on the 2n+1 generators is read off and checked.
 """
@@ -27,10 +28,12 @@ where its action on the 2n+1 generators is read off and checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .pauli import (
+    DimensionMismatchError,
     GammaSet,
     PauliTerm,
     apply,
@@ -38,6 +41,7 @@ from .pauli import (
     gamma_indices,
     gamma_product,
     multiply,
+    parity,
     row_mask,
     to_dense,
 )
@@ -93,19 +97,52 @@ class CliffordAction:
 
     images[i] is U G_i U^H with its sign folded into the phase. Conjugation
     is an algebra automorphism, so i^k G_i1 ... G_im maps to
-    i^k images[i1] ... images[im].
+    i^k images[i1] ... images[im]. The map is applied as a stabilizer
+    tableau (Aaronson and Gottesman, PRA 70, 052328): the images of X_q and
+    Z_q are read once from the generator images, and i^p X^x Z^z maps to
+    i^p times the product of the images of its bits, x bits first.
     """
 
     gs: GammaSet
     images: tuple[PauliTerm, ...]
 
+    @cached_property
+    def tableau(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(x, z, phase) of the images of X_0 .. X_{n-1}, Z_0 .. Z_{n-1}."""
+        n = self.gs.n
+        rows = []
+        for x, z in [(1 << q, 0) for q in range(n)] + [(0, 1 << q) for q in range(n)]:
+            idx = gamma_indices(self.gs, PauliTerm(n, x, z, 0))
+            out = PauliTerm(n, 0, 0, -gamma_product(self.gs, idx).phase % 4)
+            for i in idx:
+                out = multiply(out, self.images[i])
+            rows.append((out.xmask, out.zmask, out.phase))
+        return tuple(np.array(col, dtype=np.int64) for col in zip(*rows))
+
+    def conjugate_masks(self, x, z, phase):
+        """U a U^H for every a = i^phase X^x Z^z of the mask arrays, as
+        (x', z', phase', sign) with phase' in {0, 1} (canonical) and sign
+        +-1. Each set bit k multiplies in image k on the right, adding
+        p_k + 2 parity(z & x_k) to the phase (pauli.multiply)."""
+        tx, tz, tp = self.tableau
+        n = self.gs.n
+        x, z = np.asarray(x, dtype=np.int64), np.asarray(z, dtype=np.int64)
+        ox, oz = np.zeros_like(x), np.zeros_like(z)
+        ph = np.array(phase, dtype=np.int64)
+        for k in range(2 * n):
+            on = (x >> k if k < n else z >> k - n) & 1
+            ph += on * (tp[k] + 2 * parity(oz & tx[k]))
+            ox ^= -on & tx[k]
+            oz ^= -on & tz[k]
+        ph %= 4
+        return ox, oz, ph & 1, 1 - (ph & 2)
+
     def conjugate(self, a: PauliTerm) -> tuple[PauliTerm, int]:
         """U a U^H as (canonical monomial, sign), like conjugate_term."""
-        idx = gamma_indices(self.gs, a)
-        out = PauliTerm(a.n, 0, 0, (a.phase - gamma_product(self.gs, idx).phase) % 4)
-        for i in idx:
-            out = multiply(out, self.images[i])
-        return canonical(out)
+        if a.n != self.gs.n:
+            raise DimensionMismatchError(f"qubit counts differ: {a.n} != {self.gs.n}")
+        x, z, p, s = self.conjugate_masks([a.xmask], [a.zmask], [a.phase])
+        return PauliTerm(a.n, int(x[0]), int(z[0]), int(p[0])), int(s[0])
 
 
 def clifford_action(gs: GammaSet, U: np.ndarray) -> CliffordAction:

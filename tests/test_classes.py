@@ -1,4 +1,5 @@
 import json
+from dataclasses import astuple, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from mubforge.classes import (
     Partition,
     build_classes_2n1,
     build_classes_Ln,
+    check_partition,
     fixture_d4,
     index_sum,
     is_prime,
@@ -20,9 +22,18 @@ from mubforge.pauli import (
     PauliTerm,
     build_gamma_generators,
     canonical,
+    commutes,
     gamma_product,
+    is_hermitian,
+    multiply,
 )
-from mubforge.transform import CycleSpec, conjugate_term, conjugation_residual, cycle_unitary
+from mubforge.transform import (
+    CycleSpec,
+    conjugate_term,
+    conjugation_residual,
+    cycle_action,
+    cycle_unitary,
+)
 
 
 def test_fixture_d4_l3_verbatim():
@@ -339,3 +350,130 @@ def test_json_roundtrip_of_arbitrary_partitions(part):
     back = partition_from_json(text)
     assert back == part
     assert partition_to_json(back) == text
+
+
+def _check_by_loops(part, action):
+    """The per-monomial loops check_partition replaced, as its oracle."""
+    gs = action.gs
+    d = part.d
+    failures = []
+    p1 = hermitian = singletons = True
+    gen_keys = {canonical(g)[0]: i for i, g in enumerate(gs.gammas)}
+    for ci, c in enumerate(part.classes):
+        if len(c.members) != d - 1:
+            singletons = False
+            failures.append(f"class {ci} has {len(c.members)} members, want {d - 1}")
+        found = [
+            gen_keys[canonical(m)[0]] for m in c.members if canonical(m)[0] in gen_keys
+        ]
+        if found != [c.singleton_index]:
+            singletons = False
+            failures.append(
+                f"class {ci}: generators {found} found, declared {c.singleton_index}"
+            )
+        for i, a in enumerate(c.members):
+            if not is_hermitian(a):
+                hermitian = False
+                failures.append(f"class {ci} member {i} is not Hermitian")
+            sq = multiply(a, a)
+            if sq.xmask or sq.zmask or sq.phase:
+                hermitian = False
+                failures.append(f"class {ci} member {i} does not square to +I")
+            for b in c.members[i + 1 :]:
+                if not commutes(a, b):
+                    p1 = False
+                    failures.append(f"class {ci}: non-commuting pair found")
+    p2 = True
+    seen = {}
+    for ci, c in enumerate(part.classes):
+        for m in c.members:
+            key = canonical(m)[0]
+            if key in seen:
+                p2 = False
+                failures.append(f"member shared by classes {seen[key]} and {ci}")
+            seen[key] = ci
+    p3 = True
+    flips = 0
+    for ci, c in enumerate(part.classes):
+        target = {canonical(m)[0] for m in part.classes[(ci + 1) % part.L].members}
+        got = set()
+        for m in c.members:
+            term, sign = action.conjugate(m)
+            got.add(term)
+            if sign * canonical(m)[1] != 1:
+                flips += 1
+        if got != target:
+            p3 = False
+            failures.append(f"class {ci} does not map onto class {(ci + 1) % part.L}")
+    return (p1, p2, p3, hermitian, singletons, 0.0, flips, tuple(failures))
+
+
+@settings(max_examples=150, deadline=None)
+@given(part=partitions(), data=st.data())
+def test_array_checks_match_the_loops_on_arbitrary_partitions(part, data):
+    n = part.n
+    order = data.draw(st.permutations(range(2 * n + 1)))
+    length = data.draw(st.integers(2, 2 * n + 1))
+    action = cycle_action(
+        build_gamma_generators(n), part.spec or CycleSpec(n, (tuple(order[:length]),))
+    )
+    assert astuple(check_partition(part, action)) == _check_by_loops(part, action)
+
+
+@pytest.mark.parametrize(
+    "part",
+    [p for p in _constructible_partitions() if p.spec],
+    ids=lambda p: f"n{p.n}L{p.L}",
+)
+def test_array_checks_match_the_loops_on_constructible_partitions(part):
+    action = cycle_action(build_gamma_generators(part.n), part.spec)
+    assert astuple(check_partition(part, action)) == _check_by_loops(part, action)
+
+
+# ROADMAP item 4: these classes repeat a cycle-invariant product (P2 fails)
+P2_REPEATS = {(6, 3): 2, (9, 3): 6, (10, 5): 4}
+
+
+def _symbolic_cases():
+    from mubforge.cli import constructible
+
+    for n in range(1, 11):
+        for L in range(2, 2 * n + 2):
+            if constructible(n, L):
+                marks = ()
+                if (n, L) in P2_REPEATS:
+                    marks = pytest.mark.xfail(
+                        strict=True, reason="ROADMAP item 4: classes share members"
+                    )
+                yield pytest.param(n, L, marks=marks, id=f"n{n}L{L}")
+
+
+@pytest.mark.parametrize("n, L", _symbolic_cases())
+def test_every_constructible_partition_checks_exactly_up_to_n10(n, L):
+    # P1/P2/P3 through the exact action, with no dense unitary
+    from mubforge.cli import build_partition
+
+    part = build_partition(n, L)
+    report = check_partition(part, cycle_action(build_gamma_generators(n), part.spec))
+    assert report.ok, report.failures
+
+
+@pytest.mark.parametrize("n, L", sorted(P2_REPEATS))
+def test_known_p2_failures_fail_only_p2(n, L):
+    from mubforge.cli import build_partition
+
+    part = build_partition(n, L)
+    report = check_partition(part, cycle_action(build_gamma_generators(n), part.spec))
+    assert report.p1 and report.p3 and report.hermitian and report.singletons
+    assert not report.p2 and len(report.failures) == P2_REPEATS[n, L]
+    assert all(f.startswith("member shared by classes") for f in report.failures)
+
+
+@pytest.mark.parametrize("part", [fixture_d4(3), build_classes_2n1(3), build_classes_Ln(6, 3)])
+def test_validate_is_the_exact_check_plus_the_dense_residual(part):
+    gs = build_gamma_generators(part.n)
+    U = cycle_unitary(gs, part.spec)
+    dense = validate_partition(part, U)
+    exact = check_partition(part, cycle_action(gs, part.spec))
+    assert 0.0 < dense.worst_p3_residual < 1e-10
+    assert replace(dense, worst_p3_residual=0.0) == exact

@@ -391,3 +391,90 @@ def test_tracer_targets_resolve():
     assert tracer.TARGETS
     for module, function, _ in tracer.TARGETS:
         assert callable(getattr(importlib.import_module(module), function))
+
+
+# sha256 of the n = 6 generate outputs as the per-monomial route wrote them
+GENERATE_N6_SHA256 = {
+    ("13", "partition.json"): "55dec0ba43df64e13a531fed26d38b67e052a9aaae0210a32781314a8d1ce1d9",
+    ("13", "validation.json"): "6e2533af7ad4b539d9745ac57d9c8ddfc421caac942c4f5c7cf0b87bc7011984",
+    ("13", "bases.json"): "1931c78be656b3e072d42da1542b4aacd1f9b3ef879b888eb0683aa2d83900d4",
+    ("13", "unitary.json"): "d73faae38af01e0b6a852eef43a4cf0e5177eaeb8f212f22128589c469eeb3f0",
+    ("3", "partition.json"): "2c132df5a5e0a1785efd24aece5d1a358e864530495d1f10b63cc093cac4a9e4",
+    ("3", "validation.json"): "c67a4346906dc632c0a027a91c7ad73a6c0d6219341a221b61e1ffd2e3aa38b3",
+}
+
+
+def test_generate_n6_matches_digests(tmp_path, monkeypatch):
+    import hashlib
+
+    monkeypatch.setenv("MUBFORGE_MAX_N", "6")
+    for L, code in (("13", 0), ("3", 2)):  # L = 3 fails P2 (ROADMAP item 4)
+        assert run(["generate", "--n", "6", "--L", L, "--out", str(tmp_path / L)]) == code
+    written = {
+        (p.parent.name, p.name): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in tmp_path.glob("*/*.json")
+    }
+    assert written == GENERATE_N6_SHA256
+
+
+def test_generate_json_is_what_json_dumps_writes(tmp_path):
+    assert run(["generate", "--n", "3", "--L", "7", "--out", str(tmp_path)]) == 0
+    for name in ("bases.json", "unitary.json"):
+        text = (tmp_path / name).read_text()
+        assert json.dumps(json.loads(text)) == text, name
+
+
+def test_minimize_out_is_what_json_dumps_writes(tmp_path):
+    out = tmp_path / "min.json"
+    args = ["minimize", "--n", "2", "--L", "4", "--restarts", "2", "--out", str(out)]
+    assert run(args) == 0
+    text = out.read_text()
+    doc = json.loads(text)
+    assert list(doc) == ["n", "L", "alpha", "seed", "restarts", "value_bits", "state"]
+    assert len(doc["state"]) == 4 and json.dumps(doc, indent=1) == text
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep", "--n", "6", "--L", "3", "--budget", "10"],
+        ["minimize", "--n", "6", "--L", "3", "--restarts", "1"],
+    ],
+)
+def test_a_set_that_is_not_unbiased_exits_2(monkeypatch, capsys, args):
+    monkeypatch.setenv("MUBFORGE_MAX_N", "6")
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("construction failed: unbiasedness violated at bases (0,1)")
+
+
+def test_a_unitary_that_does_not_cycle_exits_2(tmp_path, monkeypatch, capsys):
+    import mubforge.cli
+    from mubforge.mub import MubSet, verify_cycle
+
+    def reversed_order(ms):
+        return verify_cycle(MubSet(ms.bases[::-1], ms.U, ms.provenance))
+
+    monkeypatch.setattr(mubforge.cli, "verify_cycle", reversed_order)
+    assert run(["generate", "--n", "2", "--L", "4", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("construction failed: no projector match")
+
+
+@pytest.mark.parametrize(
+    "error", ["UnbiasednessError", "DiagonalizationError", "CycleMatchError", "ConstructionError"]
+)
+def test_construction_errors_exit_2(tmp_path, monkeypatch, capsys, error):
+    import mubforge.cli
+    import mubforge.mub
+    import mubforge.transform
+
+    cls = getattr(mubforge.mub, error, None) or getattr(mubforge.transform, error)
+
+    def fail(n, L):
+        raise cls("boom")
+
+    monkeypatch.setattr(mubforge.cli, "build_partition", fail)
+    assert run(["generate", "--n", "2", "--L", "4", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "construction failed: boom\n"

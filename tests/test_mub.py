@@ -1,4 +1,5 @@
 import json
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -15,8 +16,11 @@ from mubforge.mub import (
     MubSet,
     basis_from_involutions,
     build_mub_set,
+    CycleMatchError,
     common_eigenbasis,
+    complex_json,
     cycle_coherent_family,
+    cycle_permutations,
     eigenvector_residual,
     invariant_states,
     invariant_superposition_family,
@@ -320,3 +324,113 @@ def test_codes_name_the_generator_signs():
             signs = [p[i] for p in basis.sign_patterns]
             bit = basis.generators.index(g)
             assert signs == [1 - 2 * (t >> bit & 1) for t in basis.codes]
+
+
+def complex_lists(M):
+    """M as nested lists with a [real, imag] pair for each entry: what
+    complex_json writes, through json.dumps (the oracle)."""
+    return np.stack([M.real, M.imag], -1).tolist()
+
+
+@lru_cache(maxsize=None)
+def _cli_set(n, L):
+    from mubforge.cli import build_partition
+
+    return build_mub_set(build_partition(n, L))
+
+
+def _buildable(max_n):
+    # every constructible (n, L); (6, 3) fails P2, and its bases are not unbiased
+    from mubforge.cli import constructible
+
+    return [
+        (n, L)
+        for n in range(1, max_n + 1)
+        for L in range(2, 2 * n + 2)
+        if constructible(n, L) and (n, L) != (6, 3)
+    ]
+
+
+def test_complex_json_matches_json_dumps_on_the_d64_set():
+    ms = _cli_set(6, 13)
+    for M in [ms.U] + [b.vectors.T for b in ms.bases]:
+        assert complex_json(M) == json.dumps(complex_lists(M))
+
+
+SPECIAL = np.array(
+    [
+        [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0)],
+        [np.nan, complex(np.nan, 1.0), complex(1.0, np.nan), np.inf],
+        [complex(-np.inf, 2.5), 0.1 + 0.2j, 0.1 + 0.2j, 1e-300 - 1e300j],
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "M",
+    [
+        SPECIAL,
+        SPECIAL[0],
+        np.stack([SPECIAL, SPECIAL[::-1]]),
+        np.full((3, 5), 0.5 - 0.5j),
+        np.random.default_rng(7).normal(size=(6, 7, 2)) @ np.array([1, 1j]),
+        np.random.default_rng(8).normal(size=(4, 4)).astype(complex),
+    ],
+    ids=["special", "1d", "3d", "repeated", "distinct", "real"],
+)
+@pytest.mark.parametrize("indent, level", [(None, 0), (1, 0), (1, 1), (2, 3)])
+def test_complex_json_matches_json_dumps(M, indent, level):
+    want = json.dumps(complex_lists(M), indent=indent)
+    if indent is not None:  # as a value nested level deep
+        want = want.replace("\n", "\n" + " " * (indent * level))
+    assert complex_json(M, indent, level) == want
+
+
+def test_bases_json_is_json_dumps_of_the_document():
+    ms = _cli_set(6, 13)
+    cycle = verify_cycle(ms)
+    doc = json.loads(mub_set_to_json(ms, cycle))
+    for b, want in zip(doc["bases"], ms.bases):
+        b["vectors"] = complex_lists(want.vectors.T)
+    assert mub_set_to_json(ms, cycle) == json.dumps(doc)
+    assert [b["label"] for b in doc["bases"]] == list(range(13))
+
+
+def _match_by_columns(ms):
+    """The per-column matcher verify_cycle replaced: (worst residual,
+    permutations), or None where some element has no match."""
+    worst, perms = 0.0, []
+    for j in range(ms.L):
+        Bk = ms.bases[(j + 1) % ms.L].vectors
+        perm = []
+        for b in range(ms.d):
+            v = ms.U @ ms.bases[j].vectors[:, b]
+            ov = np.abs(Bk.conj().T @ v) ** 2
+            m = int(np.argmax(ov))
+            if ov[m] < 1 - 1e-6:
+                return None
+            perm.append(m)
+            P_img = np.outer(v, v.conj())
+            P_tgt = np.outer(Bk[:, m], Bk[:, m].conj())
+            worst = max(worst, float(np.linalg.norm(P_img - P_tgt)))
+        perms.append(tuple(perm))
+    return worst, tuple(perms)
+
+
+@pytest.mark.parametrize("n, L", _buildable(6))
+def test_cycle_matching_equals_the_per_column_matcher(n, L):
+    ms = _cli_set(n, L)
+    worst, perms = _match_by_columns(ms)
+    report = verify_cycle(ms)
+    assert report.worst_residual == worst
+    assert report.permutations == perms
+    assert cycle_permutations(ms).tolist() == [list(p) for p in perms]
+
+
+def test_a_unitary_that_does_not_cycle_is_refused_both_ways():
+    ms = build_mub_set(build_classes_Ln(3, 3))
+    H = np.kron(np.eye(4), np.array([[1, 1], [1, -1]]) / np.sqrt(2))
+    bad = MubSet(ms.bases, H @ ms.U, ms.provenance)
+    assert _match_by_columns(bad) is None and cycle_permutations(bad) is None
+    with pytest.raises(CycleMatchError, match="no projector match"):
+        verify_cycle(bad)

@@ -4,11 +4,14 @@ from hypothesis import given, settings, strategies as st
 
 from mubforge.classes import build_classes_2n1, build_classes_Ln, fixture_d4
 from mubforge.pauli import (
+    DimensionMismatchError,
     PauliTerm,
     build_gamma_generators,
     canonical,
+    gamma_indices,
     gamma_product,
     identity,
+    multiply,
     to_dense,
 )
 from mubforge.transform import (
@@ -237,8 +240,62 @@ def test_exact_action_matches_dense_on_every_class(build, args):
     action = clifford_action(gs, U)
     assert action == cycle_action(gs, part.spec)
     for c in part.classes:
-        for m in c.members:
-            assert action.conjugate(m) == conjugate_term(U, m)
+        want = [conjugate_term(U, m) for m in c.members]
+        assert [action.conjugate(m) for m in c.members] == want
+        assert _batched(action, c.members) == want
+
+
+def _batched(action, terms):
+    """conjugate_masks on the masks of terms, as (monomial, sign) pairs."""
+    x, z, p, s = action.conjugate_masks(
+        [a.xmask for a in terms], [a.zmask for a in terms], [a.phase for a in terms]
+    )
+    n = action.gs.n
+    return [
+        (PauliTerm(n, *t), sign)
+        for *t, sign in zip(x.tolist(), z.tolist(), p.tolist(), s.tolist())
+    ]
+
+
+def _by_generators(action, a):
+    """The per-term route the batched action replaced: a as i^k times a
+    product of generators, whose images are multiplied in that order."""
+    idx = gamma_indices(action.gs, a)
+    out = PauliTerm(a.n, 0, 0, (a.phase - gamma_product(action.gs, idx).phase) % 4)
+    for i in idx:
+        out = multiply(out, action.images[i])
+    return canonical(out)
+
+
+def _constructible(max_n):
+    from mubforge.cli import build_partition, constructible
+
+    return [
+        build_partition(n, L)
+        for n in range(1, max_n + 1)
+        for L in range(2, 2 * n + 2)
+        if constructible(n, L)
+    ]
+
+
+@pytest.mark.parametrize("part", _constructible(6), ids=lambda p: f"n{p.n}L{p.L}")
+def test_batched_action_matches_the_generator_route(part):
+    # every member of every class, under each of the four phases
+    gs = build_gamma_generators(part.n)
+    action = cycle_action(gs, part.spec)
+    terms = [
+        PauliTerm(m.n, m.xmask, m.zmask, (m.phase + k) % 4)
+        for c in part.classes
+        for m in c.members
+        for k in range(4)
+    ]
+    assert _batched(action, terms) == [_by_generators(action, a) for a in terms]
+
+
+def test_conjugate_rejects_a_term_on_other_qubits():
+    action = cycle_action(build_gamma_generators(2), CycleSpec(2, ((0, 1, 2),)))
+    with pytest.raises(DimensionMismatchError):
+        action.conjugate(PauliTerm(3, 1, 0, 0))
 
 
 @settings(max_examples=60, deadline=None)
