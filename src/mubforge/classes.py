@@ -312,7 +312,7 @@ def check_partition(part: Partition, action: CliffordAction) -> ValidationReport
     p3 = True
     for ci in range(part.L):
         nxt = (ci + 1) % part.L
-        if not np.array_equal(np.unique(got[ci]), np.unique(keys[owner == nxt])):
+        if not np.array_equal(_key_set(got[ci]), _key_set(keys[owner == nxt])):
             p3 = False
             failures.append(f"class {ci} does not map onto class {nxt}")
 
@@ -326,6 +326,15 @@ def check_partition(part: Partition, action: CliffordAction) -> ValidationReport
         p3_sign_flips=flips,
         failures=tuple(failures),
     )
+
+
+def _key_set(keys: np.ndarray) -> np.ndarray:
+    """The distinct keys, sorted. np.unique would do, but without index
+    outputs numpy 2 has it import numpy.ma."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
 
 
 def partition_to_json(part: Partition) -> str:

@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -239,34 +238,31 @@ def _sweep_size(mats, budget: int) -> int:
     return total
 
 
-def _projector_stack(mats) -> np.ndarray:
-    d = mats[0].shape[0]
-    P = np.empty((len(mats), d, d, d), dtype=complex)
-    for j, B in enumerate(mats):
-        for b in range(d):
-            P[j, b] = np.outer(B[:, b], B[:, b].conj())
-    return P
-
-
 def _eigmax_chunks(
-    projs: np.ndarray, strings, chunk: int = SWEEP_CHUNK, workers: int = 1, select=None
+    B: np.ndarray, strings, chunk: int = SWEEP_CHUNK, workers: int = 1, select=None
 ):
     """Top eigenvalue of the mean-form selector of every string, by chunks.
 
-    The one selector-eigenvalue kernel. `strings` is a range of string
-    indices (digit j of an index, base d with basis 0 most significant, is
-    the element of basis j) or an (n, L) array of digit rows. Yields
-    (digits, lambdas, weights) for consecutive chunks of at most `chunk`
-    strings, in input order for any worker count. Weights are 1 unless
-    `select`, which maps a chunk's digits to the rows kept and their
-    weights, thins the chunk first; a chunk may then be empty. A string's
-    eigenvalue does not depend on the chunk it falls in.
+    The one selector-eigenvalue kernel. B is the (L, d, d) stack of basis
+    matrices. `strings` is a range of string indices (digit j of an index,
+    base d with basis 0 most significant, is the element of basis j) or an
+    (n, L) array of digit rows. Yields (digits, lambdas, weights) for
+    consecutive chunks of at most `chunk` strings, in input order for any
+    worker count. Weights are 1 unless `select`, which maps a chunk's digits
+    to the rows kept and their weights, thins the chunk first; a chunk may
+    then be empty. A string's eigenvalue does not depend on the chunk it
+    falls in: each chunk's selectors are summed from zero, basis by basis,
+    from the outer products c c^dag of the basis columns, the products
+    np.outer forms, for the chunk's own strings. No (L, d, d, d) projector
+    stack is kept: a chunk holds its selectors and one basis's outer
+    products.
     """
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    L, d = projs.shape[:2]
+    L, d = B.shape[:2]
+    cols = B.transpose(0, 2, 1)  # [j, b]: column b of B_j
     if isinstance(strings, range):
         powers = np.array([d ** (L - 1 - j) for j in range(L)])
 
@@ -280,8 +276,11 @@ def _eigmax_chunks(
         else:
             digits, weights = select(digits)
         P = np.zeros((len(digits), d, d), dtype=complex)
+        outer = np.empty_like(P)
         for j in range(L):
-            P += projs[j, digits[:, j]]
+            c = cols[j, digits[:, j]]  # [string, row]: each string's column of B_j
+            np.multiply(c[:, :, None], c.conj()[:, None, :], out=outer)
+            P += outer
         P /= L
         return digits, np.linalg.eigvalsh(P)[:, -1], weights
 
@@ -289,6 +288,8 @@ def _eigmax_chunks(
     if workers == 1:
         yield from map(solve, parts)
         return
+    from concurrent.futures import ThreadPoolExecutor  # only here: ~3 ms to import
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending: deque = deque()
         for part in parts:
@@ -411,20 +412,20 @@ def sweep_max_eigen(
     mats = _checked_matrices(ms)
     total = _sweep_size(mats, budget)
     d, L = mats[0].shape[0], len(mats)
-    projs = _projector_stack(mats)
+    B = np.stack(mats)
     if isinstance(ms, MubSet) and L >= 2 and on_chunk is None:
         strings = range(d ** (L - 2))
         select = _orbit_minima(orbit_step(ms), d * d, L, d)
     else:
         strings, select = range(total), None
-    chunks = _eigmax_chunks(projs, strings, chunk, workers, select)
+    chunks = _eigmax_chunks(B, strings, chunk, workers, select)
     if on_chunk is not None:
         chunks = _reported(chunks, on_chunk)
     res = _summarize(chunks, total)
     if isinstance(ms, MubSet):
         cyc = _cycle_strings(ms)
         if len(cyc):
-            digits, lam, _ = next(_eigmax_chunks(projs, cyc, chunk=len(cyc)))
+            digits, lam, _ = next(_eigmax_chunks(B, cyc, chunk=len(cyc)))
             hits = digits[lam >= res.lambda_star - LEVEL_TOL]
             if len(hits):
                 res = replace(res, b_star=min(map(tuple, hits.tolist())))
@@ -438,7 +439,7 @@ def sample_max_eigen(ms, samples: int, seed: int) -> SweepResult:
         raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     strings = rng.integers(0, mats[0].shape[0], size=(samples, len(mats)))
-    return _summarize(_eigmax_chunks(_projector_stack(mats), strings), samples)
+    return _summarize(_eigmax_chunks(np.stack(mats), strings), samples)
 
 
 def _log2(x: np.ndarray) -> np.ndarray:
@@ -624,5 +625,5 @@ def iter_sweep_rows(ms, budget: int = DEFAULT_BUDGET, chunk: int = SWEEP_CHUNK):
     """Yield (b, lambda_max) for every string in lexicographic order."""
     mats = _checked_matrices(ms)
     total = _sweep_size(mats, budget)
-    for digits, lam, _ in _eigmax_chunks(_projector_stack(mats), range(total), chunk):
+    for digits, lam, _ in _eigmax_chunks(np.stack(mats), range(total), chunk):
         yield from zip(map(tuple, digits.tolist()), lam.tolist())

@@ -6,12 +6,13 @@ stabilizer states with closed forms (Aaronson and Gottesman, PRA 70,
 052328). basis_from_involutions builds them exactly from the Pauli masks:
 a GF(2) elimination picks n independent generators, each generator-sign
 code t gives the projector P_t as a sum over the generated group, and the
-vector is a column of P_t with entries 0, +-a or +-i a. No eigensolver and
-no tolerance is involved; every member is checked exactly to map every
-vector to its sign times itself. Vectors are labeled by their sign pattern
-(member 0 most significant, +1 before -1), and each vector's global phase
-makes its first nonzero component real positive, the fix_phase convention
-for vectors whose nonzero components share one magnitude.
+vector is a column of P_t with entries 0, +-a or +-i a. Every parity of two
+n-bit masks it needs is read from one table per n. No eigensolver and no
+tolerance is involved; every member is checked exactly to map every vector
+to its sign times itself. Vectors are labeled by their sign pattern (member
+0 most significant, +1 before -1), and each vector's global phase makes its
+first nonzero component real positive, the fix_phase convention for
+vectors whose nonzero components share one magnitude.
 
 build_mub_set is the one path from a Partition to a checked MubSet, for the
 cycled partitions of classes.py and the symplectic spread of wigner.py
@@ -30,8 +31,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
@@ -50,6 +50,9 @@ from .transform import cycle_unitary
 EIGEN_TOL = 1e-8  # |eigenvalue| - 1 allowed to a dense eigensolver (the test oracle)
 UNBIAS_TOL = 1e-8
 MATCH_TOL = 1e-6
+# about the most one block of unbiasedness products holds: 1 MB blocks ran
+# faster than 4 MB ones at d = 32 and d = 64, on a core with 2 MB of L2
+BLOCK_BYTES = 1 << 20
 
 
 class DiagonalizationError(RuntimeError):
@@ -132,17 +135,15 @@ class PauliLabels:
         d, L = ms.d, ms.L
         code = np.min_scalar_type(d - 1)
         w = np.arange(d * d)
-        wx, wz = w % d, w // d
-        tau = np.array(
-            [
-                sum(
-                    parity((wx & g.zmask) ^ (wz & g.xmask)) << i
-                    for i, g in enumerate(B.generators)
-                )
-                for B in ms.bases
-            ],
-            dtype=code,
-        )
+        g = np.array([[(q.xmask, q.zmask) for q in B.generators] for B in ms.bases])
+        # W = x | z << n flips bit i of basis j's codes when
+        # parity(x & g_i.z) ^ parity(z & g_i.x) is 1; the two halves are
+        # tabled apart over the d values of x and of z, then XORed
+        bit = 1 << np.arange(g.shape[1])[:, None]
+        t = np.arange(d)
+        tx = (parity(t & g[..., 1, None]) * bit).sum(axis=1)  # [j, x]
+        tz = (parity(t & g[..., 0, None]) * bit).sum(axis=1)  # [j, z]
+        tau = (tz[:, :, None] ^ tx[:, None, :]).reshape(L, -1).astype(code)
         codes = np.array([B.codes for B in ms.bases], dtype=code)
         labels = np.empty_like(codes)
         labels[np.arange(L)[:, None], codes] = np.arange(d)
@@ -223,6 +224,18 @@ def _generators(members: "Sequence[PauliTerm]") -> tuple[list[PauliTerm], list[i
     return gens, combos
 
 
+@cache
+def _sign_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """flip[a, b] = parity of |a & b| for all a, b < 2^n, and 1 - 2 flip,
+    both int8, built once per n and read-only: every parity the basis
+    construction needs is of two n-bit masks, so it is one table read."""
+    t = np.arange(1 << n)
+    flip = parity(t[:, None] & t).astype(np.int8)
+    sign = 1 - 2 * flip
+    flip.flags.writeable = sign.flags.writeable = False
+    return flip, sign
+
+
 def basis_from_involutions(members: "Sequence[PauliTerm]", label: int = 0) -> Basis:
     """Joint eigenbasis of commuting Hermitian Pauli monomials, exactly.
 
@@ -244,6 +257,7 @@ def basis_from_involutions(members: "Sequence[PauliTerm]", label: int = 0) -> Ba
             "not all one dimensional; class is not maximal"
         )
     t = np.arange(d)  # the codes, and the row indices alike
+    flip, sign = _sign_tables(n)  # [t, S]: parity of |S & t|, and (-1)^that
     # g_S for every subset S, in row-index bit order (pauli.apply)
     xs, zs, ps = np.zeros(1, int), np.zeros(1, int), np.zeros(1, int)
     for g in gens:
@@ -251,16 +265,15 @@ def basis_from_involutions(members: "Sequence[PauliTerm]", label: int = 0) -> Ba
         xs, zs, ps = (
             np.concatenate([xs, xs ^ gx]),
             np.concatenate([zs, zs ^ gz]),
-            np.concatenate([ps, ps + g.phase + 2 * parity(zs & gx)]),
+            np.concatenate([ps, ps + g.phase + 2 * flip[zs, gx]]),
         )
-    flip = parity(t[:, None] & t)  # [t, S]: parity of |S & t|
     # d <j|P_t|j>, a sum over the diagonal subgroup K: |K| on the support of
     # code t, 0 off it
     K = xs == 0
-    diag = (1 - 2 * flip[:, K]) * (1 - ps[K] % 4) @ (1 - 2 * parity(zs[K, None] & t))
+    diag = sign[:, K] * (1 - ps[K] % 4) @ sign[zs[K]]
     j0 = np.argmax(diag > 0, axis=1)
     rows = j0 ^ xs[:, None]  # [S, t]
-    expo = (2 * flip.T + ps[:, None] + 2 * parity(zs[:, None] & j0)) % 4
+    expo = (2 * flip.T + ps[:, None] + 2 * flip[zs[:, None], j0]) % 4
     support = np.zeros((d, d), dtype=bool)
     phase = np.zeros((d, d), dtype=np.int8)  # i^phase on the support
     support[rows, t], phase[rows, t] = True, expo
@@ -268,16 +281,22 @@ def basis_from_involutions(members: "Sequence[PauliTerm]", label: int = 0) -> Ba
     # 1 or -1 as both are Hermitian; its sign on code t carries (-1)^|combo_m & t|
     combos = np.array(combos)
     lead = 1 - (np.array([M.phase for M in members]) - ps[combos]) % 4
-    signs = lead[:, None] * (1 - 2 * parity(combos[:, None] & t))
+    signs = lead[:, None] * sign[combos]
     _check_eigenvectors(members, support, phase, signs)
-    # canonical order: member 0's sign most significant, +1 before -1
-    order = np.lexsort(-signs[::-1])
-    patterns = tuple(map(tuple, signs.T[order].tolist()))
-    if len(set(patterns)) != d:
+    # canonical order: member 0's sign most significant, +1 before -1. Up to
+    # ties a member's sign is first decided by a generator, so this sorts the
+    # codes by their generator bits, g_0's most significant: column k has
+    # code row_mask(k). Checked: each column's pattern precedes the next's
+    order = row_mask(t, n)
+    ordered = signs[:, order].T  # [k, m]
+    changed = ordered[1:] != ordered[:-1]
+    first = changed.argmax(axis=1)  # the member deciding k vs k + 1
+    if not (changed.any(axis=1).all() and (ordered[t[:-1], first] == 1).all()):
         raise DiagonalizationError("sign patterns are not distinct")
     a = math.sqrt(np.count_nonzero(K) / d)  # 1 / sqrt(support size)
     amp = np.array([complex(a, 0), complex(0, a), complex(-a, 0), complex(0, -a)])
     vectors = np.where(support, amp[phase], 0)[:, order]
+    patterns = tuple(map(tuple, ordered.tolist()))
     codes = tuple(order.tolist())
     return Basis(np.ascontiguousarray(vectors), label, patterns, tuple(gens), codes)
 
@@ -287,14 +306,19 @@ def _check_eigenvectors(members, support, phase, signs) -> None:
     the masks, i^p (-1)^|z & r| v[r] lands on row r ^ x (pauli.apply)."""
     n = members[0].n
     r = np.arange(1 << n)
-    x = np.array([row_mask(M.xmask, n) for M in members])
-    z = np.array([row_mask(M.zmask, n) for M in members])
+    x = row_mask(np.array([M.xmask for M in members]), n)
+    z = row_mask(np.array([M.zmask for M in members]), n)
     p = np.array([M.phase for M in members])
     moved = r ^ x[:, None]  # [m, r]
-    lhs = (p[:, None] + 2 * parity(z[:, None] & r)).astype(np.int8)[:, :, None] + phase
-    rhs = phase[moved] + (1 - signs).astype(np.int8)[:, None, :]
-    same = (support[moved] == support) & (~support | ((lhs - rhs) % 4 == 0))
-    if not same.all():
+    turn = (p[:, None] + 2 * _sign_tables(n)[0][z]).astype(np.int8)  # [m, r]
+    # [m, r, t]: the image's phase minus the phase it must have, mod 4
+    diff = phase[moved]
+    diff -= phase
+    diff -= turn[:, :, None] + (1 - signs).astype(np.int8)[:, None, :]
+    diff &= 3
+    wrong = diff != 0
+    wrong &= support
+    if wrong.any() or not (support[moved] == support).all():
         raise DiagonalizationError("a member does not map the basis to its signs")
 
 
@@ -337,17 +361,38 @@ def complex_json(M: np.ndarray, indent: int | None = None, level: int = 0) -> st
     return join(items, 0)
 
 
+def _pair_deviations(mats):
+    """(j, k, dev, (a, b), ov) for every pair j < k of bases, in (j, k)
+    order: dev the largest | |<a|b>|^2 - 1/d | of the pair, (a, b) the
+    first element pair attaining it and ov that |<a|b>|^2. Each basis j is
+    paired with the ones after it in stacked products, each product the one
+    B_j^H B_k gemm of a single pair, with at most about BLOCK_BYTES of
+    temporaries at a time."""
+    B = np.stack(mats)
+    L, d = B.shape[:2]
+    step = max(1, BLOCK_BYTES // (64 * d * d))
+    for j in range(L - 1):
+        BH = B[j].conj().T
+        for k0 in range(j + 1, L, step):
+            ov = np.abs(BH @ B[k0 : k0 + step]).reshape(-1, d * d)
+            ov **= 2
+            dev = ov - 1.0 / d
+            np.abs(dev, out=dev)
+            at = dev.argmax(axis=1)
+            rows = np.arange(len(at))
+            top, hit = dev[rows, at].tolist(), ov[rows, at].tolist()
+            for i, a in enumerate(at.tolist()):
+                yield j, k0 + i, top[i], divmod(a, d), hit[i]
+
+
 def unbiasedness_deviation(bases) -> float:
     """max over cross-basis pairs of | |<a|b>|^2 - 1/d |; for a MubSet, the
     value build_mub_set found, when it was built there."""
     if isinstance(bases, MubSet) and bases.deviation is not None:
         return bases.deviation
-    mats = basis_matrices(bases)
-    d = mats[0].shape[0]
     worst = 0.0
-    for j, k in combinations(range(len(mats)), 2):
-        ov = np.abs(mats[j].conj().T @ mats[k]) ** 2
-        worst = max(worst, float(np.max(np.abs(ov - 1.0 / d))))
+    for _, _, dev, _, _ in _pair_deviations(basis_matrices(bases)):
+        worst = max(worst, dev)
     return worst
 
 
@@ -359,17 +404,13 @@ def build_mub_set(part: Partition, U: np.ndarray | None = None) -> MubSet:
         U = cycle_unitary(build_gamma_generators(part.n), part.spec)
     bases = tuple(common_eigenbasis(c, label=i) for i, c in enumerate(part.classes))
     worst = 0.0
-    for j, k in combinations(range(len(bases)), 2):
-        ov = np.abs(bases[j].vectors.conj().T @ bases[k].vectors) ** 2
-        dev = np.abs(ov - 1.0 / part.d)
-        bad = np.unravel_index(np.argmax(dev), ov.shape)
-        if dev[bad] > UNBIAS_TOL:
+    for j, k, dev, bad, ov in _pair_deviations([b.vectors for b in bases]):
+        if dev > UNBIAS_TOL:
             raise UnbiasednessError(
                 f"unbiasedness violated at bases ({j},{k}), elements "
-                f"{tuple(map(int, bad))}, "
-                f"|overlap|^2 = {ov[bad]:.6g}"
+                f"{bad}, |overlap|^2 = {ov:.6g}"
             )
-        worst = max(worst, float(dev[bad]))
+        worst = max(worst, dev)
     return MubSet(bases, U, part, worst)
 
 

@@ -26,7 +26,7 @@ for every n (a bare factor i only works for odd n).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -116,24 +116,35 @@ def to_dense(a: PauliTerm) -> np.ndarray:
     return _PHASES[a.phase] * reduce(np.kron, factors)
 
 
-def row_mask(mask: int, n: int) -> int:
-    """A qubit mask in row-index bit order: bit j moves to bit n-1-j."""
-    out = 0
+@cache
+def _row_masks(n: int) -> np.ndarray:
+    """row_mask of every n-bit mask, built once per n and read-only."""
+    m = np.arange(1 << n)
+    out = np.zeros_like(m)
     for j in range(n):
-        if mask >> j & 1:
-            out |= 1 << (n - 1 - j)
+        out |= (m >> j & 1) << (n - 1 - j)
+    out.flags.writeable = False
     return out
+
+
+def row_mask(mask, n: int):
+    """A qubit mask in row-index bit order: bit j moves to bit n-1-j. An int
+    gives an int, an integer array an array, both read from one table per n."""
+    out = _row_masks(n)[mask]
+    return int(out) if np.ndim(out) == 0 else out
 
 
 def parity(v) -> np.ndarray:
     """Parity of the number of set bits of every entry of an array of
-    non-negative integers."""
+    non-negative integers, by a fixed XOR fold: each step folds the upper
+    half of the remaining width onto the lower half, so bit 0 ends up as
+    the XOR of all bits."""
     v = np.array(v)
-    out = np.zeros_like(v)
-    while v.any():
-        out ^= v & 1
-        v >>= 1
-    return out
+    shift = v.dtype.itemsize * 4
+    while shift:
+        v ^= v >> shift
+        shift //= 2
+    return v & 1
 
 
 def apply(a: PauliTerm, V: np.ndarray) -> np.ndarray:

@@ -38,13 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classes import CommutingClass, Partition, build_classes_2n1
-from .entropy import (
-    LEVEL_TOL,
-    _eigmax_chunks,
-    _projector_stack,
-    hermitian_eigmax,
-    pvec_operator,
-)
+from .entropy import LEVEL_TOL, _eigmax_chunks, hermitian_eigmax, pvec_operator
 from .mub import MubSet, basis_matrices, build_mub_set, pauli_representatives
 from .pauli import PauliTerm
 
@@ -89,9 +83,15 @@ class GF:
         return r
 
     def table(self) -> np.ndarray:
-        """The d x d multiplication table: table()[a, b] = a * b."""
-        d = self.order
-        return np.array([[self.mul(a, b) for b in range(d)] for a in range(d)])
+        """The d x d multiplication table: table()[a, b] = a * b, by mul's
+        shift-and-add on every pair at once."""
+        a, b = np.arange(self.order)[:, None], np.arange(self.order)
+        out = np.zeros((self.order, self.order), dtype=np.int64)
+        for i in range(self.n):
+            out ^= a * (b >> i & 1)
+            a = a << 1
+            a ^= (a >> self.n & 1) * self.poly
+        return out
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -236,7 +236,7 @@ def point_levels(bases, assignment=None) -> np.ndarray:
         strings, back = np.unique(
             pauli_representatives(bases, strings), axis=0, return_inverse=True
         )
-    chunks = _eigmax_chunks(_projector_stack(mats), strings, chunk=d)
+    chunks = _eigmax_chunks(np.stack(mats), strings, chunk=d)
     return (d + 1) * np.concatenate([lam for _, lam, _ in chunks])[back.ravel()] - 1
 
 
@@ -282,37 +282,21 @@ def spread_partition(n: int) -> Partition:
     """
     gf = GF(n)
     d = gf.order
-
-    def trace(c: int) -> int:
-        t = 0
-        for _ in range(n):
-            t, c = t ^ c, gf.mul(c, c)
-        return t & 1
-
-    def s_matrix(a: int) -> list[int]:
-        # column masks of v -> S_a v in the polynomial basis
-        return [
-            sum(trace(gf.mul(a, gf.mul(1 << i, 1 << j))) << i for i in range(n))
-            for j in range(n)
-        ]
-
-    def apply_cols(cols: list[int], v: int) -> int:
-        out = 0
-        for j in range(n):
-            if v >> j & 1:
-                out ^= cols[j]
-        return out
-
-    masks = []  # the (x, z) masks of each class's members
-    for a in range(d):
-        cols = s_matrix(a)
-        masks.append([(v, apply_cols(cols, v)) for v in range(1, d)])
-    masks.append([(0, z) for z in range(1, d)])  # the all-Z class
+    T = gf.table()
+    tr, c = np.zeros(d, dtype=np.int64), np.arange(d)
+    for _ in range(n):  # Tr(c) = c + c^2 + c^4 + ..., which is 0 or 1
+        tr, c = tr ^ c, T[c, c]
+    v = np.arange(1, d)
+    bit = np.arange(n)
+    # bit i of S_a v is Tr(a x^i v): [a, v] masks of every class but Z's
+    sv = (tr[T[T[:, v, None], 1 << bit]] << bit).sum(axis=2)
+    x = np.vstack([np.broadcast_to(v, sv.shape), np.zeros_like(v)])
+    z = np.vstack([sv, v])  # the all-Z class last
+    xz = x & z
+    phase = sum(xz >> i & 1 for i in range(n)) % 4  # popcount, Y = i X Z
     classes = tuple(
-        CommutingClass(
-            tuple(PauliTerm(n, x, z, (x & z).bit_count() % 4) for x, z in c), None
-        )
-        for c in masks
+        CommutingClass(tuple(map(PauliTerm, [n] * (d - 1), *rows)), None)
+        for rows in zip(x.tolist(), z.tolist(), phase.tolist())
     )
     return Partition(n, d + 1, None, classes)
 

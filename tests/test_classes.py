@@ -430,6 +430,25 @@ def test_array_checks_match_the_loops_on_constructible_partitions(part):
     assert astuple(check_partition(part, action)) == _check_by_loops(part, action)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [fixture_d4(4), build_classes_2n1(2), build_classes_Ln(3, 3)],
+    ids=["fixture4", "n2L5", "n3L3"],
+)
+def test_p3_compares_each_class_with_the_next_as_a_set(build):
+    # members of the odd classes reversed: a class's images reach the next
+    # class in another member order, and P3 must still hold
+    classes = tuple(
+        replace(c, members=c.members[::-1]) if i % 2 else c
+        for i, c in enumerate(build.classes)
+    )
+    part = replace(build, classes=classes)
+    action = cycle_action(build_gamma_generators(part.n), part.spec)
+    report = check_partition(part, action)
+    assert report.p3 and report.ok
+    assert astuple(report) == _check_by_loops(part, action)
+
+
 # ROADMAP item 4: these classes repeat a cycle-invariant product (P2 fails)
 P2_REPEATS = {(6, 3): 2, (9, 3): 6, (10, 5): 4}
 

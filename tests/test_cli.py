@@ -268,13 +268,14 @@ def test_sweep_stdout_matches_fixture(capsys, n, L):
 )
 @pytest.mark.parametrize("threads", ["0", "-1"])
 def test_threads_below_one_are_refused(tmp_path, monkeypatch, capsys, args, threads):
+    import concurrent.futures
+
     import mubforge.cli
-    import mubforge.entropy
 
     def no_pool(*a, **k):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(mubforge.entropy, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     monkeypatch.setattr(mubforge.cli, "build_mub_set", no_pool)
     out = ["--out", str(tmp_path / "out")]
     assert run(args + ["--threads", threads] + out) == 4
@@ -338,11 +339,13 @@ def test_sweep_labels_are_unambiguous(tmp_path):
     assert {len(b) for b in labels} == {4}
 
 
-def test_cli_import_leaves_scipy_out():
+def _loaded_after(code, modules, cwd=None):
+    """Which of `modules` a fresh interpreter has imported after running
+    `code` with mubforge on its path."""
     import subprocess
     import sys
 
-    code = "import sys, mubforge.cli; print('scipy' in sys.modules)"
+    code += f"\nimport sys; print([m for m in {modules!r} if m in sys.modules])"
     src = str(Path(__file__).parents[1] / "src")
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -350,8 +353,27 @@ def test_cli_import_leaves_scipy_out():
         text=True,
         check=True,
         env={"PYTHONPATH": src},
+        cwd=cwd,
     )
-    assert out.stdout.strip() == "False"
+    return json.loads(out.stdout.splitlines()[-1].replace("'", '"'))
+
+
+def test_cli_import_leaves_scipy_out():
+    assert _loaded_after("import mubforge.cli", ["scipy"]) == []
+
+
+def test_cli_import_leaves_the_pool_and_masked_arrays_out():
+    # concurrent.futures is imported only for --threads > 1, and numpy.ma
+    # not at all
+    lazy = ["concurrent.futures", "numpy.ma"]
+    assert _loaded_after("import mubforge.cli", lazy) == []
+
+
+def test_generate_leaves_masked_arrays_out(tmp_path):
+    # np.unique without index outputs imports numpy.ma under numpy 2
+    code = "import mubforge.cli as c; c.main(['generate', '--n', '3', '--L', '7'])"
+    assert _loaded_after(code, ["numpy.ma"], cwd=tmp_path) == []
+    assert (tmp_path / "out" / "bases.json").exists()
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])

@@ -1,5 +1,8 @@
 import json
+import math
+from dataclasses import replace
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -14,6 +17,9 @@ from mubforge.mub import (
     Basis,
     DiagonalizationError,
     MubSet,
+    UnbiasednessError,
+    _check_eigenvectors,
+    _generators,
     basis_from_involutions,
     build_mub_set,
     CycleMatchError,
@@ -31,7 +37,14 @@ from mubforge.mub import (
     verify_cycle,
 )
 from mubforge.mub import EIGEN_TOL, fix_phase
-from mubforge.pauli import PauliTerm, build_gamma_generators, gamma_product, to_dense
+from mubforge.pauli import (
+    PauliTerm,
+    build_gamma_generators,
+    gamma_product,
+    parity,
+    row_mask,
+    to_dense,
+)
 from mubforge.wigner import complete_mub_bases, spread_partition
 
 
@@ -434,3 +447,240 @@ def test_a_unitary_that_does_not_cycle_is_refused_both_ways():
     assert _match_by_columns(bad) is None and cycle_permutations(bad) is None
     with pytest.raises(CycleMatchError, match="no projector match"):
         verify_cycle(bad)
+
+
+def parity_loop(v):
+    """The bit-by-bit parity that pauli.parity's XOR fold replaced (oracle)."""
+    v = np.array(v)
+    out = np.zeros_like(v)
+    while v.any():
+        out ^= v & 1
+        v >>= 1
+    return out
+
+
+def row_mask_loop(mask, n):
+    """The bit loop that pauli.row_mask's table replaced (oracle)."""
+    return sum(1 << (n - 1 - j) for j in range(n) if mask >> j & 1)
+
+
+def per_class_basis(members, label=0):
+    """basis_from_involutions as it was before its parity table and its
+    derived column order, kept as the oracle: bit-loop parity and row
+    masks, columns sorted by sign pattern."""
+    for M in members:
+        if (M.phase - (M.xmask & M.zmask).bit_count()) % 2:
+            raise DiagonalizationError(f"member {M} is not Hermitian")
+    n = members[0].n
+    d = 1 << n
+    gens, combos = _generators(members)
+    if len(gens) != n:
+        raise DiagonalizationError("class is not maximal")
+    t = np.arange(d)
+    xs, zs, ps = np.zeros(1, int), np.zeros(1, int), np.zeros(1, int)
+    for g in gens:
+        gx, gz = row_mask_loop(g.xmask, n), row_mask_loop(g.zmask, n)
+        xs, zs, ps = (
+            np.concatenate([xs, xs ^ gx]),
+            np.concatenate([zs, zs ^ gz]),
+            np.concatenate([ps, ps + g.phase + 2 * parity_loop(zs & gx)]),
+        )
+    flip = parity_loop(t[:, None] & t)
+    K = xs == 0
+    diag = (1 - 2 * flip[:, K]) * (1 - ps[K] % 4) @ (
+        1 - 2 * parity_loop(zs[K, None] & t)
+    )
+    j0 = np.argmax(diag > 0, axis=1)
+    rows = j0 ^ xs[:, None]
+    expo = (2 * flip.T + ps[:, None] + 2 * parity_loop(zs[:, None] & j0)) % 4
+    support = np.zeros((d, d), dtype=bool)
+    phase = np.zeros((d, d), dtype=np.int8)
+    support[rows, t], phase[rows, t] = True, expo
+    combos = np.array(combos)
+    lead = 1 - (np.array([M.phase for M in members]) - ps[combos]) % 4
+    signs = lead[:, None] * (1 - 2 * parity_loop(combos[:, None] & t))
+    r = np.arange(d)
+    x = np.array([row_mask_loop(M.xmask, n) for M in members])
+    z = np.array([row_mask_loop(M.zmask, n) for M in members])
+    p = np.array([M.phase for M in members])
+    moved = r ^ x[:, None]
+    lhs = (p[:, None] + 2 * parity_loop(z[:, None] & r)).astype(np.int8)[:, :, None]
+    lhs = lhs + phase
+    rhs = phase[moved] + (1 - signs).astype(np.int8)[:, None, :]
+    same = (support[moved] == support) & (~support | ((lhs - rhs) % 4 == 0))
+    if not same.all():
+        raise DiagonalizationError("a member does not map the basis to its signs")
+    order = np.lexsort(-signs[::-1])
+    patterns = tuple(map(tuple, signs.T[order].tolist()))
+    if len(set(patterns)) != d:
+        raise DiagonalizationError("sign patterns are not distinct")
+    a = math.sqrt(np.count_nonzero(K) / d)
+    amp = np.array([complex(a, 0), complex(0, a), complex(-a, 0), complex(0, -a)])
+    vectors = np.where(support, amp[phase], 0)[:, order]
+    codes = tuple(order.tolist())
+    return Basis(np.ascontiguousarray(vectors), label, patterns, tuple(gens), codes)
+
+
+def same_basis(got, want):
+    """Bit for bit: vectors (signed zeros included), label, sign patterns,
+    generators and codes."""
+    assert got.vectors.dtype == want.vectors.dtype
+    assert got.vectors.shape == want.vectors.shape
+    assert got.vectors.tobytes() == want.vectors.tobytes()
+    assert got.vectors.flags.c_contiguous
+    assert got.label == want.label
+    assert got.sign_patterns == want.sign_patterns
+    assert got.generators == want.generators
+    assert got.codes == want.codes
+
+
+def _oracle_partitions():
+    """Every constructible (n, L) with n <= 6, (6, 3) included (the d = 4
+    fixtures are (2,3) and (2,4)), and the spreads for n = 3..5."""
+    from mubforge.cli import build_partition, constructible
+
+    parts = {
+        f"({n},{L})": build_partition(n, L)
+        for n in range(1, 7)
+        for L in range(2, 2 * n + 2)
+        if constructible(n, L)
+    }
+    parts.update({f"spread({n})": spread_partition(n) for n in (3, 4, 5)})
+    return parts
+
+
+ORACLE_PARTITIONS = _oracle_partitions()
+
+
+@pytest.mark.parametrize("name", list(ORACLE_PARTITIONS))
+def test_bases_equal_the_oracle(name):
+    part = ORACLE_PARTITIONS[name]
+    got = []
+    for i, c in enumerate(part.classes):
+        got.append(basis_from_involutions(c.members, 7 * i + 3))
+        same_basis(got[-1], per_class_basis(list(c.members), 7 * i + 3))
+    if part.n <= 4:  # and as build_mub_set builds them
+        for g, want in zip(build_mub_set(part).bases, got):
+            same_basis(g, replace(want, label=g.label))
+
+
+def _check_arrays(basis):
+    """The (support, phase, signs) arrays of the member check, read back
+    from a built basis: column k carries code codes[k]."""
+    codes = list(basis.codes)
+    support = np.zeros((basis.d, basis.d), dtype=bool)
+    phase = np.zeros((basis.d, basis.d), dtype=np.int8)
+    support[:, codes] = basis.vectors != 0
+    quarter = np.rint(np.angle(basis.vectors) / (np.pi / 2)).astype(int) % 4
+    phase[:, codes] = np.where(basis.vectors != 0, quarter, 0)
+    signs = np.empty((len(basis.sign_patterns[0]), basis.d), dtype=np.int64)
+    signs[:, codes] = np.array(basis.sign_patterns).T
+    return support, phase, signs
+
+
+def test_member_check_catches_a_corrupted_entry():
+    part = spread_partition(3)
+    bases = build_mub_set(part).bases
+    d = part.d
+    rng = np.random.default_rng(12)
+    for cls, basis in zip(part.classes, bases):
+        members = cls.members
+        support, phase, signs = _check_arrays(basis)
+        _check_eigenvectors(members, support, phase, signs)  # the built basis passes
+        for _ in range(5):
+            r, t = rng.integers(d), rng.integers(d)
+            bad = phase.copy()
+            bad[r, t] = (bad[r, t] + rng.integers(1, 4)) % 4
+            # a vector with one nonzero entry (the Z class) is an eigenvector
+            # at any phase of that entry
+            if support[r, t] and support[:, t].sum() > 1:
+                with pytest.raises(DiagonalizationError):
+                    _check_eigenvectors(members, support, bad, signs)
+            bad = support.copy()
+            bad[r, t] = ~bad[r, t]
+            if bad[:, t].any():  # an all-zero column maps to its sign times itself
+                with pytest.raises(DiagonalizationError):
+                    _check_eigenvectors(members, bad, phase, signs)
+        bad = signs.copy()
+        bad[5, 3] *= -1
+        with pytest.raises(DiagonalizationError):
+            _check_eigenvectors(members, support, phase, bad)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_parity_fold_equals_the_bit_loop(n):
+    masks = np.arange(1 << 2 * n)
+    got = parity(masks)
+    assert got.dtype == masks.dtype
+    assert np.array_equal(got, parity_loop(masks))
+    for dtype in (np.int8, np.uint8, np.int32, np.uint64):
+        small = np.arange(min(1 << 2 * n, 127), dtype=dtype)
+        assert np.array_equal(parity(small), parity_loop(small))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_row_mask_table_equals_the_bit_loop(n):
+    masks = range(1 << n)
+    want = [row_mask_loop(m, n) for m in masks]
+    assert [row_mask(m, n) for m in masks] == want
+    assert all(type(row_mask(m, n)) is int for m in (0, (1 << n) - 1))
+    assert row_mask(np.arange(1 << n), n).tolist() == want
+
+
+def pairwise_deviation(mats):
+    """The per-pair unbiasedness loop of build_mub_set that the stacked
+    products replaced (oracle): the worst deviation, or the error message
+    of the first failing pair in (j, k) order."""
+    d = mats[0].shape[0]
+    worst = 0.0
+    for j, k in combinations(range(len(mats)), 2):
+        ov = np.abs(mats[j].conj().T @ mats[k]) ** 2
+        dev = np.abs(ov - 1.0 / d)
+        bad = np.unravel_index(np.argmax(dev), ov.shape)
+        if dev[bad] > 1e-8:
+            return (
+                f"unbiasedness violated at bases ({j},{k}), elements "
+                f"{tuple(map(int, bad))}, |overlap|^2 = {ov[bad]:.6g}"
+            )
+        worst = max(worst, float(dev[bad]))
+    return worst
+
+
+@pytest.mark.parametrize("block_bytes", [1, None])
+@pytest.mark.parametrize("name", ["(2,3)", "(3,7)", "(5,5)", "(6,13)", "spread(5)"])
+def test_stacked_unbiasedness_equals_the_pairwise_loop(monkeypatch, name, block_bytes):
+    import mubforge.mub
+
+    if block_bytes is not None:
+        monkeypatch.setattr(mubforge.mub, "BLOCK_BYTES", block_bytes)
+    part = ORACLE_PARTITIONS[name]
+    ms = build_mub_set(part)
+    want = pairwise_deviation([b.vectors for b in ms.bases])
+    assert ms.deviation == want
+    assert unbiasedness_deviation(ms.bases) == want
+
+
+@pytest.mark.parametrize("block_bytes", [1, None])
+def test_stacked_unbiasedness_names_the_first_failing_pair(monkeypatch, block_bytes):
+    import mubforge.mub
+
+    if block_bytes is not None:
+        monkeypatch.setattr(mubforge.mub, "BLOCK_BYTES", block_bytes)
+    spread = spread_partition(3)
+    c = spread.classes
+    # class 2 again at 5 and class 6 again at 8: pairs (2,5) and (6,8) fail
+    part = replace(spread, classes=c[:5] + (c[2], c[6], c[7], c[6]))
+    bases = [common_eigenbasis(cls) for cls in part.classes]
+    want = pairwise_deviation([b.vectors for b in bases])
+    assert want.startswith("unbiasedness violated at bases (2,5)")
+    with pytest.raises(UnbiasednessError) as err:
+        build_mub_set(part)
+    assert str(err.value) == want
+    # (6,3) classes share members, so its bases are not unbiased
+    from mubforge.classes import build_classes_Ln as Ln
+
+    part = Ln(6, 3)
+    bases = [common_eigenbasis(cls) for cls in part.classes]
+    with pytest.raises(UnbiasednessError) as err:
+        build_mub_set(part)
+    assert str(err.value) == pairwise_deviation([b.vectors for b in bases])

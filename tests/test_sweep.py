@@ -378,3 +378,77 @@ def test_sweep_rejects_bad_workers_and_chunk(kwargs, match):
         sweep_max_eigen(ms, **kwargs)
     with pytest.raises(ValueError, match=match):
         sweep_max_eigen(ms.bases, **kwargs)
+
+
+def stack_eigmax_chunks(B, strings, chunk=entropy.SWEEP_CHUNK, workers=1, select=None):
+    """The kernel before selectors were built per chunk, kept as the oracle:
+    every projector np.outer(v, v^dag) in one (L, d, d, d) stack, gathered
+    and summed per chunk in basis order (workers ignored)."""
+    L, d = B.shape[:2]
+    projs = np.empty((L, d, d, d), dtype=complex)
+    for j in range(L):
+        for b in range(d):
+            projs[j, b] = np.outer(B[j][:, b], B[j][:, b].conj())
+    powers = np.array([d ** (L - 1 - j) for j in range(L)])
+    for s in range(0, len(strings), chunk):
+        part = strings[s : s + chunk]
+        if isinstance(part, range):
+            digits = (np.arange(part.start, part.stop)[:, None] // powers) % d
+        else:
+            digits = part
+        weights = np.ones(len(digits), dtype=np.int64)
+        if select is not None:
+            digits, weights = select(digits)
+        P = np.zeros((len(digits), d, d), dtype=complex)
+        for j in range(L):
+            P += projs[j, digits[:, j]]
+        P /= L
+        yield digits, np.linalg.eigvalsh(P)[:, -1], weights
+
+
+# (3,7) at chunk 1 solves its 32,768 reduced strings one call each, about
+# 5 s for both kernels; the test below takes it on a sample of them
+@pytest.mark.parametrize(
+    "n, L, chunk",
+    [
+        (n, L, chunk)
+        for n, L in [(2, 4), (2, 5), (3, 3), (3, 7)]
+        for chunk in (1, 7, 4096)
+        if (n, L, chunk) != (3, 7, 1)
+    ],
+)
+def test_selectors_built_per_chunk_equal_the_projector_stack(monkeypatch, n, L, chunk):
+    ms = build_mub_set(build_partition(n, L))
+    runs = []
+    for kernel in (stack_eigmax_chunks, entropy._eigmax_chunks):
+        lams = []
+
+        def recording(*args, kernel=kernel, lams=lams, **kwargs):
+            for digits, lam, weights in kernel(*args, **kwargs):
+                lams.append(lam)
+                yield digits, lam, weights
+
+        monkeypatch.setattr(entropy, "_eigmax_chunks", recording)
+        res = sweep_max_eigen(ms, chunk=chunk)
+        runs.append((res, np.concatenate(lams)))
+    (want, want_lams), (got, got_lams) = runs
+    assert got_lams.tobytes() == want_lams.tobytes()
+    assert got.b_star == want.b_star
+    assert got.lambda_star == want.lambda_star
+    assert got.histogram == want.histogram
+
+
+def test_selectors_built_per_chunk_equal_the_projector_stack_one_by_one():
+    ms = build_mub_set(build_partition(3, 7))
+    B = np.stack([b.vectors for b in ms.bases])
+    # every 13th string with prefix (0, 0), as digit rows, one per chunk
+    strings = (np.arange(0, 8**5, 13)[:, None] // 8 ** np.arange(6, -1, -1)) % 8
+    want = list(stack_eigmax_chunks(B, strings, chunk=1))
+    got = list(entropy._eigmax_chunks(B, strings, chunk=1))
+    assert len(got) == len(want) == len(strings)
+    for (gd, gl, gw), (wd, wl, ww) in zip(got, want):
+        assert gl.tobytes() == wl.tobytes()
+        assert np.array_equal(gd, wd) and np.array_equal(gw, ww)
+    a = entropy._summarize(iter(got), len(strings))
+    b = entropy._summarize(iter(want), len(strings))
+    assert (a.b_star, a.lambda_star, a.histogram) == (b.b_star, b.lambda_star, b.histogram)

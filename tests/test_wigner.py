@@ -396,10 +396,67 @@ def test_point_strings_follow_the_lines_through_each_point(n):
 
 
 def test_gf_table_is_the_multiplication():
-    gf = GF(3)
-    table = gf.table()
-    assert table.shape == (8, 8)
-    assert all(table[a, b] == gf.mul(a, b) for a in range(8) for b in range(8))
+    for n in range(1, 6):
+        gf = GF(n)
+        d = gf.order
+        table = gf.table()
+        assert table.shape == (d, d)
+        assert table.tolist() == [[gf.mul(a, b) for b in range(d)] for a in range(d)]
+
+
+def spread_loop(n):
+    """The class masks of spread_partition built element by element with
+    GF.mul, as before it was table-driven (oracle)."""
+    gf = GF(n)
+    d = gf.order
+
+    def trace(c):
+        t = 0
+        for _ in range(n):
+            t, c = t ^ c, gf.mul(c, c)
+        return t & 1
+
+    def s_apply(a, v):  # S_a v from the columns S_a x^j
+        out = 0
+        for j in range(n):
+            if v >> j & 1:
+                col = [trace(gf.mul(a, gf.mul(1 << i, 1 << j))) for i in range(n)]
+                out ^= sum(bit << i for i, bit in enumerate(col))
+        return out
+
+    masks = [[(v, s_apply(a, v)) for v in range(1, d)] for a in range(d)]
+    masks.append([(0, z) for z in range(1, d)])
+    return [[PauliTerm(n, x, z, (x & z).bit_count() % 4) for x, z in c] for c in masks]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_spread_partition_equals_the_element_loop(n):
+    from mubforge.wigner import spread_partition
+
+    part = spread_partition(n)
+    assert [list(c.members) for c in part.classes] == spread_loop(n)
+    assert {c.singleton_index for c in part.classes} == {None}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_pauli_label_tables_equal_the_generator_loop(n):
+    from mubforge.mub import PauliLabels
+
+    ms = complete_mub_bases(n)
+    d = ms.d
+    w = np.arange(d * d)
+    wx, wz = w % d, w // d
+    bits = lambda v: np.array([bin(int(u)).count("1") & 1 for u in v])  # noqa: E731
+    want = [
+        sum(
+            bits((wx & g.zmask) ^ (wz & g.xmask)) << i
+            for i, g in enumerate(B.generators)
+        )
+        for B in ms.bases
+    ]
+    tables = PauliLabels.of(ms)
+    assert tables.tau.dtype == np.min_scalar_type(d - 1)
+    assert tables.tau.tolist() == [t.tolist() for t in want]
 
 
 def test_pauli_tables_are_built_once_per_set(monkeypatch):
