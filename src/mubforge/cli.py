@@ -53,7 +53,7 @@ from .mub import (
     build_mub_set,
     complex_json,
     invariant_superposition_family,
-    mub_set_to_json,
+    mub_set_json_parts,
     unbiasedness_deviation,
     verify_cycle,
 )
@@ -98,8 +98,14 @@ def build_partition(n: int, L: int) -> Partition:
 
 
 def _write(path: Path, text: str) -> None:
+    _write_parts(path, [text])
+
+
+def _write_parts(path: Path, parts) -> None:
+    """Write the strings of `parts` to `path` one after another."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    with path.open("w") as fh:
+        fh.writelines(parts)
     print(f"wrote {path}")
 
 
@@ -138,7 +144,7 @@ def cmd_generate(args) -> int:
         cycle_permutations=[list(p) for p in cyc.permutations],
     )
     _write(out / "validation.json", json.dumps(validation, indent=1))
-    _write(out / "bases.json", mub_set_to_json(ms, cyc))
+    _write_parts(out / "bases.json", mub_set_json_parts(ms, cyc))
     _write(out / "unitary.json", complex_json(ms.U))
     if dev > args.tol or cyc.worst_residual > args.tol:
         print("MUB validation FAILED", file=sys.stderr)

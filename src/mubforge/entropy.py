@@ -14,7 +14,10 @@ Both arise from a bound on the top eigenvalue of the selector operators
     P_b = (1/L) sum_j |b^(j)><b^(j)|,      b in {0..d-1}^L,
 
 and sweep_max_eigen certifies tightness by covering all d^L of them. Every
-selector eigenvalue goes through one chunked kernel, _eigmax_chunks.
+selector eigenvalue goes through one chunked kernel, _eigmax_chunks. It
+builds and solves a chunk's selectors a block at a time, so that at most
+about mub.BLOCK_BYTES of them are live in each worker, whatever d and the
+chunk size.
 
 Pauli reduction. Each basis of a MubSet is the joint eigenbasis of a class
 C_j of d-1 commuting Pauli operators that, with the identity, span a
@@ -71,6 +74,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import mub
 from .mub import UNBIAS_TOL, MubSet, _cycle_strings, basis_matrices, orbit_step
 
 LOG2 = math.log(2)
@@ -250,12 +254,19 @@ def _eigmax_chunks(
     consecutive chunks of at most `chunk` strings, in input order for any
     worker count. Weights are 1 unless `select`, which maps a chunk's digits
     to the rows kept and their weights, thins the chunk first; a chunk may
-    then be empty. A string's eigenvalue does not depend on the chunk it
-    falls in: each chunk's selectors are summed from zero, basis by basis,
+    then be empty. A string's eigenvalue does not depend on the chunk or
+    the block it falls in: selectors are summed from zero, basis by basis,
     from the outer products c c^dag of the basis columns, the products
-    np.outer forms, for the chunk's own strings. No (L, d, d, d) projector
-    stack is kept: a chunk holds its selectors and one basis's outer
-    products.
+    np.outer forms, and eigvalsh solves each matrix on its own.
+
+    Memory: a chunk's kept strings are solved in blocks of
+    max(1, mub.BLOCK_BYTES // (48 d^2)) strings, read at call time, in one
+    pair of buffers for the selectors and the outer products. That budgets
+    three complex d x d arrays per string: the two buffers and room for
+    eigvalsh, which solves a stack one matrix at a time. So a chunk needs
+    about BLOCK_BYTES for any d and chunk size, and each worker holds its
+    own buffers. A chunk keeps only its digits, weights and eigenvalues,
+    and no (L, d, d, d) projector stack is formed.
     """
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
@@ -275,14 +286,21 @@ def _eigmax_chunks(
             weights = np.ones(len(digits), dtype=np.int64)
         else:
             digits, weights = select(digits)
-        P = np.zeros((len(digits), d, d), dtype=complex)
-        outer = np.empty_like(P)
-        for j in range(L):
-            c = cols[j, digits[:, j]]  # [string, row]: each string's column of B_j
-            np.multiply(c[:, :, None], c.conj()[:, None, :], out=outer)
-            P += outer
-        P /= L
-        return digits, np.linalg.eigvalsh(P)[:, -1], weights
+        n = len(digits)
+        block = max(1, min(n, mub.BLOCK_BYTES // (48 * d * d)))
+        P, outer = np.empty((2, block, d, d), dtype=complex)  # reused per block
+        lam = np.empty(n)
+        for s in range(0, n, block):
+            rows = digits[s : s + block]
+            Pb, ob = P[: len(rows)], outer[: len(rows)]
+            Pb.fill(0)
+            for j in range(L):
+                c = cols[j, rows[:, j]]  # [string, row]: each string's column of B_j
+                np.multiply(c[:, :, None], c.conj()[:, None, :], out=ob)
+                Pb += ob
+            Pb /= L
+            lam[s : s + block] = np.linalg.eigvalsh(Pb)[:, -1]
+        return digits, lam, weights
 
     parts = (strings[s : s + chunk] for s in range(0, len(strings), chunk))
     if workers == 1:

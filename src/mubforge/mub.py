@@ -32,6 +32,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -50,8 +51,9 @@ from .transform import cycle_unitary
 EIGEN_TOL = 1e-8  # |eigenvalue| - 1 allowed to a dense eigensolver (the test oracle)
 UNBIAS_TOL = 1e-8
 MATCH_TOL = 1e-6
-# about the most one block of unbiasedness products holds: 1 MB blocks ran
-# faster than 4 MB ones at d = 32 and d = 64, on a core with 2 MB of L2
+# about the most one block of unbiasedness products, or of selectors in
+# entropy._eigmax_chunks, holds: 1 MB blocks ran faster than 4 MB ones in the
+# unbiasedness check at d = 32 and d = 64, on a core with 2 MB of L2
 BLOCK_BYTES = 1 << 20
 
 
@@ -302,10 +304,27 @@ def basis_from_involutions(members: "Sequence[PauliTerm]", label: int = 0) -> Ba
 
 
 def _check_eigenvectors(members, support, phase, signs) -> None:
-    """Every member maps every column to its sign times itself, exactly: on
-    the masks, i^p (-1)^|z & r| v[r] lands on row r ^ x (pauli.apply)."""
+    """Every column is a vector of the form basis_from_involutions builds,
+    and every member maps it to its sign times itself, exactly.
+
+    The form: 1/a^2 support rows, as many as the x masks of the group the
+    members generate, phase 0 at the first of them and off the support. So
+    no column is zero, and a column with one support row (a Z class) has
+    its phase fixed. The map: on the masks, i^p (-1)^|z & r| v[r] lands on
+    row r ^ x (pauli.apply)."""
     n = members[0].n
     r = np.arange(1 << n)
+    span = {0}  # the x masks of the group the members generate
+    for M in members:
+        if M.xmask not in span:
+            span |= {s ^ M.xmask for s in span}
+    sizes = np.count_nonzero(support, axis=0)
+    if (
+        (sizes != len(span)).any()
+        or phase[support.argmax(axis=0), r].any()
+        or np.where(support, 0, phase).any()
+    ):
+        raise DiagonalizationError("a column is not a normalized stabilizer vector")
     x = row_mask(np.array([M.xmask for M in members]), n)
     z = row_mask(np.array([M.zmask for M in members]), n)
     p = np.array([M.phase for M in members])
@@ -591,9 +610,10 @@ def symmetrize(rho: np.ndarray, U: np.ndarray, L: int) -> np.ndarray:
     return out / L
 
 
-def mub_set_to_json(ms: MubSet, cycle: CycleReport | None = None) -> str:
-    """The set as JSON: the text of json.dumps(doc) with each basis's
-    vectors written by complex_json."""
+def mub_set_json_parts(ms: MubSet, cycle: CycleReport | None = None):
+    """The text of mub_set_to_json as an iterator of pieces, one per basis
+    between the head and the tail, so a writer never holds the whole
+    document. The head and the tail are built before this returns."""
     from .classes import partition_to_json
 
     doc = {
@@ -608,9 +628,17 @@ def mub_set_to_json(ms: MubSet, cycle: CycleReport | None = None) -> str:
             "worst_residual": cycle.worst_residual,
             "permutations": [list(p) for p in cycle.permutations],
         }
-    bases = ", ".join(
-        f'{{"label": {b.label}, "vectors": {complex_json(b.vectors.T)}}}'
-        for b in ms.bases
-    )
     # "bases" is the third key, after two numbers, so this is its null
-    return json.dumps(doc).replace('"bases": null', f'"bases": [{bases}]', 1)
+    head, _, tail = json.dumps(doc).partition('"bases": null')
+    bases = (
+        f'{", " if i else ""}{{"label": {b.label}, '
+        f'"vectors": {complex_json(b.vectors.T)}}}'
+        for i, b in enumerate(ms.bases)
+    )
+    return chain([head + '"bases": ['], bases, ["]" + tail])
+
+
+def mub_set_to_json(ms: MubSet, cycle: CycleReport | None = None) -> str:
+    """The set as JSON: the text of json.dumps(doc) with each basis's
+    vectors written by complex_json."""
+    return "".join(mub_set_json_parts(ms, cycle))

@@ -251,9 +251,10 @@ def test_generate_builds_the_cycle_unitary_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("n, L", [(2, 4), (2, 5), (3, 3), (3, 7)])
+@pytest.mark.parametrize("n, L", [(2, 4), (2, 5), (3, 3), (3, 7), (5, 5)])
 def test_sweep_stdout_matches_fixture(capsys, n, L):
-    # stdout as the Pauli-only sweep printed it, before cycle orbits
+    # stdout as the Pauli-only sweep printed it, before cycle orbits; (5, 5),
+    # the one d = 32 sweep, as the kernel printed it before its blocks
     assert run(["sweep", "--n", str(n), "--L", str(L)]) == 0
     want = (FIXTURES / f"sweep_n{n}_L{L}.txt").read_text()
     assert capsys.readouterr().out == want

@@ -30,6 +30,7 @@ from mubforge.mub import (
     eigenvector_residual,
     invariant_states,
     invariant_superposition_family,
+    mub_set_json_parts,
     mub_set_to_json,
     phase_ramp_states,
     symmetrize,
@@ -399,6 +400,30 @@ def test_complex_json_matches_json_dumps(M, indent, level):
     assert complex_json(M, indent, level) == want
 
 
+def whole_document_json(ms, cycle):
+    """mub_set_to_json before bases.json was written in parts (oracle): the
+    whole document as one str, the bases spliced in for its null."""
+    from mubforge.classes import partition_to_json
+
+    doc = {
+        "d": ms.d,
+        "L": ms.L,
+        "bases": None,
+        "unbiasedness_deviation": unbiasedness_deviation(ms),
+        "provenance": json.loads(partition_to_json(ms.provenance)),
+    }
+    if cycle is not None:
+        doc["cycle"] = {
+            "worst_residual": cycle.worst_residual,
+            "permutations": [list(p) for p in cycle.permutations],
+        }
+    bases = ", ".join(
+        f'{{"label": {b.label}, "vectors": {complex_json(b.vectors.T)}}}'
+        for b in ms.bases
+    )
+    return json.dumps(doc).replace('"bases": null', f'"bases": [{bases}]', 1)
+
+
 def test_bases_json_is_json_dumps_of_the_document():
     ms = _cli_set(6, 13)
     cycle = verify_cycle(ms)
@@ -407,6 +432,18 @@ def test_bases_json_is_json_dumps_of_the_document():
         b["vectors"] = complex_lists(want.vectors.T)
     assert mub_set_to_json(ms, cycle) == json.dumps(doc)
     assert [b["label"] for b in doc["bases"]] == list(range(13))
+
+
+@pytest.mark.parametrize("n, L", [(2, 4), (3, 7), (6, 13)])
+def test_bases_json_parts_join_to_the_whole_document(n, L):
+    ms = _cli_set(n, L)
+    for cycle in (verify_cycle(ms), None):
+        parts = list(mub_set_json_parts(ms, cycle))
+        assert len(parts) == ms.L + 2  # head, one part per basis, tail
+        want = whole_document_json(ms, cycle)
+        assert "".join(parts) == mub_set_to_json(ms, cycle) == want
+    spread = complete_mub_bases(3)  # no cycle, and no cycle unitary
+    assert mub_set_to_json(spread) == whole_document_json(spread, None)
 
 
 def _match_by_columns(ms):
@@ -591,16 +628,22 @@ def test_member_check_catches_a_corrupted_entry():
             r, t = rng.integers(d), rng.integers(d)
             bad = phase.copy()
             bad[r, t] = (bad[r, t] + rng.integers(1, 4)) % 4
-            # a vector with one nonzero entry (the Z class) is an eigenvector
-            # at any phase of that entry
-            if support[r, t] and support[:, t].sum() > 1:
-                with pytest.raises(DiagonalizationError):
-                    _check_eigenvectors(members, support, bad, signs)
+            with pytest.raises(DiagonalizationError):
+                _check_eigenvectors(members, support, bad, signs)
             bad = support.copy()
             bad[r, t] = ~bad[r, t]
-            if bad[:, t].any():  # an all-zero column maps to its sign times itself
-                with pytest.raises(DiagonalizationError):
-                    _check_eigenvectors(members, bad, phase, signs)
+            with pytest.raises(DiagonalizationError):
+                _check_eigenvectors(members, bad, phase, signs)
+        # in every class, the Z class included: an all-zero column, and a
+        # column whose first nonzero entry is rephased
+        bad = support.copy()
+        bad[:, 0] = False
+        with pytest.raises(DiagonalizationError):
+            _check_eigenvectors(members, bad, phase, signs)
+        bad = phase.copy()
+        bad[support[:, 0].argmax(), 0] = 1
+        with pytest.raises(DiagonalizationError):
+            _check_eigenvectors(members, support, bad, signs)
         bad = signs.copy()
         bad[5, 3] *= -1
         with pytest.raises(DiagonalizationError):

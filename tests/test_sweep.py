@@ -452,3 +452,70 @@ def test_selectors_built_per_chunk_equal_the_projector_stack_one_by_one():
     a = entropy._summarize(iter(got), len(strings))
     b = entropy._summarize(iter(want), len(strings))
     assert (a.b_star, a.lambda_star, a.histogram) == (b.b_star, b.lambda_star, b.histogram)
+
+
+KERNEL = entropy._eigmax_chunks
+
+
+def _recorded_sweep(monkeypatch, ms, **kwargs):
+    """sweep_max_eigen's result, and the bytes of every (digits, lambdas,
+    weights) chunk its kernel yielded."""
+    chunks = []
+
+    def recording(*args, **kw):
+        for part in KERNEL(*args, **kw):
+            chunks.append(tuple(a.tobytes() for a in part))
+            yield part
+
+    monkeypatch.setattr(entropy, "_eigmax_chunks", recording)
+    return sweep_max_eigen(ms, **kwargs), chunks
+
+
+# the unreduced (3,7) sweep at one string per block would take minutes
+@pytest.mark.parametrize(
+    "n, L, mode",
+    [
+        (n, L, mode)
+        for n, L in [(2, 4), (3, 3), (3, 7)]
+        for mode in ("reduced", "unreduced", "workers=2")
+        if (n, L, mode) != (3, 7, "unreduced")
+    ],
+)
+def test_kernel_is_bit_identical_for_any_block_size(monkeypatch, n, L, mode):
+    import mubforge.mub
+
+    ms = build_mub_set(build_partition(n, L))
+    kwargs = {
+        "reduced": {},
+        "unreduced": {"on_chunk": _ignore},
+        "workers=2": {"workers": 2},
+    }[mode]
+    runs = []
+    # strings per block: one, an odd count, more than a chunk
+    for per_block in (1, 7, entropy.SWEEP_CHUNK + 1):
+        monkeypatch.setattr(mubforge.mub, "BLOCK_BYTES", per_block * 48 * ms.d**2)
+        runs.append(_recorded_sweep(monkeypatch, ms, **kwargs))
+    (want, want_chunks), *others = runs
+    assert want_chunks
+    for got, got_chunks in others:
+        assert got_chunks == want_chunks
+        assert got == want
+
+
+def test_kernel_memory_stays_within_its_block_budget():
+    import tracemalloc
+
+    import mubforge.mub
+
+    ms = build_mub_set(build_partition(5, 5))
+    B = np.stack([b.vectors for b in ms.bases])
+    strings = np.random.default_rng(5).integers(0, ms.d, size=(2048, ms.L))
+    tracemalloc.start()
+    try:
+        (chunk,) = KERNEL(B, strings)  # one chunk of 2,048 d = 32 selectors
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(chunk[1]) == 2048
+    # one chunk's selectors at once would be 2,048 x 16 KB = 32 MB each array
+    assert peak < 4 * mubforge.mub.BLOCK_BYTES
