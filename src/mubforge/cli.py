@@ -157,6 +157,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    if args.dmax < 2 or args.Lmax < 1:
+        raise ValueError("empty grid: need --dmax >= 2 and --Lmax >= 1")
     rows = ["L,d,small_L,large_L,best"]
     d = 2
     while d <= args.dmax:

@@ -51,10 +51,10 @@ under f(b) = the representative of U.b with prefix (0, 0)
 smallest string of F(b). The sweep solves only those smallest strings,
 each weighted d^2 |F(b)|, walking f chunk by chunk. Since each orbit's
 smallest string is still solved, lambda* and the tie rule below give the
-same b* as the Pauli reduction alone. Where U is None, leaves the set or
-fails the exact check of U.(W.b) = W'.(U.b) on the labels
-(mub.PauliLabels.carried_by), f is the identity and each orbit is one
-Pauli orbit.
+same b* as the Pauli reduction alone. The maps pi_j follow exactly from
+U's Clifford action (mub.MubSet.cycle_permutations). Where there are none
+(U is None or leaves the set), or they fail the exact check of U.(W.b) =
+W'.(U.b) (mub.PauliLabels.carried_by), f is the identity.
 
 Ties and bins. Orbit members agree only to rounding, so eigenvalues within
 LEVEL_TOL are one level. Histogram bins group eigenvalues that chain

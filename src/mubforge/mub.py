@@ -22,7 +22,7 @@ The symmetries of a set act on strings of labels (one element per basis).
 A Pauli operator W permutes the labels of basis j through their codes as
 t -> t ^ tau_j(W) (PauliLabels, built once per set), and the cycle unitary
 sends element b of basis j to element pi_j(b) of basis j+1, cyclically
-(cycle_permutations, matched densely as in verify_cycle). orbit_step
+(MubSet.cycle_permutations, exact from U's Clifford action). orbit_step
 composes them into the map the selector sweep walks its orbits with.
 """
 
@@ -40,17 +40,17 @@ import numpy as np
 from .classes import CommutingClass, Partition
 from .pauli import (
     PauliTerm,
+    apply,
     build_gamma_generators,
     commutes,
     is_hermitian,
     parity,
     row_mask,
 )
-from .transform import cycle_unitary
+from .transform import NotAMonomialError, clifford_action, cycle_unitary
 
 EIGEN_TOL = 1e-8  # |eigenvalue| - 1 allowed to a dense eigensolver (the test oracle)
 UNBIAS_TOL = 1e-8
-MATCH_TOL = 1e-6
 # about the most one block of unbiasedness products, or of selectors in
 # entropy._eigmax_chunks, holds: 1 MB blocks ran faster than 4 MB ones in the
 # unbiasedness check at d = 32 and d = 64, on a core with 2 MB of L2
@@ -113,6 +113,42 @@ class MubSet:
         use and kept."""
         return PauliLabels.of(self)
 
+    @property
+    def cycle_permutations(self) -> np.ndarray | None:
+        """pi[j, b]: the element of basis j+1 (cyclically) that U carries
+        element b of basis j onto, derived once; None unless U cycles the bases."""
+        return self._cycle[0]
+
+    @cached_property
+    def _cycle(self) -> tuple[np.ndarray | None, str]:
+        """(pi, "") with pi as in cycle_permutations, or (None, why). U takes
+        the vector with code t of basis j to the one with signs (-1)^t_i
+        under the images U g_i U^H of basis j's generators. Each image must
+        map every column of basis j+1 to exactly +-itself (the entries are
+        exactly 0, +-a or +-i a), and those signs are the column's code."""
+        if self.U is None:
+            return None, "set has no cycle unitary"
+        gens = [g for B in self.bases for g in B.generators]
+        n, L = gens[0].n, self.L
+        try:
+            action = clifford_action(build_gamma_generators(n), self.U)
+        except NotAMonomialError as exc:
+            return None, f"no projector match for basis 0: U is not Clifford ({exc})"
+        masks = np.array([(g.xmask, g.zmask, g.phase) for g in gens]).T
+        x, z, p, s = (a.tolist() for a in action.conjugate_masks(*masks))
+        pi = np.empty((L, self.d), dtype=np.int64)
+        for j in range(L):
+            nxt, code = (j + 1) % L, 0
+            V = self.bases[nxt].vectors
+            for i, k in enumerate(range(j * n, (j + 1) * n)):
+                image = apply(PauliTerm(n, x[k], z[k], p[k] + 1 - s[k]), V)
+                minus = (image == -V).all(axis=0)
+                if not (minus | (image == V).all(axis=0)).all():
+                    return None, f"no projector match: U maps basis {j} off basis {nxt}"
+                code = code | minus << i
+            pi[j] = np.argsort(code)[list(self.bases[j].codes)]  # code -> column
+        return pi, ""
+
 
 @dataclass(frozen=True)
 class PauliLabels:
@@ -167,9 +203,9 @@ class PauliLabels:
         return self.labels[j, c[j, strings] ^ self.tau[j, W[:, None]]]
 
     def carried_by(self, pi: np.ndarray) -> bool:
-        """Whether the label maps pi (cycle_permutations) carry every Pauli
-        to one Pauli: pi_j(W.b) = W'.pi_j(b) on every basis j, with one W'
-        for each W. Then a map with these label maps sends Pauli orbits of
+        """Whether the label maps pi (MubSet.cycle_permutations) carry every
+        Pauli to one Pauli: pi_j(W.b) = W'.pi_j(b) on every basis j, with one
+        W' for each W. Then a map with these label maps sends Pauli orbits of
         strings onto Pauli orbits."""
         L, d = self.codes.shape
         j, nxt = np.arange(L), np.roll(np.arange(L), -1)
@@ -180,12 +216,6 @@ class PauliLabels:
         # W' from the codes it must flip in bases 0 (j = L-1) and 1 (j = 0)
         image = self.pauli_of[moved[:, -1, 0], moved[:, 0, 0]]
         return bool(np.all(moved == self.tau[nxt][:, image].T[:, :, None]))
-
-
-def pauli_representatives(ms: MubSet, strings: np.ndarray) -> np.ndarray:
-    """Each string moved by the one Pauli W that sends its (b_0, b_1) to (0, 0),
-    from the set's tables (PauliLabels.representatives)."""
-    return ms.pauli_labels.representatives(strings)
 
 
 @dataclass(frozen=True)
@@ -439,41 +469,23 @@ def _cycle_unitary(ms: MubSet) -> np.ndarray:
     return ms.U
 
 
-def _cycle_match(ms: MubSet, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """For every element b of basis j, the element m[b] of basis j+1
-    (cyclically) nearest to U|b^(j)> and their squared overlap ov[b], from
-    one product |B_{j+1}^H U B_j|^2; a match needs ov above 1 - MATCH_TOL."""
-    Bk = ms.bases[(j + 1) % ms.L].vectors
-    ov = np.abs(Bk.conj().T @ (_cycle_unitary(ms) @ ms.bases[j].vectors)) ** 2
-    m = np.argmax(ov, axis=0)
-    return m, ov[m, np.arange(ms.d)]
-
-
 def verify_cycle(ms: MubSet) -> CycleReport:
-    """Match U-conjugated projectors of basis j against basis j+1.
+    """Check U-conjugated projectors of basis j against basis j+1.
 
-    Returns the worst Frobenius residual and the induced index permutations.
-    Raises CycleMatchError if some projector has no counterpart with squared
-    overlap above 1 - MATCH_TOL, or the matches of a basis are no
-    permutation. Each residual uses its own matrix-vector product U|b^(j)>:
-    the columns of one matrix product U B_j round differently.
+    Returns the worst Frobenius residual of U|b^(j)> against element pi_j(b)
+    of basis j+1, and the maps pi_j (MubSet.cycle_permutations); raises
+    CycleMatchError, naming the first basis U carries off the next, if there
+    are none. Each residual uses its own product U|b^(j)>: the columns of
+    one matrix product U B_j round differently.
     """
     U = _cycle_unitary(ms)
+    pi, why = ms._cycle
+    if pi is None:
+        raise CycleMatchError(why)
+    perms = tuple(map(tuple, pi.tolist()))
     worst = 0.0
-    perms = []
     P_img, P_tgt = np.empty((2, ms.d, ms.d), dtype=complex)  # reused per column
-    for j in range(ms.L):
-        perm, ov = _cycle_match(ms, j)
-        bad = np.flatnonzero(ov < 1 - MATCH_TOL)
-        if bad.size:
-            b = bad[0]
-            raise CycleMatchError(
-                f"no projector match above {1 - MATCH_TOL} overlap for "
-                f"basis {j} element {b} (best {ov[b]:.6f})"
-            )
-        perm = perm.tolist()
-        if sorted(perm) != list(range(ms.d)):
-            raise CycleMatchError(f"induced map at basis {j} is not a permutation")
+    for j, perm in enumerate(perms):
         Bj, Bk = ms.bases[j].vectors, ms.bases[(j + 1) % ms.L].vectors
         for b, m in enumerate(perm):
             v, w = U @ Bj[:, b], Bk[:, m]
@@ -481,22 +493,7 @@ def verify_cycle(ms: MubSet) -> CycleReport:
             np.outer(w, w.conj(), out=P_tgt)
             res = np.linalg.norm(np.subtract(P_img, P_tgt, out=P_img))
             worst = max(worst, float(res))
-        perms.append(tuple(perm))
-    return CycleReport(worst, tuple(perms))
-
-
-def cycle_permutations(ms: MubSet) -> np.ndarray | None:
-    """pi[j, b]: the element of basis j+1 (cyclically) that U maps element b
-    of basis j onto, matched as in verify_cycle; None if U is None or some
-    element has no match (U does not cycle the bases)."""
-    if ms.U is None:
-        return None
-    pi = np.empty((ms.L, ms.d), dtype=np.int64)
-    for j in range(ms.L):
-        pi[j], ov = _cycle_match(ms, j)
-        if np.any(ov < 1 - MATCH_TOL):
-            return None
-    return pi
+    return CycleReport(worst, perms)
 
 
 def _cycle_strings(ms: MubSet) -> np.ndarray:
@@ -506,7 +503,7 @@ def _cycle_strings(ms: MubSet) -> np.ndarray:
     so the selector P_b commutes with U. Empty if U does not cycle the bases
     or is None.
     """
-    pi = cycle_permutations(ms)
+    pi = ms.cycle_permutations
     if pi is None:
         return np.empty((0, ms.L), dtype=np.int64)
     rows = np.empty((ms.d, ms.L), dtype=np.int64)
@@ -525,7 +522,7 @@ def orbit_step(ms: MubSet):
     (0, 0) and each of its orbits stands for d^2 |orbit| strings. f is the
     identity when U is None, does not cycle the bases or fails that check.
     """
-    pi = cycle_permutations(ms)
+    pi = ms.cycle_permutations
     if pi is None or not ms.pauli_labels.carried_by(pi):
         return lambda strings: strings
     reps, j = ms.pauli_labels.representatives, np.arange(ms.L)

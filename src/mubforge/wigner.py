@@ -39,10 +39,10 @@ import numpy as np
 
 from .classes import CommutingClass, Partition, build_classes_2n1
 from .entropy import LEVEL_TOL, _eigmax_chunks, hermitian_eigmax, pvec_operator
-from .mub import MubSet, basis_matrices, build_mub_set, pauli_representatives
+from .mub import MubSet, basis_matrices, build_mub_set
 from .pauli import PauliTerm
 
-IRREDUCIBLE = {1: 0b10, 2: 0b111, 3: 0b1011, 4: 0b10011, 5: 0b100101}
+IRREDUCIBLE = {1: 0b10, 2: 0b111, 3: 0b1011, 4: 0b10011, 5: 0b100101, 6: 0b1000011}
 
 VERTICAL = "inf"
 ROUTE_TOL = 1e-9  # the kernel, dense point-operator and selector routes agree to this
@@ -225,17 +225,16 @@ def point_levels(bases, assignment=None) -> np.ndarray:
 
     For a MubSet only one string per Pauli orbit is solved: each phase-point
     string is replaced by its representative with prefix (0, 0)
-    (pauli_representatives), the distinct representatives go through the
-    selector kernel d strings at a time, and their levels are scattered
+    (PauliLabels.representatives), the distinct representatives go through
+    the selector kernel d strings at a time, and their levels are scattered
     back. Raw bases solve all d^2 strings; that route is the oracle.
     """
     mats, d, assign = _net(bases, assignment)
     strings = _point_strings(d.bit_length() - 1, assign)
     back = np.arange(d * d)
     if isinstance(bases, MubSet):
-        strings, back = np.unique(
-            pauli_representatives(bases, strings), axis=0, return_inverse=True
-        )
+        reps = bases.pauli_labels.representatives(strings)
+        strings, back = np.unique(reps, axis=0, return_inverse=True)
     chunks = _eigmax_chunks(np.stack(mats), strings, chunk=d)
     return (d + 1) * np.concatenate([lam for _, lam, _ in chunks])[back.ravel()] - 1
 

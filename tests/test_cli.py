@@ -174,6 +174,24 @@ def test_reproduce_fig2_full_matches_fixture(tmp_path):
     assert (tmp_path / "fig2.csv").read_bytes() == fixture.read_bytes()
 
 
+@pytest.mark.parametrize("dmax, Lmax", [(1, 3), (0, 3), (-2, 3), (8, 0), (8, -3)])
+def test_bounds_refuses_an_empty_grid(tmp_path, capsys, dmax, Lmax):
+    out = tmp_path / "bounds.csv"
+    args = ["bounds", "--dmax", str(dmax), "--Lmax", str(Lmax), "--out", str(out)]
+    assert run(args) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("bad arguments:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_wigner_command_at_n6(monkeypatch, capsys):
+    monkeypatch.setenv("MUBFORGE_MAX_N", "6")
+    assert run(["wigner", "--n", "6"]) == 0
+    text = capsys.readouterr().out
+    assert text.count("\n") == 1 + 1 + 64 * 64 + 1  # config, header, points, W_max
+    assert "phase-point value of this net" in text
+
+
 def test_wigner_command(tmp_path, capsys):
     out = tmp_path / "wigner.csv"
     assert run(["wigner", "--n", "2", "--out", str(out)]) == 0

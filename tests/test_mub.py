@@ -26,7 +26,6 @@ from mubforge.mub import (
     common_eigenbasis,
     complex_json,
     cycle_coherent_family,
-    cycle_permutations,
     eigenvector_residual,
     invariant_states,
     invariant_superposition_family,
@@ -447,8 +446,9 @@ def test_bases_json_parts_join_to_the_whole_document(n, L):
 
 
 def _match_by_columns(ms):
-    """The per-column matcher verify_cycle replaced: (worst residual,
-    permutations), or None where some element has no match."""
+    """The dense matcher the exact label maps replaced (oracle): (worst
+    residual, permutations) from the overlaps of U|b^(j)> with basis j+1,
+    or None where some element has no match."""
     worst, perms = 0.0, []
     for j in range(ms.L):
         Bk = ms.bases[(j + 1) % ms.L].vectors
@@ -474,16 +474,29 @@ def test_cycle_matching_equals_the_per_column_matcher(n, L):
     report = verify_cycle(ms)
     assert report.worst_residual == worst
     assert report.permutations == perms
-    assert cycle_permutations(ms).tolist() == [list(p) for p in perms]
+    assert ms.cycle_permutations.tolist() == [list(p) for p in perms]
 
 
 def test_a_unitary_that_does_not_cycle_is_refused_both_ways():
     ms = build_mub_set(build_classes_Ln(3, 3))
     H = np.kron(np.eye(4), np.array([[1, 1], [1, -1]]) / np.sqrt(2))
     bad = MubSet(ms.bases, H @ ms.U, ms.provenance)
-    assert _match_by_columns(bad) is None and cycle_permutations(bad) is None
+    assert _match_by_columns(bad) is None and bad.cycle_permutations is None
     with pytest.raises(CycleMatchError, match="no projector match"):
         verify_cycle(bad)
+
+
+def test_a_unitary_that_is_not_clifford_is_refused():
+    # U maps no Pauli onto a Pauli: no label maps, and verify_cycle reports
+    # a cycle failure, not the NotAMonomialError of reading U's action
+    ms = build_mub_set(build_classes_Ln(3, 3))
+    rng = np.random.default_rng(113)
+    Q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+    bad = MubSet(ms.bases, Q, ms.provenance)
+    assert bad.cycle_permutations is None
+    with pytest.raises(CycleMatchError) as info:
+        verify_cycle(bad)
+    assert str(info.value).startswith("no projector match")
 
 
 def parity_loop(v):

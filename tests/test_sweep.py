@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mubforge import entropy
+from mubforge import entropy, mub
 from mubforge.classes import build_classes_2n1
 from mubforge.cli import build_partition, constructible
 from mubforge.entropy import (
@@ -19,13 +19,7 @@ from mubforge.entropy import (
     sample_max_eigen,
     sweep_max_eigen,
 )
-from mubforge.mub import (
-    MubSet,
-    build_mub_set,
-    cycle_permutations,
-    orbit_step,
-    verify_cycle,
-)
+from mubforge.mub import MubSet, build_mub_set, orbit_step, verify_cycle
 from mubforge.pauli import PauliTerm, to_dense
 from mubforge.wigner import spread_partition
 
@@ -183,6 +177,14 @@ def _five_of_seven():
     return MubSet(full.bases[:5], full.U, replace(part, L=5, classes=part.classes[:5]))
 
 
+def _orbit_set(kind, arg):
+    return {
+        "constructed": lambda: build_mub_set(build_partition(*arg)),
+        "spread": lambda: build_mub_set(spread_partition(arg)),
+        "five_of_seven": _five_of_seven,
+    }[kind]()
+
+
 ORBIT_SETS = [("constructed", p) for p in SMALL_SETS] + [
     ("spread", 1),
     ("spread", 2),
@@ -192,11 +194,7 @@ ORBIT_SETS = [("constructed", p) for p in SMALL_SETS] + [
 
 @pytest.mark.parametrize("kind, arg", ORBIT_SETS, ids=lambda a: str(a))
 def test_orbit_walk_matches_brute_force_orbits(kind, arg):
-    ms = {
-        "constructed": lambda: build_mub_set(build_partition(*arg)),
-        "spread": lambda: build_mub_set(spread_partition(arg)),
-        "five_of_seven": _five_of_seven,
-    }[kind]()
+    ms = _orbit_set(kind, arg)
     d, L = ms.d, ms.L
     low, size = brute_force_orbits(ms)
     minima = np.flatnonzero(low == np.arange(d**L))
@@ -216,13 +214,31 @@ def test_orbit_step_is_the_identity_without_a_cycle():
         assert np.array_equal(orbit_step(ms)(digits), digits)
 
 
-def test_label_maps_that_break_the_pauli_action_are_refused():
-    ms = build_mub_set(build_partition(3, 3))
-    pi = cycle_permutations(ms)
+@pytest.mark.parametrize("kind, arg", ORBIT_SETS, ids=lambda a: str(a))
+def test_label_maps_that_break_the_pauli_action_are_refused(kind, arg):
+    # the exact maps of every cycled set carry Paulis to Paulis; a spread
+    # set has no U, and U leaves the five of seven, so neither has maps
+    ms = _orbit_set(kind, arg)
+    pi = ms.cycle_permutations
+    if kind != "constructed":
+        assert pi is None
+        return
     assert ms.pauli_labels.carried_by(pi)
     bad = pi.copy()
-    bad[0, [0, 1]] = bad[0, [1, 0]]  # no affine map of GF(2)^3 is a transposition
-    assert not ms.pauli_labels.carried_by(bad)
+    bad[0, [0, 1]] = bad[0, [1, 0]]
+    # a swap of two labels is an affine map of GF(2)^n only for n <= 2, and
+    # only at (1, 3) and (2, 2) does it also fit the other bases' maps
+    assert ms.pauli_labels.carried_by(bad) == (arg in [(1, 3), (2, 2)])
+
+
+def test_cycle_maps_are_derived_once_per_set(monkeypatch):
+    calls, read = [], mub.clifford_action
+    monkeypatch.setattr(mub, "clifford_action", lambda *a: calls.append(a) or read(*a))
+    ms = build_mub_set(build_partition(3, 7))
+    sweep_max_eigen(ms)
+    report = verify_cycle(ms)
+    assert len(calls) == 1
+    assert report.permutations == tuple(map(tuple, ms.cycle_permutations.tolist()))
 
 
 def test_cycle_orbits_match_the_pauli_only_route_d8_L7(monkeypatch):

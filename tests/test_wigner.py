@@ -20,7 +20,6 @@ from mubforge.wigner import (
     all_point_operators,
     complete_mub_bases,
     line_indices_through,
-    pauli_representatives,
     phase_space_csv,
     point_levels,
     point_operator,
@@ -40,7 +39,7 @@ def test_gf4_multiplication():
 
 
 def test_gf_axioms():
-    for n in (1, 2, 3, 4, 5):
+    for n in (1, 2, 3, 4, 5, 6):
         gf = GF(n)
         d = gf.order
         for a in range(d):
@@ -235,7 +234,7 @@ def test_wigner_max_vs_value(ms_d4):
 
 
 def test_complete_mub_bases_sizes():
-    for n in (1, 2, 3, 4, 5):
+    for n in (1, 2, 3, 4, 5, 6):
         bases = complete_mub_bases(n)
         assert isinstance(bases, MubSet)
         assert bases.L == 2**n + 1
@@ -349,7 +348,7 @@ def test_representatives_are_images_under_the_one_pauli(n):
     ms = complete_mub_bases(n)
     images = [[_label_image(B, W) for B in ms.bases] for W in _paulis(n)]
     strings = np.random.default_rng(89).integers(0, ms.d, size=(20, ms.L))
-    for b, rep in zip(strings, pauli_representatives(ms, strings)):
+    for b, rep in zip(strings, ms.pauli_labels.representatives(strings)):
         hits = [img for img in images if img[0][b[0]] == img[1][b[1]] == 0]
         assert len(hits) == 1
         assert rep.tolist() == [hits[0][j][b[j]] for j in range(ms.L)]
@@ -371,7 +370,7 @@ def test_orbit_levels_match_under_a_random_assignment(n):
     assert np.max(np.abs(point_levels(ms, assign) - raw)) < ROUTE_TOL
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [3, 4, 6])
 def test_phase_point_strings_fall_into_d_orbits(monkeypatch, n):
     import mubforge.wigner
 
@@ -396,7 +395,7 @@ def test_point_strings_follow_the_lines_through_each_point(n):
 
 
 def test_gf_table_is_the_multiplication():
-    for n in range(1, 6):
+    for n in range(1, 7):
         gf = GF(n)
         d = gf.order
         table = gf.table()
@@ -468,5 +467,5 @@ def test_pauli_tables_are_built_once_per_set(monkeypatch):
     ms = complete_mub_bases(3)
     first = point_levels(ms)
     assert np.array_equal(point_levels(ms), first)
-    pauli_representatives(ms, np.zeros((1, ms.L), dtype=np.int64))
+    ms.pauli_labels.representatives(np.zeros((1, ms.L), dtype=np.int64))
     assert built == [ms]
