@@ -21,15 +21,16 @@ choices differ:
   * L = 2 (pair swaps): singleton G_0 and the staggered pairs (2i-1, 2i),
     which straddle adjacent swap pairs so no unit maps to itself.
 
-Disjointness of the generated classes is certified by check_partition
-rather than assumed, exactly on the mask arrays; validate_partition runs it
-with the action read off the dense cycle unitary.
+Disjointness of the generated classes is certified by validate_partition
+rather than assumed, exactly on the mask arrays, under the action
+cycle_unitary read off the dense cycle unitary (U is not read again) or
+under the exact cycle_action.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -38,7 +39,6 @@ from .pauli import (
     GammaSet,
     PauliTerm,
     build_gamma_generators,
-    canonical,
     gamma_indices,
     gamma_product,
     identity,
@@ -47,14 +47,7 @@ from .pauli import (
     term_from_text,
     term_to_text,
 )
-from .transform import (
-    CliffordAction,
-    CycleSpec,
-    clifford_action,
-    conjugation_residual,
-    cycle_action,
-    cycle_unitary,
-)
+from .transform import CliffordAction, CycleSpec, cycle_action, cycle_unitary
 
 
 @dataclass(frozen=True)
@@ -241,27 +234,17 @@ def fixture_d4(L: int) -> Partition:
     return Partition(2, L, spec, classes)
 
 
-def validate_partition(part: Partition, U: np.ndarray | None = None) -> ValidationReport:
-    """check_partition with the action read off U (the cycle unitary of
-    part.spec unless given). worst_p3_residual is the worst dense residual
-    of that read, over the 2n+1 generator images."""
-    gs = build_gamma_generators(part.n)
-    if U is None:
-        U = cycle_unitary(gs, part.spec)
-    action = clifford_action(gs, U)
-    worst = max(
-        conjugation_residual(U, g, *canonical(img))
-        for g, img in zip(gs.gammas, action.images)
-    )
-    return replace(check_partition(part, action), worst_p3_residual=worst)
-
-
-def check_partition(part: Partition, action: CliffordAction) -> ValidationReport:
+def validate_partition(
+    part: Partition, action: CliffordAction | None = None
+) -> ValidationReport:
     """Check P1 (commutation), P2 (disjointness) and P3 (cycling under
-    action) plus Hermiticity and the one-singleton-per-class rule, exactly on
-    the mask arrays. Failures land in the report, they do not raise; an exact
-    action has no residual, so worst_p3_residual is 0.
+    action, by default the one cycle_unitary reads off the cycle unitary of
+    part.spec) plus Hermiticity and the one-singleton-per-class rule, exactly
+    on the mask arrays. Failures land in the report, they do not raise;
+    worst_p3_residual is the action's residual, 0 for an exact action.
     """
+    if action is None:
+        _, action = cycle_unitary(build_gamma_generators(part.n), part.spec)
     n, d = part.n, part.d
     failures = []
     masks = [_masks(c.members) for c in part.classes]
@@ -322,7 +305,7 @@ def check_partition(part: Partition, action: CliffordAction) -> ValidationReport
         p3=p3,
         hermitian=hermitian,
         singletons=singletons,
-        worst_p3_residual=0.0,
+        worst_p3_residual=action.residual,
         p3_sign_flips=flips,
         failures=tuple(failures),
     )

@@ -126,8 +126,8 @@ def cmd_generate(args) -> int:
         )
         return EXIT_BAD_ARGS
     part = build_partition(n, L)
-    U = cycle_unitary(build_gamma_generators(n), part.spec)
-    report = validate_partition(part, U)
+    U, action = cycle_unitary(build_gamma_generators(n), part.spec)
+    report = validate_partition(part, action)
     out = Path(args.out)
     _write(out / "partition.json", partition_to_json(part))
     validation = dataclasses.asdict(report)  # the fields, in their order
@@ -135,7 +135,7 @@ def cmd_generate(args) -> int:
         _write(out / "validation.json", json.dumps(validation, indent=1))
         print("partition validation FAILED", file=sys.stderr)
         return EXIT_VALIDATION
-    ms = build_mub_set(part, U)
+    ms = build_mub_set(part, U, action)
     cyc = verify_cycle(ms)
     dev = unbiasedness_deviation(ms)
     validation.update(
@@ -176,13 +176,15 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _check_threads(args) -> None:
-    if args.threads < 1:
-        raise ValueError(f"--threads must be >= 1, got {args.threads}")
+def _check_at_least(args, **least) -> None:
+    """Refuse an option below its least value before any set is built."""
+    for name, low in least.items():
+        if getattr(args, name) < low:
+            raise ValueError(f"--{name} must be >= {low}, got {getattr(args, name)}")
 
 
 def cmd_sweep(args) -> int:
-    _check_threads(args)
+    _check_at_least(args, threads=1)
     if not constructible(args.n, args.L):
         print(f"unsupported (n={args.n}, L={args.L})", file=sys.stderr)
         return EXIT_BAD_ARGS
@@ -234,6 +236,7 @@ def _sweep_to_csv(ms: MubSet, args, scale: int):
 
 
 def cmd_minimize(args) -> int:
+    _check_at_least(args, restarts=1, seed=0)
     if not constructible(args.n, args.L):
         print(f"unsupported (n={args.n}, L={args.L})", file=sys.stderr)
         return EXIT_BAD_ARGS
@@ -268,7 +271,7 @@ def _figure_configs(which: int):
 
 
 def cmd_reproduce_fig(args) -> int:
-    _check_threads(args)
+    _check_at_least(args, restarts=1, seed=0, threads=1)
     n, d, Ls = _figure_configs(args.which)
     rows = [
         "L,d,small_L,large_L,best,sweep_bits,sweep_mode,numeric_min,invariant_min"

@@ -22,8 +22,9 @@ The symmetries of a set act on strings of labels (one element per basis).
 A Pauli operator W permutes the labels of basis j through their codes as
 t -> t ^ tau_j(W) (PauliLabels, built once per set), and the cycle unitary
 sends element b of basis j to element pi_j(b) of basis j+1, cyclically
-(MubSet.cycle_permutations, exact from U's Clifford action). orbit_step
-composes them into the map the selector sweep walks its orbits with.
+(MubSet.cycle_permutations, exact from the Clifford action cycle_unitary
+read off U). orbit_step composes them into the map the selector sweep
+walks its orbits with, and verify_cycle checks U against pi.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .pauli import (
     parity,
     row_mask,
 )
-from .transform import NotAMonomialError, clifford_action, cycle_unitary
+from .transform import CliffordAction, NotAMonomialError, clifford_action, cycle_unitary
 
 EIGEN_TOL = 1e-8  # |eigenvalue| - 1 allowed to a dense eigensolver (the test oracle)
 UNBIAS_TOL = 1e-8
@@ -98,6 +99,8 @@ class MubSet:
     U: np.ndarray | None  # None when the partition has no cycle spec
     provenance: Partition
     deviation: float | None = None  # unbiasedness_deviation, from build_mub_set
+    # U's action as cycle_unitary read it; None: read off U on first use
+    action: CliffordAction | None = None
 
     @property
     def L(self) -> int:
@@ -130,22 +133,30 @@ class MubSet:
             return None, "set has no cycle unitary"
         gens = [g for B in self.bases for g in B.generators]
         n, L = gens[0].n, self.L
-        try:
-            action = clifford_action(build_gamma_generators(n), self.U)
-        except NotAMonomialError as exc:
-            return None, f"no projector match for basis 0: U is not Clifford ({exc})"
+        action = self.action
+        if action is None:
+            try:
+                action = clifford_action(build_gamma_generators(n), self.U)
+            except NotAMonomialError as exc:
+                return None, f"no projector match for basis 0: U is not Clifford ({exc})"
         masks = np.array([(g.xmask, g.zmask, g.phase) for g in gens]).T
-        x, z, p, s = (a.tolist() for a in action.conjugate_masks(*masks))
+        x, z, p, s = action.conjugate_masks(*masks)
+        p = (p + 1 - s).tolist()  # the sign folded into the phase
+        images = list(map(PauliTerm, [n] * len(p), x.tolist(), z.tolist(), p))
+        bit = 1 << np.arange(n)[:, None]
         pi = np.empty((L, self.d), dtype=np.int64)
         for j in range(L):
-            nxt, code = (j + 1) % L, 0
+            nxt = (j + 1) % L
             V = self.bases[nxt].vectors
-            for i, k in enumerate(range(j * n, (j + 1) * n)):
-                image = apply(PauliTerm(n, x[k], z[k], p[k] + 1 - s[k]), V)
-                minus = (image == -V).all(axis=0)
-                if not (minus | (image == V).all(axis=0)).all():
-                    return None, f"no projector match: U maps basis {j} off basis {nxt}"
-                code = code | minus << i
+            # [i, row, column re | im]: compared as floats, which is faster
+            image = apply(images[j * n : (j + 1) * n], V).view(float)
+            minus, plus = (
+                (image == sign * V.view(float)).all(axis=1).reshape(n, -1, 2).all(axis=2)
+                for sign in (-1, 1)
+            )
+            if not (minus | plus).all():
+                return None, f"no projector match: U maps basis {j} off basis {nxt}"
+            code = (minus * bit).sum(axis=0)
             pi[j] = np.argsort(code)[list(self.bases[j].codes)]  # code -> column
         return pi, ""
 
@@ -445,12 +456,14 @@ def unbiasedness_deviation(bases) -> float:
     return worst
 
 
-def build_mub_set(part: Partition, U: np.ndarray | None = None) -> MubSet:
+def build_mub_set(
+    part: Partition, U: np.ndarray | None = None, action: CliffordAction | None = None
+) -> MubSet:
     """Extract all joint eigenbases and verify mutual unbiasedness, keeping
-    the worst deviation. U defaults to the cycle unitary of part.spec, and
-    to None without a spec."""
+    the worst deviation. U and its action default to cycle_unitary's for
+    part.spec, and to None without a spec."""
     if U is None and part.spec is not None:
-        U = cycle_unitary(build_gamma_generators(part.n), part.spec)
+        U, action = cycle_unitary(build_gamma_generators(part.n), part.spec)
     bases = tuple(common_eigenbasis(c, label=i) for i, c in enumerate(part.classes))
     worst = 0.0
     for j, k, dev, bad, ov in _pair_deviations([b.vectors for b in bases]):
@@ -460,7 +473,7 @@ def build_mub_set(part: Partition, U: np.ndarray | None = None) -> MubSet:
                 f"{bad}, |overlap|^2 = {ov:.6g}"
             )
         worst = max(worst, dev)
-    return MubSet(bases, U, part, worst)
+    return MubSet(bases, U, part, worst, action)
 
 
 def _cycle_unitary(ms: MubSet) -> np.ndarray:
@@ -475,25 +488,33 @@ def verify_cycle(ms: MubSet) -> CycleReport:
     Returns the worst Frobenius residual of U|b^(j)> against element pi_j(b)
     of basis j+1, and the maps pi_j (MubSet.cycle_permutations); raises
     CycleMatchError, naming the first basis U carries off the next, if there
-    are none. Each residual uses its own product U|b^(j)>: the columns of
-    one matrix product U B_j round differently.
+    are none. The vectors U|b^(j)> of basis j come from one product U B_j.
     """
     U = _cycle_unitary(ms)
     pi, why = ms._cycle
     if pi is None:
         raise CycleMatchError(why)
-    perms = tuple(map(tuple, pi.tolist()))
     worst = 0.0
-    P_img, P_tgt = np.empty((2, ms.d, ms.d), dtype=complex)  # reused per column
-    for j, perm in enumerate(perms):
-        Bj, Bk = ms.bases[j].vectors, ms.bases[(j + 1) % ms.L].vectors
-        for b, m in enumerate(perm):
-            v, w = U @ Bj[:, b], Bk[:, m]
-            np.outer(v, v.conj(), out=P_img)
-            np.outer(w, w.conj(), out=P_tgt)
-            res = np.linalg.norm(np.subtract(P_img, P_tgt, out=P_img))
-            worst = max(worst, float(res))
-    return CycleReport(worst, perms)
+    for j in range(ms.L):
+        W = ms.bases[(j + 1) % ms.L].vectors[:, pi[j]]
+        worst = max(worst, float(_projector_distances(U @ ms.bases[j].vectors, W).max()))
+    return CycleReport(worst, tuple(map(tuple, pi.tolist())))
+
+
+def _projector_distances(V: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """|v v^H - w w^H|_F for each pair of columns v, w of V and W, without
+    forming either projector. With phi = arg <w, v> and e = e^(-i phi) v - w,
+    v v^H - w w^H = [w e] C [w e]^H for C = [[0, 1], [1, 1]], so its squared
+    norm is tr((C G)^2), G the 2 x 2 Gram matrix of (w, e). The O(1) parts
+    of the two projectors never meet, so nothing cancels."""
+    Wc = W.conj()
+    E = V * np.exp(-1j * np.angle(np.einsum("ij,ij->j", Wc, V))) - W
+    ww = np.einsum("ij,ij->j", Wc, W).real
+    ee = np.einsum("ij,ij->j", E.conj(), E).real
+    we = np.einsum("ij,ij->j", Wc, E)
+    # C G = [[ew, ee], [ww + ew, we + ee]] with ew = conj(we)
+    sq = (we.conj() ** 2 + 2 * ee * (ww + we.conj()) + (we + ee) ** 2).real
+    return np.sqrt(np.maximum(sq, 0))
 
 
 def _cycle_strings(ms: MubSet) -> np.ndarray:

@@ -147,24 +147,25 @@ def parity(v) -> np.ndarray:
     return v & 1
 
 
-def apply(a: PauliTerm, V: np.ndarray) -> np.ndarray:
-    """to_dense(a) @ V without forming the matrix.
+def apply(a: "PauliTerm | Sequence[PauliTerm]", V: np.ndarray) -> np.ndarray:
+    """to_dense(a) @ V without forming the matrix; for a sequence of terms,
+    their products stacked on a new first axis.
 
     With x', z' the masks in row-index bit order,
-    X^x Z^z |c> = (-1)^|z' & c| |c ^ x'>, so row c of V moves to row c ^ x'
-    scaled by i^phase (-1)^|z' & c|. Every entry is one exact product, as in
-    the dense matrix product. V is a vector or a matrix with 2^n rows.
+    X^x Z^z |c> = (-1)^|z' & c| |c ^ x'>, so row c ^ x' of the product is
+    row c of V scaled by i^phase (-1)^|z' & c|. Every entry is one exact
+    product, as in the dense matrix product. V has 2^n rows.
     """
+    terms = [a] if isinstance(a, PauliTerm) else a
+    n = terms[0].n
     V = np.asarray(V)
-    d = 1 << a.n
-    if V.shape[:1] != (d,):
-        raise DimensionMismatchError(f"{a.n}-qubit term applied to shape {V.shape}")
-    rows = np.arange(d)
-    sign = 1 - 2 * parity(rows & row_mask(a.zmask, a.n))
-    coeff = (_PHASES[a.phase] * sign).reshape((d,) + (1,) * (V.ndim - 1))
-    out = np.empty(V.shape, dtype=complex)
-    out[rows ^ row_mask(a.xmask, a.n)] = coeff * V
-    return out
+    if V.shape[:1] != (1 << n,) or any(t.n != n for t in terms):
+        raise DimensionMismatchError(f"{n}-qubit term applied to shape {V.shape}")
+    x, z, p = np.array([(t.xmask, t.zmask, t.phase) for t in terms]).T
+    src = np.arange(1 << n) ^ row_mask(x, n)[:, None]  # [term, row]
+    coeff = np.array(_PHASES)[p, None] * (1 - 2 * parity(src & row_mask(z, n)[:, None]))
+    out = coeff.reshape(coeff.shape + (1,) * (V.ndim - 1)) * V[src]
+    return out[0] if isinstance(a, PauliTerm) else out
 
 
 def build_gamma_generators(n: int) -> "GammaSet":

@@ -27,7 +27,7 @@ where its action on the 2n+1 generators is read off and checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -105,6 +105,8 @@ class CliffordAction:
 
     gs: GammaSet
     images: tuple[PauliTerm, ...]
+    # worst dense residual of the read that gave images (0: derived exactly)
+    residual: float = field(default=0.0, compare=False)
 
     @cached_property
     def tableau(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -138,7 +140,7 @@ class CliffordAction:
         return ox, oz, ph & 1, 1 - (ph & 2)
 
     def conjugate(self, a: PauliTerm) -> tuple[PauliTerm, int]:
-        """U a U^H as (canonical monomial, sign), like conjugate_term."""
+        """U a U^H as (canonical monomial, sign)."""
         if a.n != self.gs.n:
             raise DimensionMismatchError(f"qubit counts differ: {a.n} != {self.gs.n}")
         x, z, p, s = self.conjugate_masks([a.xmask], [a.zmask], [a.phase])
@@ -146,13 +148,10 @@ class CliffordAction:
 
 
 def clifford_action(gs: GammaSet, U: np.ndarray) -> CliffordAction:
-    """Read U's action off its 2n+1 generator images (dense, checked)."""
-    minus_one = PauliTerm(gs.n, 0, 0, 2)
-    images = []
-    for g in gs.gammas:
-        term, sign = conjugate_term(U, g)
-        images.append(term if sign == 1 else multiply(minus_one, term))
-    return CliffordAction(gs, tuple(images))
+    """Read U's action off its 2n+1 generator images (dense, checked),
+    keeping the worst monomial residual of the read."""
+    images, residuals = zip(*(conjugate_term(U, g) for g in gs.gammas))
+    return CliffordAction(gs, images, max(residuals))
 
 
 def cycle_action(gs: GammaSet, spec: CycleSpec) -> CliffordAction:
@@ -189,8 +188,9 @@ def rotation_unitary(gs: GammaSet, j: int, k: int) -> np.ndarray:
     return gk @ (gj + gk) / np.sqrt(2)
 
 
-def cycle_unitary(gs: GammaSet, spec: CycleSpec) -> np.ndarray:
-    """Dense unitary whose conjugation cycles each group of generators.
+def cycle_unitary(gs: GammaSet, spec: CycleSpec) -> tuple[np.ndarray, CliffordAction]:
+    """Dense unitary whose conjugation cycles each group of generators, and
+    its action read once by clifford_action, for callers to hand on.
 
     The postcondition is verified before returning: U's action on the
     generators is cycle_action(gs, spec) exactly. So every group index maps
@@ -222,20 +222,19 @@ def cycle_unitary(gs: GammaSet, spec: CycleSpec) -> np.ndarray:
         U = Ug @ U
     assert_unitary(U)
 
-    got = clifford_action(gs, U).images
-    for i, (term, want) in enumerate(zip(got, cycle_action(gs, spec).images)):
+    action = clifford_action(gs, U)
+    for i, (term, want) in enumerate(zip(action.images, cycle_action(gs, spec).images)):
         if canonical(term)[0] != canonical(want)[0]:
             raise ConstructionError(f"G{i} maps onto {term}, wanted {want}")
         if term != want:
             raise ConstructionError(f"G{i} maps onto {term}, wanted the sign of {want}")
-    return U
+    return U, action
 
 
-def conjugate_term(U: np.ndarray, a: PauliTerm) -> tuple[PauliTerm, int]:
-    """Resolve U a U^H as sign * monomial; raises if no monomial matches.
-
-    The returned monomial is the canonical representative (phase in {0,1});
-    the split-off sign is the second element.
+def conjugate_term(U: np.ndarray, a: PauliTerm) -> tuple[PauliTerm, float]:
+    """Resolve U a U^H as a monomial, its sign in the phase, and the
+    residual: the max-abs deviation of the dense U a U^H from that
+    monomial. Raises if no monomial matches.
     """
     d = 2**a.n
     if U.shape != (d, d):
@@ -262,10 +261,4 @@ def conjugate_term(U: np.ndarray, a: PauliTerm) -> tuple[PauliTerm, int]:
         raise NotAMonomialError(
             f"conjugation residual {residual:.3e} exceeds {MONOMIAL_TOL}"
         )
-    return canonical(guess)
-
-
-def conjugation_residual(U: np.ndarray, a: PauliTerm, b: PauliTerm, sign: int) -> float:
-    """Max-abs deviation of U a U^H from sign * b, from dense matrices."""
-    img = U @ to_dense(a) @ U.conj().T
-    return float(np.max(np.abs(img - sign * to_dense(b))))
+    return guess, float(residual)

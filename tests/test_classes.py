@@ -9,7 +9,6 @@ from mubforge.classes import (
     Partition,
     build_classes_2n1,
     build_classes_Ln,
-    check_partition,
     fixture_d4,
     index_sum,
     is_prime,
@@ -27,13 +26,8 @@ from mubforge.pauli import (
     is_hermitian,
     multiply,
 )
-from mubforge.transform import (
-    CycleSpec,
-    conjugate_term,
-    conjugation_residual,
-    cycle_action,
-    cycle_unitary,
-)
+from mubforge.transform import CycleSpec, conjugate_term, cycle_action, cycle_unitary
+from test_transform import conjugation_residual
 
 
 def test_fixture_d4_l3_verbatim():
@@ -286,17 +280,19 @@ def test_is_prime():
 @pytest.mark.parametrize("part", [fixture_d4(4), build_classes_2n1(3), build_classes_Ln(4, 2)])
 def test_p3_residual_is_the_worst_generator_image(part):
     gs = build_gamma_generators(part.n)
-    U = cycle_unitary(gs, part.spec)
-    report = validate_partition(part, U)
-    want = max(conjugation_residual(U, g, *conjugate_term(U, g)) for g in gs.gammas)
+    U, action = cycle_unitary(gs, part.spec)
+    report = validate_partition(part, action)
+    want = max(
+        conjugation_residual(U, g, *canonical(conjugate_term(U, g)[0])) for g in gs.gammas
+    )
     assert report.worst_p3_residual == want
     assert report.p3 and report.ok
 
 
 def test_validator_flags_a_unitary_that_does_not_cycle():
     part = fixture_d4(3)
-    U = cycle_unitary(build_gamma_generators(2), CycleSpec(2, ((0, 2, 1),)))
-    report = validate_partition(part, U)
+    _, action = cycle_unitary(build_gamma_generators(2), CycleSpec(2, ((0, 2, 1),)))
+    report = validate_partition(part, action)
     assert not report.p3 and not report.ok
 
 
@@ -353,7 +349,7 @@ def test_json_roundtrip_of_arbitrary_partitions(part):
 
 
 def _check_by_loops(part, action):
-    """The per-monomial loops check_partition replaced, as its oracle."""
+    """The per-monomial loops validate_partition replaced, as its oracle."""
     gs = action.gs
     d = part.d
     failures = []
@@ -417,7 +413,7 @@ def test_array_checks_match_the_loops_on_arbitrary_partitions(part, data):
     action = cycle_action(
         build_gamma_generators(n), part.spec or CycleSpec(n, (tuple(order[:length]),))
     )
-    assert astuple(check_partition(part, action)) == _check_by_loops(part, action)
+    assert astuple(validate_partition(part, action)) == _check_by_loops(part, action)
 
 
 @pytest.mark.parametrize(
@@ -427,7 +423,7 @@ def test_array_checks_match_the_loops_on_arbitrary_partitions(part, data):
 )
 def test_array_checks_match_the_loops_on_constructible_partitions(part):
     action = cycle_action(build_gamma_generators(part.n), part.spec)
-    assert astuple(check_partition(part, action)) == _check_by_loops(part, action)
+    assert astuple(validate_partition(part, action)) == _check_by_loops(part, action)
 
 
 @pytest.mark.parametrize(
@@ -444,7 +440,7 @@ def test_p3_compares_each_class_with_the_next_as_a_set(build):
     )
     part = replace(build, classes=classes)
     action = cycle_action(build_gamma_generators(part.n), part.spec)
-    report = check_partition(part, action)
+    report = validate_partition(part, action)
     assert report.p3 and report.ok
     assert astuple(report) == _check_by_loops(part, action)
 
@@ -473,7 +469,7 @@ def test_every_constructible_partition_checks_exactly_up_to_n10(n, L):
     from mubforge.cli import build_partition
 
     part = build_partition(n, L)
-    report = check_partition(part, cycle_action(build_gamma_generators(n), part.spec))
+    report = validate_partition(part, cycle_action(build_gamma_generators(n), part.spec))
     assert report.ok, report.failures
 
 
@@ -482,7 +478,7 @@ def test_known_p2_failures_fail_only_p2(n, L):
     from mubforge.cli import build_partition
 
     part = build_partition(n, L)
-    report = check_partition(part, cycle_action(build_gamma_generators(n), part.spec))
+    report = validate_partition(part, cycle_action(build_gamma_generators(n), part.spec))
     assert report.p1 and report.p3 and report.hermitian and report.singletons
     assert not report.p2 and len(report.failures) == P2_REPEATS[n, L]
     assert all(f.startswith("member shared by classes") for f in report.failures)
@@ -491,8 +487,8 @@ def test_known_p2_failures_fail_only_p2(n, L):
 @pytest.mark.parametrize("part", [fixture_d4(3), build_classes_2n1(3), build_classes_Ln(6, 3)])
 def test_validate_is_the_exact_check_plus_the_dense_residual(part):
     gs = build_gamma_generators(part.n)
-    U = cycle_unitary(gs, part.spec)
-    dense = validate_partition(part, U)
-    exact = check_partition(part, cycle_action(gs, part.spec))
+    _, action = cycle_unitary(gs, part.spec)
+    dense = validate_partition(part, action)
+    exact = validate_partition(part, cycle_action(gs, part.spec))
     assert 0.0 < dense.worst_p3_residual < 1e-10
     assert replace(dense, worst_p3_residual=0.0) == exact

@@ -244,7 +244,8 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def test_generate_matches_fixture(tmp_path):
     # partition.json and unitary.json as generate wrote them before monomials
-    # were mapped exactly; bases.json and validation.json from the exact bases
+    # were mapped exactly; bases.json and validation.json from the exact bases,
+    # with the cycle residual of the one-product Gram form
     assert run(["generate", "--n", "3", "--L", "7", "--out", str(tmp_path)]) == 0
     for name in ("partition.json", "validation.json", "bases.json", "unitary.json"):
         want = (FIXTURES / "generate_n3_L7" / name).read_bytes()
@@ -267,6 +268,52 @@ def test_generate_builds_the_cycle_unitary_once(tmp_path, monkeypatch):
         monkeypatch.setattr(mod, "cycle_unitary", counted)
     assert run(["generate", "--n", "3", "--L", "3", "--out", str(tmp_path)]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n, L", [(3, 7), (6, 13)])
+def test_generate_reads_u_once(tmp_path, monkeypatch, n, L):
+    # the 2n+1 dense generator reads of cycle_unitary's postcondition, and
+    # nothing after it: validation and the set reuse that action, and the
+    # cycle maps take one apply per basis
+    import mubforge.mub
+    import mubforge.transform
+
+    reads, read = [], mubforge.transform.conjugate_term
+    applies, apply = [], mubforge.mub.apply
+    monkeypatch.setattr(
+        mubforge.transform, "conjugate_term", lambda *a: reads.append(a) or read(*a)
+    )
+    monkeypatch.setattr(mubforge.mub, "apply", lambda *a: applies.append(a) or apply(*a))
+    monkeypatch.setenv("MUBFORGE_MAX_N", "6")
+    assert run(["generate", "--n", str(n), "--L", str(L), "--out", str(tmp_path)]) == 0
+    assert len(reads) == 2 * n + 1
+    assert len(applies) == L
+
+
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["reproduce-fig", "--which", "2", "--full", "--restarts", "0"], "--restarts"),
+        (["reproduce-fig", "--which", "1", "--seed", "-1"], "--seed"),
+        (["minimize", "--n", "2", "--L", "4", "--restarts", "-2"], "--restarts"),
+        (["minimize", "--n", "2", "--L", "4", "--seed", "-3"], "--seed"),
+    ],
+)
+def test_minimizer_arguments_are_refused_before_any_set(
+    tmp_path, monkeypatch, capsys, args, option
+):
+    import mubforge.cli
+
+    def no_set(*a):
+        raise AssertionError("a set was built")
+
+    monkeypatch.setattr(mubforge.cli, "build_mub_set", no_set)
+    if args[0] == "reproduce-fig":
+        args = args + ["--out", str(tmp_path)]
+    assert run(args) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"bad arguments: {option} must be")
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("n, L", [(2, 4), (2, 5), (3, 3), (3, 7), (5, 5)])
@@ -434,11 +481,13 @@ def test_tracer_targets_resolve():
         assert callable(getattr(importlib.import_module(module), function))
 
 
-# sha256 of the n = 6 generate outputs as the per-monomial route wrote them
+# sha256 of the n = 6 generate outputs as the per-monomial route wrote them;
+# validation.json and bases.json at L = 13 with the cycle residual of the
+# one-product Gram form (2.201003820562027e-15, was 2.333450050627095e-15)
 GENERATE_N6_SHA256 = {
     ("13", "partition.json"): "55dec0ba43df64e13a531fed26d38b67e052a9aaae0210a32781314a8d1ce1d9",
-    ("13", "validation.json"): "6e2533af7ad4b539d9745ac57d9c8ddfc421caac942c4f5c7cf0b87bc7011984",
-    ("13", "bases.json"): "1931c78be656b3e072d42da1542b4aacd1f9b3ef879b888eb0683aa2d83900d4",
+    ("13", "validation.json"): "4599c8bdb57419ee7daf4983d87cab636f97c8b8efa93a78b63442fa85bdd915",
+    ("13", "bases.json"): "49941a85b75daf1c572a5b145bb9b65b3de1482e5081e8f7f2ee0c870a0a9654",
     ("13", "unitary.json"): "d73faae38af01e0b6a852eef43a4cf0e5177eaeb8f212f22128589c469eeb3f0",
     ("3", "partition.json"): "2c132df5a5e0a1785efd24aece5d1a358e864530495d1f10b63cc093cac4a9e4",
     ("3", "validation.json"): "c67a4346906dc632c0a027a91c7ad73a6c0d6219341a221b61e1ffd2e3aa38b3",

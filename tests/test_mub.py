@@ -36,7 +36,7 @@ from mubforge.mub import (
     unbiasedness_deviation,
     verify_cycle,
 )
-from mubforge.mub import EIGEN_TOL, fix_phase
+from mubforge.mub import EIGEN_TOL, _projector_distances, fix_phase
 from mubforge.pauli import (
     PauliTerm,
     build_gamma_generators,
@@ -445,11 +445,12 @@ def test_bases_json_parts_join_to_the_whole_document(n, L):
     assert mub_set_to_json(spread) == whole_document_json(spread, None)
 
 
-def _match_by_columns(ms):
-    """The dense matcher the exact label maps replaced (oracle): (worst
-    residual, permutations) from the overlaps of U|b^(j)> with basis j+1,
-    or None where some element has no match."""
-    worst, perms = 0.0, []
+def _dense_columns(ms):
+    """The dense matcher the exact label maps replaced (oracle): (res,
+    permutations) from the overlaps of U|b^(j)> with basis j+1, res[j, b]
+    the projector residual of element b of basis j from its own U|b^(j)>
+    and two outer products, or None where some element has no match."""
+    res, perms = np.zeros((ms.L, ms.d)), []
     for j in range(ms.L):
         Bk = ms.bases[(j + 1) % ms.L].vectors
         perm = []
@@ -462,9 +463,24 @@ def _match_by_columns(ms):
             perm.append(m)
             P_img = np.outer(v, v.conj())
             P_tgt = np.outer(Bk[:, m], Bk[:, m].conj())
-            worst = max(worst, float(np.linalg.norm(P_img - P_tgt)))
+            res[j, b] = np.linalg.norm(P_img - P_tgt)
         perms.append(tuple(perm))
-    return worst, tuple(perms)
+    return res, tuple(perms)
+
+
+def _match_by_columns(ms):
+    """(worst residual, permutations) of the dense matcher, or None."""
+    dense = _dense_columns(ms)
+    return dense and (float(dense[0].max()), dense[1])
+
+
+def _gram_columns(ms):
+    """res[j, b] as verify_cycle computes it, from one product U B_j."""
+    pi = ms.cycle_permutations
+    return np.array([
+        _projector_distances(ms.U @ B.vectors, ms.bases[(j + 1) % ms.L].vectors[:, pi[j]])
+        for j, B in enumerate(ms.bases)
+    ])
 
 
 @pytest.mark.parametrize("n, L", _buildable(6))
@@ -472,9 +488,41 @@ def test_cycle_matching_equals_the_per_column_matcher(n, L):
     ms = _cli_set(n, L)
     worst, perms = _match_by_columns(ms)
     report = verify_cycle(ms)
-    assert report.worst_residual == worst
+    assert abs(report.worst_residual - worst) <= 1e-15
     assert report.permutations == perms
     assert ms.cycle_permutations.tolist() == [list(p) for p in perms]
+
+
+def _perturbed(ms, eps, seed):
+    """ms with U replaced by exp(i eps H) U, H Hermitian of spectral norm 1,
+    keeping the set's exact action (and so its maps)."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(ms.d, ms.d)) + 1j * rng.normal(size=(ms.d, ms.d))
+    lam, Q = np.linalg.eigh(A + A.conj().T)
+    lam /= abs(lam).max()
+    U = (Q * np.exp(1j * eps * lam)) @ Q.conj().T @ ms.U
+    return MubSet(ms.bases, U, ms.provenance, ms.deviation, ms.action)
+
+
+@pytest.mark.parametrize("n, L", [(2, 4), (3, 7), (6, 13)])
+def test_cycle_residual_is_the_dense_residual(n, L):
+    # rounding noise: the one-product Gram form agrees with the per-column
+    # outer products to 1e-15 on every column, and verify_cycle reports
+    # its worst column
+    ms = _cli_set(n, L)
+    dense, perms = _dense_columns(ms)
+    gram = _gram_columns(ms)
+    assert np.abs(gram - dense).max() <= 1e-15
+    assert verify_cycle(ms).worst_residual == gram.max()
+    # away from rounding noise, on a U perturbed off the cycle: relative 1e-9
+    for eps in (1e-6, 1e-3):
+        bad = _perturbed(ms, eps, seed=n * 100 + L)
+        dense, bad_perms = _dense_columns(bad)
+        report = verify_cycle(bad)
+        assert report.permutations == bad_perms == perms
+        assert eps / 10 < report.worst_residual < 2 * eps
+        assert abs(report.worst_residual - dense.max()) <= 1e-9 * dense.max()
+        assert np.all(np.abs(_gram_columns(bad) - dense) <= 1e-9 * dense)
 
 
 def test_a_unitary_that_does_not_cycle_is_refused_both_ways():

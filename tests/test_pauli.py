@@ -241,6 +241,24 @@ def test_apply_equals_dense_product(n, bits, cols, seed):
     assert np.array_equal(apply(a, np.eye(2**n)), to_dense(a))
 
 
+def test_apply_to_a_sequence_stacks_the_single_results():
+    rng = np.random.default_rng(7)
+    for n in (1, 3, 6):
+        d = 2**n
+        terms = [
+            PauliTerm(n, *map(int, rng.integers(0, d, size=2)), int(rng.integers(0, 4)))
+            for _ in range(5)
+        ]
+        V = rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3))
+        got = apply(terms, V)
+        assert got.shape == (5, d, 3)
+        for a, image in zip(terms, got):
+            assert np.array_equal(image, apply(a, V))
+            assert np.array_equal(image, to_dense(a) @ V)
+    with pytest.raises(DimensionMismatchError):
+        apply([PauliTerm(2, 1, 0, 0), PauliTerm(3, 1, 0, 0)], np.eye(4))
+
+
 def test_apply_rejects_wrong_dimension():
     with pytest.raises(DimensionMismatchError):
         apply(PauliTerm(2, 1, 0, 0), np.eye(8))

@@ -232,13 +232,22 @@ def test_label_maps_that_break_the_pauli_action_are_refused(kind, arg):
 
 
 def test_cycle_maps_are_derived_once_per_set(monkeypatch):
-    calls, read = [], mub.clifford_action
-    monkeypatch.setattr(mub, "clifford_action", lambda *a: calls.append(a) or read(*a))
+    # one apply per basis, once per set, with the action cycle_unitary read:
+    # the set never reads U's action a second time
+    reads, read = [], mub.clifford_action
+    applies, apply = [], mub.apply
+    monkeypatch.setattr(mub, "clifford_action", lambda *a: reads.append(a) or read(*a))
+    monkeypatch.setattr(mub, "apply", lambda *a: applies.append(a) or apply(*a))
     ms = build_mub_set(build_partition(3, 7))
     sweep_max_eigen(ms)
     report = verify_cycle(ms)
-    assert len(calls) == 1
+    assert len(reads) == 0 and len(applies) == ms.L
     assert report.permutations == tuple(map(tuple, ms.cycle_permutations.tolist()))
+    # a set built by hand from U alone reads the action off U once
+    by_hand = mub.MubSet(ms.bases, ms.U, ms.provenance)
+    assert verify_cycle(by_hand).permutations == report.permutations
+    assert by_hand.cycle_permutations is by_hand.cycle_permutations
+    assert len(reads) == 1
 
 
 def test_cycle_orbits_match_the_pauli_only_route_d8_L7(monkeypatch):

@@ -21,7 +21,6 @@ from mubforge.transform import (
     assert_unitary,
     clifford_action,
     conjugate_term,
-    conjugation_residual,
     cycle_action,
     cycle_unitary,
     rotation_unitary,
@@ -108,33 +107,33 @@ def test_cycle_spec_validation():
 
 def test_three_cycle_action_d4():
     gs = build_gamma_generators(2)
-    U = cycle_unitary(gs, CycleSpec(2, ((0, 1, 2),)))
+    U, _ = cycle_unitary(gs, CycleSpec(2, ((0, 1, 2),)))
     assert signed_action(U, gs) == [(1, 1), (2, 1), (0, 1), (3, 1), (4, 1)]
 
 
 def test_four_cycle_action_d4():
     # single even cycle: G4 takes the forced determinant sign, rest exact
     gs = build_gamma_generators(2)
-    U = cycle_unitary(gs, CycleSpec(2, ((0, 1, 2, 3),)))
+    U, _ = cycle_unitary(gs, CycleSpec(2, ((0, 1, 2, 3),)))
     assert signed_action(U, gs) == [(1, 1), (2, 1), (3, 1), (0, 1), (4, -1)]
 
 
 def test_full_cycle_action_d4():
     gs = build_gamma_generators(2)
-    U = cycle_unitary(gs, CycleSpec(2, ((0, 1, 2, 3, 4),)))
+    U, _ = cycle_unitary(gs, CycleSpec(2, ((0, 1, 2, 3, 4),)))
     assert signed_action(U, gs) == [(1, 1), (2, 1), (3, 1), (4, 1), (0, 1)]
 
 
 def test_multi_group_action_n3():
     gs = build_gamma_generators(3)
-    U = cycle_unitary(gs, CycleSpec(3, ((0, 1, 2), (3, 4, 5))))
+    U, _ = cycle_unitary(gs, CycleSpec(3, ((0, 1, 2), (3, 4, 5))))
     want = [(1, 1), (2, 1), (0, 1), (4, 1), (5, 1), (3, 1), (6, 1)]
     assert signed_action(U, gs) == want
 
 
 def test_pair_swaps_n2():
     gs = build_gamma_generators(2)
-    U = cycle_unitary(gs, CycleSpec(2, ((0, 1), (2, 3))))
+    U, _ = cycle_unitary(gs, CycleSpec(2, ((0, 1), (2, 3))))
     assert signed_action(U, gs) == [(1, 1), (0, 1), (3, 1), (2, 1), (4, 1)]
 
 
@@ -152,7 +151,7 @@ def test_pair_swaps_n2():
 def test_cycle_power_is_scalar(n, groups):
     gs = build_gamma_generators(n)
     spec = CycleSpec(n, groups)
-    U = cycle_unitary(gs, spec)
+    U, _ = cycle_unitary(gs, spec)
     assert_unitary(U)
     P = np.linalg.matrix_power(U, spec.cycle_length)
     off = P - np.diag(np.diag(P))
@@ -161,24 +160,31 @@ def test_cycle_power_is_scalar(n, groups):
     assert np.max(np.abs(diag - diag[0])) < 1e-10
 
 
+def conjugation_residual(U, a, b, sign):
+    """Max-abs deviation of U a U^H from sign * b, from dense matrices: the
+    oracle for the residual conjugate_term reports."""
+    img = U @ to_dense(a) @ U.conj().T
+    return float(np.max(np.abs(img - sign * to_dense(b))))
+
+
 def test_conjugate_term_identity_unitary():
     gs = build_gamma_generators(2)
     U = np.eye(4, dtype=complex)
     for idx in ([0], [1, 4], [0, 2, 3]):
         a = gamma_product(gs, idx, 1 if len(idx) % 2 == 0 else 0)
-        term, sign = conjugate_term(U, a)
+        term, sign = canonical(conjugate_term(U, a)[0])
         rep, s = canonical(a)
         assert term == rep and sign == s
 
 
 def test_conjugate_term_cycle_example():
     gs = build_gamma_generators(2)
-    U = cycle_unitary(gs, CycleSpec(2, ((0, 1, 2),)))
-    term, sign = conjugate_term(U, gs[0])
+    U, _ = cycle_unitary(gs, CycleSpec(2, ((0, 1, 2),)))
+    term, sign = canonical(conjugate_term(U, gs[0])[0])
     assert (term, sign) == (gs[1], 1)
     # i G1 G4 -> +- i G2 G4, cross-checked densely
     a = gamma_product(gs, [1, 4], 1)
-    term, sign = conjugate_term(U, a)
+    term, sign = canonical(conjugate_term(U, a)[0])
     want, wsign = canonical(gamma_product(gs, [2, 4], 1))
     assert term == want
     assert conjugation_residual(U, a, term, sign) < 1e-8
@@ -199,7 +205,7 @@ def test_conjugate_term_matches_dense_on_random_cliffords():
                 a = gamma_product(gs, idx)
                 if (a.phase - (a.xmask & a.zmask).bit_count()) % 2:
                     a = gamma_product(gs, idx, 1)
-                term, sign = conjugate_term(U, a)
+                term, sign = canonical(conjugate_term(U, a)[0])
                 img = U @ to_dense(a) @ U.conj().T
                 assert np.max(np.abs(img - sign * to_dense(term))) < 1e-8
 
@@ -218,14 +224,14 @@ def test_conjugate_term_rejects_non_clifford():
 def test_unitarity_of_every_cycle():
     for n, groups in [(2, ((0, 1, 2, 3),)), (3, ((0, 1, 2, 3, 4, 5, 6),))]:
         gs = build_gamma_generators(n)
-        U = cycle_unitary(gs, CycleSpec(n, groups))
+        U, _ = cycle_unitary(gs, CycleSpec(n, groups))
         assert np.linalg.norm(U.conj().T @ U - np.eye(2**n)) < 1e-10
 
 
 def test_l2_unitary_is_fourier_like_on_bloch():
     # n=1 pair swap acts like the Hadamard: X <-> Z
     gs = build_gamma_generators(1)
-    U = cycle_unitary(gs, CycleSpec(1, ((0, 1),)))
+    U, _ = cycle_unitary(gs, CycleSpec(1, ((0, 1),)))
     H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     X, Z = to_dense(gs[0]), to_dense(gs[1])
     assert np.allclose(U @ X @ U.conj().T, H @ X @ H.conj().T, atol=1e-12)
@@ -236,11 +242,10 @@ def test_l2_unitary_is_fourier_like_on_bloch():
 def test_exact_action_matches_dense_on_every_class(build, args):
     part = build(*args)
     gs = build_gamma_generators(part.n)
-    U = cycle_unitary(gs, part.spec)
-    action = clifford_action(gs, U)
+    U, action = cycle_unitary(gs, part.spec)
     assert action == cycle_action(gs, part.spec)
     for c in part.classes:
-        want = [conjugate_term(U, m) for m in c.members]
+        want = [canonical(conjugate_term(U, m)[0]) for m in c.members]
         assert [action.conjugate(m) for m in c.members] == want
         assert _batched(action, c.members) == want
 
@@ -292,6 +297,21 @@ def test_batched_action_matches_the_generator_route(part):
     assert _batched(action, terms) == [_by_generators(action, a) for a in terms]
 
 
+@pytest.mark.parametrize("part", _constructible(6), ids=lambda p: f"n{p.n}L{p.L}")
+def test_the_one_read_keeps_the_dense_residual(part):
+    # the residual cycle_unitary's read keeps is, bit for bit, the worst
+    # dense residual of the 2n+1 generator images it read
+    gs = build_gamma_generators(part.n)
+    U, action = cycle_unitary(gs, part.spec)
+    want = max(
+        conjugation_residual(U, g, *canonical(img))
+        for g, img in zip(gs.gammas, action.images)
+    )
+    assert action.residual == want
+    assert 0.0 < want < 1e-10
+    assert cycle_action(gs, part.spec).residual == 0.0
+
+
 def test_conjugate_rejects_a_term_on_other_qubits():
     action = cycle_action(build_gamma_generators(2), CycleSpec(2, ((0, 1, 2),)))
     with pytest.raises(DimensionMismatchError):
@@ -313,7 +333,7 @@ def test_exact_action_matches_dense_under_random_rotations(n, pairs, masks):
             U = rotation_unitary(gs, j, k) @ U
     top = 2**n
     a = PauliTerm(n, masks[0] % top, masks[1] % top, masks[2])
-    assert clifford_action(gs, U).conjugate(a) == conjugate_term(U, a)
+    assert clifford_action(gs, U).conjugate(a) == canonical(conjugate_term(U, a)[0])
 
 
 def test_cycle_action_carries_the_determinant_sign():
