@@ -27,8 +27,6 @@ from .mub import (
     MubSet,
     build_mub_set,
     common_eigenbasis,
-    invariant_states,
-    symmetrize,
     verify_cycle,
 )
 from .pauli import (
@@ -41,11 +39,4 @@ from .pauli import (
     to_dense,
 )
 from .transform import CycleSpec, conjugate_term, cycle_unitary, rotation_unitary
-from .wigner import (
-    GF,
-    point_operator,
-    striations,
-    wigner_entropy_bound,
-    wigner_max,
-    wigner_value,
-)
+from .wigner import GF, point_operator, wigner_entropy_bound

@@ -39,12 +39,10 @@ from .pauli import (
     GammaSet,
     PauliTerm,
     build_gamma_generators,
-    gamma_indices,
     gamma_product,
     identity,
     multiply,
     parity,
-    term_from_text,
     term_to_text,
 )
 from .transform import CliffordAction, CycleSpec, cycle_action, cycle_unitary
@@ -91,29 +89,6 @@ def is_prime(m: int) -> bool:
     if m < 2:
         return False
     return all(m % k for k in range(2, int(m**0.5) + 1))
-
-
-def spacing(a: "PauliTerm | Sequence[int]", p: int) -> int:
-    """(j - i) mod p for a two-generator monomial G_i G_j (i < j)."""
-    idx = _as_indices(a)
-    if len(idx) != 2:
-        raise ValueError(f"spacing needs a length-2 monomial, got length {len(idx)}")
-    i, j = idx
-    if not (i < p and j < p):
-        raise ValueError(f"indices {idx} not below cycle length {p}")
-    return (j - i) % p
-
-
-def index_sum(a: "PauliTerm | Sequence[int]", p: int) -> int:
-    """Sum of constituent generator indices mod p."""
-    return sum(_as_indices(a)) % p
-
-
-def _as_indices(a) -> tuple[int, ...]:
-    if isinstance(a, PauliTerm):
-        gs = build_gamma_generators(a.n)
-        return gamma_indices(gs, a)
-    return tuple(a)
 
 
 def _subset_products(
@@ -335,17 +310,3 @@ def partition_to_json(part: Partition) -> str:
         ],
     }
     return json.dumps(doc, indent=1)
-
-
-def partition_from_json(text: str) -> Partition:
-    doc = json.loads(text)
-    spec = doc["spec"]  # null for a partition without a cycle, as a spread
-    spec = spec and CycleSpec(spec["n"], tuple(tuple(g) for g in spec["groups"]))
-    classes = tuple(
-        CommutingClass(
-            tuple(term_from_text(t) for t in c["members"]),
-            c["singleton"],
-        )
-        for c in doc["classes"]
-    )
-    return Partition(doc["n"], doc["L"], spec, classes)

@@ -237,10 +237,15 @@ def _sweep_to_csv(ms: MubSet, args, scale: int):
 
 def cmd_minimize(args) -> int:
     _check_at_least(args, restarts=1, seed=0)
+    try:
+        alpha = math.inf if args.alpha in ("inf", "minentropy") else float(args.alpha)
+    except ValueError:
+        alpha = math.nan
+    if not alpha > 0:
+        raise ValueError(f"--alpha must be a number > 0 or inf, got {args.alpha}")
     if not constructible(args.n, args.L):
         print(f"unsupported (n={args.n}, L={args.L})", file=sys.stderr)
         return EXIT_BAD_ARGS
-    alpha = math.inf if args.alpha in ("inf", "minentropy") else float(args.alpha)
     ms = build_mub_set(build_partition(args.n, args.L))
     psi, val = minimize_avg_entropy(ms, alpha, restarts=args.restarts, seed=args.seed)
     bs = bounds(args.L, ms.d)
@@ -354,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--L", type=int, required=True)
     g.add_argument("--out", default="out")
-    g.add_argument("--format", choices=["json"], default="json")
     g.add_argument("--tol", type=float, default=1e-8,
                    help="acceptance tolerance for unbiasedness/cycle residuals")
     g.set_defaults(func=cmd_generate)

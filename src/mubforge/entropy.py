@@ -102,7 +102,6 @@ class BoundSet:
 @dataclass(frozen=True)
 class PvecOperator:
     matrix: np.ndarray
-    normalization: str  # "mean" | "sum"
     b: tuple[int, ...]
 
 
@@ -171,10 +170,9 @@ def avg_entropy(ms: "MubSet | Sequence", state, alpha: float) -> float:
     return sum(renyi_entropy(B, state, alpha) for B in mats) / len(mats)
 
 
-def pvec_operator(ms, b: Sequence[int], normalization: str = "mean") -> PvecOperator:
-    """Selector operator for the string b, one projector per basis."""
-    if normalization not in ("mean", "sum"):
-        raise ValueError(f"normalization must be 'mean' or 'sum', got {normalization!r}")
+def pvec_operator(ms, b: Sequence[int]) -> PvecOperator:
+    """Selector operator for the string b: the mean of one projector per
+    basis."""
     mats = basis_matrices(ms)
     d = mats[0].shape[0]
     if len(b) != len(mats):
@@ -185,9 +183,8 @@ def pvec_operator(ms, b: Sequence[int], normalization: str = "mean") -> PvecOper
     for j, B in enumerate(mats):
         v = B[:, int(b[j])]
         P += np.outer(v, v.conj())
-    if normalization == "mean":
-        P /= len(mats)
-    return PvecOperator(P, normalization, tuple(int(x) for x in b))
+    P /= len(mats)
+    return PvecOperator(P, tuple(int(x) for x in b))
 
 
 def hermitian_eigmax(M: np.ndarray) -> tuple[float, np.ndarray]:
@@ -637,11 +634,3 @@ def minimize_avg_entropy(
             if val < best_val - 1e-15:
                 best_val, best_psi = val, row.copy()
     return best_psi, best_val
-
-
-def iter_sweep_rows(ms, budget: int = DEFAULT_BUDGET, chunk: int = SWEEP_CHUNK):
-    """Yield (b, lambda_max) for every string in lexicographic order."""
-    mats = _checked_matrices(ms)
-    total = _sweep_size(mats, budget)
-    for digits, lam, _ in _eigmax_chunks(np.stack(mats), range(total), chunk):
-        yield from zip(map(tuple, digits.tolist()), lam.tolist())

@@ -88,10 +88,6 @@ class Basis:
     def d(self) -> int:
         return self.vectors.shape[0]
 
-    def projector(self, b: int) -> np.ndarray:
-        v = self.vectors[:, b]
-        return np.outer(v, v.conj())
-
 
 @dataclass(frozen=True)
 class MubSet:
@@ -550,22 +546,6 @@ def orbit_step(ms: MubSet):
     return lambda strings: reps(np.roll(pi[j, strings], 1, axis=1))
 
 
-def invariant_states(ms: MubSet) -> list[tuple[np.ndarray, complex]]:
-    """All unit eigenvectors of the cycling unitary with their eigenphases.
-
-    U is normal, so the complex Schur form is diagonal and its columns are an
-    orthonormal eigenbasis; this is stable even for degenerate phases.
-    """
-    import scipy.linalg  # only here: importing scipy costs the CLI ~0.3 s
-
-    T, Zm = scipy.linalg.schur(_cycle_unitary(ms), output="complex")
-    out = []
-    for i in range(ms.d):
-        v = fix_phase(Zm[:, i])
-        out.append((v, complex(T[i, i])))
-    return out
-
-
 def cycle_coherent_family(ms: MubSet, b: int) -> np.ndarray:
     """Columns U^j |b^(0)>, j = 0..L-1: the orbit of one basis-0 vector."""
     U = _cycle_unitary(ms)
@@ -610,22 +590,6 @@ def invariant_superposition_family(ms: MubSet) -> list[np.ndarray]:
             if eigenvector_residual(ms.U, v) < 1e-8:
                 out.append(v)
     return out
-
-
-def symmetrize(rho: np.ndarray, U: np.ndarray, L: int) -> np.ndarray:
-    """Average rho over conjugations by U^j, j = 0..L-1."""
-    rho = np.asarray(rho, dtype=complex)
-    if abs(np.trace(rho) - 1) > 1e-8:
-        raise ValueError(f"trace is {np.trace(rho):.6g}, want 1")
-    w = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-    if w.min() < -1e-8:
-        raise ValueError(f"matrix is not PSD (min eigenvalue {w.min():.3e})")
-    out = np.zeros_like(rho)
-    Uj = np.eye(rho.shape[0], dtype=complex)
-    for _ in range(L):
-        out += Uj.conj().T @ rho @ Uj
-        Uj = U @ Uj
-    return out / L
 
 
 def mub_set_json_parts(ms: MubSet, cycle: CycleReport | None = None):

@@ -269,32 +269,3 @@ def _eliminate(n: int, gammas: Sequence[PauliTerm]) -> tuple[tuple[int, int, int
 def term_to_text(a: PauliTerm) -> str:
     """Compact text form used in JSON files: 'i^p X:<hex> Z:<hex> n:<int>'."""
     return f"i^{a.phase} X:{a.xmask:#x} Z:{a.zmask:#x} n:{a.n}"
-
-
-def term_from_text(text: str) -> PauliTerm:
-    parts = text.split()
-    if len(parts) != 4 or not parts[0].startswith("i^"):
-        raise ValueError(f"malformed term text: {text!r}")
-    fields = {}
-    fields["phase"] = int(parts[0][2:])
-    for p in parts[1:]:
-        key, _, val = p.partition(":")
-        fields[key] = val
-    return PauliTerm(
-        n=int(fields["n"]),
-        xmask=int(fields["X"], 16),
-        zmask=int(fields["Z"], 16),
-        phase=fields["phase"],
-    )
-
-
-def term_label(a: PauliTerm, gs: GammaSet | None = None) -> str:
-    """Human-readable form like '-i G1.G4' (generator indices) for logs."""
-    if gs is None:
-        gs = build_gamma_generators(a.n)
-    idx = gamma_indices(gs, a)
-    ref = gamma_product(gs, idx)
-    lead = (a.phase - ref.phase) % 4
-    sym = {0: "", 1: "i ", 2: "- ", 3: "-i "}[lead]
-    body = ".".join(f"G{i}" for i in idx) if idx else "I"
-    return sym + body

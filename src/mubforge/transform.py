@@ -33,7 +33,6 @@ from functools import cached_property
 import numpy as np
 
 from .pauli import (
-    DimensionMismatchError,
     GammaSet,
     PauliTerm,
     apply,
@@ -138,13 +137,6 @@ class CliffordAction:
             oz ^= -on & tz[k]
         ph %= 4
         return ox, oz, ph & 1, 1 - (ph & 2)
-
-    def conjugate(self, a: PauliTerm) -> tuple[PauliTerm, int]:
-        """U a U^H as (canonical monomial, sign)."""
-        if a.n != self.gs.n:
-            raise DimensionMismatchError(f"qubit counts differ: {a.n} != {self.gs.n}")
-        x, z, p, s = self.conjugate_masks([a.xmask], [a.zmask], [a.phase])
-        return PauliTerm(a.n, int(x[0]), int(z[0]), int(p[0])), int(s[0])
 
 
 def clifford_action(gs: GammaSet, U: np.ndarray) -> CliffordAction:

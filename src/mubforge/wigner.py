@@ -1,12 +1,11 @@
-"""Discrete phase space over GF(2^n): striations, point operators, Wigner values.
+"""Discrete phase space over GF(2^n): point operators and their levels.
 
 Phase space is the set of pairs (x, y) with x, y in GF(2^n). For each slope m
 the lines {y = m x + c}_c form a striation (d parallel lines of d points);
 the vertical lines {x = c}_c form one more, giving d+1 striations in total.
 Striation j is matched with basis j of a complete set of d+1 mutually
-unbiased bases, one line per basis element through a per-striation bijection
-(identity by default; every bijection satisfies the trace identities below).
-This matching is a quantum net (Gibbons, Hoffman, Wootters, PRA 70, 062101).
+unbiased bases, line c with element c. This matching is a quantum net
+(Gibbons, Hoffman, Wootters, PRA 70, 062101).
 
 The point operator at alpha sums the d+1 line projectors through alpha and
 subtracts the identity:
@@ -44,7 +43,6 @@ from .pauli import PauliTerm
 
 IRREDUCIBLE = {1: 0b10, 2: 0b111, 3: 0b1011, 4: 0b10011, 5: 0b100101, 6: 0b1000011}
 
-VERTICAL = "inf"
 ROUTE_TOL = 1e-9  # the kernel, dense point-operator and selector routes agree to this
 
 
@@ -73,15 +71,6 @@ class GF:
                 a ^= self.poly
         return r
 
-    def pow(self, a: int, k: int) -> int:
-        r = 1
-        while k:
-            if k & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            k >>= 1
-        return r
-
     def table(self) -> np.ndarray:
         """The d x d multiplication table: table()[a, b] = a * b, by mul's
         shift-and-add on every pair at once."""
@@ -93,48 +82,12 @@ class GF:
             a ^= (a >> self.n & 1) * self.poly
         return out
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("zero has no inverse in GF(2^n)")
-        return self.pow(a, self.order - 2)
-
-
-@dataclass(frozen=True)
-class Line:
-    slope: "int | str"
-    intercept: int
-    points: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class Striation:
-    slope: "int | str"
-    lines: tuple[Line, ...]
-
 
 @dataclass(frozen=True)
 class PhasePointOperator:
     alpha: tuple[int, int]
     matrix: np.ndarray
     b: tuple[int, ...]  # line index through alpha, per striation
-
-
-def striations(n: int) -> list[Striation]:
-    """The d+1 striations: slopes 0..d-1 in field order, vertical last."""
-    gf = GF(n)
-    d = gf.order
-    out = []
-    for m in range(d):
-        lines = tuple(
-            Line(m, c, tuple((x, gf.add(gf.mul(m, x), c)) for x in range(d)))
-            for c in range(d)
-        )
-        out.append(Striation(m, lines))
-    vertical = tuple(
-        Line(VERTICAL, c, tuple((c, y) for y in range(d))) for c in range(d)
-    )
-    out.append(Striation(VERTICAL, vertical))
-    return out
 
 
 def line_indices_through(n: int, alpha: tuple[int, int]) -> tuple[int, ...]:
@@ -147,41 +100,19 @@ def line_indices_through(n: int, alpha: tuple[int, int]) -> tuple[int, ...]:
     return tuple(gf.add(y, gf.mul(m, x)) for m in range(d)) + (x,)
 
 
-def _check_assignment(assignment, L: int, d: int) -> list[tuple[int, ...]]:
-    if assignment is None:
-        return [tuple(range(d))] * L
-    if len(assignment) != L:
-        raise ValueError(f"assignment has {len(assignment)} rows, want {L}")
-    rows = []
-    for j, row in enumerate(assignment):
-        row = tuple(int(x) for x in row)
-        if sorted(row) != list(range(d)):
-            raise ValueError(f"assignment row {j} is not a bijection on 0..{d - 1}")
-        rows.append(row)
-    return rows
-
-
-def _net(bases, assignment) -> tuple[list[np.ndarray], int, list[tuple[int, ...]]]:
-    """The matrices of a complete set of d+1 bases, d, and the assignment."""
+def _net(bases) -> tuple[list[np.ndarray], int]:
+    """The matrices of a complete set of d+1 bases, and d."""
     mats = basis_matrices(bases)
     d = mats[0].shape[0]
     if len(mats) != d + 1:
         raise ValueError(f"need a complete set of {d + 1} bases, got {len(mats)}")
-    return mats, d, _check_assignment(assignment, d + 1, d)
+    return mats, d
 
 
-def _point_string(n: int, alpha: tuple[int, int], assign) -> tuple[int, ...]:
-    """The basis element on the line through alpha, per striation."""
-    lines = line_indices_through(n, alpha)
-    return tuple(assign[j][c] for j, c in enumerate(lines))
-
-
-def point_operator(
-    bases, alpha: tuple[int, int], assignment=None
-) -> PhasePointOperator:
+def point_operator(bases, alpha: tuple[int, int]) -> PhasePointOperator:
     """A_alpha for a complete set of d+1 bases."""
-    mats, d, assign = _net(bases, assignment)
-    b = _point_string(d.bit_length() - 1, alpha, assign)
+    mats, d = _net(bases)
+    b = line_indices_through(d.bit_length() - 1, alpha)
     A = -np.eye(d, dtype=complex)
     for j, B in enumerate(mats):
         v = B[:, b[j]]
@@ -189,38 +120,15 @@ def point_operator(
     return PhasePointOperator(tuple(alpha), A, b)
 
 
-def wigner_value(A: PhasePointOperator, rho: np.ndarray) -> float:
-    """W_alpha(rho) = tr(A_alpha rho) / d."""
-    rho = np.asarray(rho, dtype=complex)
-    d = A.matrix.shape[0]
-    if abs(np.trace(rho) - 1) > 1e-8:
-        raise ValueError(f"state trace {np.trace(rho):.6g}, want 1")
-    if np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() < -1e-8:
-        raise ValueError("state is not PSD")
-    return float(np.real(np.trace(A.matrix @ rho)) / d)
-
-
-def wigner_max(A: PhasePointOperator) -> float:
-    """Maximum of W_alpha over states: lambda_max(A_alpha)/d."""
-    lam, _ = hermitian_eigmax(A.matrix)
-    return lam / A.matrix.shape[0]
-
-
-def all_point_operators(bases, assignment=None) -> list[PhasePointOperator]:
-    d = basis_matrices(bases)[0].shape[0]
-    return [point_operator(bases, divmod(i, d), assignment) for i in range(d * d)]
-
-
-def _point_strings(n: int, assign) -> np.ndarray:
-    """The string of every point, x-major: per striation, the basis element
-    on the line through the point (as _point_string)."""
+def _point_strings(n: int) -> np.ndarray:
+    """The string of every point, x-major: per striation, the line through
+    the point (as line_indices_through)."""
     d = 1 << n
     x, y = np.divmod(np.arange(d * d), d)
-    lines = np.column_stack([y[:, None] ^ GF(n).table()[:, x].T, x])
-    return np.array(assign)[np.arange(d + 1), lines]
+    return np.column_stack([y[:, None] ^ GF(n).table()[:, x].T, x])
 
 
-def point_levels(bases, assignment=None) -> np.ndarray:
+def point_levels(bases) -> np.ndarray:
     """lambda_max(A_alpha) at every point, x-major: (d+1) lambda_max(P_b) - 1.
 
     For a MubSet only one string per Pauli orbit is solved: each phase-point
@@ -229,8 +137,8 @@ def point_levels(bases, assignment=None) -> np.ndarray:
     the selector kernel d strings at a time, and their levels are scattered
     back. Raw bases solve all d^2 strings; that route is the oracle.
     """
-    mats, d, assign = _net(bases, assignment)
-    strings = _point_strings(d.bit_length() - 1, assign)
+    mats, d = _net(bases)
+    strings = _point_strings(d.bit_length() - 1)
     back = np.arange(d * d)
     if isinstance(bases, MubSet):
         reps = bases.pauli_labels.representatives(strings)
@@ -239,7 +147,7 @@ def point_levels(bases, assignment=None) -> np.ndarray:
     return (d + 1) * np.concatenate([lam for _, lam, _ in chunks])[back.ravel()] - 1
 
 
-def wigner_entropy_bound(bases, assignment=None, levels=None) -> dict:
+def wigner_entropy_bound(bases, levels=None) -> dict:
     """W_max, the phase-point value of this net in bits (module docstring),
     its selector route and the maximising point alpha.
 
@@ -249,13 +157,13 @@ def wigner_entropy_bound(bases, assignment=None, levels=None) -> dict:
     """
     d = basis_matrices(bases)[0].shape[0]
     if levels is None:
-        levels = point_levels(bases, assignment)
+        levels = point_levels(bases)
     top = int(np.argmax(levels >= levels.max() - LEVEL_TOL))
     lam = float(levels[top])
-    A = point_operator(bases, divmod(top, d), assignment)
+    A = point_operator(bases, divmod(top, d))
     dense = hermitian_eigmax(A.matrix)[0]
     value = -math.log2((lam + 1) / (d + 1))
-    cross = -math.log2(hermitian_eigmax(pvec_operator(bases, A.b, "mean").matrix)[0])
+    cross = -math.log2(hermitian_eigmax(pvec_operator(bases, A.b).matrix)[0])
     if not (abs(dense - lam) <= ROUTE_TOL and abs(value - cross) <= ROUTE_TOL):
         raise RuntimeError(
             f"at {A.alpha}: kernel level {lam:.12f}, point operator {dense:.12f}; "
@@ -300,14 +208,14 @@ def spread_partition(n: int) -> Partition:
     return Partition(n, d + 1, None, classes)
 
 
-def phase_space_csv(bases, assignment=None, levels=None) -> str:
+def phase_space_csv(bases, levels=None) -> str:
     """Report rows alpha_x, alpha_y, lambda_max, W_max for every point.
 
     levels, as returned by point_levels, spares solving the points again.
     """
     d = basis_matrices(bases)[0].shape[0]
     if levels is None:
-        levels = point_levels(bases, assignment)
+        levels = point_levels(bases)
     lines = ["alpha_x,alpha_y,lambda_max,W_max"]
     for i, lam in enumerate(levels.tolist()):
         lines.append(f"{i // d},{i % d},{lam:.12f},{lam / d:.12f}")

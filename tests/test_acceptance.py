@@ -21,7 +21,6 @@ from mubforge.entropy import (
     avg_entropy,
     bounds,
     hermitian_eigmax,
-    iter_sweep_rows,
     minimize_avg_entropy,
     pvec_operator,
     sweep_max_eigen,
@@ -42,7 +41,8 @@ from mubforge.pauli import (
     multiply,
     to_dense,
 )
-from mubforge.wigner import all_point_operators, wigner_entropy_bound
+from mubforge.wigner import wigner_entropy_bound
+from oracles import all_point_operators, iter_sweep_rows
 
 MINUS_LOG2_5_8 = 0.6780719051126377  # -log2(5/8)
 MINUS_LOG2_2_3 = 0.5849625007211562  # -log2(2/3)
@@ -202,10 +202,10 @@ def test_criterion_09_wigner_suite():
         rho /= np.trace(rho).real
         total = sum(np.trace(A.matrix @ rho).real / d for A in ops)
         assert abs(total - 1) < 1e-10
-        # A_alpha + I is the sum-form selector of the phase-point string
+        # A_alpha + I is L times the selector of the phase-point string
         for A in ops:
-            P = pvec_operator(ms, A.b, "sum")
-            assert np.max(np.abs(A.matrix + np.eye(d) - P.matrix)) < 1e-12
+            P = ms.L * pvec_operator(ms, A.b).matrix
+            assert np.max(np.abs(A.matrix + np.eye(d) - P)) < 1e-12
         wb = wigner_entropy_bound(ms)["bits"]
         full = sweep_max_eigen(ms)
         assert wb <= full.min_avg_entropy + 1e-9

@@ -10,11 +10,8 @@ from mubforge.classes import (
     build_classes_2n1,
     build_classes_Ln,
     fixture_d4,
-    index_sum,
     is_prime,
-    partition_from_json,
     partition_to_json,
-    spacing,
     validate_partition,
 )
 from mubforge.pauli import (
@@ -27,7 +24,8 @@ from mubforge.pauli import (
     multiply,
 )
 from mubforge.transform import CycleSpec, conjugate_term, cycle_action, cycle_unitary
-from test_transform import conjugation_residual
+from oracles import index_sum, partition_from_json, spacing
+from test_transform import _batched, conjugation_residual
 
 
 def test_fixture_d4_l3_verbatim():
@@ -394,7 +392,7 @@ def _check_by_loops(part, action):
         target = {canonical(m)[0] for m in part.classes[(ci + 1) % part.L].members}
         got = set()
         for m in c.members:
-            term, sign = action.conjugate(m)
+            term, sign = _batched(action, [m])[0]
             got.add(term)
             if sign * canonical(m)[1] != 1:
                 flips += 1

@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mubforge.classes import partition_from_json
 from mubforge.cli import main
+from oracles import iter_sweep_rows, partition_from_json
 
 
 def run(args):
@@ -212,7 +212,6 @@ def test_max_n_env_not_an_integer(monkeypatch, tmp_path, capsys):
 
 def test_sweep_out_streams_the_same_result(tmp_path, capsys):
     from mubforge.cli import build_partition
-    from mubforge.entropy import iter_sweep_rows
     from mubforge.mub import build_mub_set
 
     assert run(["sweep", "--n", "3", "--L", "3"]) == 0
@@ -297,6 +296,10 @@ def test_generate_reads_u_once(tmp_path, monkeypatch, n, L):
         (["reproduce-fig", "--which", "1", "--seed", "-1"], "--seed"),
         (["minimize", "--n", "2", "--L", "4", "--restarts", "-2"], "--restarts"),
         (["minimize", "--n", "2", "--L", "4", "--seed", "-3"], "--seed"),
+        (["minimize", "--n", "2", "--L", "4", "--alpha", "foo"], "--alpha"),
+        (["minimize", "--n", "2", "--L", "4", "--alpha", "0"], "--alpha"),
+        (["minimize", "--n", "2", "--L", "4", "--alpha", "-1"], "--alpha"),
+        (["minimize", "--n", "2", "--L", "4", "--alpha", "nan"], "--alpha"),
     ],
 )
 def test_minimizer_arguments_are_refused_before_any_set(

@@ -15,11 +15,10 @@ from mubforge.pauli import (
     identity,
     is_hermitian,
     multiply,
-    term_from_text,
-    term_label,
     term_to_text,
     to_dense,
 )
+from oracles import term_from_text
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -216,12 +215,6 @@ def test_text_roundtrip():
         a = random_term(rng, 4)
         assert term_from_text(term_to_text(a)) == a
     assert term_to_text(PauliTerm(2, 3, 1, 1)) == "i^1 X:0x3 Z:0x1 n:2"
-
-
-def test_term_label():
-    gs = build_gamma_generators(2)
-    assert term_label(gamma_product(gs, [1, 4], 1), gs) == "i G1.G4"
-    assert term_label(identity(2), gs) == "I"
 
 
 @settings(max_examples=80, deadline=None)

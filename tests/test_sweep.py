@@ -13,15 +13,11 @@ from hypothesis import given, settings, strategies as st
 from mubforge import entropy, mub
 from mubforge.classes import build_classes_2n1
 from mubforge.cli import build_partition, constructible
-from mubforge.entropy import (
-    LEVEL_TOL,
-    iter_sweep_rows,
-    sample_max_eigen,
-    sweep_max_eigen,
-)
+from mubforge.entropy import LEVEL_TOL, sample_max_eigen, sweep_max_eigen
 from mubforge.mub import MubSet, build_mub_set, orbit_step, verify_cycle
 from mubforge.pauli import PauliTerm, to_dense
 from mubforge.wigner import spread_partition
+from oracles import iter_sweep_rows
 
 # every constructible set with at most 4096 strings (d = 64, L = 2 left out
 # for time)
