@@ -126,8 +126,8 @@ def cmd_generate(args) -> int:
         )
         return EXIT_BAD_ARGS
     part = build_partition(n, L)
-    U, action = cycle_unitary(build_gamma_generators(n), part.spec)
-    report = validate_partition(part, action)
+    cycle = cycle_unitary(build_gamma_generators(n), part.spec)
+    report = validate_partition(part, cycle[1])
     out = Path(args.out)
     _write(out / "partition.json", partition_to_json(part))
     validation = dataclasses.asdict(report)  # the fields, in their order
@@ -135,7 +135,7 @@ def cmd_generate(args) -> int:
         _write(out / "validation.json", json.dumps(validation, indent=1))
         print("partition validation FAILED", file=sys.stderr)
         return EXIT_VALIDATION
-    ms = build_mub_set(part, U, action)
+    ms = build_mub_set(part, cycle)
     cyc = verify_cycle(ms)
     dev = unbiasedness_deviation(ms)
     validation.update(
@@ -184,7 +184,7 @@ def _check_at_least(args, **least) -> None:
 
 
 def cmd_sweep(args) -> int:
-    _check_at_least(args, threads=1)
+    _check_at_least(args, threads=1, budget=1)
     if not constructible(args.n, args.L):
         print(f"unsupported (n={args.n}, L={args.L})", file=sys.stderr)
         return EXIT_BAD_ARGS
@@ -276,7 +276,7 @@ def _figure_configs(which: int):
 
 
 def cmd_reproduce_fig(args) -> int:
-    _check_at_least(args, restarts=1, seed=0, threads=1)
+    _check_at_least(args, restarts=1, seed=0, threads=1, budget=1)
     n, d, Ls = _figure_configs(args.which)
     rows = [
         "L,d,small_L,large_L,best,sweep_bits,sweep_mode,numeric_min,invariant_min"
@@ -336,7 +336,7 @@ plt.savefig("fig{which}.png", dpi=150)
 def cmd_wigner(args) -> int:
     ms = complete_mub_bases(args.n)
     levels = point_levels(ms)
-    text = phase_space_csv(ms, levels=levels)
+    text = phase_space_csv(levels)
     if args.out:
         _write(Path(args.out), text)
     else:

@@ -82,6 +82,8 @@ DEFAULT_BUDGET = 2**28
 SWEEP_CHUNK = 4096
 LEVEL_TOL = 1e-10  # eigenvalues closer than this are one level: bins, b* ties
 MINIMIZE_BLOCK = 128  # restarts descending together; bounds the minimizer's memory
+MINIMIZE_ITERS = 500  # moves per descent stage and restart
+ANNEAL_ORDERS = (2.0, 20.0)  # smooth orders an alpha = inf descent passes first
 
 
 class BudgetExceededError(RuntimeError):
@@ -194,10 +196,7 @@ def hermitian_eigmax(M: np.ndarray) -> tuple[float, np.ndarray]:
         raise ValueError("matrix is not Hermitian within 1e-10")
     w, V = np.linalg.eigh(M)
     i = int(np.argmax(w))  # first index attaining the max
-    v = V[:, i]
-    mags = np.abs(v)
-    k = int(np.argmax(mags > mags.max() - 1e-12))
-    v = v / (v[k] / abs(v[k]))
+    v = mub.fix_phase(V[:, i])
     lam = float(w[i])
     if np.linalg.norm(M @ v - lam * v) > 1e-10:
         raise RuntimeError("eigenpair residual above 1e-10")
@@ -239,9 +238,7 @@ def _sweep_size(mats, budget: int) -> int:
     return total
 
 
-def _eigmax_chunks(
-    B: np.ndarray, strings, chunk: int = SWEEP_CHUNK, workers: int = 1, select=None
-):
+def _eigmax_chunks(B: np.ndarray, strings, chunk: int, workers: int = 1, select=None):
     """Top eigenvalue of the mean-form selector of every string, by chunks.
 
     The one selector-eigenvalue kernel. B is the (L, d, d) stack of basis
@@ -406,7 +403,6 @@ def sweep_max_eigen(
     ms,
     budget: int = DEFAULT_BUDGET,
     workers: int = 1,
-    chunk: int = SWEEP_CHUNK,
     on_chunk: Callable[[np.ndarray, np.ndarray], None] | None = None,
 ) -> SweepResult:
     """Exact maximum of lambda_max(P_b, mean) over all d^L strings b.
@@ -418,8 +414,8 @@ def sweep_max_eigen(
     either way. For a MubSet, b* is the smallest string within LEVEL_TOL of
     lambda* that the cycle unitary maps to itself, if there is one;
     otherwise, and for raw bases, the smallest string within LEVEL_TOL of
-    lambda*. Deterministic for any
-    worker count and chunk size.
+    lambda*. Strings are solved SWEEP_CHUNK at a time, read at call time;
+    the result is bit-identical for any worker count and chunk size.
 
     on_chunk, if given, is called with (digits, lambdas) for every chunk of
     all d^L strings in lexicographic order; the sweep is then unreduced.
@@ -433,14 +429,14 @@ def sweep_max_eigen(
         select = _orbit_minima(orbit_step(ms), d * d, L, d)
     else:
         strings, select = range(total), None
-    chunks = _eigmax_chunks(B, strings, chunk, workers, select)
+    chunks = _eigmax_chunks(B, strings, SWEEP_CHUNK, workers, select)
     if on_chunk is not None:
         chunks = _reported(chunks, on_chunk)
     res = _summarize(chunks, total)
     if isinstance(ms, MubSet):
         cyc = _cycle_strings(ms)
         if len(cyc):
-            digits, lam, _ = next(_eigmax_chunks(B, cyc, chunk=len(cyc)))
+            digits, lam, _ = next(_eigmax_chunks(B, cyc, len(cyc)))
             hits = digits[lam >= res.lambda_star - LEVEL_TOL]
             if len(hits):
                 res = replace(res, b_star=min(map(tuple, hits.tolist())))
@@ -454,7 +450,7 @@ def sample_max_eigen(ms, samples: int, seed: int) -> SweepResult:
         raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     strings = rng.integers(0, mats[0].shape[0], size=(samples, len(mats)))
-    return _summarize(_eigmax_chunks(np.stack(mats), strings), samples)
+    return _summarize(_eigmax_chunks(np.stack(mats), strings, SWEEP_CHUNK), samples)
 
 
 def _log2(x: np.ndarray) -> np.ndarray:
@@ -536,14 +532,14 @@ def _tangent_rows(psi: np.ndarray, g: np.ndarray):
     return g_t, _row_norms(g_t)
 
 
-def _descend_rows(stack, psi: np.ndarray, alpha, iters: int):
+def _descend_rows(stack, psi: np.ndarray, alpha):
     """Projected gradient descent with backtracking, every row at once.
 
     Each row keeps its own step size eta (0.5 to start, halved on a rejected
-    step, doubled up to 1 after a move) and its own stop: `iters` moves, a
-    tangent gradient below 1e-12, or eta at 1e-14. Only live rows are
-    evaluated, and each takes the one-vector descent's steps with the same
-    numbers:
+    step, doubled up to 1 after a move) and its own stop: MINIMIZE_ITERS
+    moves, read at call time, a tangent gradient below 1e-12, or eta at
+    1e-14. Only live rows are evaluated, and each takes the one-vector
+    descent's steps with the same numbers:
     - The live rows' state is kept packed. Every iteration halves all step
       sizes; only the rows that moved get their new state, tangent gradient
       and a step size 4 times the halved one, capped at 1. A row is written
@@ -576,8 +572,8 @@ def _descend_rows(stack, psi: np.ndarray, alpha, iters: int):
             eta[moved] = np.minimum(eta[moved] * 4, 1.0)
             moves[moved] += 1
         stop = (eta <= 1e-14) | (q < q_stop)
-        if it >= iters:  # before that no row can have made `iters` moves
-            stop |= moves >= iters
+        if it >= MINIMIZE_ITERS:  # before that no row can have made that many
+            stop |= moves >= MINIMIZE_ITERS
         if stop.any():
             psi[rows[stop]], f[rows[stop]] = x[stop], fx[stop]
             keep = ~stop
@@ -587,22 +583,19 @@ def _descend_rows(stack, psi: np.ndarray, alpha, iters: int):
 
 
 def minimize_avg_entropy(
-    ms,
-    alpha: float,
-    restarts: int = 64,
-    seed: int = 0,
-    iters: int = 500,
-    surrogate_alpha: float = 20.0,
+    ms, alpha: float, restarts: int = 64, seed: int = 0
 ) -> tuple[np.ndarray, float]:
     """Best local minimum of the average entropy over unit vectors.
 
-    Projected gradient descent with backtracking from seeded random starts.
-    For alpha = inf each start anneals through the smooth order-2 and
-    order-`surrogate_alpha` objectives before polishing on the exact
-    min-entropy, whose active-term gradient is smooth wherever the per-basis
-    maxima are unique; the annealing stages funnel past the local minima the
-    non-smooth objective has on its own. The result is a heuristic upper
-    bound on the true minimum and is deterministic for a fixed seed.
+    Projected gradient descent with backtracking from seeded random starts,
+    at most MINIMIZE_ITERS moves per stage. For alpha = inf each start
+    anneals through the smooth objectives of the orders ANNEAL_ORDERS (2
+    and 20) before polishing on the exact min-entropy, whose active-term
+    gradient is smooth wherever the per-basis maxima are unique; the
+    annealing stages funnel past the local minima the non-smooth objective
+    has on its own. Both constants are read at call time. The result is a
+    heuristic upper bound on the true minimum and is deterministic for a
+    fixed seed.
 
     The restarts descend together, MINIMIZE_BLOCK at a time, as the rows of
     one (R, d) array against the stacked (L, d, d) bases; each row keeps its
@@ -613,15 +606,11 @@ def minimize_avg_entropy(
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    if not surrogate_alpha > 0:
-        raise ValueError(f"surrogate_alpha must be positive, got {surrogate_alpha}")
     stack = _basis_stack(ms)
     d = stack[0].shape[1]
-    stages = [alpha] if not math.isinf(alpha) else [2.0, surrogate_alpha, alpha]
+    stages = [alpha] if not math.isinf(alpha) else [*ANNEAL_ORDERS, alpha]
     rng = np.random.default_rng(seed)
     best_val, best_psi = math.inf, None
     for start in range(0, restarts, MINIMIZE_BLOCK):
@@ -629,7 +618,7 @@ def minimize_avg_entropy(
         psi = x[:, :d] + 1j * x[:, d:]
         psi /= _row_norms(psi)[:, None]
         for stage in stages:
-            psi, f = _descend_rows(stack, psi, stage, iters)
+            psi, f = _descend_rows(stack, psi, stage)
         for val, row in zip(f.tolist(), psi):
             if val < best_val - 1e-15:
                 best_val, best_psi = val, row.copy()

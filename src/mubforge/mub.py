@@ -9,22 +9,22 @@ code t gives the projector P_t as a sum over the generated group, and the
 vector is a column of P_t with entries 0, +-a or +-i a. Every parity of two
 n-bit masks it needs is read from one table per n. No eigensolver and no
 tolerance is involved; every member is checked exactly to map every vector
-to its sign times itself. Vectors are labeled by their sign pattern (member
+to its sign times itself. Vectors are ordered by their sign pattern (member
 0 most significant, +1 before -1), and each vector's global phase makes its
 first nonzero component real positive, the fix_phase convention for
 vectors whose nonzero components share one magnitude.
 
 build_mub_set is the one path from a Partition to a checked MubSet, for the
 cycled partitions of classes.py and the symplectic spread of wigner.py
-alike; a spread has no cycle spec, so its set has U = None.
+alike; a spread has no cycle spec, so its set has U = None and no action.
 
 The symmetries of a set act on strings of labels (one element per basis).
 A Pauli operator W permutes the labels of basis j through their codes as
 t -> t ^ tau_j(W) (PauliLabels, built once per set), and the cycle unitary
 sends element b of basis j to element pi_j(b) of basis j+1, cyclically
 (MubSet.cycle_permutations, exact from the Clifford action cycle_unitary
-read off U). orbit_step composes them into the map the selector sweep
-walks its orbits with, and verify_cycle checks U against pi.
+read off U, the one read of U). orbit_step composes them into the map the
+selector sweep walks its orbits with, and verify_cycle checks U against pi.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .pauli import (
     parity,
     row_mask,
 )
-from .transform import CliffordAction, NotAMonomialError, clifford_action, cycle_unitary
+from .transform import CliffordAction, cycle_unitary
 
 EIGEN_TOL = 1e-8  # |eigenvalue| - 1 allowed to a dense eigensolver (the test oracle)
 UNBIAS_TOL = 1e-8
@@ -72,17 +72,16 @@ class CycleMatchError(RuntimeError):
 
 @dataclass(frozen=True)
 class Basis:
-    """d orthonormal columns; column order follows the sign-pattern labels.
+    """d orthonormal columns, ordered by their signs under the class members.
 
     generators are the class members g_0.. that basis_from_involutions chose;
-    codes[b] has bit i set when column b has sign -1 under g_i.
+    codes[b] has bit i set when column b has sign -1 under g_i. bases.json
+    names each basis by its place in the set.
     """
 
     vectors: np.ndarray
-    label: int
-    sign_patterns: tuple[tuple[int, ...], ...] = ()
-    generators: tuple[PauliTerm, ...] = ()
-    codes: tuple[int, ...] = ()
+    generators: tuple[PauliTerm, ...]
+    codes: tuple[int, ...]
 
     @property
     def d(self) -> int:
@@ -91,12 +90,19 @@ class Basis:
 
 @dataclass(frozen=True)
 class MubSet:
+    """Bases built from the classes of provenance, checked unbiased.
+
+    U and action are cycle_unitary's pair for the partition's cycle spec,
+    both None without one; the label maps come from action alone, so a set
+    without it has none. deviation is unbiasedness_deviation, found when
+    the set was built.
+    """
+
     bases: tuple[Basis, ...]
-    U: np.ndarray | None  # None when the partition has no cycle spec
+    U: np.ndarray | None
     provenance: Partition
-    deviation: float | None = None  # unbiasedness_deviation, from build_mub_set
-    # U's action as cycle_unitary read it; None: read off U on first use
-    action: CliffordAction | None = None
+    deviation: float
+    action: CliffordAction | None
 
     @property
     def L(self) -> int:
@@ -115,28 +121,24 @@ class MubSet:
     @property
     def cycle_permutations(self) -> np.ndarray | None:
         """pi[j, b]: the element of basis j+1 (cyclically) that U carries
-        element b of basis j onto, derived once; None unless U cycles the bases."""
+        element b of basis j onto, derived once from the set's action; None
+        without an action or unless U cycles the bases."""
         return self._cycle[0]
 
     @cached_property
     def _cycle(self) -> tuple[np.ndarray | None, str]:
         """(pi, "") with pi as in cycle_permutations, or (None, why). U takes
         the vector with code t of basis j to the one with signs (-1)^t_i
-        under the images U g_i U^H of basis j's generators. Each image must
-        map every column of basis j+1 to exactly +-itself (the entries are
-        exactly 0, +-a or +-i a), and those signs are the column's code."""
-        if self.U is None:
-            return None, "set has no cycle unitary"
+        under the images U g_i U^H of basis j's generators, mapped by the
+        set's action. Each image must map every column of basis j+1 to
+        exactly +-itself (the entries are exactly 0, +-a or +-i a), and
+        those signs are the column's code."""
+        if self.action is None:
+            return None, "no projector match: set has no Clifford action of U"
         gens = [g for B in self.bases for g in B.generators]
         n, L = gens[0].n, self.L
-        action = self.action
-        if action is None:
-            try:
-                action = clifford_action(build_gamma_generators(n), self.U)
-            except NotAMonomialError as exc:
-                return None, f"no projector match for basis 0: U is not Clifford ({exc})"
         masks = np.array([(g.xmask, g.zmask, g.phase) for g in gens]).T
-        x, z, p, s = action.conjugate_masks(*masks)
+        x, z, p, s = self.action.conjugate_masks(*masks)
         p = (p + 1 - s).tolist()  # the sign folded into the phase
         images = list(map(PauliTerm, [n] * len(p), x.tolist(), z.tolist(), p))
         bit = 1 << np.arange(n)[:, None]
@@ -238,9 +240,9 @@ def fix_phase(v: np.ndarray) -> np.ndarray:
     return v / ph
 
 
-def common_eigenbasis(cc: CommutingClass, label: int = 0) -> Basis:
+def common_eigenbasis(cc: CommutingClass) -> Basis:
     """Joint eigenbasis of one commuting class, canonically ordered."""
-    return basis_from_involutions(list(cc.members), label)
+    return basis_from_involutions(list(cc.members))
 
 
 def _generators(members: "Sequence[PauliTerm]") -> tuple[list[PauliTerm], list[int]]:
@@ -275,7 +277,7 @@ def _sign_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return flip, sign
 
 
-def basis_from_involutions(members: "Sequence[PauliTerm]", label: int = 0) -> Basis:
+def basis_from_involutions(members: "Sequence[PauliTerm]") -> Basis:
     """Joint eigenbasis of commuting Hermitian Pauli monomials, exactly.
 
     Code t (bit i: sign -1 under generator g_i) names the joint eigenvector
@@ -335,9 +337,7 @@ def basis_from_involutions(members: "Sequence[PauliTerm]", label: int = 0) -> Ba
     a = math.sqrt(np.count_nonzero(K) / d)  # 1 / sqrt(support size)
     amp = np.array([complex(a, 0), complex(0, a), complex(-a, 0), complex(0, -a)])
     vectors = np.where(support, amp[phase], 0)[:, order]
-    patterns = tuple(map(tuple, ordered.tolist()))
-    codes = tuple(order.tolist())
-    return Basis(np.ascontiguousarray(vectors), label, patterns, tuple(gens), codes)
+    return Basis(np.ascontiguousarray(vectors), tuple(gens), tuple(order.tolist()))
 
 
 def _check_eigenvectors(members, support, phase, signs) -> None:
@@ -443,8 +443,8 @@ def _pair_deviations(mats):
 
 def unbiasedness_deviation(bases) -> float:
     """max over cross-basis pairs of | |<a|b>|^2 - 1/d |; for a MubSet, the
-    value build_mub_set found, when it was built there."""
-    if isinstance(bases, MubSet) and bases.deviation is not None:
+    value found when it was built."""
+    if isinstance(bases, MubSet):
         return bases.deviation
     worst = 0.0
     for _, _, dev, _, _ in _pair_deviations(basis_matrices(bases)):
@@ -453,14 +453,16 @@ def unbiasedness_deviation(bases) -> float:
 
 
 def build_mub_set(
-    part: Partition, U: np.ndarray | None = None, action: CliffordAction | None = None
+    part: Partition, cycle: tuple[np.ndarray, CliffordAction] | None = None
 ) -> MubSet:
     """Extract all joint eigenbases and verify mutual unbiasedness, keeping
-    the worst deviation. U and its action default to cycle_unitary's for
-    part.spec, and to None without a spec."""
-    if U is None and part.spec is not None:
-        U, action = cycle_unitary(build_gamma_generators(part.n), part.spec)
-    bases = tuple(common_eigenbasis(c, label=i) for i, c in enumerate(part.classes))
+    the worst deviation. cycle is cycle_unitary's (U, action) for
+    part.spec, built here when not given; without a spec, U and its action
+    are None."""
+    if cycle is None and part.spec is not None:
+        cycle = cycle_unitary(build_gamma_generators(part.n), part.spec)
+    U, action = cycle or (None, None)
+    bases = tuple(common_eigenbasis(c) for c in part.classes)
     worst = 0.0
     for j, k, dev, bad, ov in _pair_deviations([b.vectors for b in bases]):
         if dev > UNBIAS_TOL:
@@ -613,7 +615,7 @@ def mub_set_json_parts(ms: MubSet, cycle: CycleReport | None = None):
     # "bases" is the third key, after two numbers, so this is its null
     head, _, tail = json.dumps(doc).partition('"bases": null')
     bases = (
-        f'{", " if i else ""}{{"label": {b.label}, '
+        f'{", " if i else ""}{{"label": {i}, '
         f'"vectors": {complex_json(b.vectors.T)}}}'
         for i, b in enumerate(ms.bases)
     )

@@ -162,10 +162,10 @@ def cycle_action(gs: GammaSet, spec: CycleSpec) -> CliffordAction:
     return CliffordAction(gs, (*images, last))
 
 
-def assert_unitary(U: np.ndarray, tol: float = UNITARITY_TOL) -> None:
+def assert_unitary(U: np.ndarray) -> None:
     d = U.shape[0]
     err = np.linalg.norm(U.conj().T @ U - np.eye(d))
-    if err > tol:
+    if err > UNITARITY_TOL:
         raise ConstructionError(f"matrix is not unitary, |U^H U - I|_F = {err:.3e}")
 
 

@@ -208,14 +208,10 @@ def spread_partition(n: int) -> Partition:
     return Partition(n, d + 1, None, classes)
 
 
-def phase_space_csv(bases, levels=None) -> str:
-    """Report rows alpha_x, alpha_y, lambda_max, W_max for every point.
-
-    levels, as returned by point_levels, spares solving the points again.
-    """
-    d = basis_matrices(bases)[0].shape[0]
-    if levels is None:
-        levels = point_levels(bases)
+def phase_space_csv(levels: np.ndarray) -> str:
+    """Report rows alpha_x, alpha_y, lambda_max, W_max for every point, from
+    the d^2 levels of point_levels, x-major."""
+    d = math.isqrt(len(levels))
     lines = ["alpha_x,alpha_y,lambda_max,W_max"]
     for i, lam in enumerate(levels.tolist()):
         lines.append(f"{i // d},{i % d},{lam:.12f},{lam / d:.12f}")

@@ -23,9 +23,15 @@ from mubforge.entropy import (
     _sweep_size,
     hermitian_eigmax,
 )
-from mubforge.mub import MubSet, basis_matrices, fix_phase
-from mubforge.pauli import PauliTerm, build_gamma_generators, gamma_indices
-from mubforge.transform import CycleSpec
+from mubforge.mub import (
+    Basis,
+    MubSet,
+    basis_matrices,
+    fix_phase,
+    unbiasedness_deviation,
+)
+from mubforge.pauli import PauliTerm, build_gamma_generators, gamma_indices, to_dense
+from mubforge.transform import CycleSpec, NotAMonomialError, clifford_action
 from mubforge.wigner import GF, PhasePointOperator, point_operator
 
 # ----------------------------------------------------------------- pauli
@@ -91,6 +97,27 @@ def partition_from_json(text: str) -> Partition:
 
 
 # ------------------------------------------------------------------- mub
+
+
+def set_by_hand(bases, U: np.ndarray, provenance: Partition) -> MubSet:
+    """A MubSet of these bases and U, with U's action read densely by
+    clifford_action, or None (no label maps) when U is not Clifford, and
+    the unbiasedness deviation of the bases."""
+    try:
+        action = clifford_action(build_gamma_generators(provenance.n), U)
+    except NotAMonomialError:
+        action = None
+    bases = tuple(bases)
+    return MubSet(bases, U, provenance, unbiasedness_deviation(bases), action)
+
+
+def sign_patterns(members: Sequence[PauliTerm], basis: Basis) -> tuple:
+    """The sign of every member on every column, column by column, read
+    densely as the real part of <v|M|v>."""
+    mats = [to_dense(M) for M in members]
+    V = basis.vectors
+    signs = [np.rint(np.einsum("ij,ik,kj->j", V.conj(), M, V).real) for M in mats]
+    return tuple(map(tuple, np.array(signs, dtype=int).T.tolist()))
 
 
 def invariant_states(ms: MubSet) -> list[tuple[np.ndarray, complex]]:

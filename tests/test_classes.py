@@ -443,7 +443,8 @@ def test_p3_compares_each_class_with_the_next_as_a_set(build):
     assert astuple(report) == _check_by_loops(part, action)
 
 
-# ROADMAP item 4: these classes repeat a cycle-invariant product (P2 fails)
+# the build_classes_Ln P2 defect (ROADMAP: "Fix build_classes_Ln for n/L >= 2"):
+# these classes repeat a cycle-invariant product
 P2_REPEATS = {(6, 3): 2, (9, 3): 6, (10, 5): 4}
 
 
@@ -456,7 +457,8 @@ def _symbolic_cases():
                 marks = ()
                 if (n, L) in P2_REPEATS:
                     marks = pytest.mark.xfail(
-                        strict=True, reason="ROADMAP item 4: classes share members"
+                        strict=True,
+                        reason="build_classes_Ln P2 defect: classes share members",
                     )
                 yield pytest.param(n, L, marks=marks, id=f"n{n}L{L}")
 

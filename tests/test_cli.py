@@ -300,6 +300,9 @@ def test_generate_reads_u_once(tmp_path, monkeypatch, n, L):
         (["minimize", "--n", "2", "--L", "4", "--alpha", "0"], "--alpha"),
         (["minimize", "--n", "2", "--L", "4", "--alpha", "-1"], "--alpha"),
         (["minimize", "--n", "2", "--L", "4", "--alpha", "nan"], "--alpha"),
+        # not a budget refusal (exit 3) at the first sweep
+        (["sweep", "--n", "2", "--L", "3", "--budget", "0"], "--budget"),
+        (["reproduce-fig", "--which", "1", "--budget", "-5"], "--budget"),
     ],
 )
 def test_minimizer_arguments_are_refused_before_any_set(
@@ -408,23 +411,38 @@ def test_sweep_labels_are_unambiguous(tmp_path):
     assert {len(b) for b in labels} == {4}
 
 
-def _loaded_after(code, modules, cwd=None):
-    """Which of `modules` a fresh interpreter has imported after running
-    `code` with mubforge on its path."""
+def _child_output(code, cwd=None):
+    """The last stdout line of a fresh interpreter running `code` with
+    mubforge on its path, in this process's environment otherwise (so
+    PYTHONDONTWRITEBYTECODE carries over)."""
+    import os
     import subprocess
     import sys
 
-    code += f"\nimport sys; print([m for m in {modules!r} if m in sys.modules])"
     src = str(Path(__file__).parents[1] / "src")
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         check=True,
-        env={"PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": src},
         cwd=cwd,
     )
-    return json.loads(out.stdout.splitlines()[-1].replace("'", '"'))
+    return out.stdout.splitlines()[-1]
+
+
+def _loaded_after(code, modules, cwd=None):
+    """Which of `modules` a fresh interpreter has imported after running
+    `code` with mubforge on its path."""
+    code += f"\nimport sys; print([m for m in {modules!r} if m in sys.modules])"
+    return json.loads(_child_output(code, cwd).replace("'", '"'))
+
+
+def test_child_interpreter_keeps_the_bytecode_setting():
+    import sys
+
+    code = "import sys; print(sys.dont_write_bytecode)"
+    assert _child_output(code) == str(sys.dont_write_bytecode)
 
 
 def test_cli_import_leaves_scipy_out():
@@ -501,7 +519,8 @@ def test_generate_n6_matches_digests(tmp_path, monkeypatch):
     import hashlib
 
     monkeypatch.setenv("MUBFORGE_MAX_N", "6")
-    for L, code in (("13", 0), ("3", 2)):  # L = 3 fails P2 (ROADMAP item 4)
+    # L = 3 fails P2 (ROADMAP: "Fix build_classes_Ln for n/L >= 2")
+    for L, code in (("13", 0), ("3", 2)):
         assert run(["generate", "--n", "6", "--L", L, "--out", str(tmp_path / L)]) == code
     written = {
         (p.parent.name, p.name): hashlib.sha256(p.read_bytes()).hexdigest()
@@ -543,11 +562,13 @@ def test_a_set_that_is_not_unbiased_exits_2(monkeypatch, capsys, args):
 
 
 def test_a_unitary_that_does_not_cycle_exits_2(tmp_path, monkeypatch, capsys):
+    from dataclasses import replace
+
     import mubforge.cli
-    from mubforge.mub import MubSet, verify_cycle
+    from mubforge.mub import verify_cycle
 
     def reversed_order(ms):
-        return verify_cycle(MubSet(ms.bases[::-1], ms.U, ms.provenance))
+        return verify_cycle(replace(ms, bases=ms.bases[::-1]))
 
     monkeypatch.setattr(mubforge.cli, "verify_cycle", reversed_order)
     assert run(["generate", "--n", "2", "--L", "4", "--out", str(tmp_path)]) == 2

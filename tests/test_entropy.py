@@ -368,10 +368,10 @@ def serial_descend(mats, psi, alpha, iters):
     return psi
 
 
-def serial_minimize(ms, alpha, restarts, seed, iters=500, surrogate_alpha=20.0):
+def serial_minimize(ms, alpha, restarts, seed, iters=500):
     mats = [b.vectors for b in ms.bases]
     d = mats[0].shape[0]
-    stages = [alpha] if not math.isinf(alpha) else [2.0, surrogate_alpha, alpha]
+    stages = [alpha] if not math.isinf(alpha) else [2.0, 20.0, alpha]
     rng = np.random.default_rng(seed)
     best_val, best_psi = math.inf, None
     for _ in range(restarts):
@@ -446,6 +446,21 @@ def test_batched_minimizer_is_serial_to_the_bit(oracle_sets, name, alpha):
     ):
         assert val == want
         assert np.array_equal(psi, want_psi)
+
+
+@pytest.mark.parametrize("iters", [1, 4])
+@pytest.mark.parametrize("alpha", [2, math.inf])
+def test_iteration_cap_is_serial_to_the_bit(oracle_sets, alpha, iters):
+    # MINIMIZE_ITERS, read at call time, stops rows in mid-descent, each
+    # after as many moves as the one-vector descent makes
+    ms = oracle_sets["d4L4"]
+    want_psi, want = serial_minimize(ms, alpha, 5, 7, iters=iters)
+    with mock.patch.object(entropy, "MINIMIZE_ITERS", iters):
+        with mock.patch.object(entropy, "MINIMIZE_BLOCK", 2):
+            psi, val = minimize_avg_entropy(ms, alpha, restarts=5, seed=7)
+    assert val == want
+    assert np.array_equal(psi, want_psi)
+    assert val > minimize_avg_entropy(ms, alpha, restarts=5, seed=7)[1]
 
 
 def test_log2_is_math_log2():
@@ -530,11 +545,11 @@ def test_minimize_rejects_bad_bases(ms4, case):
 @pytest.mark.parametrize(
     "kwargs, match",
     [
-        ({"iters": 0}, "iters"),
-        ({"iters": -5}, "iters"),
-        ({"surrogate_alpha": -1.0}, "surrogate_alpha"),
-        ({"surrogate_alpha": 0.0}, "surrogate_alpha"),
-        ({"surrogate_alpha": math.nan}, "surrogate_alpha"),
+        ({"alpha": -1.0}, "alpha"),
+        ({"alpha": 0.0}, "alpha"),
+        ({"alpha": -math.inf}, "alpha"),
+        ({"restarts": -5}, "restarts"),
+        ({"restarts": -1}, "restarts"),
         ({"alpha": math.nan}, "alpha"),
         ({"restarts": 0}, "restarts"),
     ],

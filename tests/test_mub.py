@@ -16,7 +16,6 @@ from mubforge.classes import (
 from mubforge.mub import (
     Basis,
     DiagonalizationError,
-    MubSet,
     UnbiasednessError,
     _check_eigenvectors,
     _generators,
@@ -35,7 +34,7 @@ from mubforge.mub import (
     verify_cycle,
 )
 from mubforge.mub import EIGEN_TOL, _projector_distances, fix_phase
-from oracles import invariant_states, symmetrize
+from oracles import invariant_states, set_by_hand, sign_patterns, symmetrize
 from mubforge.pauli import (
     PauliTerm,
     build_gamma_generators,
@@ -78,11 +77,12 @@ def test_gram_identity_and_sign_patterns():
         basis = common_eigenbasis(c)
         gram = basis.vectors.conj().T @ basis.vectors
         assert np.linalg.norm(gram - np.eye(4)) < 1e-10
-        assert len(set(basis.sign_patterns)) == 4
+        patterns = sign_patterns(c.members, basis)
+        assert len(set(patterns)) == 4
         # canonical order: member-0 sign most significant, +1 before -1
-        keys = [tuple(-s for s in p) for p in basis.sign_patterns]
+        keys = [tuple(-s for s in p) for p in patterns]
         assert keys == sorted(keys)
-        assert basis.sign_patterns[0][0] == 1
+        assert patterns[0][0] == 1
 
 
 def test_noncommuting_input_raises():
@@ -134,7 +134,7 @@ def test_fourier_pair_exchanged():
 
 def test_scrambled_basis_order_raises():
     ms = build_mub_set(fixture_d4(4))
-    scrambled = MubSet((ms.bases[0], ms.bases[2], ms.bases[1], ms.bases[3]), ms.U, ms.provenance)
+    scrambled = replace(ms, bases=(ms.bases[0], ms.bases[2], ms.bases[1], ms.bases[3]))
     with pytest.raises(RuntimeError):
         verify_cycle(scrambled)
 
@@ -174,7 +174,7 @@ def test_invariant_state_overlap_flatness():
 
 def test_identity_unitary_degenerate_case():
     ms = build_mub_set(fixture_d4(4))
-    trivial = MubSet(ms.bases, np.eye(4, dtype=complex), ms.provenance)
+    trivial = set_by_hand(ms.bases, np.eye(4, dtype=complex), ms.provenance)
     states = invariant_states(trivial)
     assert len(states) == 4
     for v, lam in states:
@@ -292,7 +292,7 @@ def test_exact_bases_match_the_dense_oracle():
     for members in _all_classes():
         want, patterns = dense_eigenbasis([to_dense(m) for m in members])
         got = basis_from_involutions(members)
-        assert got.sign_patterns == patterns
+        assert sign_patterns(members, got) == patterns
         assert np.max(np.abs(got.vectors - want)) <= 1e-15
         assert got.vectors.flags.c_contiguous
         # every entry exactly 0, +-a or +-i a, a = 1/sqrt(support size)
@@ -333,7 +333,7 @@ def test_codes_name_the_generator_signs():
         assert len(basis.generators) == basis.d.bit_length() - 1
         for g in basis.generators:
             i = members.index(g)
-            signs = [p[i] for p in basis.sign_patterns]
+            signs = [p[i] for p in sign_patterns(members, basis)]
             bit = basis.generators.index(g)
             assert signs == [1 - 2 * (t >> bit & 1) for t in basis.codes]
 
@@ -416,8 +416,8 @@ def whole_document_json(ms, cycle):
             "permutations": [list(p) for p in cycle.permutations],
         }
     bases = ", ".join(
-        f'{{"label": {b.label}, "vectors": {complex_json(b.vectors.T)}}}'
-        for b in ms.bases
+        f'{{"label": {i}, "vectors": {complex_json(b.vectors.T)}}}'
+        for i, b in enumerate(ms.bases)
     )
     return json.dumps(doc).replace('"bases": null', f'"bases": [{bases}]', 1)
 
@@ -500,7 +500,7 @@ def _perturbed(ms, eps, seed):
     lam, Q = np.linalg.eigh(A + A.conj().T)
     lam /= abs(lam).max()
     U = (Q * np.exp(1j * eps * lam)) @ Q.conj().T @ ms.U
-    return MubSet(ms.bases, U, ms.provenance, ms.deviation, ms.action)
+    return replace(ms, U=U)
 
 
 @pytest.mark.parametrize("n, L", [(2, 4), (3, 7), (6, 13)])
@@ -527,20 +527,20 @@ def test_cycle_residual_is_the_dense_residual(n, L):
 def test_a_unitary_that_does_not_cycle_is_refused_both_ways():
     ms = build_mub_set(build_classes_Ln(3, 3))
     H = np.kron(np.eye(4), np.array([[1, 1], [1, -1]]) / np.sqrt(2))
-    bad = MubSet(ms.bases, H @ ms.U, ms.provenance)
+    bad = set_by_hand(ms.bases, H @ ms.U, ms.provenance)
     assert _match_by_columns(bad) is None and bad.cycle_permutations is None
     with pytest.raises(CycleMatchError, match="no projector match"):
         verify_cycle(bad)
 
 
 def test_a_unitary_that_is_not_clifford_is_refused():
-    # U maps no Pauli onto a Pauli: no label maps, and verify_cycle reports
-    # a cycle failure, not the NotAMonomialError of reading U's action
+    # U maps no Pauli onto a Pauli, so it has no Clifford action: a set
+    # without one has no label maps, and verify_cycle reports a cycle failure
     ms = build_mub_set(build_classes_Ln(3, 3))
     rng = np.random.default_rng(113)
     Q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
-    bad = MubSet(ms.bases, Q, ms.provenance)
-    assert bad.cycle_permutations is None
+    bad = set_by_hand(ms.bases, Q, ms.provenance)
+    assert bad.action is None and bad.cycle_permutations is None
     with pytest.raises(CycleMatchError) as info:
         verify_cycle(bad)
     assert str(info.value).startswith("no projector match")
@@ -561,7 +561,7 @@ def row_mask_loop(mask, n):
     return sum(1 << (n - 1 - j) for j in range(n) if mask >> j & 1)
 
 
-def per_class_basis(members, label=0):
+def per_class_basis(members):
     """basis_from_involutions as it was before its parity table and its
     derived column order, kept as the oracle: bit-loop parity and row
     masks, columns sorted by sign pattern."""
@@ -608,25 +608,21 @@ def per_class_basis(members, label=0):
     if not same.all():
         raise DiagonalizationError("a member does not map the basis to its signs")
     order = np.lexsort(-signs[::-1])
-    patterns = tuple(map(tuple, signs.T[order].tolist()))
-    if len(set(patterns)) != d:
+    if len(set(map(tuple, signs.T.tolist()))) != d:
         raise DiagonalizationError("sign patterns are not distinct")
     a = math.sqrt(np.count_nonzero(K) / d)
     amp = np.array([complex(a, 0), complex(0, a), complex(-a, 0), complex(0, -a)])
     vectors = np.where(support, amp[phase], 0)[:, order]
     codes = tuple(order.tolist())
-    return Basis(np.ascontiguousarray(vectors), label, patterns, tuple(gens), codes)
+    return Basis(np.ascontiguousarray(vectors), tuple(gens), codes)
 
 
 def same_basis(got, want):
-    """Bit for bit: vectors (signed zeros included), label, sign patterns,
-    generators and codes."""
+    """Bit for bit: vectors (signed zeros included), generators and codes."""
     assert got.vectors.dtype == want.vectors.dtype
     assert got.vectors.shape == want.vectors.shape
     assert got.vectors.tobytes() == want.vectors.tobytes()
     assert got.vectors.flags.c_contiguous
-    assert got.label == want.label
-    assert got.sign_patterns == want.sign_patterns
     assert got.generators == want.generators
     assert got.codes == want.codes
 
@@ -653,15 +649,15 @@ ORACLE_PARTITIONS = _oracle_partitions()
 def test_bases_equal_the_oracle(name):
     part = ORACLE_PARTITIONS[name]
     got = []
-    for i, c in enumerate(part.classes):
-        got.append(basis_from_involutions(c.members, 7 * i + 3))
-        same_basis(got[-1], per_class_basis(list(c.members), 7 * i + 3))
+    for c in part.classes:
+        got.append(basis_from_involutions(c.members))
+        same_basis(got[-1], per_class_basis(list(c.members)))
     if part.n <= 4:  # and as build_mub_set builds them
         for g, want in zip(build_mub_set(part).bases, got):
-            same_basis(g, replace(want, label=g.label))
+            same_basis(g, want)
 
 
-def _check_arrays(basis):
+def _check_arrays(members, basis):
     """The (support, phase, signs) arrays of the member check, read back
     from a built basis: column k carries code codes[k]."""
     codes = list(basis.codes)
@@ -670,8 +666,8 @@ def _check_arrays(basis):
     support[:, codes] = basis.vectors != 0
     quarter = np.rint(np.angle(basis.vectors) / (np.pi / 2)).astype(int) % 4
     phase[:, codes] = np.where(basis.vectors != 0, quarter, 0)
-    signs = np.empty((len(basis.sign_patterns[0]), basis.d), dtype=np.int64)
-    signs[:, codes] = np.array(basis.sign_patterns).T
+    signs = np.empty((len(members), basis.d), dtype=np.int64)
+    signs[:, codes] = np.array(sign_patterns(members, basis)).T
     return support, phase, signs
 
 
@@ -682,7 +678,7 @@ def test_member_check_catches_a_corrupted_entry():
     rng = np.random.default_rng(12)
     for cls, basis in zip(part.classes, bases):
         members = cls.members
-        support, phase, signs = _check_arrays(basis)
+        support, phase, signs = _check_arrays(members, basis)
         _check_eigenvectors(members, support, phase, signs)  # the built basis passes
         for _ in range(5):
             r, t = rng.integers(d), rng.integers(d)

@@ -5,6 +5,7 @@ and orbits found by brute force over all d^L strings, from dense matrices,
 are the oracle for the orbit walk."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,10 +15,10 @@ from mubforge import entropy, mub
 from mubforge.classes import build_classes_2n1
 from mubforge.cli import build_partition, constructible
 from mubforge.entropy import LEVEL_TOL, sample_max_eigen, sweep_max_eigen
-from mubforge.mub import MubSet, build_mub_set, orbit_step, verify_cycle
+from mubforge.mub import build_mub_set, orbit_step, verify_cycle
 from mubforge.pauli import PauliTerm, to_dense
 from mubforge.wigner import spread_partition
-from oracles import iter_sweep_rows
+from oracles import iter_sweep_rows, set_by_hand
 
 # every constructible set with at most 4096 strings (d = 64, L = 2 left out
 # for time)
@@ -170,7 +171,7 @@ def _five_of_seven():
     # five of the seven d = 8 classes: U leaves the sub-set
     part = build_classes_2n1(3)
     full = build_mub_set(part)
-    return MubSet(full.bases[:5], full.U, replace(part, L=5, classes=part.classes[:5]))
+    return set_by_hand(full.bases[:5], full.U, replace(part, L=5, classes=part.classes[:5]))
 
 
 def _orbit_set(kind, arg):
@@ -228,22 +229,18 @@ def test_label_maps_that_break_the_pauli_action_are_refused(kind, arg):
 
 
 def test_cycle_maps_are_derived_once_per_set(monkeypatch):
-    # one apply per basis, once per set, with the action cycle_unitary read:
-    # the set never reads U's action a second time
-    reads, read = [], mub.clifford_action
+    # one apply per basis, once per set, with the action cycle_unitary read
     applies, apply = [], mub.apply
-    monkeypatch.setattr(mub, "clifford_action", lambda *a: reads.append(a) or read(*a))
     monkeypatch.setattr(mub, "apply", lambda *a: applies.append(a) or apply(*a))
     ms = build_mub_set(build_partition(3, 7))
     sweep_max_eigen(ms)
     report = verify_cycle(ms)
-    assert len(reads) == 0 and len(applies) == ms.L
+    assert len(applies) == ms.L
     assert report.permutations == tuple(map(tuple, ms.cycle_permutations.tolist()))
-    # a set built by hand from U alone reads the action off U once
-    by_hand = mub.MubSet(ms.bases, ms.U, ms.provenance)
-    assert verify_cycle(by_hand).permutations == report.permutations
-    assert by_hand.cycle_permutations is by_hand.cycle_permutations
-    assert len(reads) == 1
+    assert ms.cycle_permutations is ms.cycle_permutations
+    # a set without U's action has no label maps
+    assert replace(ms, action=None).cycle_permutations is None
+    assert len(applies) == ms.L
 
 
 def test_cycle_orbits_match_the_pauli_only_route_d8_L7(monkeypatch):
@@ -291,10 +288,10 @@ def pair_sets():
 )
 def test_sweep_bit_identical_across_chunk_and_workers(pair_sets, name, chunk, workers):
     ms, (reduced, full, raw) = pair_sets[name]
-    assert sweep_max_eigen(ms, chunk=chunk, workers=workers) == reduced
-    got = sweep_max_eigen(ms, chunk=chunk, workers=workers, on_chunk=_ignore)
-    assert got == full
-    assert sweep_max_eigen(ms.bases, chunk=chunk, workers=workers) == raw
+    with mock.patch.object(entropy, "SWEEP_CHUNK", chunk):
+        assert sweep_max_eigen(ms, workers=workers) == reduced
+        assert sweep_max_eigen(ms, workers=workers, on_chunk=_ignore) == full
+        assert sweep_max_eigen(ms.bases, workers=workers) == raw
 
 
 @settings(max_examples=50, deadline=None)
@@ -393,15 +390,17 @@ def test_spread_set_reduced_sweep_matches_full_sweep(n):
     "kwargs, match",
     [({"workers": 0}, "workers"), ({"workers": -3}, "workers"), ({"chunk": 0}, "chunk")],
 )
-def test_sweep_rejects_bad_workers_and_chunk(kwargs, match):
+def test_sweep_rejects_bad_workers_and_chunk(monkeypatch, kwargs, match):
     ms = build_mub_set(build_partition(2, 3))
+    kwargs = dict(kwargs)  # the chunk is a module constant, read at call time
+    monkeypatch.setattr(entropy, "SWEEP_CHUNK", kwargs.pop("chunk", entropy.SWEEP_CHUNK))
     with pytest.raises(ValueError, match=match):
         sweep_max_eigen(ms, **kwargs)
     with pytest.raises(ValueError, match=match):
         sweep_max_eigen(ms.bases, **kwargs)
 
 
-def stack_eigmax_chunks(B, strings, chunk=entropy.SWEEP_CHUNK, workers=1, select=None):
+def stack_eigmax_chunks(B, strings, chunk, workers=1, select=None):
     """The kernel before selectors were built per chunk, kept as the oracle:
     every projector np.outer(v, v^dag) in one (L, d, d, d) stack, gathered
     and summed per chunk in basis order (workers ignored)."""
@@ -450,7 +449,8 @@ def test_selectors_built_per_chunk_equal_the_projector_stack(monkeypatch, n, L, 
                 yield digits, lam, weights
 
         monkeypatch.setattr(entropy, "_eigmax_chunks", recording)
-        res = sweep_max_eigen(ms, chunk=chunk)
+        monkeypatch.setattr(entropy, "SWEEP_CHUNK", chunk)
+        res = sweep_max_eigen(ms)
         runs.append((res, np.concatenate(lams)))
     (want, want_lams), (got, got_lams) = runs
     assert got_lams.tobytes() == want_lams.tobytes()
@@ -533,7 +533,7 @@ def test_kernel_memory_stays_within_its_block_budget():
     strings = np.random.default_rng(5).integers(0, ms.d, size=(2048, ms.L))
     tracemalloc.start()
     try:
-        (chunk,) = KERNEL(B, strings)  # one chunk of 2,048 d = 32 selectors
+        (chunk,) = KERNEL(B, strings, entropy.SWEEP_CHUNK)  # one chunk of 2,048 d = 32 selectors
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -237,11 +237,12 @@ def test_complete_mub_bases_sizes():
 @pytest.mark.parametrize("n", [3, 4])
 def test_phase_space_csv_same_for_mub_set_and_matrices(n):
     ms = complete_mub_bases(n)
-    assert phase_space_csv(ms) == phase_space_csv(basis_matrices(ms))
+    want = phase_space_csv(point_levels(basis_matrices(ms)))
+    assert phase_space_csv(point_levels(ms)) == want
 
 
 def test_phase_space_csv_shape(ms_d2):
-    text = phase_space_csv(ms_d2)
+    text = phase_space_csv(point_levels(ms_d2))
     rows = text.strip().split("\n")
     assert rows[0] == "alpha_x,alpha_y,lambda_max,W_max"
     assert len(rows) == 1 + 4
@@ -250,7 +251,9 @@ def test_phase_space_csv_shape(ms_d2):
 def test_shared_levels_give_the_same_report(ms_d4):
     levels = point_levels(ms_d4)
     assert levels.shape == (16,)
-    assert phase_space_csv(ms_d4, levels=levels) == phase_space_csv(ms_d4)
+    rows = [r.split(",") for r in phase_space_csv(levels).splitlines()[1:]]
+    assert [(int(x), int(y)) for x, y, _, _ in rows] == [divmod(i, 4) for i in range(16)]
+    assert [float(lam) for _, _, lam, _ in rows] == [round(x, 12) for x in levels]
     assert wigner_entropy_bound(ms_d4, levels=levels) == wigner_entropy_bound(ms_d4)
 
 
