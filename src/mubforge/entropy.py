@@ -56,6 +56,14 @@ U's Clifford action (mub.MubSet.cycle_permutations). Where there are none
 (U is None or leaves the set), or they fail the exact check of U.(W.b) =
 W'.(U.b) (mub.PauliLabels.carried_by), f is the identity.
 
+The walk runs on integer keys: a string's key is its index, digit j in
+its own n-bit field since d = 2^n. On a string with b_0 = b_1 = 0 the
+Pauli that brings U.b back to prefix (0, 0) depends on b_{L-1} alone, so
+f sends digit 2 to T_2[b_{L-1}] and digit j >= 3 to T_j[b_{j-1},
+b_{L-1}]: L - 2 exact tables built once per set, read with shifts, masks
+and gathers and ORed into the next key. Digit rows are formed only for the
+strings the walk keeps.
+
 Ties and bins. Orbit members agree only to rounding, so eigenvalues within
 LEVEL_TOL are one level. Histogram bins group eigenvalues that chain
 within LEVEL_TOL (no fixed bin edges), and b* is the smallest string
@@ -246,9 +254,10 @@ def _eigmax_chunks(B: np.ndarray, strings, chunk: int, workers: int = 1, select=
     base d with basis 0 most significant, is the element of basis j) or an
     (n, L) array of digit rows. Yields (digits, lambdas, weights) for
     consecutive chunks of at most `chunk` strings, in input order for any
-    worker count. Weights are 1 unless `select`, which maps a chunk's digits
-    to the rows kept and their weights, thins the chunk first; a chunk may
-    then be empty. A string's eigenvalue does not depend on the chunk or
+    worker count. Weights are 1 unless `select`, which maps a range chunk's
+    indices to the indices kept and their weights, thins the chunk first;
+    digit rows are then formed for the kept strings only, and a chunk may
+    be empty. A string's eigenvalue does not depend on the chunk or
     the block it falls in: selectors are summed from zero, basis by basis,
     from the outer products c c^dag of the basis columns, the products
     np.outer forms, and eigvalsh solves each matrix on its own.
@@ -273,13 +282,14 @@ def _eigmax_chunks(B: np.ndarray, strings, chunk: int, workers: int = 1, select=
 
     def solve(part):
         if isinstance(part, range):
-            digits = (np.arange(part.start, part.stop)[:, None] // powers) % d
+            keys = np.arange(part.start, part.stop)
+            if select is None:
+                weights = np.ones(len(keys), dtype=np.int64)
+            else:
+                keys, weights = select(keys)
+            digits = (keys[:, None] // powers) % d
         else:
-            digits = part
-        if select is None:
-            weights = np.ones(len(digits), dtype=np.int64)
-        else:
-            digits, weights = select(digits)
+            digits, weights = part, np.ones(len(part), dtype=np.int64)
         n = len(digits)
         block = max(1, min(n, mub.BLOCK_BYTES // (48 * d * d)))
         P, outer = np.empty((2, block, d, d), dtype=complex)  # reused per block
@@ -312,30 +322,26 @@ def _eigmax_chunks(B: np.ndarray, strings, chunk: int, workers: int = 1, select=
             yield pending.popleft().result()
 
 
-def _orbit_minima(step, weight: int, L: int, d: int):
-    """select for _eigmax_chunks: the strings that are the smallest of their
-    orbit under the permutation `step`, each weighted `weight` times the
-    orbit's size.
+def _orbit_minima(step, weight: int):
+    """select for _eigmax_chunks: the keys that are the smallest of their
+    orbit under the permutation `step` of keys (mub.orbit_step), each
+    weighted `weight` times the orbit's size.
 
-    Each string is walked along its orbit until the walk returns (the orbit
-    size) or passes a smaller string (not the smallest; dropped there), so
-    no table over all strings is kept.
+    Each key is walked along its orbit until the walk returns (the orbit
+    size) or passes a smaller key (not the smallest; dropped there), so no
+    table over all strings is kept.
     """
-    powers = np.array([d ** (L - 1 - j) for j in range(L)])
 
-    def select(digits):
-        start = (digits * powers).sum(axis=1)
-        size = np.zeros(len(digits), dtype=np.int64)
-        alive, cur, k = np.arange(len(digits)), digits, 0
+    def select(keys):
+        size = np.zeros(len(keys), dtype=np.int64)
+        alive, start, cur, k = np.arange(len(keys)), keys, keys, 0
         while len(alive):
             cur, k = step(cur), k + 1
-            at = (cur * powers).sum(axis=1)
-            back, lower = at == start[alive], at < start[alive]
-            size[alive[back]] = k
-            stay = ~(back | lower)
-            alive, cur = alive[stay], cur[stay]
+            size[alive[cur == start]] = k
+            stay = cur > start
+            alive, start, cur = alive[stay], start[stay], cur[stay]
         keep = size > 0
-        return digits[keep], weight * size[keep]
+        return keys[keep], weight * size[keep]
 
     return select
 
@@ -410,12 +416,15 @@ def sweep_max_eigen(
     A MubSet is swept over the strings with b_0 = b_1 = 0 that are the
     smallest of their orbit under mub.orbit_step, each standing for the d^2
     |orbit| strings of its orbit under the Paulis and the cycle unitary
-    (module docstring); raw bases are swept over all d^L. `count` is d^L
-    either way. For a MubSet, b* is the smallest string within LEVEL_TOL of
-    lambda* that the cycle unitary maps to itself, if there is one;
-    otherwise, and for raw bases, the smallest string within LEVEL_TOL of
-    lambda*. Strings are solved SWEEP_CHUNK at a time, read at call time;
-    the result is bit-identical for any worker count and chunk size.
+    (module docstring); raw bases are swept over all d^L. The orbits are
+    walked on the integer keys of each range chunk (_orbit_minima, passed
+    to _eigmax_chunks as select) with orbit_step's tables, and only the
+    kept strings become digit rows. `count` is d^L either way. For a
+    MubSet, b* is the smallest string within LEVEL_TOL of lambda* that the
+    cycle unitary maps to itself, if there is one; otherwise, and for raw
+    bases, the smallest string within LEVEL_TOL of lambda*. Strings are
+    solved SWEEP_CHUNK at a time, read at call time; the result is
+    bit-identical for any worker count and chunk size.
 
     on_chunk, if given, is called with (digits, lambdas) for every chunk of
     all d^L strings in lexicographic order; the sweep is then unreduced.
@@ -426,7 +435,7 @@ def sweep_max_eigen(
     B = np.stack(mats)
     if isinstance(ms, MubSet) and L >= 2 and on_chunk is None:
         strings = range(d ** (L - 2))
-        select = _orbit_minima(orbit_step(ms), d * d, L, d)
+        select = _orbit_minima(orbit_step(ms), d * d)
     else:
         strings, select = range(total), None
     chunks = _eigmax_chunks(B, strings, SWEEP_CHUNK, workers, select)

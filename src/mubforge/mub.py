@@ -23,8 +23,9 @@ A Pauli operator W permutes the labels of basis j through their codes as
 t -> t ^ tau_j(W) (PauliLabels, built once per set), and the cycle unitary
 sends element b of basis j to element pi_j(b) of basis j+1, cyclically
 (MubSet.cycle_permutations, exact from the Clifford action cycle_unitary
-read off U, the one read of U). orbit_step composes them into the map the
-selector sweep walks its orbits with, and verify_cycle checks U against pi.
+read off U, the one read of U). orbit_step composes them into tables that
+map the integer keys of strings, the map the selector sweep walks its
+orbits with, and verify_cycle checks U against pi.
 """
 
 from __future__ import annotations
@@ -441,15 +442,10 @@ def _pair_deviations(mats):
                 yield j, k0 + i, top[i], divmod(a, d), hit[i]
 
 
-def unbiasedness_deviation(bases) -> float:
-    """max over cross-basis pairs of | |<a|b>|^2 - 1/d |; for a MubSet, the
-    value found when it was built."""
-    if isinstance(bases, MubSet):
-        return bases.deviation
-    worst = 0.0
-    for _, _, dev, _, _ in _pair_deviations(basis_matrices(bases)):
-        worst = max(worst, dev)
-    return worst
+def unbiasedness_deviation(ms: MubSet) -> float:
+    """max over cross-basis pairs of | |<a|b>|^2 - 1/d |, found when the set
+    was built."""
+    return ms.deviation
 
 
 def build_mub_set(
@@ -533,19 +529,49 @@ def _cycle_strings(ms: MubSet) -> np.ndarray:
 
 
 def orbit_step(ms: MubSet):
-    """The map f on strings with prefix (0, 0) whose orbits the sweep walks.
+    """The map f on the keys of strings with prefix (0, 0) whose orbits the
+    sweep walks. A string's key is its index: with d = 2^n, digit j fills
+    bits n (L-1-j) to n (L-j) - 1.
 
     f(b) is the Pauli representative of U.b, (U.b)_{j+1} = pi_j(b_j): P_{U.b}
     = U P_b U^dag, so f keeps the spectrum. When the label maps carry Paulis
     to Paulis (PauliLabels.carried_by), f permutes the strings with prefix
     (0, 0) and each of its orbits stands for d^2 |orbit| strings. f is the
     identity when U is None, does not cycle the bases or fails that check.
+
+    With b_0 = b_1 = 0, (U.b)_1 = pi_0(0) is fixed, so the one Pauli W that
+    brings U.b back to prefix (0, 0) depends on b_{L-1} alone. Digit 2 of
+    f(b) is then T_2[b_{L-1}] and digit j >= 3 is T_j[b_{j-1}, b_{L-1}]:
+    L - 2 tables, built here once per set from pi and the PauliLabels
+    tables, each entry already shifted into its digit's bits. A step is a
+    few shifts, masks, gathers and ORs per digit on int64 keys.
     """
     pi = ms.cycle_permutations
-    if pi is None or not ms.pauli_labels.carried_by(pi):
-        return lambda strings: strings
-    reps, j = ms.pauli_labels.representatives, np.arange(ms.L)
-    return lambda strings: reps(np.roll(pi[j, strings], 1, axis=1))
+    if pi is None or ms.L < 3 or not ms.pauli_labels.carried_by(pi):
+        return lambda keys: keys
+    pl, d, L = ms.pauli_labels, ms.d, ms.L
+    n = d.bit_length() - 1
+    c = pl.codes
+    # the Pauli for each b_{L-1}: (U.b)_0 = pi_{L-1}(b_{L-1}) goes to label 0
+    W = pl.pauli_of[c[0, pi[-1]] ^ c[0, 0], c[1, pi[0, 0]] ^ c[1, 0]]
+
+    def table(j, prev):
+        """[b_{j-1}, b_{L-1}] -> digit j of f(b), shifted, for b_{j-1} in prev."""
+        moved = c[j, pi[j - 1, prev]][:, None] ^ pl.tau[j, W]
+        return pl.labels[j, moved].astype(np.int64).ravel() << n * (L - 1 - j)
+
+    first = table(2, [0])  # b_1 = 0
+    rest = [(n * (L - 1 - j), table(j, np.arange(d))) for j in range(3, L)]
+    mask = d - 1
+
+    def step(keys):
+        last = keys & mask
+        out = first[last]
+        for shift, T in rest:  # b_{j-1} << n | b_{L-1}, read from its field
+            out |= T[(keys >> shift) & (mask << n) | last]
+        return out
+
+    return step
 
 
 def cycle_coherent_family(ms: MubSet, b: int) -> np.ndarray:
@@ -555,20 +581,6 @@ def cycle_coherent_family(ms: MubSet, b: int) -> np.ndarray:
     for _ in range(ms.L - 1):
         cols.append(U @ cols[-1])
     return np.column_stack(cols)
-
-
-def phase_ramp_states(ms: MubSet, coefficients: np.ndarray) -> list[np.ndarray]:
-    """Normalized sums sum_j c_j U^j |b^(0)> over all b; near-null sums are
-    dropped. With c_j = exp(i pi j / 4) and a cycle satisfying U^4 = -I these
-    reproduce the bound-attaining invariant superpositions in dimension 4."""
-    out = []
-    for b in range(ms.d):
-        fam = cycle_coherent_family(ms, b)
-        psi = fam @ np.asarray(coefficients, dtype=complex)
-        nrm = np.linalg.norm(psi)
-        if nrm > 1e-8:
-            out.append(fix_phase(psi / nrm))
-    return out
 
 
 def eigenvector_residual(U: np.ndarray, v: np.ndarray) -> float:
@@ -581,16 +593,23 @@ def invariant_superposition_family(ms: MubSet) -> list[np.ndarray]:
 
     theta is the phase of the scalar U^L; ramp index k runs over 0..L-1 and b
     over the basis-0 elements, so every returned state is an eigenvector of
-    U. Near-null combinations are dropped, duplicates are not.
+    U. Near-null combinations are dropped, duplicates are not. The family
+    U^j |b^(0)> of each b (cycle_coherent_family) is built once and serves
+    all L ramps.
     """
     UL = np.linalg.matrix_power(_cycle_unitary(ms), ms.L)
     theta = float(np.angle(UL[0, 0]))
+    fams = [cycle_coherent_family(ms, b) for b in range(ms.d)]
     out = []
     for k in range(ms.L):
         coeffs = np.exp(-1j * np.arange(ms.L) * (theta + 2 * np.pi * k) / ms.L)
-        for v in phase_ramp_states(ms, coeffs):
-            if eigenvector_residual(ms.U, v) < 1e-8:
-                out.append(v)
+        for fam in fams:
+            psi = fam @ coeffs
+            nrm = np.linalg.norm(psi)
+            if nrm > 1e-8:
+                v = fix_phase(psi / nrm)
+                if eigenvector_residual(ms.U, v) < 1e-8:
+                    out.append(v)
     return out
 
 

@@ -147,17 +147,15 @@ def point_levels(bases) -> np.ndarray:
     return (d + 1) * np.concatenate([lam for _, lam, _ in chunks])[back.ravel()] - 1
 
 
-def wigner_entropy_bound(bases, levels=None) -> dict:
+def wigner_entropy_bound(bases, levels: np.ndarray) -> dict:
     """W_max, the phase-point value of this net in bits (module docstring),
     its selector route and the maximising point alpha.
 
     alpha is the first point, x-major, within LEVEL_TOL of the top level.
     There the level must match the dense point_operator, and the value the
-    dense P_b, to ROUTE_TOL. levels, from point_levels, spares solving again.
+    dense P_b, to ROUTE_TOL. levels are point_levels(bases).
     """
     d = basis_matrices(bases)[0].shape[0]
-    if levels is None:
-        levels = point_levels(bases)
     top = int(np.argmax(levels >= levels.max() - LEVEL_TOL))
     lam = float(levels[top])
     A = point_operator(bases, divmod(top, d))

@@ -26,9 +26,10 @@ from mubforge.entropy import (
 from mubforge.mub import (
     Basis,
     MubSet,
+    _pair_deviations,
     basis_matrices,
+    cycle_coherent_family,
     fix_phase,
-    unbiasedness_deviation,
 )
 from mubforge.pauli import PauliTerm, build_gamma_generators, gamma_indices, to_dense
 from mubforge.transform import CycleSpec, NotAMonomialError, clifford_action
@@ -108,7 +109,16 @@ def set_by_hand(bases, U: np.ndarray, provenance: Partition) -> MubSet:
     except NotAMonomialError:
         action = None
     bases = tuple(bases)
-    return MubSet(bases, U, provenance, unbiasedness_deviation(bases), action)
+    return MubSet(bases, U, provenance, raw_unbiasedness_deviation(bases), action)
+
+
+def raw_unbiasedness_deviation(bases) -> float:
+    """max over cross-basis pairs of | |<a|b>|^2 - 1/d | for bases that are
+    not a built MubSet (which keeps the value of its build)."""
+    worst = 0.0
+    for _, _, dev, _, _ in _pair_deviations(basis_matrices(bases)):
+        worst = max(worst, dev)
+    return worst
 
 
 def sign_patterns(members: Sequence[PauliTerm], basis: Basis) -> tuple:
@@ -118,6 +128,19 @@ def sign_patterns(members: Sequence[PauliTerm], basis: Basis) -> tuple:
     V = basis.vectors
     signs = [np.rint(np.einsum("ij,ik,kj->j", V.conj(), M, V).real) for M in mats]
     return tuple(map(tuple, np.array(signs, dtype=int).T.tolist()))
+
+
+def phase_ramp_states(ms: MubSet, coefficients) -> list[np.ndarray]:
+    """Normalized sums sum_j c_j U^j |b^(0)> over all b; near-null sums are
+    dropped. With c_j = exp(i pi j / 4) and a cycle satisfying U^4 = -I these
+    reproduce the bound-attaining invariant superpositions in dimension 4."""
+    out = []
+    for b in range(ms.d):
+        psi = cycle_coherent_family(ms, b) @ np.asarray(coefficients, dtype=complex)
+        nrm = np.linalg.norm(psi)
+        if nrm > 1e-8:
+            out.append(fix_phase(psi / nrm))
+    return out
 
 
 def invariant_states(ms: MubSet) -> list[tuple[np.ndarray, complex]]:
@@ -147,6 +170,36 @@ def symmetrize(rho: np.ndarray, U: np.ndarray, L: int) -> np.ndarray:
 
 
 # --------------------------------------------------------------- entropy
+
+
+def digit_orbit_step(ms):
+    """mub.orbit_step on (m, L) digit rows, step by step: U.b from the label
+    maps, rolled into place, then its Pauli representative."""
+    pi = ms.cycle_permutations
+    if pi is None or not ms.pauli_labels.carried_by(pi):
+        return lambda strings: strings
+    reps, j = ms.pauli_labels.representatives, np.arange(ms.L)
+    return lambda strings: reps(np.roll(pi[j, strings], 1, axis=1))
+
+
+def digit_orbit_minima(ms, digits: np.ndarray):
+    """The digit rows that are the smallest of their orbit under
+    digit_orbit_step, each with d^2 times its orbit's size: every row is
+    walked along its orbit, encoded again at every step."""
+    d, L = ms.d, ms.L
+    step, powers = digit_orbit_step(ms), d ** np.arange(L - 1, -1, -1)
+    start = digits @ powers
+    size = np.zeros(len(digits), dtype=np.int64)
+    alive, cur, k = np.arange(len(digits)), digits, 0
+    while len(alive):
+        cur, k = step(cur), k + 1
+        at = cur @ powers
+        back, lower = at == start[alive], at < start[alive]
+        size[alive[back]] = k
+        stay = ~(back | lower)
+        alive, cur = alive[stay], cur[stay]
+    keep = size > 0
+    return digits[keep], d * d * size[keep]
 
 
 def iter_sweep_rows(ms, budget: int = DEFAULT_BUDGET, chunk: int = SWEEP_CHUNK):

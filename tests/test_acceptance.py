@@ -29,8 +29,6 @@ from mubforge.mub import (
     build_mub_set,
     common_eigenbasis,
     eigenvector_residual,
-    phase_ramp_states,
-    unbiasedness_deviation,
     verify_cycle,
 )
 from mubforge.pauli import (
@@ -41,8 +39,13 @@ from mubforge.pauli import (
     multiply,
     to_dense,
 )
-from mubforge.wigner import wigner_entropy_bound
-from oracles import all_point_operators, iter_sweep_rows
+from mubforge.wigner import point_levels, wigner_entropy_bound
+from oracles import (
+    all_point_operators,
+    iter_sweep_rows,
+    phase_ramp_states,
+    raw_unbiasedness_deviation,
+)
 
 MINUS_LOG2_5_8 = 0.6780719051126377  # -log2(5/8)
 MINUS_LOG2_2_3 = 0.5849625007211562  # -log2(2/3)
@@ -92,7 +95,7 @@ def test_criterion_02_construction_suite():
         report = validate_partition(part)
         assert report.ok, (part.n, part.L, report.failures)
         ms = build_mub_set(part)
-        dev = unbiasedness_deviation(ms.bases)
+        dev = raw_unbiasedness_deviation(ms.bases)
         assert dev < 1e-8, (part.n, part.L, dev)
         cyc = verify_cycle(ms)
         assert cyc.worst_residual < 1e-8, (part.n, part.L, cyc.worst_residual)
@@ -206,7 +209,7 @@ def test_criterion_09_wigner_suite():
         for A in ops:
             P = ms.L * pvec_operator(ms, A.b).matrix
             assert np.max(np.abs(A.matrix + np.eye(d) - P)) < 1e-12
-        wb = wigner_entropy_bound(ms)["bits"]
+        wb = wigner_entropy_bound(ms, point_levels(ms))["bits"]
         full = sweep_max_eigen(ms)
         assert wb <= full.min_avg_entropy + 1e-9
     elapsed = time.perf_counter() - t0

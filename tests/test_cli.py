@@ -166,6 +166,32 @@ def test_reproduce_fig1_matches_fixture(tmp_path):
     assert (tmp_path / "fig1.csv").read_bytes() == fixture.read_bytes()
 
 
+@pytest.mark.parametrize("n, L", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (3, 7)])
+def test_invariant_column_scores_each_state_as_avg_entropy(n, L):
+    # the figure sets: reproduce-fig scores a set's invariant states in one
+    # kernel call, and each state's value is avg_entropy's to the bit
+    from mubforge.cli import build_partition
+    from mubforge.entropy import _avg_entropy_rows, _basis_stack, avg_entropy
+    from mubforge.mub import build_mub_set, invariant_superposition_family
+
+    ms = build_mub_set(build_partition(n, L))
+    fam = invariant_superposition_family(ms)
+    want = np.array([avg_entropy(ms, v, math.inf) for v in fam])
+    got, _ = _avg_entropy_rows(_basis_stack(ms), np.array(fam), math.inf)
+    assert len(fam) and got.tobytes() == want.tobytes()
+    assert float(got.min()) == min(want.tolist())
+
+
+def test_invariant_column_is_one_call_per_set(tmp_path, monkeypatch):
+    import mubforge.cli as cli
+
+    calls, score = [], cli._avg_entropy_rows
+    monkeypatch.setattr(cli, "_avg_entropy_rows", lambda *a: calls.append(a) or score(*a))
+    args = ["reproduce-fig", "--which", "1", "--restarts", "1", "--out", str(tmp_path)]
+    assert run(args) == 0
+    assert [len(a[1]) for a in calls] == [8, 8, 16, 16]  # L = 2..5
+
+
 def test_reproduce_fig2_full_matches_fixture(tmp_path):
     # pins the d = 8 sweep and minimizer rows
     fixture = Path(__file__).parents[1] / "bench" / "fixtures" / "fig2.csv"

@@ -22,8 +22,8 @@ from mubforge.entropy import (
     sample_max_eigen,
     sweep_max_eigen,
 )
-from mubforge.mub import build_mub_set, phase_ramp_states
-from oracles import iter_sweep_rows, symmetrize
+from mubforge.mub import build_mub_set
+from oracles import iter_sweep_rows, phase_ramp_states, symmetrize
 
 TARGET_D4_L4 = 0.6780719051126378  # -log2(5/8)
 TARGET_D4_L3 = 0.5849625007211562  # -log2(2/3)

@@ -184,7 +184,7 @@ def test_point_operators_resolve_identity(ms_d4):
 
 
 def test_wigner_bound_equals_selector_route(ms_d4):
-    net = wigner_entropy_bound(ms_d4)
+    net = wigner_entropy_bound(ms_d4, point_levels(ms_d4))
     assert abs(net["bits"] - net["selector_route_bits"]) < 1e-12
     assert abs(net["bits"] + math.log2((4 * net["w_max"] + 1) / 5)) < 1e-12
 
@@ -200,7 +200,7 @@ def test_wigner_bound_vs_full_sweep(fix, request):
     # phase-point strings reach the full-sweep maximum for these sets
     ms = request.getfixturevalue(fix)
     full = sweep_max_eigen(ms)
-    wb = wigner_entropy_bound(ms)["bits"]
+    wb = wigner_entropy_bound(ms, point_levels(ms))["bits"]
     assert wb <= full.min_avg_entropy + 1e-9
     assert abs(wb - full.min_avg_entropy) < 1e-9
 
@@ -209,7 +209,7 @@ def test_wigner_bound_d2_bloch_oracle(ms_d2):
     # analytic: lambda_max = (1 + sqrt(3)/3 * 3/2)/2 ... computed from the
     # Bloch picture: (1/3)(3/2 + |v|/2) with |v| = sqrt(3)
     want = -math.log2(0.5 + math.sqrt(3) / 6)
-    assert abs(wigner_entropy_bound(ms_d2)["bits"] - want) < 1e-12
+    assert abs(wigner_entropy_bound(ms_d2, point_levels(ms_d2))["bits"] - want) < 1e-12
 
 
 def test_wigner_max_vs_value(ms_d4):
@@ -254,7 +254,6 @@ def test_shared_levels_give_the_same_report(ms_d4):
     rows = [r.split(",") for r in phase_space_csv(levels).splitlines()[1:]]
     assert [(int(x), int(y)) for x, y, _, _ in rows] == [divmod(i, 4) for i in range(16)]
     assert [float(lam) for _, _, lam, _ in rows] == [round(x, 12) for x in levels]
-    assert wigner_entropy_bound(ms_d4, levels=levels) == wigner_entropy_bound(ms_d4)
 
 
 def _dense_levels(bases):
@@ -307,7 +306,7 @@ def test_n3_minimizer_lies_below_the_phase_point_value():
     # min-entropy: a minimized state goes below it at n = 3
     ms = complete_mub_bases(3)
     _, h = minimize_avg_entropy(ms, math.inf, restarts=64, seed=0)
-    net = wigner_entropy_bound(ms)
+    net = wigner_entropy_bound(ms, point_levels(ms))
     assert round(net["bits"], 9) == 1.386579150
     assert h < 1.3594 < net["bits"] - 0.02
 
