@@ -40,7 +40,7 @@ from .classes import (
 from .entropy import (
     BudgetExceededError,
     DEFAULT_BUDGET,
-    _avg_entropy_rows,
+    _avg_entropy_values,
     _basis_stack,
     bounds,
     minimize_avg_entropy,
@@ -301,7 +301,7 @@ def cmd_reproduce_fig(args) -> int:
             numeric = f"{val:.9f}"
             fam = invariant_superposition_family(ms)
             if fam:  # every state scored at once, each as avg_entropy scores it
-                h, _ = _avg_entropy_rows(_basis_stack(ms), np.array(fam), math.inf)
+                h, _ = _avg_entropy_values(_basis_stack(ms), np.array(fam), math.inf)
                 circle = f"{h.min():.9f}"
         rows.append(
             f"{L},{d},{bs.small_L:.9f},{bs.large_L:.9f},{bs.best:.9f},"

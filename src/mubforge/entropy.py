@@ -76,6 +76,7 @@ bit-identical for any number of workers and any chunk size.
 from __future__ import annotations
 
 import math
+import threading
 from collections import Counter, deque
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -90,8 +91,9 @@ DEFAULT_BUDGET = 2**28
 SWEEP_CHUNK = 4096
 LEVEL_TOL = 1e-10  # eigenvalues closer than this are one level: bins, b* ties
 MINIMIZE_BLOCK = 128  # restarts descending together; bounds the minimizer's memory
-MINIMIZE_ITERS = 500  # moves per descent stage and restart
+MINIMIZE_ITERS = 500  # moves per restart in the last (or only) descent stage
 ANNEAL_ORDERS = (2.0, 20.0)  # smooth orders an alpha = inf descent passes first
+ANNEAL_MOVES = 50  # moves per restart in each annealing stage
 
 
 class BudgetExceededError(RuntimeError):
@@ -267,9 +269,10 @@ def _eigmax_chunks(B: np.ndarray, strings, chunk: int, workers: int = 1, select=
     pair of buffers for the selectors and the outer products. That budgets
     three complex d x d arrays per string: the two buffers and room for
     eigvalsh, which solves a stack one matrix at a time. So a chunk needs
-    about BLOCK_BYTES for any d and chunk size, and each worker holds its
-    own buffers. A chunk keeps only its digits, weights and eigenvalues,
-    and no (L, d, d, d) projector stack is formed.
+    about BLOCK_BYTES for any d and chunk size. Each worker allocates its
+    pair once per call and reuses it for every chunk it solves, so the
+    heap does not churn chunk by chunk. A chunk keeps only its digits,
+    weights and eigenvalues, and no (L, d, d, d) projector stack is formed.
     """
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
@@ -279,6 +282,8 @@ def _eigmax_chunks(B: np.ndarray, strings, chunk: int, workers: int = 1, select=
     cols = B.transpose(0, 2, 1)  # [j, b]: column b of B_j
     if isinstance(strings, range):
         powers = np.array([d ** (L - 1 - j) for j in range(L)])
+    block = max(1, min(chunk, len(strings), mub.BLOCK_BYTES // (48 * d * d)))
+    local = threading.local()  # each worker's buffer pair, for this call only
 
     def solve(part):
         if isinstance(part, range):
@@ -291,8 +296,9 @@ def _eigmax_chunks(B: np.ndarray, strings, chunk: int, workers: int = 1, select=
         else:
             digits, weights = part, np.ones(len(part), dtype=np.int64)
         n = len(digits)
-        block = max(1, min(n, mub.BLOCK_BYTES // (48 * d * d)))
-        P, outer = np.empty((2, block, d, d), dtype=complex)  # reused per block
+        if not hasattr(local, "buffers"):
+            local.buffers = np.empty((2, block, d, d), dtype=complex)
+        P, outer = local.buffers  # reused for every block of every chunk
         lam = np.empty(n)
         for s in range(0, n, block):
             rows = digits[s : s + block]
@@ -492,47 +498,75 @@ def _basis_stack(ms):
     return B, BH, B.transpose(0, 2, 1).reshape(-1, B.shape[1])
 
 
-def _avg_entropy_rows(stack, psi: np.ndarray, alpha):
-    """Average entropy (R,) and its Wirtinger gradient d/d(psi*) (R, d).
+def _avg_entropy_values(stack, psi: np.ndarray, alpha):
+    """Value pass: average entropy (R,) and the intermediates the gradient
+    pass reads.
 
     stack is _basis_stack's (B, BH, cols); psi holds one unit vector per row.
-    Intermediates are basis-major, (L, R, ...). Each row's numbers are those
-    of the one-vector computation (serial_avg_entropy_and_grad in
-    tests/test_entropy.py), up to the sign of a zero:
-    - c = B^dag psi goes through stacked matrix-vector matmuls, the same
-      BLAS call per row and basis as the one-vector product; for finite
-      alpha so does g = sum_j B_j (w * c).
+    Intermediates are basis-major, (L, R, ...): c = B^dag psi, which goes
+    through stacked matrix-vector matmuls, the same BLAS call per row and
+    basis as the one-vector product; then each basis's argmax b and top
+    outcome for alpha = inf, log2 p for alpha = 1, or p and S = sum p^alpha.
+    The L terms are summed over the leading axis, which numpy reduces by
+    adding one term at a time in basis order, as the one-vector loop does
+    (a reduction along the last axis regroups the terms).
+    """
+    BH = stack[1]
+    c = (BH[:, None] @ psi[:, :, None])[..., 0]  # (L, R, d)
+    p = np.maximum(np.abs(c) ** 2, 1e-300)
+    if math.isinf(alpha):  # only the largest outcome of each basis counts
+        b = p.argmax(axis=-1)  # (L, R)
+        top = np.take_along_axis(p, b[..., None], -1)[..., 0]
+        terms, parts = -_log2(top), (c, b, top)
+    elif alpha == 1:
+        lp = np.log2(p)
+        terms, parts = -np.add.reduce(p * lp, axis=-1), (c, lp)
+    else:
+        S = np.add.reduce(p**alpha, axis=-1)
+        terms, parts = _log2(S) / (1 - alpha), (c, p, S)
+    return np.add.reduce(terms, axis=0) / len(BH), parts
+
+
+def _avg_entropy_grads(stack, parts, alpha, rows) -> np.ndarray:
+    """Gradient pass: the Wirtinger gradient d/d(psi*) (len(rows), d) of the
+    rows `rows` (an index array or a slice) of a value pass's `parts`.
+
+    Each row's numbers are those of the one-vector computation
+    (serial_avg_entropy_and_grad in tests/test_entropy.py), up to the sign
+    of a zero, whichever rows are chosen:
+    - For finite alpha, g = sum_j B_j (w * c) goes through stacked
+      matrix-vector matmuls, the same BLAS call per row and basis as the
+      one-vector product.
     - For alpha = inf, w * c has one nonzero entry per basis, so B_j (w * c)
       is a gather: column b_j of B_j times that entry. On stabilizer bases
       every entry of B_j is 0, +-a or +-ia, so each product is rounded once,
       as inside the matrix-vector product; on other bases it may differ in
       the last bit.
-    - The L terms are summed over the leading axis, which numpy reduces by
-      adding one term at a time in basis order, as the one-vector loop does
-      (a reduction along the last axis regroups the terms).
+    - The L terms are summed in basis order, as in the value pass.
     """
-    B, BH, cols = stack
-    L, d = BH.shape[:2]
-    c = (BH[:, None] @ psi[:, :, None])[..., 0]  # (L, R, d)
-    p = np.maximum(np.abs(c) ** 2, 1e-300)
-    if math.isinf(alpha):  # only the largest outcome of each basis counts
-        b = p.argmax(axis=-1)  # (L, R)
-        at = b.ravel() + np.arange(0, p.size, d)  # flat index of each maximum
-        top = p.take(at)
-        terms = -_log2(top)
-        coef = (c.take(at) * (-1.0 / (top * LOG2))).reshape(b.shape + (1,))
+    B, _, cols = stack
+    L, d = B.shape[:2]
+    c, *rest = (x[:, rows] for x in parts)
+    if math.isinf(alpha):
+        b, top = rest
+        c_top = np.take_along_axis(c, b[..., None], -1)  # (L, r, 1)
+        coef = c_top * (-1.0 / (top * LOG2))[..., None]
         g = cols.take(b + np.arange(0, L * d, d)[:, None], axis=0) * coef
     elif alpha == 1:
-        lp = np.log2(p)
-        terms = -np.add.reduce(p * lp, axis=-1)
+        (lp,) = rest
         g = (B[:, None] @ (-(lp + 1 / LOG2) * c)[..., None])[..., 0]
     else:
-        S = np.add.reduce(p**alpha, axis=-1)
-        terms = _log2(S) / (1 - alpha)
+        p, S = rest
         w = alpha * p ** (alpha - 1) / ((1 - alpha) * S * LOG2)[..., None]
         g = (B[:, None] @ (w * c)[..., None])[..., 0]
-    f = np.add.reduce(terms.reshape(L, -1), axis=0)
-    return f / L, np.add.reduce(g, axis=0) / L
+    return np.add.reduce(g, axis=0) / L
+
+
+def _avg_entropy_rows(stack, psi: np.ndarray, alpha):
+    """Average entropy (R,) and its gradient (R, d): the value pass and the
+    gradient pass over every row."""
+    f, parts = _avg_entropy_values(stack, psi, alpha)
+    return f, _avg_entropy_grads(stack, parts, alpha, slice(None))
 
 
 def _tangent_rows(psi: np.ndarray, g: np.ndarray):
@@ -541,18 +575,19 @@ def _tangent_rows(psi: np.ndarray, g: np.ndarray):
     return g_t, _row_norms(g_t)
 
 
-def _descend_rows(stack, psi: np.ndarray, alpha):
+def _descend_rows(stack, psi: np.ndarray, alpha, cap: int):
     """Projected gradient descent with backtracking, every row at once.
 
     Each row keeps its own step size eta (0.5 to start, halved on a rejected
-    step, doubled up to 1 after a move) and its own stop: MINIMIZE_ITERS
-    moves, read at call time, a tangent gradient below 1e-12, or eta at
-    1e-14. Only live rows are evaluated, and each takes the one-vector
-    descent's steps with the same numbers:
+    step, doubled up to 1 after a move) and its own stop: `cap` moves, a
+    tangent gradient below 1e-12, or eta at 1e-14. Only live rows are
+    evaluated, and each takes the one-vector descent's steps with the same
+    numbers:
     - The live rows' state is kept packed. Every iteration halves all step
-      sizes; only the rows that moved get their new state, tangent gradient
-      and a step size 4 times the halved one, capped at 1. A row is written
-      back to psi and f when it stops.
+      sizes and runs the value pass on every live row's candidate; only the
+      rows that pass Armijo get the gradient pass, their new state, tangent
+      gradient and a step size 4 times the halved one, capped at 1. A row
+      is written back to psi and f when it stops.
     - eta is a power of two, so the Armijo threshold f - 0.25 eta gn gn
       equals f - eta q with q = 0.25 gn gn, and q < 0.25 (1e-12)^2 exactly
       when gn < 1e-12.
@@ -570,19 +605,20 @@ def _descend_rows(stack, psi: np.ndarray, alpha):
         it += 1
         cand = x - eta[:, None] * gx
         cand /= _row_norms(cand)[:, None]
-        fc, gc = _avg_entropy_rows(stack, cand, alpha)
+        fc, parts = _avg_entropy_values(stack, cand, alpha)
         moved = np.flatnonzero(fc < fx - eta * q)  # Armijo
         eta *= 0.5
         if len(moved):
             cand = cand[moved]
-            gm, gnm = _tangent_rows(cand, gc[moved])
+            gc = _avg_entropy_grads(stack, parts, alpha, moved)
+            gm, gnm = _tangent_rows(cand, gc)
             x[moved], gx[moved], fx[moved] = cand, gm, fc[moved]
             q[moved] = 0.25 * gnm * gnm
             eta[moved] = np.minimum(eta[moved] * 4, 1.0)
             moves[moved] += 1
         stop = (eta <= 1e-14) | (q < q_stop)
-        if it >= MINIMIZE_ITERS:  # before that no row can have made that many
-            stop |= moves >= MINIMIZE_ITERS
+        if it >= cap:  # before that no row can have made that many
+            stop |= moves >= cap
         if stop.any():
             psi[rows[stop]], f[rows[stop]] = x[stop], fx[stop]
             keep = ~stop
@@ -596,19 +632,23 @@ def minimize_avg_entropy(
 ) -> tuple[np.ndarray, float]:
     """Best local minimum of the average entropy over unit vectors.
 
-    Projected gradient descent with backtracking from seeded random starts,
-    at most MINIMIZE_ITERS moves per stage. For alpha = inf each start
-    anneals through the smooth objectives of the orders ANNEAL_ORDERS (2
-    and 20) before polishing on the exact min-entropy, whose active-term
-    gradient is smooth wherever the per-basis maxima are unique; the
-    annealing stages funnel past the local minima the non-smooth objective
-    has on its own. Both constants are read at call time. The result is a
-    heuristic upper bound on the true minimum and is deterministic for a
-    fixed seed.
+    Projected gradient descent with backtracking from seeded random starts.
+    For alpha = inf each start anneals through the smooth objectives of the
+    orders ANNEAL_ORDERS (2 and 20), at most ANNEAL_MOVES (50) moves each,
+    before polishing on the exact min-entropy, whose active-term gradient
+    is smooth wherever the per-basis maxima are unique; the annealing
+    stages funnel past the local minima the non-smooth objective has on
+    its own. A short anneal only has to reach the right basin: run to 500
+    moves it crawls along flat minima, and at (n, L) = (3, 7) it settles
+    0.032 bits above the exact sweep value that 50 moves reach. The last
+    stage, or the only one for a finite alpha, makes at most MINIMIZE_ITERS
+    moves. The constants are read at call time. The result is a heuristic
+    upper bound on the true minimum and is deterministic for a fixed seed.
 
     The restarts descend together, MINIMIZE_BLOCK at a time, as the rows of
     one (R, d) array against the stacked (L, d, d) bases; each row keeps its
-    own step size and stop rule, and every stage runs the same loop. Each
+    own step size and stop rule, and every stage runs the same loop, which
+    forms a gradient only for the rows whose step passed Armijo. Each
     start is 2d normals drawn in restart order, and the first restart more
     than 1e-15 below all earlier ones wins, so neither the value nor the
     state depends on the block size.
@@ -619,15 +659,17 @@ def minimize_avg_entropy(
         raise ValueError(f"alpha must be positive, got {alpha}")
     stack = _basis_stack(ms)
     d = stack[0].shape[1]
-    stages = [alpha] if not math.isinf(alpha) else [*ANNEAL_ORDERS, alpha]
+    stages = [(alpha, MINIMIZE_ITERS)]
+    if math.isinf(alpha):
+        stages[:0] = [(order, ANNEAL_MOVES) for order in ANNEAL_ORDERS]
     rng = np.random.default_rng(seed)
     best_val, best_psi = math.inf, None
     for start in range(0, restarts, MINIMIZE_BLOCK):
         x = rng.normal(size=(min(MINIMIZE_BLOCK, restarts - start), 2 * d))
         psi = x[:, :d] + 1j * x[:, d:]
         psi /= _row_norms(psi)[:, None]
-        for stage in stages:
-            psi, f = _descend_rows(stack, psi, stage)
+        for order, cap in stages:
+            psi, f = _descend_rows(stack, psi, order, cap)
         for val, row in zip(f.tolist(), psi):
             if val < best_val - 1e-15:
                 best_val, best_psi = val, row.copy()

@@ -160,7 +160,7 @@ def test_reproduce_fig1(tmp_path):
 
 
 def test_reproduce_fig1_matches_fixture(tmp_path):
-    fixture = Path(__file__).parents[1] / "bench" / "fixtures" / "fig1.csv"
+    fixture = Path(__file__).parent / "fixtures" / "fig1.csv"
     args = ["reproduce-fig", "--which", "1", "--seed", "0", "--out", str(tmp_path)]
     assert run(args) == 0
     assert (tmp_path / "fig1.csv").read_bytes() == fixture.read_bytes()
@@ -171,13 +171,13 @@ def test_invariant_column_scores_each_state_as_avg_entropy(n, L):
     # the figure sets: reproduce-fig scores a set's invariant states in one
     # kernel call, and each state's value is avg_entropy's to the bit
     from mubforge.cli import build_partition
-    from mubforge.entropy import _avg_entropy_rows, _basis_stack, avg_entropy
+    from mubforge.entropy import _avg_entropy_values, _basis_stack, avg_entropy
     from mubforge.mub import build_mub_set, invariant_superposition_family
 
     ms = build_mub_set(build_partition(n, L))
     fam = invariant_superposition_family(ms)
     want = np.array([avg_entropy(ms, v, math.inf) for v in fam])
-    got, _ = _avg_entropy_rows(_basis_stack(ms), np.array(fam), math.inf)
+    got, _ = _avg_entropy_values(_basis_stack(ms), np.array(fam), math.inf)
     assert len(fam) and got.tobytes() == want.tobytes()
     assert float(got.min()) == min(want.tolist())
 
@@ -185,8 +185,10 @@ def test_invariant_column_scores_each_state_as_avg_entropy(n, L):
 def test_invariant_column_is_one_call_per_set(tmp_path, monkeypatch):
     import mubforge.cli as cli
 
-    calls, score = [], cli._avg_entropy_rows
-    monkeypatch.setattr(cli, "_avg_entropy_rows", lambda *a: calls.append(a) or score(*a))
+    calls, score = [], cli._avg_entropy_values
+    monkeypatch.setattr(
+        cli, "_avg_entropy_values", lambda *a: calls.append(a) or score(*a)
+    )
     args = ["reproduce-fig", "--which", "1", "--restarts", "1", "--out", str(tmp_path)]
     assert run(args) == 0
     assert [len(a[1]) for a in calls] == [8, 8, 16, 16]  # L = 2..5
@@ -194,10 +196,21 @@ def test_invariant_column_is_one_call_per_set(tmp_path, monkeypatch):
 
 def test_reproduce_fig2_full_matches_fixture(tmp_path):
     # pins the d = 8 sweep and minimizer rows
-    fixture = Path(__file__).parents[1] / "bench" / "fixtures" / "fig2.csv"
+    fixture = Path(__file__).parent / "fixtures" / "fig2.csv"
     args = ["reproduce-fig", "--which", "2", "--full", "--seed", "0"]
     assert run(args + ["--out", str(tmp_path)]) == 0
     assert (tmp_path / "fig2.csv").read_bytes() == fixture.read_bytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fig2_minimizer_is_tight_at_L7(tmp_path, seed):
+    # the minimizer reaches the exact sweep value of the (3,7) set
+    args = ["reproduce-fig", "--which", "2", "--full", "--seed", str(seed)]
+    assert run(args + ["--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "fig2.csv").read_text().strip().split("\n")
+    header = rows[0].split(",")
+    row = next(dict(zip(header, r.split(","))) for r in rows[1:] if r[:2] == "7,")
+    assert row["numeric_min"] == row["sweep_bits"] == "1.237469491"
 
 
 @pytest.mark.parametrize("dmax, Lmax", [(1, 3), (0, 3), (-2, 3), (8, 0), (8, -3)])

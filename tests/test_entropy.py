@@ -368,18 +368,22 @@ def serial_descend(mats, psi, alpha, iters):
     return psi
 
 
-def serial_minimize(ms, alpha, restarts, seed, iters=500):
+def serial_minimize(ms, alpha, restarts, seed, iters=500, anneal=50):
+    # anneal caps the moves of the order-2 and order-20 stages, iters those
+    # of the last stage
     mats = [b.vectors for b in ms.bases]
     d = mats[0].shape[0]
-    stages = [alpha] if not math.isinf(alpha) else [2.0, 20.0, alpha]
+    stages = [(alpha, iters)]
+    if math.isinf(alpha):
+        stages[:0] = [(2.0, anneal), (20.0, anneal)]
     rng = np.random.default_rng(seed)
     best_val, best_psi = math.inf, None
     for _ in range(restarts):
         x = rng.normal(size=2 * d)
         psi = x[:d] + 1j * x[d:]
         psi /= np.linalg.norm(psi)
-        for stage in stages:
-            psi = serial_descend(mats, psi, stage, iters)
+        for stage, cap in stages:
+            psi = serial_descend(mats, psi, stage, cap)
         val, _ = serial_avg_entropy_and_grad(mats, psi, alpha)
         if val < best_val - 1e-15:
             best_val, best_psi = val, psi
@@ -448,19 +452,38 @@ def test_batched_minimizer_is_serial_to_the_bit(oracle_sets, name, alpha):
         assert np.array_equal(psi, want_psi)
 
 
+def counted_minimize(ms, alpha, **patches):
+    """minimize_avg_entropy at 5 restarts, seed 7, in blocks of 2, with
+    `patches` applied to entropy's constants; returns the state, the value
+    and the number of value passes run."""
+    passes = mock.patch.object(
+        entropy, "_avg_entropy_values", wraps=entropy._avg_entropy_values
+    )
+    with mock.patch.multiple(entropy, MINIMIZE_BLOCK=2, **patches), passes as calls:
+        psi, val = minimize_avg_entropy(ms, alpha, restarts=5, seed=7)
+    return psi, val, calls.call_count
+
+
 @pytest.mark.parametrize("iters", [1, 4])
 @pytest.mark.parametrize("alpha", [2, math.inf])
 def test_iteration_cap_is_serial_to_the_bit(oracle_sets, alpha, iters):
-    # MINIMIZE_ITERS, read at call time, stops rows in mid-descent, each
-    # after as many moves as the one-vector descent makes
+    # MINIMIZE_ITERS and ANNEAL_MOVES, read at call time, each patched on its
+    # own, stop rows in mid-descent, each after as many moves as the
+    # one-vector descent makes. ANNEAL_MOVES leaves a finite alpha alone.
+    # After a 50-move anneal the min-entropy stage makes no move on this
+    # set, so there MINIMIZE_ITERS binds no row; the serial match still
+    # shows that it caps only the last stage.
     ms = oracle_sets["d4L4"]
-    want_psi, want = serial_minimize(ms, alpha, 5, 7, iters=iters)
-    with mock.patch.object(entropy, "MINIMIZE_ITERS", iters):
-        with mock.patch.object(entropy, "MINIMIZE_BLOCK", 2):
-            psi, val = minimize_avg_entropy(ms, alpha, restarts=5, seed=7)
-    assert val == want
-    assert np.array_equal(psi, want_psi)
-    assert val > minimize_avg_entropy(ms, alpha, restarts=5, seed=7)[1]
+    *_, free = counted_minimize(ms, alpha)
+    for name, cap in (("MINIMIZE_ITERS", "iters"), ("ANNEAL_MOVES", "anneal")):
+        want_psi, want = serial_minimize(ms, alpha, 5, 7, **{cap: iters})
+        psi, val, passes = counted_minimize(ms, alpha, **{name: iters})
+        assert val == want
+        assert np.array_equal(psi, want_psi)
+        if name == "ANNEAL_MOVES":
+            assert passes < free if math.isinf(alpha) else passes == free
+        else:
+            assert passes == free if math.isinf(alpha) else passes < free
 
 
 def test_log2_is_math_log2():
@@ -477,17 +500,33 @@ def random_rows(rng, rows, d):
     return psi / np.linalg.norm(psi, axis=1)[:, None]
 
 
+def assert_split_passes_match(stack, psi, alpha, f, g):
+    """The value pass, then the gradient pass on row subsets as _descend_rows
+    picks them (ascending index arrays), give the rows of the full kernel's
+    (f, g) to the bit."""
+    R = len(psi)
+    every = np.arange(R)
+    picked = np.flatnonzero(np.random.default_rng(R).random(R) < 0.3)
+    f_v, parts = entropy._avg_entropy_values(stack, psi, alpha)
+    assert f_v.tobytes() == f.tobytes()
+    for rows in (every, every[:1], every[-1:], picked):
+        g_rows = entropy._avg_entropy_grads(stack, parts, alpha, rows)
+        assert np.array_equal(g_rows, g[rows])
+
+
 @pytest.mark.parametrize("alpha", [0.5, 1, 2, 3.0, 20.0, math.inf])
 @pytest.mark.parametrize("name", list(ORACLE_SETS))
 def test_batched_kernel_is_serial_to_the_bit(oracle_sets, name, alpha):
     ms = oracle_sets[name]
     mats = [b.vectors for b in ms.bases]
     psi = random_rows(np.random.default_rng(len(name)), 37, ms.d)
-    f, g = entropy._avg_entropy_rows(entropy._basis_stack(ms), psi, alpha)
+    stack = entropy._basis_stack(ms)
+    f, g = entropy._avg_entropy_rows(stack, psi, alpha)
     for r, row in enumerate(psi):
         want_f, want_g = serial_avg_entropy_and_grad(mats, row, alpha)
         assert f[r] == want_f
         assert np.array_equal(g[r], want_g)
+    assert_split_passes_match(stack, psi, alpha, f, g)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1, 2, 3.0, 20.0, math.inf])
@@ -497,11 +536,13 @@ def test_batched_kernel_on_random_unitaries(alpha):
     rng = np.random.default_rng(61)
     mats = [np.linalg.qr(random_rows(rng, 4, 4).T)[0] for _ in range(3)]
     psi = random_rows(rng, 37, 4)
-    f, g = entropy._avg_entropy_rows(entropy._basis_stack(mats), psi, alpha)
+    stack = entropy._basis_stack(mats)
+    f, g = entropy._avg_entropy_rows(stack, psi, alpha)
     for r, row in enumerate(psi):
         want_f, want_g = serial_avg_entropy_and_grad(mats, row, alpha)
         assert f[r] == want_f
         assert np.max(np.abs(g[r] - want_g)) <= 1e-15
+    assert_split_passes_match(stack, psi, alpha, f, g)
 
 
 @settings(max_examples=20, deadline=None)
