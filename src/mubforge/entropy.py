@@ -39,30 +39,39 @@ b* from either range. Every complete set of d+1 bases is a MubSet built
 this way too, the symplectic spread of wigner.complete_mub_bases included,
 so its sweep gets the reduction; a spread set has no cycle unitary.
 
-Cycle orbits. The cycle unitary U of a MubSet maps basis j onto basis j+1,
-cyclically: U|b^(j)> is |pi_j(b)^(j+1)> up to phase, so U.b, with
-(U.b)_{j+1} = pi_j(b_j), has P_{U.b} = U P_b U^dag and the spectrum of P_b.
-U is a Clifford unitary, U W U^dag is a Pauli W', and U.(W.b) = W'.(U.b):
-U maps Pauli orbits onto Pauli orbits. So the group the Paulis and <U>
-generate has orbits that are unions of Pauli orbits, and its orbit through
-b, with b_0 = b_1 = 0, holds d^2 |F(b)| strings, F(b) being the orbit of b
-under f(b) = the representative of U.b with prefix (0, 0)
-(mub.orbit_step). Its smallest member has prefix (0, 0) and is the
-smallest string of F(b). The sweep solves only those smallest strings,
-each weighted d^2 |F(b)|, walking f chunk by chunk. Since each orbit's
-smallest string is still solved, lambda* and the tie rule below give the
-same b* as the Pauli reduction alone. The maps pi_j follow exactly from
-U's Clifford action (mub.MubSet.cycle_permutations). Where there are none
-(U is None or leaves the set), or they fail the exact check of U.(W.b) =
-W'.(U.b) (mub.PauliLabels.carried_by), f is the identity.
+Cycle and conjugation orbits. The cycle unitary U of a MubSet maps basis
+j onto basis j+1, cyclically: U|b^(j)> is |pi_j(b)^(j+1)> up to phase, so
+U.b, with (U.b)_{j+1} = pi_j(b_j), has P_{U.b} = U P_b U^dag and the
+spectrum of P_b. U is a Clifford unitary, U W U^dag is a Pauli W', and
+U.(W.b) = W'.(U.b): U maps Pauli orbits onto Pauli orbits. Complex
+conjugation K, the antiunitary half of the extended Clifford group, does
+too: each Hermitian basis generator is real or imaginary, so the conjugate
+of an element of basis j is the element whose code has the bits of the
+imaginary generators flipped, P_{K.b} = conj(P_b) has the spectrum of P_b,
+and conj(W) = +-W. On strings with b_0 = b_1 = 0, f(b) and k(b) are the
+representatives with prefix (0, 0) of U.b and of K.b (mub.orbit_maps). k is
+an involution that commutes with f, so the group of the Paulis, U and K has
+orbits that are unions of Pauli orbits, and its orbit through b holds d^2
+|F(b) u k F(b)| strings, F(b) being the orbit of b under f. Its smallest
+member has prefix (0, 0) and is the smallest string of F(b) u k F(b). The
+sweep solves only those smallest strings, each weighted d^2 |F(b)| times 2,
+or times 1 when k(b) lies in F(b), walking f chunk by chunk. Since each
+orbit's smallest string is still solved, lambda* and the tie rule below
+give the same b* as the Pauli reduction alone. The maps pi_j follow
+exactly from U's Clifford action (mub.MubSet.cycle_permutations). Where
+there are none (U is None or leaves the set), or they fail the exact check
+of U.(W.b) = W'.(U.b) (mub.PauliLabels.carried_by), f is the identity,
+and k alone joins the Pauli orbits in pairs. Where k fails the exact check
+that it is an involution commuting with f (mub._commutes), k is the
+identity.
 
 The walk runs on integer keys: a string's key is its index, digit j in
 its own n-bit field since d = 2^n. On a string with b_0 = b_1 = 0 the
 Pauli that brings U.b back to prefix (0, 0) depends on b_{L-1} alone, so
 f sends digit 2 to T_2[b_{L-1}] and digit j >= 3 to T_j[b_{j-1},
-b_{L-1}]: L - 2 exact tables built once per set, read with shifts, masks
-and gathers and ORed into the next key. Digit rows are formed only for the
-strings the walk keeps.
+b_{L-1}], and k sends digit j to K_j[b_j]: 2 (L - 2) exact tables built
+once per set, read with shifts, masks and gathers and ORed into the next
+key. Digit rows are formed only for the strings the walk keeps.
 
 Ties and bins. Orbit members agree only to rounding, so eigenvalues within
 LEVEL_TOL are one level. Histogram bins group eigenvalues that chain
@@ -84,7 +93,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import mub
-from .mub import UNBIAS_TOL, MubSet, _cycle_strings, basis_matrices, orbit_step
+from .mub import UNBIAS_TOL, MubSet, _cycle_strings, basis_matrices, orbit_maps
 
 LOG2 = math.log(2)
 DEFAULT_BUDGET = 2**28
@@ -328,26 +337,38 @@ def _eigmax_chunks(B: np.ndarray, strings, chunk: int, workers: int = 1, select=
             yield pending.popleft().result()
 
 
-def _orbit_minima(step, weight: int):
+def _orbit_minima(step, conj, weight: int):
     """select for _eigmax_chunks: the keys that are the smallest of their
-    orbit under the permutation `step` of keys (mub.orbit_step), each
-    weighted `weight` times the orbit's size.
+    orbit under the group the key permutations `step` (f) and `conj` (k)
+    generate (mub.orbit_maps), each weighted `weight` times the orbit's
+    size.
 
-    Each key is walked along its orbit until the walk returns (the orbit
-    size) or passes a smaller key (not the smallest; dropped there), so no
-    table over all strings is kept.
+    k is an involution that commutes with f, so the orbit of b is F(b) and
+    k F(b) = F(k(b)), F(b) being b's orbit under f: two disjoint f-orbits,
+    or one when k(b) lies in F(b). A key with k(b) < b is dropped first.
+    Each other key is walked along F(b) until the walk returns (|F(b)|) or
+    cur or k(cur) passes below it (not the smallest; dropped there). The
+    orbit holds |F(b)| keys if the walk met k(b) (k(cur) = b), else
+    2 |F(b)|. No table over all strings is kept.
     """
 
     def select(keys):
+        mirror = conj(keys)
+        head = mirror >= keys  # k(b) >= b: b may be its orbit's smallest
+        keys, paired = keys[head], mirror[head] == keys[head]
         size = np.zeros(len(keys), dtype=np.int64)
-        alive, start, cur, k = np.arange(len(keys)), keys, keys, 0
+        alive, start, cur, i = np.arange(len(keys)), keys, keys, 0
         while len(alive):
-            cur, k = step(cur), k + 1
-            size[alive[cur == start]] = k
+            cur, i = step(cur), i + 1
+            size[alive[cur == start]] = i
             stay = cur > start
             alive, start, cur = alive[stay], start[stay], cur[stay]
+            mirror = conj(cur)
+            paired[alive[mirror == start]] = True
+            stay = mirror >= start
+            alive, start, cur = alive[stay], start[stay], cur[stay]
         keep = size > 0
-        return keys[keep], weight * size[keep]
+        return keys[keep], weight * size[keep] * (2 - paired[keep])
 
     return select
 
@@ -420,17 +441,18 @@ def sweep_max_eigen(
     """Exact maximum of lambda_max(P_b, mean) over all d^L strings b.
 
     A MubSet is swept over the strings with b_0 = b_1 = 0 that are the
-    smallest of their orbit under mub.orbit_step, each standing for the d^2
-    |orbit| strings of its orbit under the Paulis and the cycle unitary
-    (module docstring); raw bases are swept over all d^L. The orbits are
-    walked on the integer keys of each range chunk (_orbit_minima, passed
-    to _eigmax_chunks as select) with orbit_step's tables, and only the
-    kept strings become digit rows. `count` is d^L either way. For a
-    MubSet, b* is the smallest string within LEVEL_TOL of lambda* that the
-    cycle unitary maps to itself, if there is one; otherwise, and for raw
-    bases, the smallest string within LEVEL_TOL of lambda*. Strings are
-    solved SWEEP_CHUNK at a time, read at call time; the result is
-    bit-identical for any worker count and chunk size.
+    smallest of their orbit under the maps f and k of mub.orbit_maps, each
+    standing for the d^2 |orbit| strings of its orbit under the Paulis, the
+    cycle unitary and complex conjugation (module docstring); raw bases are
+    swept over all d^L. The orbits are walked on the integer keys of each
+    range chunk (_orbit_minima, passed to _eigmax_chunks as select) with
+    orbit_maps' tables, and only the kept strings become digit rows.
+    `count` is d^L either way. For a MubSet, b* is the smallest string
+    within LEVEL_TOL of lambda* that the cycle unitary maps to itself, if
+    there is one; otherwise, and for raw bases, the smallest string within
+    LEVEL_TOL of lambda*. Strings are solved SWEEP_CHUNK at a time, read at
+    call time; the result is bit-identical for any worker count and chunk
+    size.
 
     on_chunk, if given, is called with (digits, lambdas) for every chunk of
     all d^L strings in lexicographic order; the sweep is then unreduced.
@@ -441,7 +463,7 @@ def sweep_max_eigen(
     B = np.stack(mats)
     if isinstance(ms, MubSet) and L >= 2 and on_chunk is None:
         strings = range(d ** (L - 2))
-        select = _orbit_minima(orbit_step(ms), d * d)
+        select = _orbit_minima(*orbit_maps(ms), d * d)
     else:
         strings, select = range(total), None
     chunks = _eigmax_chunks(B, strings, SWEEP_CHUNK, workers, select)

@@ -20,12 +20,14 @@ alike; a spread has no cycle spec, so its set has U = None and no action.
 
 The symmetries of a set act on strings of labels (one element per basis).
 A Pauli operator W permutes the labels of basis j through their codes as
-t -> t ^ tau_j(W) (PauliLabels, built once per set), and the cycle unitary
+t -> t ^ tau_j(W) (PauliLabels, built once per set), the cycle unitary
 sends element b of basis j to element pi_j(b) of basis j+1, cyclically
 (MubSet.cycle_permutations, exact from the Clifford action cycle_unitary
-read off U, the one read of U). orbit_step composes them into tables that
-map the integer keys of strings, the map the selector sweep walks its
-orbits with, and verify_cycle checks U against pi.
+read off U, the one read of U), and complex conjugation flips the code
+bits of the imaginary generators, read off their masks. orbit_maps
+composes them into tables that map the integer keys of strings: the two
+maps the selector sweep walks its orbits with, conjugation kept only where
+it commutes exactly with the cycle map. verify_cycle checks U against pi.
 """
 
 from __future__ import annotations
@@ -528,50 +530,113 @@ def _cycle_strings(ms: MubSet) -> np.ndarray:
     return rows[pi[-1, rows[:, -1]] == rows[:, 0]]
 
 
-def orbit_step(ms: MubSet):
-    """The map f on the keys of strings with prefix (0, 0) whose orbits the
-    sweep walks. A string's key is its index: with d = 2^n, digit j fills
-    bits n (L-1-j) to n (L-j) - 1.
+def orbit_maps(ms: MubSet):
+    """(f, k): the two maps on the keys of strings with prefix (0, 0) whose
+    orbits the sweep walks. A string's key is its index: with d = 2^n, digit
+    j fills bits n (L-1-j) to n (L-j) - 1. Both keep the spectrum, and both
+    map Pauli orbits onto Pauli orbits, so each stands for one generator of
+    the group of the Paulis, U and complex conjugation K.
 
     f(b) is the Pauli representative of U.b, (U.b)_{j+1} = pi_j(b_j): P_{U.b}
-    = U P_b U^dag, so f keeps the spectrum. When the label maps carry Paulis
-    to Paulis (PauliLabels.carried_by), f permutes the strings with prefix
-    (0, 0) and each of its orbits stands for d^2 |orbit| strings. f is the
-    identity when U is None, does not cycle the bases or fails that check.
+    = U P_b U^dag. When the label maps carry Paulis to Paulis
+    (PauliLabels.carried_by), f permutes the strings with prefix (0, 0). f
+    is the identity when U is None, does not cycle the bases or fails that
+    check. With b_0 = b_1 = 0, (U.b)_1 = pi_0(0) is fixed, so the one Pauli
+    that brings U.b back to prefix (0, 0) depends on b_{L-1} alone: digit j
+    of f(b) is T_j[b_{j-1}, b_{L-1}] (_cycle_tables).
 
-    With b_0 = b_1 = 0, (U.b)_1 = pi_0(0) is fixed, so the one Pauli W that
-    brings U.b back to prefix (0, 0) depends on b_{L-1} alone. Digit 2 of
-    f(b) is then T_2[b_{L-1}] and digit j >= 3 is T_j[b_{j-1}, b_{L-1}]:
-    L - 2 tables, built here once per set from pi and the PauliLabels
-    tables, each entry already shifted into its digit's bits. A step is a
-    few shifts, masks, gathers and ORs per digit on int64 keys.
+    k(b) is the Pauli representative of K.b, P_{K.b} = conj(P_b). A
+    Hermitian generator i^p X^x Z^z has p = |x & z| mod 2 and conjugates to
+    (-1)^p times itself, so K moves the column with code t of basis j to the
+    one with code t ^ y_j, bit i of y_j set when generator i has odd
+    |x & z|. The Pauli pauli_of[y_0, y_1] brings K.b back to prefix (0, 0),
+    so digit j of k(b) is K_j[b_j] (_conjugation_labels), read off the
+    generator masks with no dense read. k is used only where it is an
+    involution that commutes with f, checked exactly on the tables
+    (_commutes); otherwise k is the identity.
+
+    The L - 2 tables of each map are built here once per set, every entry
+    already shifted into its digit's bits, so a step is a few shifts,
+    masks, gathers and ORs per digit on int64 keys.
     """
+    if ms.L < 3:
+        return _same, _same
+    T, K = _cycle_tables(ms), _conjugation_labels(ms)
+    if not _commutes(K, T):
+        K = None
+    n, L = ms.d.bit_length() - 1, ms.L
+    mask = ms.d - 1
+    shift = [n * (L - 1 - j) for j in range(L)]  # digit j's field starts here
+    f = k = _same
+    if T is not None:
+        first = T[0, 0].astype(np.int64) << shift[2]  # b_1 = 0
+        rest = [
+            (shift[j], T[j - 2].astype(np.int64).ravel() << shift[j])
+            for j in range(3, L)
+        ]
+
+        def f(keys):
+            last = keys & mask
+            out = first[last]
+            for at, Tj in rest:  # b_{j-1} << n | b_{L-1}, read from its field
+                out |= Tj[(keys >> at) & (mask << n) | last]
+            return out
+
+    if K is not None:
+        fields = [(shift[j], K[j].astype(np.int64) << shift[j]) for j in range(2, L)]
+
+        def k(keys):
+            out = fields[-1][1][keys & mask]  # digit L-1, whose field starts at 0
+            for at, Kj in fields[:-1]:
+                out |= Kj[(keys >> at) & mask]
+            return out
+
+    return f, k
+
+
+def _same(keys):
+    return keys
+
+
+def _cycle_tables(ms: MubSet) -> np.ndarray | None:
+    """T[j - 2, x, y]: digit j of f(b), j = 2..L-1, for b_{j-1} = x and
+    b_{L-1} = y (f reads row 0 of T_2, as b_1 = 0); None where f is the
+    identity. The Pauli for each b_{L-1} takes (U.b)_0 = pi_{L-1}(b_{L-1})
+    to label 0 of basis 0 and (U.b)_1 = pi_0(0) to label 0 of basis 1."""
     pi = ms.cycle_permutations
-    if pi is None or ms.L < 3 or not ms.pauli_labels.carried_by(pi):
-        return lambda keys: keys
-    pl, d, L = ms.pauli_labels, ms.d, ms.L
-    n = d.bit_length() - 1
-    c = pl.codes
-    # the Pauli for each b_{L-1}: (U.b)_0 = pi_{L-1}(b_{L-1}) goes to label 0
+    if pi is None or not ms.pauli_labels.carried_by(pi):
+        return None
+    pl, c = ms.pauli_labels, ms.pauli_labels.codes
     W = pl.pauli_of[c[0, pi[-1]] ^ c[0, 0], c[1, pi[0, 0]] ^ c[1, 0]]
+    j, x = np.arange(2, ms.L)[:, None, None], np.arange(ms.d)[:, None]
+    return pl.labels[j, c[j, pi[j - 1, x]] ^ pl.tau[j, W]]
 
-    def table(j, prev):
-        """[b_{j-1}, b_{L-1}] -> digit j of f(b), shifted, for b_{j-1} in prev."""
-        moved = c[j, pi[j - 1, prev]][:, None] ^ pl.tau[j, W]
-        return pl.labels[j, moved].astype(np.int64).ravel() << n * (L - 1 - j)
 
-    first = table(2, [0])  # b_1 = 0
-    rest = [(n * (L - 1 - j), table(j, np.arange(d))) for j in range(3, L)]
-    mask = d - 1
+def _conjugation_labels(ms: MubSet) -> np.ndarray:
+    """K[j, b]: digit j of k(b) for b_j = b, label b of basis j moved by
+    complex conjugation and then by the Pauli W = pauli_of[y_0, y_1]: its
+    code is flipped by m_j = y_j ^ tau[j, W], and m_0 = m_1 = 0."""
+    pl, L = ms.pauli_labels, ms.L
+    xz = np.array([[g.xmask & g.zmask for g in B.generators] for B in ms.bases])
+    y = (parity(xz) << np.arange(xz.shape[1])).sum(axis=1)  # [j]: bits K flips
+    m = y ^ pl.tau[np.arange(L), pl.pauli_of[y[0], y[1]]]
+    return pl.labels[np.arange(L)[:, None], pl.codes ^ m[:, None]]
 
-    def step(keys):
-        last = keys & mask
-        out = first[last]
-        for shift, T in rest:  # b_{j-1} << n | b_{L-1}, read from its field
-            out |= T[(keys >> shift) & (mask << n) | last]
-        return out
 
-    return step
+def _commutes(K: np.ndarray, T: np.ndarray | None) -> bool:
+    """Whether the per-digit label maps K (_conjugation_labels) make an
+    involution k that commutes with f (_cycle_tables' T, None for the
+    identity): K_j[K_j[b]] = b, and K_j[T_j[x, y]] = T_j[K_{j-1}[x],
+    K_{L-1}[y]] for every digit j >= 2 and all x, y. Exact, in O(L d^2)
+    table reads."""
+    L, d = K.shape
+    t = np.arange(d)
+    if not (K[np.arange(L)[:, None], K] == t).all():
+        return False
+    if T is None:
+        return True
+    j = np.arange(2, L)[:, None, None]
+    return bool((K[j, T] == T[j - 2, K[j - 1, t[:, None]], K[-1, t]]).all())
 
 
 def cycle_coherent_family(ms: MubSet, b: int) -> np.ndarray:

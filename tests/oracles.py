@@ -173,8 +173,8 @@ def symmetrize(rho: np.ndarray, U: np.ndarray, L: int) -> np.ndarray:
 
 
 def digit_orbit_step(ms):
-    """mub.orbit_step on (m, L) digit rows, step by step: U.b from the label
-    maps, rolled into place, then its Pauli representative."""
+    """mub.orbit_maps's f on (m, L) digit rows, step by step: U.b from the
+    label maps, rolled into place, then its Pauli representative."""
     pi = ms.cycle_permutations
     if pi is None or not ms.pauli_labels.carried_by(pi):
         return lambda strings: strings
@@ -182,23 +182,39 @@ def digit_orbit_step(ms):
     return lambda strings: reps(np.roll(pi[j, strings], 1, axis=1))
 
 
-def digit_orbit_minima(ms, digits: np.ndarray):
-    """The digit rows that are the smallest of their orbit under
-    digit_orbit_step, each with d^2 times its orbit's size: every row is
-    walked along its orbit, encoded again at every step."""
+def dense_conjugation(ms) -> np.ndarray:
+    """kappa[j, a]: the element of basis j proportional to the complex
+    conjugate of element a, read densely: |B_j^T B_j|[c, a] is the overlap
+    of column c with conj(column a), 1 at the one c and 0 elsewhere."""
+    overlaps = [np.abs(B.vectors.T @ B.vectors) for B in ms.bases]
+    return np.array([np.argmax(o, axis=0) for o in overlaps])
+
+
+def digit_conjugation_step(ms):
+    """mub.orbit_maps's k on (m, L) digit rows: every digit moved by
+    dense_conjugation, then the Pauli representative."""
+    kappa, j = dense_conjugation(ms), np.arange(ms.L)
+    return lambda strings: ms.pauli_labels.representatives(kappa[j, strings])
+
+
+def digit_orbit_minima(ms, digits: np.ndarray, conjugate: bool = True):
+    """The digit rows that are the smallest of their orbit under the group
+    digit_orbit_step and, if conjugate, digit_conjugation_step generate,
+    each with d^2 times its orbit's size. Every row's orbit under the step
+    is walked in full, each member encoded again, and joined with each
+    member's conjugate: the two commute, so that is the whole orbit."""
     d, L = ms.d, ms.L
     step, powers = digit_orbit_step(ms), d ** np.arange(L - 1, -1, -1)
+    conj = digit_conjugation_step(ms) if conjugate else (lambda strings: strings)
     start = digits @ powers
-    size = np.zeros(len(digits), dtype=np.int64)
-    alive, cur, k = np.arange(len(digits)), digits, 0
-    while len(alive):
-        cur, k = step(cur), k + 1
-        at = cur @ powers
-        back, lower = at == start[alive], at < start[alive]
-        size[alive[back]] = k
-        stay = ~(back | lower)
-        alive, cur = alive[stay], cur[stay]
-    keep = size > 0
+    members, cur, back = [], digits, np.zeros(len(digits), dtype=bool)
+    while not back.all():  # a row that is back walks its orbit again
+        members += [cur @ powers, conj(cur) @ powers]
+        cur = step(cur)
+        back |= cur @ powers == start
+    orbit = np.sort(np.column_stack(members), axis=1)
+    size = 1 + np.count_nonzero(np.diff(orbit, axis=1), axis=1)
+    keep = orbit[:, 0] == start
     return digits[keep], d * d * size[keep]
 
 

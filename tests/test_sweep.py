@@ -1,8 +1,8 @@
-"""The selector sweep: orbits of the Paulis and the cycle unitary,
-tolerance-aware bins and ties, input checks. The unreduced kernel (raw
-bases, or a MubSet swept with on_chunk) is the oracle for the reduced one,
-and orbits found by brute force over all d^L strings, from dense matrices,
-are the oracle for the orbit walk."""
+"""The selector sweep: orbits of the Paulis, the cycle unitary and complex
+conjugation, tolerance-aware bins and ties, input checks. The unreduced
+kernel (raw bases, or a MubSet swept with on_chunk) is the oracle for the
+reduced one, and orbits found by brute force over all d^L strings, from
+dense matrices, are the oracle for the orbit walk."""
 
 from dataclasses import replace
 from unittest import mock
@@ -15,10 +15,16 @@ from mubforge import entropy, mub
 from mubforge.classes import build_classes_2n1
 from mubforge.cli import build_partition, constructible
 from mubforge.entropy import LEVEL_TOL, sample_max_eigen, sweep_max_eigen
-from mubforge.mub import build_mub_set, orbit_step, verify_cycle
+from mubforge.mub import build_mub_set, orbit_maps, verify_cycle
 from mubforge.pauli import PauliTerm, to_dense
 from mubforge.wigner import spread_partition
-from oracles import digit_orbit_minima, iter_sweep_rows, set_by_hand
+from oracles import (
+    dense_conjugation,
+    digit_conjugation_step,
+    digit_orbit_minima,
+    iter_sweep_rows,
+    set_by_hand,
+)
 
 # every constructible set with at most 4096 strings (d = 64, L = 2 left out
 # for time)
@@ -105,10 +111,11 @@ def test_reduced_b_star_prefers_cycle_strings(small_ms):
         assert res.b_star[:2] == (0, 0)
 
 
-@pytest.mark.parametrize("n, L, orbits", [(2, 5, 16), (3, 7, 4688)])
+@pytest.mark.parametrize("n, L, orbits", [(2, 5, 8), (3, 7, 2344)])
 def test_reduced_sweep_solves_one_string_per_orbit(monkeypatch, n, L, orbits):
-    # one string per orbit of the Paulis and the cycle unitary, then the
-    # strings the cycle unitary fixes; the raw route solves all d^L
+    # one string per orbit of the Paulis, the cycle unitary and complex
+    # conjugation, then the strings the cycle unitary fixes; the raw route
+    # solves all d^L
     ms = build_mub_set(build_partition(n, L))
     solved = []
     kernel = entropy._eigmax_chunks
@@ -129,8 +136,9 @@ def test_reduced_sweep_solves_one_string_per_orbit(monkeypatch, n, L, orbits):
 
 
 def _dense_label_maps(ms):
-    """The label permutation of every basis under X_i and Z_i, i < n, and
-    under U, from dense matrices: (perm over all d^L strings) for each."""
+    """The label permutation of every basis under X_i and Z_i, i < n, under
+    complex conjugation and under U, from dense matrices: (perm over all
+    d^L strings) for each."""
     n, d, L = ms.provenance.n, ms.d, ms.L
     digits = (np.arange(d**L)[:, None] // d ** np.arange(L - 1, -1, -1)) % d
     powers = d ** np.arange(L - 1, -1, -1)
@@ -142,6 +150,8 @@ def _dense_label_maps(ms):
             for B in ms.bases
         ]
         maps.append(np.column_stack([per[j][digits[:, j]] for j in range(L)]))
+    kappa = dense_conjugation(ms)
+    maps.append(np.column_stack([kappa[j][digits[:, j]] for j in range(L)]))
     try:
         pi = np.array(verify_cycle(ms).permutations)
     except (ValueError, RuntimeError):  # no U, or U leaves the set
@@ -196,7 +206,7 @@ def test_orbit_walk_matches_brute_force_orbits(kind, arg):
     low, size = brute_force_orbits(ms)
     minima = np.flatnonzero(low == np.arange(d**L))
     assert np.all(minima < d ** (L - 2))  # every smallest member has prefix (0, 0)
-    select = entropy._orbit_minima(orbit_step(ms), d * d)
+    select = entropy._orbit_minima(*orbit_maps(ms), d * d)
     kept, weights = select(np.arange(d ** (L - 2)))
     assert kept.tolist() == minima.tolist()
     assert weights.tolist() == size[minima].tolist()
@@ -206,7 +216,7 @@ def test_orbit_walk_matches_brute_force_orbits(kind, arg):
 def test_orbit_step_is_the_identity_without_a_cycle():
     for ms in (build_mub_set(spread_partition(2)), _five_of_seven()):
         keys = np.random.default_rng(5).integers(0, ms.d ** (ms.L - 2), size=30)
-        assert np.array_equal(orbit_step(ms)(keys), keys)
+        assert np.array_equal(orbit_maps(ms)[0](keys), keys)
 
 
 # every cycled set up to n = 6 whose reduced range, d^(L-2) strings, is at
@@ -226,19 +236,77 @@ def test_key_walk_sets_cover_the_largest_cycled_ranges():
 
 @pytest.mark.parametrize("kind, arg", KEY_WALK_SETS, ids=lambda a: str(a))
 def test_key_walk_keeps_the_strings_of_the_digit_row_walk(kind, arg):
-    # the table map on keys against U.b and its Pauli representative formed
-    # on digit rows at every step
+    # the table maps on keys against U.b, the conjugate read densely, and
+    # their Pauli representatives formed on digit rows at every step
     ms = _orbit_set(kind, arg)
     d, L = ms.d, ms.L
     keys = np.arange(d ** (L - 2))
-    kept, weights = entropy._orbit_minima(orbit_step(ms), d * d)(keys)
+    kept, weights = entropy._orbit_minima(*orbit_maps(ms), d * d)(keys)
     digits = (keys[:, None] // d ** np.arange(L - 1, -1, -1)) % d
     want, want_weights = digit_orbit_minima(ms, digits)
     assert kept.tolist() == (want @ d ** np.arange(L - 1, -1, -1)).tolist()
     assert weights.tolist() == want_weights.tolist()
     assert weights.sum() == d**L
-    solved = {(3, 7): 4688, (5, 5): 6560}.get(arg)
-    assert solved is None or len(kept) == solved
+    # conjugation halves the strings the cycle orbits leave
+    solved = {(3, 7): (2344, 4688), (5, 5): (3280, 6560)}.get(arg)
+    if solved is not None:
+        assert len(kept) == solved[0]
+        assert len(digit_orbit_minima(ms, digits, conjugate=False)[0]) == solved[1]
+
+
+@pytest.mark.parametrize("kind, arg", KEY_WALK_SETS, ids=lambda a: str(a))
+def test_conjugation_tables_match_the_dense_conjugate(kind, arg):
+    # k, read off the generator masks, against the element of each basis
+    # proportional to the conjugate of each element, found densely
+    ms = _orbit_set(kind, arg)
+    d, L = ms.d, ms.L
+    powers = d ** np.arange(L - 1, -1, -1)
+    keys = np.arange(d ** (L - 2))
+    digits = (keys[:, None] // powers) % d
+    want = digit_conjugation_step(ms)(digits) @ powers
+    assert orbit_maps(ms)[1](keys).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("kind, arg", KEY_WALK_SETS, ids=lambda a: str(a))
+def test_conjugation_is_an_involution_that_commutes_with_the_cycle(kind, arg):
+    ms = _orbit_set(kind, arg)
+    f, k = orbit_maps(ms)
+    keys = np.arange(ms.d ** (ms.L - 2))
+    assert sorted(k(keys).tolist()) == keys.tolist()  # a permutation
+    assert np.array_equal(k(k(keys)), keys)
+    assert np.array_equal(k(f(keys)), f(k(keys)))
+    if ms.L >= 3:
+        assert mub._commutes(mub._conjugation_labels(ms), mub._cycle_tables(ms))
+
+
+@pytest.mark.parametrize("swap", ["breaks_involution", "keeps_involution"])
+def test_a_conjugation_table_off_by_a_swap_falls_back_to_the_cycle(
+    monkeypatch, sweep_d8_L7, swap
+):
+    # two entries of K_3 swapped: entries 0 and 1 break the involution;
+    # entries 0 and K_3[0], a pair K_3 swaps, leave an involution (both
+    # become fixed points) that no longer commutes with f. Either way k is
+    # the identity, and the cycle orbits alone give the same result
+    ms, want = sweep_d8_L7
+    labels = mub._conjugation_labels
+
+    def swapped(ms):
+        K = labels(ms).copy()
+        a, b = (0, 1) if swap == "breaks_involution" else (0, K[3, 0])
+        K[3, [a, b]] = K[3, [b, a]]
+        return K
+
+    bad, t = swapped(ms), np.arange(8)
+    assert np.array_equal(bad[3, bad[3]], t) == (swap == "keeps_involution")
+    assert not mub._commutes(bad, mub._cycle_tables(ms))
+    monkeypatch.setattr(mub, "_conjugation_labels", swapped)
+    f, k = orbit_maps(ms)
+    assert k is mub._same and f is not mub._same
+    kept, _ = entropy._orbit_minima(f, k, 64)(np.arange(8**5))
+    assert len(kept) == 4688
+    res = sweep_max_eigen(ms)
+    assert (res.lambda_star, res.b_star) == (want.lambda_star, want.b_star)
+    assert_same_sweep(res, want)
 
 
 @pytest.mark.parametrize("kind, arg", ORBIT_SETS, ids=lambda a: str(a))
@@ -274,10 +342,11 @@ def test_cycle_maps_are_derived_once_per_set(monkeypatch):
 
 
 def test_cycle_orbits_match_the_pauli_only_route_d8_L7(monkeypatch):
-    # the same lambda*, b* and histogram counts as walking no cycle orbits
+    # the same lambda*, b* and histogram counts as walking no orbits of the
+    # cycle unitary or of conjugation
     ms = build_mub_set(build_partition(3, 7))
     res = sweep_max_eigen(ms)
-    monkeypatch.setattr(entropy, "orbit_step", lambda ms: lambda keys: keys)
+    monkeypatch.setattr(entropy, "orbit_maps", lambda ms: (mub._same, mub._same))
     pauli_only = sweep_max_eigen(ms)
     assert_same_sweep(res, pauli_only)
     assert res.b_star == pauli_only.b_star == (0, 0, 0, 2, 0, 0, 5)
