@@ -103,6 +103,7 @@ MINIMIZE_BLOCK = 128  # restarts descending together; bounds the minimizer's mem
 MINIMIZE_ITERS = 500  # moves per restart in the last (or only) descent stage
 ANNEAL_ORDERS = (2.0, 20.0)  # smooth orders an alpha = inf descent passes first
 ANNEAL_MOVES = 50  # moves per restart in each annealing stage
+STALL_ETA = 2.0**-8  # a row stops once a rejected step leaves eta at or below this
 
 
 class BudgetExceededError(RuntimeError):
@@ -545,7 +546,14 @@ def _avg_entropy_values(stack, psi: np.ndarray, alpha):
         terms, parts = -np.add.reduce(p * lp, axis=-1), (c, lp)
     else:
         S = np.add.reduce(p**alpha, axis=-1)
-        terms, parts = _log2(S) / (1 - alpha), (c, p, S)
+        try:
+            log_S = _log2(S)
+        except ValueError:  # math.log2(0.0): every p^alpha of a basis underflowed
+            raise ValueError(
+                f"order {alpha:g} underflows sum p^alpha in d = {psi.shape[1]}; "
+                "use --alpha inf"
+            ) from None
+        terms, parts = log_S / (1 - alpha), (c, p, S)
     return np.add.reduce(terms, axis=0) / len(BH), parts
 
 
@@ -602,9 +610,10 @@ def _descend_rows(stack, psi: np.ndarray, alpha, cap: int):
 
     Each row keeps its own step size eta (0.5 to start, halved on a rejected
     step, doubled up to 1 after a move) and its own stop: `cap` moves, a
-    tangent gradient below 1e-12, or eta at 1e-14. Only live rows are
-    evaluated, and each takes the one-vector descent's steps with the same
-    numbers:
+    tangent gradient below 1e-12, or a rejected step that leaves eta at or
+    below STALL_ETA (read at call time), 7 rejected steps in a row from 0.5
+    at the default 2^-8. Only live rows are evaluated, and each takes the
+    one-vector descent's steps with the same numbers:
     - The live rows' state is kept packed. Every iteration halves all step
       sizes and runs the value pass on every live row's candidate; only the
       rows that pass Armijo get the gradient pass, their new state, tangent
@@ -638,7 +647,7 @@ def _descend_rows(stack, psi: np.ndarray, alpha, cap: int):
             q[moved] = 0.25 * gnm * gnm
             eta[moved] = np.minimum(eta[moved] * 4, 1.0)
             moves[moved] += 1
-        stop = (eta <= 1e-14) | (q < q_stop)
+        stop = (eta <= STALL_ETA) | (q < q_stop)
         if it >= cap:  # before that no row can have made that many
             stop |= moves >= cap
         if stop.any():
@@ -664,8 +673,12 @@ def minimize_avg_entropy(
     moves it crawls along flat minima, and at (n, L) = (3, 7) it settles
     0.032 bits above the exact sweep value that 50 moves reach. The last
     stage, or the only one for a finite alpha, makes at most MINIMIZE_ITERS
-    moves. The constants are read at call time. The result is a heuristic
-    upper bound on the true minimum and is deterministic for a fixed seed.
+    moves. In every stage a row also stops once rejected steps have halved
+    its step size to STALL_ETA (2^-8) or below: from 0.5, 7 rejections in a
+    row. Such a row sits where no step improves it, and a lower floor only
+    adds rejected passes without moving the printed minima. The constants
+    are read at call time. The result is a heuristic upper bound on the
+    true minimum and is deterministic for a fixed seed.
 
     The restarts descend together, MINIMIZE_BLOCK at a time, as the rows of
     one (R, d) array against the stacked (L, d, d) bases; each row keeps its

@@ -353,7 +353,7 @@ def serial_descend(mats, psi, alpha, iters):
         if gn < 1e-12:
             break
         moved = False
-        while eta > 1e-14:
+        while eta > entropy.STALL_ETA:
             cand = psi - eta * g_t
             cand /= np.linalg.norm(cand)
             fc, gc = serial_avg_entropy_and_grad(mats, cand, alpha)
@@ -470,9 +470,9 @@ def test_iteration_cap_is_serial_to_the_bit(oracle_sets, alpha, iters):
     # MINIMIZE_ITERS and ANNEAL_MOVES, read at call time, each patched on its
     # own, stop rows in mid-descent, each after as many moves as the
     # one-vector descent makes. ANNEAL_MOVES leaves a finite alpha alone.
-    # After a 50-move anneal the min-entropy stage makes no move on this
-    # set, so there MINIMIZE_ITERS binds no row; the serial match still
-    # shows that it caps only the last stage.
+    # After a 50-move anneal the min-entropy stage still moves rows on this
+    # set, but its longest row makes fewer than 4 moves: a cap of 1 ends
+    # the stage sooner, and a cap of 4 leaves its passes as they are.
     ms = oracle_sets["d4L4"]
     *_, free = counted_minimize(ms, alpha)
     for name, cap in (("MINIMIZE_ITERS", "iters"), ("ANNEAL_MOVES", "anneal")):
@@ -482,8 +482,57 @@ def test_iteration_cap_is_serial_to_the_bit(oracle_sets, alpha, iters):
         assert np.array_equal(psi, want_psi)
         if name == "ANNEAL_MOVES":
             assert passes < free if math.isinf(alpha) else passes == free
+        elif math.isinf(alpha):
+            assert passes < free if iters == 1 else passes == free
         else:
-            assert passes == free if math.isinf(alpha) else passes < free
+            assert passes < free
+
+
+@pytest.mark.parametrize(
+    "stall, want", [(None, 8), (2.0**-12, 12)], ids=["default", "2^-12"]
+)
+@pytest.mark.parametrize("alpha", [2, math.inf])
+def test_a_row_no_step_improves_stops_at_the_stall_floor(
+    oracle_sets, monkeypatch, alpha, stall, want
+):
+    # The value pass scores every candidate after the start 1 bit above its
+    # value, so no step passes Armijo. A live row then tries eta = 1/2,
+    # 1/4, ... and stops once a rejected step leaves eta at or below
+    # STALL_ETA: one value pass for the start and log2(0.5 / STALL_ETA) for
+    # the steps, 8 at 2^-8. The constant is read at call time, so patching
+    # it moves the count.
+    if stall is not None:
+        monkeypatch.setattr(entropy, "STALL_ETA", stall)
+    assert want == 1 + math.log2(0.5 / entropy.STALL_ETA)
+    calls, values = [], entropy._avg_entropy_values
+
+    def reject(stack, psi, alpha):
+        f, parts = values(stack, psi, alpha)
+        calls.append(len(psi))
+        return (f + 1.0 if len(calls) > 1 else f), parts
+
+    monkeypatch.setattr(entropy, "_avg_entropy_values", reject)
+    stack = entropy._basis_stack(oracle_sets["d4L4"])
+    start = random_rows(np.random.default_rng(5), 1, 4)
+    psi, _ = entropy._descend_rows(stack, start.copy(), alpha, 500)
+    assert calls == [1] * want
+    assert np.array_equal(psi, start)
+
+
+@pytest.mark.parametrize("stall", [2.0**-3, 2.0**-20], ids=["2^-3", "2^-20"])
+@pytest.mark.parametrize("alpha", [2, math.inf])
+def test_serial_descend_reads_the_kernels_stall_floor(oracle_sets, alpha, stall):
+    # serial_descend and _descend_rows read the one constant
+    # entropy.STALL_ETA, so a patched floor moves the kernel's work and
+    # both still agree to the bit
+    ms = oracle_sets["d4L4"]
+    *_, free = counted_minimize(ms, alpha)
+    with mock.patch.object(entropy, "STALL_ETA", stall):
+        want_psi, want = serial_minimize(ms, alpha, 5, 7)
+        psi, val, passes = counted_minimize(ms, alpha)
+    assert val == want
+    assert np.array_equal(psi, want_psi)
+    assert passes != free
 
 
 def test_log2_is_math_log2():
