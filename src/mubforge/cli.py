@@ -56,7 +56,6 @@ from .mub import (
     complex_json,
     invariant_superposition_family,
     mub_set_json_parts,
-    unbiasedness_deviation,
     verify_cycle,
 )
 from .pauli import build_gamma_generators
@@ -139,20 +138,19 @@ def cmd_generate(args) -> int:
         return EXIT_VALIDATION
     ms = build_mub_set(part, cycle)
     cyc = verify_cycle(ms)
-    dev = unbiasedness_deviation(ms)
     validation.update(
-        unbiasedness_deviation=dev,
+        unbiasedness_deviation=ms.deviation,
         cycle_residual=cyc.worst_residual,
         cycle_permutations=[list(p) for p in cyc.permutations],
     )
     _write(out / "validation.json", json.dumps(validation, indent=1))
     _write_parts(out / "bases.json", mub_set_json_parts(ms, cyc))
     _write(out / "unitary.json", complex_json(ms.U))
-    if dev > args.tol or cyc.worst_residual > args.tol:
+    if ms.deviation > args.tol or cyc.worst_residual > args.tol:
         print("MUB validation FAILED", file=sys.stderr)
         return EXIT_VALIDATION
     print(
-        f"n={n} L={L}: unbiasedness deviation {dev:.2e}, "
+        f"n={n} L={L}: unbiasedness deviation {ms.deviation:.2e}, "
         f"cycle residual {cyc.worst_residual:.2e}"
     )
     return EXIT_OK

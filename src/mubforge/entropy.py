@@ -46,11 +46,12 @@ spectrum of P_b. U is a Clifford unitary, U W U^dag is a Pauli W', and
 U.(W.b) = W'.(U.b): U maps Pauli orbits onto Pauli orbits. Complex
 conjugation K, the antiunitary half of the extended Clifford group, does
 too: each Hermitian basis generator is real or imaginary, so the conjugate
-of an element of basis j is the element whose code has the bits of the
-imaginary generators flipped, P_{K.b} = conj(P_b) has the spectrum of P_b,
-and conj(W) = +-W. On strings with b_0 = b_1 = 0, f(b) and k(b) are the
-representatives with prefix (0, 0) of U.b and of K.b (mub.orbit_maps). k is
-an involution that commutes with f, so the group of the Paulis, U and K has
+of an element of basis j is the element whose label, its sign code
+(mub.Basis), has the bits of the imaginary generators flipped, P_{K.b} =
+conj(P_b) has the spectrum of P_b, and conj(W) = +-W. On strings with
+b_0 = b_1 = 0, f(b) and k(b) are the representatives with prefix (0, 0)
+of U.b and of K.b (mub.orbit_maps). k is an involution, an XOR of the
+key, that commutes with f, so the group of the Paulis, U and K has
 orbits that are unions of Pauli orbits, and its orbit through b holds d^2
 |F(b) u k F(b)| strings, F(b) being the orbit of b under f. Its smallest
 member has prefix (0, 0) and is the smallest string of F(b) u k F(b). The
@@ -62,16 +63,16 @@ exactly from U's Clifford action (mub.MubSet.cycle_permutations). Where
 there are none (U is None or leaves the set), or they fail the exact check
 of U.(W.b) = W'.(U.b) (mub.PauliLabels.carried_by), f is the identity,
 and k alone joins the Pauli orbits in pairs. Where k fails the exact check
-that it is an involution commuting with f (mub._commutes), k is the
-identity.
+that it commutes with f (mub._commutes), k is the identity.
 
 The walk runs on integer keys: a string's key is its index, digit j in
 its own n-bit field since d = 2^n. On a string with b_0 = b_1 = 0 the
 Pauli that brings U.b back to prefix (0, 0) depends on b_{L-1} alone, so
 f sends digit 2 to T_2[b_{L-1}] and digit j >= 3 to T_j[b_{j-1},
-b_{L-1}], and k sends digit j to K_j[b_j]: 2 (L - 2) exact tables built
-once per set, read with shifts, masks and gathers and ORed into the next
-key. Digit rows are formed only for the strings the walk keeps.
+b_{L-1}]: L - 2 exact tables built once per set, read with shifts, masks
+and gathers and ORed into the next key. A Pauli or K flips fixed bits of
+each label, so k is the XOR of the key with one mask. Digit rows are
+formed only for the strings the walk keeps.
 
 Ties and bins. Orbit members agree only to rounding, so eigenvalues within
 LEVEL_TOL are one level. Histogram bins group eigenvalues that chain
@@ -112,7 +113,6 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class BoundSet:
-    deutsch: float
     small_L: float
     large_L: float
 
@@ -142,10 +142,9 @@ class SweepResult:
 def bounds(L: int, d: int) -> BoundSet:
     if L < 1 or d < 2:
         raise ValueError(f"need L >= 1 and d >= 2, got L={L}, d={d}")
-    deutsch = -math.log2((1 + 1 / math.sqrt(d)) / 2)
     small = -math.log2((1 / L) * (1 + (L - 1) / math.sqrt(d))) + 0.0
     large = -math.log2((1 / d) * (1 + (d - 1) / math.sqrt(L))) + 0.0
-    return BoundSet(deutsch, small, large)
+    return BoundSet(small, large)
 
 
 def outcome_distribution(basis, state) -> np.ndarray:
@@ -338,11 +337,11 @@ def _eigmax_chunks(B: np.ndarray, strings, chunk: int, workers: int = 1, select=
             yield pending.popleft().result()
 
 
-def _orbit_minima(step, conj, weight: int):
+def _orbit_minima(step, flips: int, weight: int):
     """select for _eigmax_chunks: the keys that are the smallest of their
-    orbit under the group the key permutations `step` (f) and `conj` (k)
-    generate (mub.orbit_maps), each weighted `weight` times the orbit's
-    size.
+    orbit under the group the key permutation `step` (f) and k(b) =
+    b ^ flips generate (mub.orbit_maps), each weighted `weight` times the
+    orbit's size.
 
     k is an involution that commutes with f, so the orbit of b is F(b) and
     k F(b) = F(k(b)), F(b) being b's orbit under f: two disjoint f-orbits,
@@ -354,7 +353,7 @@ def _orbit_minima(step, conj, weight: int):
     """
 
     def select(keys):
-        mirror = conj(keys)
+        mirror = keys ^ flips
         head = mirror >= keys  # k(b) >= b: b may be its orbit's smallest
         keys, paired = keys[head], mirror[head] == keys[head]
         size = np.zeros(len(keys), dtype=np.int64)
@@ -364,7 +363,7 @@ def _orbit_minima(step, conj, weight: int):
             size[alive[cur == start]] = i
             stay = cur > start
             alive, start, cur = alive[stay], start[stay], cur[stay]
-            mirror = conj(cur)
+            mirror = cur ^ flips
             paired[alive[mirror == start]] = True
             stay = mirror >= start
             alive, start, cur = alive[stay], start[stay], cur[stay]

@@ -19,15 +19,17 @@ cycled partitions of classes.py and the symplectic spread of wigner.py
 alike; a spread has no cycle spec, so its set has U = None and no action.
 
 The symmetries of a set act on strings of labels (one element per basis).
-A Pauli operator W permutes the labels of basis j through their codes as
-t -> t ^ tau_j(W) (PauliLabels, built once per set), the cycle unitary
-sends element b of basis j to element pi_j(b) of basis j+1, cyclically
+A label is its own sign code: label b of basis j has sign -1 under
+generator g_i exactly when bit n-1-i of b is set. So a Pauli operator W
+acts on the labels of basis j as b -> b ^ tau_j(W) (PauliLabels, built once
+per set), and complex conjugation as b -> b ^ y_j, y_j holding the bits of
+the imaginary generators, read off their masks. The cycle unitary sends
+element b of basis j to element pi_j(b) of basis j+1, cyclically
 (MubSet.cycle_permutations, exact from the Clifford action cycle_unitary
-read off U, the one read of U), and complex conjugation flips the code
-bits of the imaginary generators, read off their masks. orbit_maps
-composes them into tables that map the integer keys of strings: the two
-maps the selector sweep walks its orbits with, conjugation kept only where
-it commutes exactly with the cycle map. verify_cycle checks U against pi.
+read off U, the one read of U). orbit_maps composes them into the two maps
+of integer string keys the selector sweep walks its orbits with: a table
+map for the cycle, and one XOR mask for conjugation, kept only where it
+commutes exactly with the cycle map. verify_cycle checks U against pi.
 """
 
 from __future__ import annotations
@@ -77,14 +79,13 @@ class CycleMatchError(RuntimeError):
 class Basis:
     """d orthonormal columns, ordered by their signs under the class members.
 
-    generators are the class members g_0.. that basis_from_involutions chose;
-    codes[b] has bit i set when column b has sign -1 under g_i. bases.json
-    names each basis by its place in the set.
+    generators are the class members g_0.. that basis_from_involutions chose.
+    Column b is its own sign code: it has sign -1 under g_i exactly when bit
+    n-1-i of b is set. bases.json names each basis by its place in the set.
     """
 
     vectors: np.ndarray
     generators: tuple[PauliTerm, ...]
-    codes: tuple[int, ...]
 
     @property
     def d(self) -> int:
@@ -97,8 +98,8 @@ class MubSet:
 
     U and action are cycle_unitary's pair for the partition's cycle spec,
     both None without one; the label maps come from action alone, so a set
-    without it has none. deviation is unbiasedness_deviation, found when
-    the set was built.
+    without it has none. deviation is the largest | |<a|b>|^2 - 1/d | over
+    cross-basis pairs, found when the set was built.
     """
 
     bases: tuple[Basis, ...]
@@ -131,11 +132,11 @@ class MubSet:
     @cached_property
     def _cycle(self) -> tuple[np.ndarray | None, str]:
         """(pi, "") with pi as in cycle_permutations, or (None, why). U takes
-        the vector with code t of basis j to the one with signs (-1)^t_i
-        under the images U g_i U^H of basis j's generators, mapped by the
-        set's action. Each image must map every column of basis j+1 to
-        exactly +-itself (the entries are exactly 0, +-a or +-i a), and
-        those signs are the column's code."""
+        label b of basis j to the vector with b's signs under the images
+        U g_i U^H of basis j's generators, mapped by the set's action. Each
+        image must map every column of basis j+1 to exactly +-itself (the
+        entries are exactly 0, +-a or +-i a), and those signs, read as a
+        label of basis j, are the label that lands on the column."""
         if self.action is None:
             return None, "no projector match: set has no Clifford action of U"
         gens = [g for B in self.bases for g in B.generators]
@@ -144,7 +145,7 @@ class MubSet:
         x, z, p, s = self.action.conjugate_masks(*masks)
         p = (p + 1 - s).tolist()  # the sign folded into the phase
         images = list(map(PauliTerm, [n] * len(p), x.tolist(), z.tolist(), p))
-        bit = 1 << np.arange(n)[:, None]
+        bit = 1 << np.arange(n - 1, -1, -1)[:, None]  # g_i's sign is bit n-1-i
         pi = np.empty((L, self.d), dtype=np.int64)
         for j in range(L):
             nxt = (j + 1) % L
@@ -157,8 +158,7 @@ class MubSet:
             )
             if not (minus | plus).all():
                 return None, f"no projector match: U maps basis {j} off basis {nxt}"
-            code = (minus * bit).sum(axis=0)
-            pi[j] = np.argsort(code)[list(self.bases[j].codes)]  # code -> column
+            pi[j, (minus * bit).sum(axis=0)] = np.arange(self.d)
         return pi, ""
 
 
@@ -166,66 +166,55 @@ class MubSet:
 class PauliLabels:
     """The action of the d^2 Paulis W = x | z << n on the labels of a MubSet.
 
-    W sends the label with code t in basis j (Basis.codes) to the label with
-    code t ^ tau[j, W], bit i of tau[j, W] being 1 when W anticommutes with
-    generator i of basis j; labels[j, t] is the label with code t. Only the
-    identity commutes with two disjoint maximal classes, so the Paulis act
-    freely on the pairs of codes of bases 0 and 1: pauli_of[t0, t1] is the
-    one W with tau[0, W] = t0 and tau[1, W] = t1. The set keeps the tables,
-    so codes are stored in the smallest unsigned type that holds d - 1.
+    W sends label b of basis j to label b ^ tau[j, W]: bit n-1-i of
+    tau[j, W] is 1 when W anticommutes with generator g_i of basis j, as a
+    label is its sign code (Basis). Only the identity commutes with two
+    disjoint maximal classes, so the Paulis act freely on the pairs of
+    labels of bases 0 and 1: pauli_of[t0, t1] is the one W with
+    tau[0, W] = t0 and tau[1, W] = t1. The set keeps the tables, so tau is
+    stored in the smallest unsigned type that holds d - 1.
     """
 
-    codes: np.ndarray  # (L, d)
-    labels: np.ndarray  # (L, d)
     tau: np.ndarray  # (L, d^2)
     pauli_of: np.ndarray  # (d, d)
 
     @staticmethod
     def of(ms: "MubSet") -> "PauliLabels":
         d, L = ms.d, ms.L
-        code = np.min_scalar_type(d - 1)
         w = np.arange(d * d)
         g = np.array([[(q.xmask, q.zmask) for q in B.generators] for B in ms.bases])
-        # W = x | z << n flips bit i of basis j's codes when
+        # W = x | z << n flips bit n-1-i of basis j's labels when
         # parity(x & g_i.z) ^ parity(z & g_i.x) is 1; the two halves are
         # tabled apart over the d values of x and of z, then XORed
-        bit = 1 << np.arange(g.shape[1])[:, None]
+        bit = 1 << np.arange(g.shape[1] - 1, -1, -1)[:, None]
         t = np.arange(d)
         tx = (parity(t & g[..., 1, None]) * bit).sum(axis=1)  # [j, x]
         tz = (parity(t & g[..., 0, None]) * bit).sum(axis=1)  # [j, z]
-        tau = (tz[:, :, None] ^ tx[:, None, :]).reshape(L, -1).astype(code)
-        codes = np.array([B.codes for B in ms.bases], dtype=code)
-        labels = np.empty_like(codes)
-        labels[np.arange(L)[:, None], codes] = np.arange(d)
+        tau = (tz[:, :, None] ^ tx[:, None, :]).reshape(L, -1)
+        tau = tau.astype(np.min_scalar_type(d - 1))
         pauli_of = np.full((d, d), -1)
         pauli_of[tau[0], tau[1]] = w
         if np.any(pauli_of < 0):
             raise RuntimeError(
                 "Paulis do not act freely on the labels of bases 0 and 1"
             )
-        return PauliLabels(codes, labels, tau, pauli_of)
+        return PauliLabels(tau, pauli_of)
 
     def representatives(self, strings: np.ndarray) -> np.ndarray:
         """Each string moved by the one Pauli that sends its (b_0, b_1) to
         (0, 0); P_{W.b} = W P_b W^dag has the spectrum of P_b."""
-        c, j = self.codes, np.arange(len(self.codes))
-        W = self.pauli_of[
-            c[0, strings[:, 0]] ^ c[0, 0], c[1, strings[:, 1]] ^ c[1, 0]
-        ]
-        return self.labels[j, c[j, strings] ^ self.tau[j, W[:, None]]]
+        W = self.pauli_of[strings[:, 0], strings[:, 1]]
+        return strings ^ self.tau[:, W].T
 
     def carried_by(self, pi: np.ndarray) -> bool:
         """Whether the label maps pi (MubSet.cycle_permutations) carry every
         Pauli to one Pauli: pi_j(W.b) = W'.pi_j(b) on every basis j, with one
         W' for each W. Then a map with these label maps sends Pauli orbits of
         strings onto Pauli orbits."""
-        L, d = self.codes.shape
-        j, nxt = np.arange(L), np.roll(np.arange(L), -1)
-        # sigma[j, t]: the code in basis j+1 of pi_j of the label with code t
-        sigma = self.codes[nxt[:, None], pi[j[:, None], self.labels]]
-        t = np.arange(d)
-        moved = sigma[j[:, None], t ^ self.tau.T[:, :, None]] ^ sigma  # [W, j, t]
-        # W' from the codes it must flip in bases 0 (j = L-1) and 1 (j = 0)
+        L, d = pi.shape
+        j, nxt = np.arange(L)[:, None], np.roll(np.arange(L), -1)
+        moved = pi[j, np.arange(d) ^ self.tau.T[:, :, None]] ^ pi  # [W, j, b]
+        # W' from the labels it must flip in bases 0 (j = L-1) and 1 (j = 0)
         image = self.pauli_of[moved[:, -1, 0], moved[:, 0, 0]]
         return bool(np.all(moved == self.tau[nxt][:, image].T[:, :, None]))
 
@@ -330,7 +319,8 @@ def basis_from_involutions(members: "Sequence[PauliTerm]") -> Basis:
     # canonical order: member 0's sign most significant, +1 before -1. Up to
     # ties a member's sign is first decided by a generator, so this sorts the
     # codes by their generator bits, g_0's most significant: column k has
-    # code row_mask(k). Checked: each column's pattern precedes the next's
+    # code row_mask(k), and so sign -1 under g_i where bit n-1-i of k is set
+    # (Basis). Checked: each column's pattern precedes the next's
     order = row_mask(t, n)
     ordered = signs[:, order].T  # [k, m]
     changed = ordered[1:] != ordered[:-1]
@@ -340,7 +330,7 @@ def basis_from_involutions(members: "Sequence[PauliTerm]") -> Basis:
     a = math.sqrt(np.count_nonzero(K) / d)  # 1 / sqrt(support size)
     amp = np.array([complex(a, 0), complex(0, a), complex(-a, 0), complex(0, -a)])
     vectors = np.where(support, amp[phase], 0)[:, order]
-    return Basis(np.ascontiguousarray(vectors), tuple(gens), tuple(order.tolist()))
+    return Basis(np.ascontiguousarray(vectors), tuple(gens))
 
 
 def _check_eigenvectors(members, support, phase, signs) -> None:
@@ -444,12 +434,6 @@ def _pair_deviations(mats):
                 yield j, k0 + i, top[i], divmod(a, d), hit[i]
 
 
-def unbiasedness_deviation(ms: MubSet) -> float:
-    """max over cross-basis pairs of | |<a|b>|^2 - 1/d |, found when the set
-    was built."""
-    return ms.deviation
-
-
 def build_mub_set(
     part: Partition, cycle: tuple[np.ndarray, CliffordAction] | None = None
 ) -> MubSet:
@@ -531,11 +515,12 @@ def _cycle_strings(ms: MubSet) -> np.ndarray:
 
 
 def orbit_maps(ms: MubSet):
-    """(f, k): the two maps on the keys of strings with prefix (0, 0) whose
-    orbits the sweep walks. A string's key is its index: with d = 2^n, digit
-    j fills bits n (L-1-j) to n (L-j) - 1. Both keep the spectrum, and both
-    map Pauli orbits onto Pauli orbits, so each stands for one generator of
-    the group of the Paulis, U and complex conjugation K.
+    """(f, flips): the two maps on the keys of strings with prefix (0, 0)
+    whose orbits the sweep walks, f a function and k(b) = b ^ flips. A
+    string's key is its index: with d = 2^n, digit j fills bits n (L-1-j)
+    to n (L-j) - 1. Both keep the spectrum, and both map Pauli orbits onto
+    Pauli orbits, so each stands for one generator of the group of the
+    Paulis, U and complex conjugation K.
 
     f(b) is the Pauli representative of U.b, (U.b)_{j+1} = pi_j(b_j): P_{U.b}
     = U P_b U^dag. When the label maps carry Paulis to Paulis
@@ -547,51 +532,39 @@ def orbit_maps(ms: MubSet):
 
     k(b) is the Pauli representative of K.b, P_{K.b} = conj(P_b). A
     Hermitian generator i^p X^x Z^z has p = |x & z| mod 2 and conjugates to
-    (-1)^p times itself, so K moves the column with code t of basis j to the
-    one with code t ^ y_j, bit i of y_j set when generator i has odd
-    |x & z|. The Pauli pauli_of[y_0, y_1] brings K.b back to prefix (0, 0),
-    so digit j of k(b) is K_j[b_j] (_conjugation_labels), read off the
-    generator masks with no dense read. k is used only where it is an
-    involution that commutes with f, checked exactly on the tables
-    (_commutes); otherwise k is the identity.
+    (-1)^p times itself, so K flips the bits of a label of basis j that
+    name its generators with odd |x & z|, and the Pauli that brings K.b back
+    to prefix (0, 0) flips more: digit j of k(b) is b_j ^ m_j
+    (_conjugation_labels), read off the generator masks with no dense read.
+    flips holds every m_j in its digit's field, and is 0, the identity,
+    unless k commutes with f, checked exactly on the tables (_commutes).
 
-    The L - 2 tables of each map are built here once per set, every entry
-    already shifted into its digit's bits, so a step is a few shifts,
-    masks, gathers and ORs per digit on int64 keys.
+    f's L - 2 tables are built here once per set, every entry already
+    shifted into its digit's bits, so a step is a few shifts, masks,
+    gathers and ORs per digit on int64 keys.
     """
     if ms.L < 3:
-        return _same, _same
-    T, K = _cycle_tables(ms), _conjugation_labels(ms)
-    if not _commutes(K, T):
-        K = None
+        return _same, 0
+    T, m = _cycle_tables(ms), _conjugation_labels(ms)
     n, L = ms.d.bit_length() - 1, ms.L
     mask = ms.d - 1
     shift = [n * (L - 1 - j) for j in range(L)]  # digit j's field starts here
-    f = k = _same
-    if T is not None:
-        first = T[0, 0].astype(np.int64) << shift[2]  # b_1 = 0
-        rest = [
-            (shift[j], T[j - 2].astype(np.int64).ravel() << shift[j])
-            for j in range(3, L)
-        ]
+    flips = sum(int(m[j]) << shift[j] for j in range(L)) if _commutes(m, T) else 0
+    if T is None:
+        return _same, flips
+    first = T[0, 0].astype(np.int64) << shift[2]  # b_1 = 0
+    rest = [
+        (shift[j], T[j - 2].astype(np.int64).ravel() << shift[j]) for j in range(3, L)
+    ]
 
-        def f(keys):
-            last = keys & mask
-            out = first[last]
-            for at, Tj in rest:  # b_{j-1} << n | b_{L-1}, read from its field
-                out |= Tj[(keys >> at) & (mask << n) | last]
-            return out
+    def f(keys):
+        last = keys & mask
+        out = first[last]
+        for at, Tj in rest:  # b_{j-1} << n | b_{L-1}, read from its field
+            out |= Tj[(keys >> at) & (mask << n) | last]
+        return out
 
-    if K is not None:
-        fields = [(shift[j], K[j].astype(np.int64) << shift[j]) for j in range(2, L)]
-
-        def k(keys):
-            out = fields[-1][1][keys & mask]  # digit L-1, whose field starts at 0
-            for at, Kj in fields[:-1]:
-                out |= Kj[(keys >> at) & mask]
-            return out
-
-    return f, k
+    return f, flips
 
 
 def _same(keys):
@@ -606,37 +579,32 @@ def _cycle_tables(ms: MubSet) -> np.ndarray | None:
     pi = ms.cycle_permutations
     if pi is None or not ms.pauli_labels.carried_by(pi):
         return None
-    pl, c = ms.pauli_labels, ms.pauli_labels.codes
-    W = pl.pauli_of[c[0, pi[-1]] ^ c[0, 0], c[1, pi[0, 0]] ^ c[1, 0]]
+    pl = ms.pauli_labels
+    W = pl.pauli_of[pi[-1], pi[0, 0]]
     j, x = np.arange(2, ms.L)[:, None, None], np.arange(ms.d)[:, None]
-    return pl.labels[j, c[j, pi[j - 1, x]] ^ pl.tau[j, W]]
+    return pi[j - 1, x] ^ pl.tau[j, W]
 
 
 def _conjugation_labels(ms: MubSet) -> np.ndarray:
-    """K[j, b]: digit j of k(b) for b_j = b, label b of basis j moved by
-    complex conjugation and then by the Pauli W = pauli_of[y_0, y_1]: its
-    code is flipped by m_j = y_j ^ tau[j, W], and m_0 = m_1 = 0."""
-    pl, L = ms.pauli_labels, ms.L
+    """m[j]: the bits k flips in digit j, those complex conjugation flips
+    (y_j) and then those the Pauli W = pauli_of[y_0, y_1] flips:
+    m_j = y_j ^ tau[j, W], so m_0 = m_1 = 0."""
+    pl, n = ms.pauli_labels, ms.d.bit_length() - 1
     xz = np.array([[g.xmask & g.zmask for g in B.generators] for B in ms.bases])
-    y = (parity(xz) << np.arange(xz.shape[1])).sum(axis=1)  # [j]: bits K flips
-    m = y ^ pl.tau[np.arange(L), pl.pauli_of[y[0], y[1]]]
-    return pl.labels[np.arange(L)[:, None], pl.codes ^ m[:, None]]
+    y = (parity(xz) << np.arange(n - 1, -1, -1)).sum(axis=1)  # [j]: bits K flips
+    return y ^ pl.tau[:, pl.pauli_of[y[0], y[1]]]
 
 
-def _commutes(K: np.ndarray, T: np.ndarray | None) -> bool:
-    """Whether the per-digit label maps K (_conjugation_labels) make an
-    involution k that commutes with f (_cycle_tables' T, None for the
-    identity): K_j[K_j[b]] = b, and K_j[T_j[x, y]] = T_j[K_{j-1}[x],
-    K_{L-1}[y]] for every digit j >= 2 and all x, y. Exact, in O(L d^2)
-    table reads."""
-    L, d = K.shape
-    t = np.arange(d)
-    if not (K[np.arange(L)[:, None], K] == t).all():
-        return False
+def _commutes(m: np.ndarray, T: np.ndarray | None) -> bool:
+    """Whether k, digit j flipped by m[j] (_conjugation_labels), commutes
+    with f (_cycle_tables' T, None for the identity): T_j[x, y] ^ m_j =
+    T_j[x ^ m_{j-1}, y ^ m_{L-1}] for every digit j >= 2 and all x, y.
+    Exact, in O(L d^2) table reads."""
     if T is None:
         return True
-    j = np.arange(2, L)[:, None, None]
-    return bool((K[j, T] == T[j - 2, K[j - 1, t[:, None]], K[-1, t]]).all())
+    t = np.arange(T.shape[1])
+    j = np.arange(2, len(m))[:, None, None]
+    return bool(((T ^ m[j]) == T[j - 2, t[:, None] ^ m[j - 1], t ^ m[-1]]).all())
 
 
 def cycle_coherent_family(ms: MubSet, b: int) -> np.ndarray:
@@ -688,7 +656,7 @@ def mub_set_json_parts(ms: MubSet, cycle: CycleReport | None = None):
         "d": ms.d,
         "L": ms.L,
         "bases": None,
-        "unbiasedness_deviation": unbiasedness_deviation(ms),
+        "unbiasedness_deviation": ms.deviation,
         "provenance": json.loads(partition_to_json(ms.provenance)),
     }
     if cycle is not None:

@@ -110,8 +110,9 @@ def test_bounds_values():
     assert abs(bs.small_L - TARGET_D4_L4) < 1e-12
     assert abs(bs.small_L + math.log2(5 / 8)) < 1e-12
     bs2 = bounds(2, 4)
-    assert abs(bs2.small_L - bs2.deutsch) < 1e-12
-    assert abs(bs2.deutsch + math.log2(3 / 4)) < 1e-12
+    # at L = 2 the bound is Deutsch's, -log2((1 + 1/sqrt(d))/2)
+    assert abs(bs2.small_L + math.log2((1 + 1 / math.sqrt(4)) / 2)) < 1e-12
+    assert abs(bs2.small_L + math.log2(3 / 4)) < 1e-12
     bs3 = bounds(3, 4)
     assert abs(bs3.small_L - TARGET_D4_L3) < 1e-12
 

@@ -29,7 +29,6 @@ from mubforge.mub import (
     invariant_superposition_family,
     mub_set_json_parts,
     mub_set_to_json,
-    unbiasedness_deviation,
     verify_cycle,
 )
 from mubforge.mub import EIGEN_TOL, _projector_distances, fix_phase
@@ -43,6 +42,7 @@ from oracles import (
 )
 from mubforge.pauli import (
     PauliTerm,
+    apply,
     build_gamma_generators,
     gamma_product,
     parity,
@@ -327,21 +327,31 @@ def test_noncommuting_member_after_the_split_raises():
 )
 def test_build_keeps_the_unbiasedness_deviation(part):
     ms = build_mub_set(part)
-    assert ms.deviation == unbiasedness_deviation(ms)
     assert ms.deviation == raw_unbiasedness_deviation(ms.bases)
     assert json.loads(mub_set_to_json(ms))["unbiasedness_deviation"] == ms.deviation
 
 
 def test_codes_name_the_generator_signs():
-    for members in _all_classes():
-        basis = basis_from_involutions(members)
-        assert sorted(basis.codes) == list(range(basis.d))
-        assert len(basis.generators) == basis.d.bit_length() - 1
-        for g in basis.generators:
-            i = members.index(g)
-            signs = [p[i] for p in sign_patterns(members, basis)]
-            bit = basis.generators.index(g)
-            assert signs == [1 - 2 * (t >> bit & 1) for t in basis.codes]
+    # a label is its own sign code: in every set the commands build,
+    # generator g_i maps column b of its basis to (-1)^(bit n-1-i of b)
+    # times itself, exactly
+    from mubforge.cli import build_partition, constructible
+
+    parts = [
+        build_partition(n, L)
+        for n in range(1, 6)
+        for L in range(2, 2 * n + 2)
+        if constructible(n, L)
+    ]
+    parts += [spread_partition(n) for n in range(1, 6)]
+    assert len(parts) == 15
+    for part in parts:
+        n, b = part.n, np.arange(part.d)
+        for basis in build_mub_set(part).bases:
+            assert len(basis.generators) == n
+            for i, g in enumerate(basis.generators):
+                sign = 1 - 2 * (b >> (n - 1 - i) & 1)
+                assert np.array_equal(apply(g, basis.vectors), sign * basis.vectors)
 
 
 def complex_lists(M):
@@ -413,7 +423,7 @@ def whole_document_json(ms, cycle):
         "d": ms.d,
         "L": ms.L,
         "bases": None,
-        "unbiasedness_deviation": unbiasedness_deviation(ms),
+        "unbiasedness_deviation": ms.deviation,
         "provenance": json.loads(partition_to_json(ms.provenance)),
     }
     if cycle is not None:
@@ -619,18 +629,16 @@ def per_class_basis(members):
     a = math.sqrt(np.count_nonzero(K) / d)
     amp = np.array([complex(a, 0), complex(0, a), complex(-a, 0), complex(0, -a)])
     vectors = np.where(support, amp[phase], 0)[:, order]
-    codes = tuple(order.tolist())
-    return Basis(np.ascontiguousarray(vectors), tuple(gens), codes)
+    return Basis(np.ascontiguousarray(vectors), tuple(gens))
 
 
 def same_basis(got, want):
-    """Bit for bit: vectors (signed zeros included), generators and codes."""
+    """Bit for bit: vectors (signed zeros included) and generators."""
     assert got.vectors.dtype == want.vectors.dtype
     assert got.vectors.shape == want.vectors.shape
     assert got.vectors.tobytes() == want.vectors.tobytes()
     assert got.vectors.flags.c_contiguous
     assert got.generators == want.generators
-    assert got.codes == want.codes
 
 
 def _oracle_partitions():
@@ -665,8 +673,9 @@ def test_bases_equal_the_oracle(name):
 
 def _check_arrays(members, basis):
     """The (support, phase, signs) arrays of the member check, read back
-    from a built basis: column k carries code codes[k]."""
-    codes = list(basis.codes)
+    from a built basis. Their columns are codes, bit i for generator g_i,
+    so column k, whose label has bit n-1-i for g_i, is code row_mask(k)."""
+    codes = row_mask(np.arange(basis.d), basis.d.bit_length() - 1)
     support = np.zeros((basis.d, basis.d), dtype=bool)
     phase = np.zeros((basis.d, basis.d), dtype=np.int8)
     support[:, codes] = basis.vectors != 0

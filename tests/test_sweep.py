@@ -264,45 +264,43 @@ def test_conjugation_tables_match_the_dense_conjugate(kind, arg):
     keys = np.arange(d ** (L - 2))
     digits = (keys[:, None] // powers) % d
     want = digit_conjugation_step(ms)(digits) @ powers
-    assert orbit_maps(ms)[1](keys).tolist() == want.tolist()
+    assert (keys ^ orbit_maps(ms)[1]).tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("kind, arg", KEY_WALK_SETS, ids=lambda a: str(a))
 def test_conjugation_is_an_involution_that_commutes_with_the_cycle(kind, arg):
+    # k is the XOR with flips, an involution; flips leaves the prefix
+    # (0, 0), so k permutes the reduced range
     ms = _orbit_set(kind, arg)
-    f, k = orbit_maps(ms)
+    f, flips = orbit_maps(ms)
     keys = np.arange(ms.d ** (ms.L - 2))
-    assert sorted(k(keys).tolist()) == keys.tolist()  # a permutation
-    assert np.array_equal(k(k(keys)), keys)
-    assert np.array_equal(k(f(keys)), f(k(keys)))
+    assert 0 <= flips < len(keys)
+    assert np.array_equal(f(keys) ^ flips, f(keys ^ flips))
     if ms.L >= 3:
-        assert mub._commutes(mub._conjugation_labels(ms), mub._cycle_tables(ms))
+        m = mub._conjugation_labels(ms)
+        assert m[0] == m[1] == 0
+        assert mub._commutes(m, mub._cycle_tables(ms))
 
 
-@pytest.mark.parametrize("swap", ["breaks_involution", "keeps_involution"])
-def test_a_conjugation_table_off_by_a_swap_falls_back_to_the_cycle(
-    monkeypatch, sweep_d8_L7, swap
+def test_a_conjugation_mask_off_by_one_bit_falls_back_to_the_cycle(
+    monkeypatch, sweep_d8_L7
 ):
-    # two entries of K_3 swapped: entries 0 and 1 break the involution;
-    # entries 0 and K_3[0], a pair K_3 swaps, leave an involution (both
-    # become fixed points) that no longer commutes with f. Either way k is
-    # the identity, and the cycle orbits alone give the same result
+    # one bit of m_3 flipped: k is still an involution, an XOR, but no
+    # longer commutes with f. So k is the identity, and the cycle orbits
+    # alone give the same result
     ms, want = sweep_d8_L7
     labels = mub._conjugation_labels
 
-    def swapped(ms):
-        K = labels(ms).copy()
-        a, b = (0, 1) if swap == "breaks_involution" else (0, K[3, 0])
-        K[3, [a, b]] = K[3, [b, a]]
-        return K
+    def flipped(ms):
+        m = labels(ms).copy()
+        m[3] ^= 1
+        return m
 
-    bad, t = swapped(ms), np.arange(8)
-    assert np.array_equal(bad[3, bad[3]], t) == (swap == "keeps_involution")
-    assert not mub._commutes(bad, mub._cycle_tables(ms))
-    monkeypatch.setattr(mub, "_conjugation_labels", swapped)
-    f, k = orbit_maps(ms)
-    assert k is mub._same and f is not mub._same
-    kept, _ = entropy._orbit_minima(f, k, 64)(np.arange(8**5))
+    assert not mub._commutes(flipped(ms), mub._cycle_tables(ms))
+    monkeypatch.setattr(mub, "_conjugation_labels", flipped)
+    f, flips = orbit_maps(ms)
+    assert flips == 0 and f is not mub._same
+    kept, _ = entropy._orbit_minima(f, flips, 64)(np.arange(8**5))
     assert len(kept) == 4688
     res = sweep_max_eigen(ms)
     assert (res.lambda_star, res.b_star) == (want.lambda_star, want.b_star)
@@ -346,7 +344,7 @@ def test_cycle_orbits_match_the_pauli_only_route_d8_L7(monkeypatch):
     # cycle unitary or of conjugation
     ms = build_mub_set(build_partition(3, 7))
     res = sweep_max_eigen(ms)
-    monkeypatch.setattr(entropy, "orbit_maps", lambda ms: (mub._same, mub._same))
+    monkeypatch.setattr(entropy, "orbit_maps", lambda ms: (mub._same, 0))
     pauli_only = sweep_max_eigen(ms)
     assert_same_sweep(res, pauli_only)
     assert res.b_star == pauli_only.b_star == (0, 0, 0, 2, 0, 0, 5)
