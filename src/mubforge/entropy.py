@@ -86,6 +86,8 @@ bit-identical for any number of workers and any chunk size.
 from __future__ import annotations
 
 import math
+import operator
+import random
 import threading
 from collections import Counter, deque
 from dataclasses import dataclass, replace
@@ -480,13 +482,26 @@ def sweep_max_eigen(
     return res
 
 
+def _seeded(seed: int) -> random.Random:
+    """random.Random(seed), the standard library's Mersenne Twister, whose
+    random() stream Python keeps the same across versions for a seed."""
+    seed = operator.index(seed)
+    if seed < 0:  # Random(-s) would be Random(s)
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return random.Random(seed)
+
+
 def sample_max_eigen(ms, samples: int, seed: int) -> SweepResult:
-    """Seeded random-string estimate of the sweep maximum (lower bound)."""
+    """Seeded random-string estimate of the sweep maximum (lower bound).
+
+    The strings are drawn row by row from random.Random(seed), each digit
+    int(d * random()), uniform on 0..d-1 and built on random() alone."""
+    rng = _seeded(seed)
     mats = _checked_matrices(ms)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    rng = np.random.default_rng(seed)
-    strings = rng.integers(0, mats[0].shape[0], size=(samples, len(mats)))
+    d = mats[0].shape[0]
+    strings = np.array([[int(d * rng.random()) for _ in mats] for _ in range(samples)])
     return _summarize(_eigmax_chunks(np.stack(mats), strings, SWEEP_CHUNK), samples)
 
 
@@ -683,10 +698,13 @@ def minimize_avg_entropy(
     one (R, d) array against the stacked (L, d, d) bases; each row keeps its
     own step size and stop rule, and every stage runs the same loop, which
     forms a gradient only for the rows whose step passed Armijo. Each
-    start is 2d normals drawn in restart order, and the first restart more
-    than 1e-15 below all earlier ones wins, so neither the value nor the
-    state depends on the block size.
+    start is 2d gauss(0.0, 1.0) draws of random.Random(seed), taken in
+    restart order, and the first restart more than 1e-15 below all earlier
+    ones wins, so neither the value nor the state depends on the block
+    size. gauss is computed from random() alone, whose stream Python keeps
+    the same across versions for a given seed.
     """
+    rng = _seeded(seed)
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if not alpha > 0:
@@ -696,10 +714,10 @@ def minimize_avg_entropy(
     stages = [(alpha, MINIMIZE_ITERS)]
     if math.isinf(alpha):
         stages[:0] = [(order, ANNEAL_MOVES) for order in ANNEAL_ORDERS]
-    rng = np.random.default_rng(seed)
     best_val, best_psi = math.inf, None
     for start in range(0, restarts, MINIMIZE_BLOCK):
-        x = rng.normal(size=(min(MINIMIZE_BLOCK, restarts - start), 2 * d))
+        rows = min(MINIMIZE_BLOCK, restarts - start)
+        x = np.array([[rng.gauss(0.0, 1.0) for _ in range(2 * d)] for _ in range(rows)])
         psi = x[:, :d] + 1j * x[:, d:]
         psi /= _row_norms(psi)[:, None]
         for order, cap in stages:

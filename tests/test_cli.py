@@ -539,6 +539,25 @@ def test_generate_leaves_masked_arrays_out(tmp_path):
     assert (tmp_path / "out" / "bases.json").exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["reproduce-fig", "--which", "1", "--restarts", "2"],
+        ["reproduce-fig", "--which", "2", "--restarts", "2"],
+        ["minimize", "--n", "2", "--L", "4", "--restarts", "2"],
+        ["wigner", "--n", "2"],
+        ["generate", "--n", "2", "--L", "3"],
+    ],
+    ids=["fig1", "fig2-sampled", "minimize", "wigner", "generate"],
+)
+def test_commands_leave_numpy_random_and_hashlib_out(tmp_path, args):
+    # the starts and the sampled strings come from the standard library's
+    # random; numpy.random would also load secrets, hashlib and libcrypto
+    code = f"import mubforge.cli as c; c.main({args!r})"
+    lazy = ["numpy.random", "secrets", "hashlib"]
+    assert _loaded_after(code, lazy, cwd=tmp_path) == []
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
 def test_generate_rejects_a_bad_tolerance(tmp_path, capsys, tol):
     # nan would pass the acceptance gate: dev > nan is always false

@@ -4,6 +4,7 @@ kernel (raw bases, or a MubSet swept with on_chunk) is the oracle for the
 reduced one, and orbits found by brute force over all d^L strings, from
 dense matrices, are the oracle for the orbit walk."""
 
+import random
 from dataclasses import replace
 from unittest import mock
 
@@ -440,7 +441,8 @@ def test_single_level_sweep_is_one_bin():
 def test_sample_matches_pointwise_oracle():
     ms = build_mub_set(build_partition(3, 7))
     res = sample_max_eigen(ms, samples=300, seed=9)
-    strings = np.random.default_rng(9).integers(0, 8, size=(300, 7))
+    rng = random.Random(9)
+    strings = np.array([[int(8 * rng.random()) for _ in range(7)] for _ in range(300)])
     lams = [
         np.linalg.eigvalsh(entropy.pvec_operator(ms, s).matrix)[-1] for s in strings
     ]
@@ -450,6 +452,15 @@ def test_sample_matches_pointwise_oracle():
         tuple(s) for s, lam in zip(strings.tolist(), lams) if lam >= top - LEVEL_TOL
     )
     assert res.count == 300 == sum(res.histogram.values())
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**70)])
+def test_sample_rejects_a_negative_seed_before_any_work(seed):
+    # random.Random(-s) would silently be Random(s)
+    with mock.patch.object(entropy, "_checked_matrices") as mats:
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            sample_max_eigen([], samples=10, seed=seed)
+    mats.assert_not_called()
 
 
 def _orthonormal(d, seed):
