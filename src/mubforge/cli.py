@@ -4,6 +4,7 @@ Commands
     generate       build a partition + MUB set for (n, L), write JSON files
     bounds         emit the analytic lower-bound grid as CSV
     sweep          exhaustive selector-operator sweep for one MUB set
+    minimize       direct minimization of the average entropy
     reproduce-fig  per-L comparison data (bounds, sweep, minimizer, circles)
     wigner         phase-space report for the complete set in d = 2^n
 
@@ -261,11 +262,9 @@ def cmd_minimize(args) -> int:
             "seed": args.seed,
             "restarts": args.restarts,
             "value_bits": val,
-            "state": None,
+            "state": np.stack([psi.real, psi.imag], -1).tolist(),
         }
-        state = complex_json(psi, indent=1, level=1)
-        text = json.dumps(doc, indent=1).replace('"state": null', f'"state": {state}')
-        _write(Path(args.out), text)
+        _write(Path(args.out), json.dumps(doc, indent=1))
     return EXIT_OK
 
 

@@ -50,29 +50,31 @@ of an element of basis j is the element whose label, its sign code
 (mub.Basis), has the bits of the imaginary generators flipped, P_{K.b} =
 conj(P_b) has the spectrum of P_b, and conj(W) = +-W. On strings with
 b_0 = b_1 = 0, f(b) and k(b) are the representatives with prefix (0, 0)
-of U.b and of K.b (mub.orbit_maps). k is an involution, an XOR of the
-key, that commutes with f, so the group of the Paulis, U and K has
-orbits that are unions of Pauli orbits, and its orbit through b holds d^2
-|F(b) u k F(b)| strings, F(b) being the orbit of b under f. Its smallest
-member has prefix (0, 0) and is the smallest string of F(b) u k F(b). The
-sweep solves only those smallest strings, each weighted d^2 |F(b)| times 2,
-or times 1 when k(b) lies in F(b), walking f chunk by chunk. Since each
-orbit's smallest string is still solved, lambda* and the tie rule below
-give the same b* as the Pauli reduction alone. The maps pi_j follow
-exactly from U's Clifford action (mub.MubSet.cycle_permutations). Where
-there are none (U is None or leaves the set), or they fail the exact check
-of U.(W.b) = W'.(U.b) (mub.PauliLabels.carried_by), f is the identity,
-and k alone joins the Pauli orbits in pairs. Where k fails the exact check
-that it commutes with f (mub._commutes), k is the identity.
+of U.b and of K.b, and mub.orbit_maps gives each as a permutation of the
+d^(L-2) keys. The group of the Paulis, U and K has orbits that are unions
+of Pauli orbits, and its orbit through b holds d^2 times as many strings
+as the orbit of b under the maps. Its smallest member has prefix (0, 0),
+so it is the smallest key of that orbit. The sweep labels the orbits of
+the maps in one pass over all d^(L-2) keys (_orbit_minima), which works
+for any number of maps, commuting or not, and solves only each orbit's
+smallest string, weighted d^2 times the orbit's size. Since each orbit's
+smallest string is still solved, lambda* and the tie rule below give the
+same b* as the Pauli reduction alone. The maps pi_j follow exactly from
+U's Clifford action (mub.MubSet.cycle_permutations). Where there are none
+(U is None or leaves the set), or they fail the exact check of
+U.(W.b) = W'.(U.b) (mub.PauliLabels.carried_by), f is left out, and k
+alone joins the Pauli orbits in pairs. Where k fails the exact check that
+it commutes with f (mub._commutes), k is left out.
 
-The walk runs on integer keys: a string's key is its index, digit j in
-its own n-bit field since d = 2^n. On a string with b_0 = b_1 = 0 the
-Pauli that brings U.b back to prefix (0, 0) depends on b_{L-1} alone, so
-f sends digit 2 to T_2[b_{L-1}] and digit j >= 3 to T_j[b_{j-1},
-b_{L-1}]: L - 2 exact tables built once per set, read with shifts, masks
-and gathers and ORed into the next key. A Pauli or K flips fixed bits of
-each label, so k is the XOR of the key with one mask. Digit rows are
-formed only for the strings the walk keeps.
+The maps run on integer keys: a string's key is its index, digit j in its
+own n-bit field since d = 2^n. On a string with b_0 = b_1 = 0 the Pauli
+that brings U.b back to prefix (0, 0) depends on b_{L-1} alone, so f sends
+digit 2 to T_2[b_{L-1}] and digit j >= 3 to T_j[b_{j-1}, b_{L-1}]: L - 2
+exact tables read with shifts, masks and gathers and ORed into the image
+key. A Pauli or K flips fixed bits of each label, so k is the XOR of the
+key with one mask. Labels and maps are int32, one array of d^(L-2) each
+(8 MB at 8^7 keys), so a reduced range of 2^31 keys or more is refused
+before any is allocated. Digit rows are formed only for the kept strings.
 
 Ties and bins. Orbit members agree only to rounding, so eigenvalues within
 LEVEL_TOL are one level. Histogram bins group eigenvalues that chain
@@ -259,31 +261,28 @@ def _sweep_size(mats, budget: int) -> int:
     return total
 
 
-def _eigmax_chunks(B: np.ndarray, strings, chunk: int, workers: int = 1, select=None):
+def _eigmax_chunks(B: np.ndarray, strings, chunk: int, workers: int = 1):
     """Top eigenvalue of the mean-form selector of every string, by chunks.
 
     The one selector-eigenvalue kernel. B is the (L, d, d) stack of basis
     matrices. `strings` is a range of string indices (digit j of an index,
     base d with basis 0 most significant, is the element of basis j) or an
-    (n, L) array of digit rows. Yields (digits, lambdas, weights) for
-    consecutive chunks of at most `chunk` strings, in input order for any
-    worker count. Weights are 1 unless `select`, which maps a range chunk's
-    indices to the indices kept and their weights, thins the chunk first;
-    digit rows are then formed for the kept strings only, and a chunk may
-    be empty. A string's eigenvalue does not depend on the chunk or
-    the block it falls in: selectors are summed from zero, basis by basis,
-    from the outer products c c^dag of the basis columns, the products
-    np.outer forms, and eigvalsh solves each matrix on its own.
+    (n, L) array of digit rows. Yields (digits, lambdas) for consecutive
+    chunks of at most `chunk` strings, in input order for any worker count.
+    A string's eigenvalue does not depend on the chunk or the block it
+    falls in: selectors are summed from zero, basis by basis, from the
+    outer products c c^dag of the basis columns, the products np.outer
+    forms, and eigvalsh solves each matrix on its own.
 
-    Memory: a chunk's kept strings are solved in blocks of
+    Memory: a chunk's strings are solved in blocks of
     max(1, mub.BLOCK_BYTES // (48 d^2)) strings, read at call time, in one
     pair of buffers for the selectors and the outer products. That budgets
     three complex d x d arrays per string: the two buffers and room for
     eigvalsh, which solves a stack one matrix at a time. So a chunk needs
     about BLOCK_BYTES for any d and chunk size. Each worker allocates its
     pair once per call and reuses it for every chunk it solves, so the
-    heap does not churn chunk by chunk. A chunk keeps only its digits,
-    weights and eigenvalues, and no (L, d, d, d) projector stack is formed.
+    heap does not churn chunk by chunk. A chunk keeps only its digits and
+    eigenvalues, and no (L, d, d, d) projector stack is formed.
     """
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
@@ -291,21 +290,13 @@ def _eigmax_chunks(B: np.ndarray, strings, chunk: int, workers: int = 1, select=
         raise ValueError(f"workers must be >= 1, got {workers}")
     L, d = B.shape[:2]
     cols = B.transpose(0, 2, 1)  # [j, b]: column b of B_j
-    if isinstance(strings, range):
-        powers = np.array([d ** (L - 1 - j) for j in range(L)])
+    powers = np.array([d ** (L - 1 - j) for j in range(L)])
     block = max(1, min(chunk, len(strings), mub.BLOCK_BYTES // (48 * d * d)))
     local = threading.local()  # each worker's buffer pair, for this call only
 
-    def solve(part):
-        if isinstance(part, range):
-            keys = np.arange(part.start, part.stop)
-            if select is None:
-                weights = np.ones(len(keys), dtype=np.int64)
-            else:
-                keys, weights = select(keys)
-            digits = (keys[:, None] // powers) % d
-        else:
-            digits, weights = part, np.ones(len(part), dtype=np.int64)
+    def solve(digits):
+        if isinstance(digits, range):
+            digits = (np.arange(digits.start, digits.stop)[:, None] // powers) % d
         n = len(digits)
         if not hasattr(local, "buffers"):
             local.buffers = np.empty((2, block, d, d), dtype=complex)
@@ -321,7 +312,7 @@ def _eigmax_chunks(B: np.ndarray, strings, chunk: int, workers: int = 1, select=
                 Pb += ob
             Pb /= L
             lam[s : s + block] = np.linalg.eigvalsh(Pb)[:, -1]
-        return digits, lam, weights
+        return digits, lam
 
     parts = (strings[s : s + chunk] for s in range(0, len(strings), chunk))
     if workers == 1:
@@ -339,40 +330,31 @@ def _eigmax_chunks(B: np.ndarray, strings, chunk: int, workers: int = 1, select=
             yield pending.popleft().result()
 
 
-def _orbit_minima(step, flips: int, weight: int):
-    """select for _eigmax_chunks: the keys that are the smallest of their
-    orbit under the group the key permutation `step` (f) and k(b) =
-    b ^ flips generate (mub.orbit_maps), each weighted `weight` times the
-    orbit's size.
+def _orbit_minima(maps, count: int):
+    """(kept, sizes): the keys 0..count-1 that are the smallest of their
+    orbit under the group the key permutations `maps` generate
+    (mub.orbit_maps), in increasing order, and the size of each one's orbit.
 
-    k is an involution that commutes with f, so the orbit of b is F(b) and
-    k F(b) = F(k(b)), F(b) being b's orbit under f: two disjoint f-orbits,
-    or one when k(b) lies in F(b). A key with k(b) < b is dropped first.
-    Each other key is walked along F(b) until the walk returns (|F(b)|) or
-    cur or k(cur) passes below it (not the smallest; dropped there). The
-    orbit holds |F(b)| keys if the walk met k(b) (k(cur) = b), else
-    2 |F(b)|. No table over all strings is kept.
+    Every key holds a label, at first itself. A round gives each key the
+    least label among its own and those of its images under every map; the
+    rounds stop when one changes no label. A label is always a key of the
+    orbit, and at the stop it does not rise along any map. Each map is a
+    permutation of finite order, so its inverse is a power of it, and the
+    label is then the same on the whole orbit: its smallest key, the one
+    key that keeps its own label. The maps need not commute, and there may
+    be any number of them. The labels are int32, so count must be below
+    2^31. Besides the maps, a round holds four int32 arrays of count
+    entries (the keys, the labels, the last round's labels and one gather),
+    and the sizes are counted in one int64 array of as many.
     """
-
-    def select(keys):
-        mirror = keys ^ flips
-        head = mirror >= keys  # k(b) >= b: b may be its orbit's smallest
-        keys, paired = keys[head], mirror[head] == keys[head]
-        size = np.zeros(len(keys), dtype=np.int64)
-        alive, start, cur, i = np.arange(len(keys)), keys, keys, 0
-        while len(alive):
-            cur, i = step(cur), i + 1
-            size[alive[cur == start]] = i
-            stay = cur > start
-            alive, start, cur = alive[stay], start[stay], cur[stay]
-            mirror = cur ^ flips
-            paired[alive[mirror == start]] = True
-            stay = mirror >= start
-            alive, start, cur = alive[stay], start[stay], cur[stay]
-        keep = size > 0
-        return keys[keep], weight * size[keep] * (2 - paired[keep])
-
-    return select
+    keys = np.arange(count, dtype=np.int32)
+    low, prev = keys.copy(), None
+    while not np.array_equal(low, prev):
+        prev = low.copy()
+        for p in maps:
+            np.minimum(low, low[p], out=low)
+    kept = np.flatnonzero(low == keys)
+    return kept, np.bincount(low)[kept]
 
 
 def _merge_bins(bins: np.ndarray) -> np.ndarray:
@@ -405,22 +387,23 @@ def _lex_records(cands, top: float) -> list:
     return out
 
 
-def _summarize(chunks, count: int) -> SweepResult:
-    """lambda*, b* and the histogram of the (digits, lambdas, weights) chunks.
+def _summarize(chunks, count: int, weights: np.ndarray | None = None) -> SweepResult:
+    """lambda*, b* and the histogram of the (digits, lambdas) chunks.
 
     b* is the lexicographically smallest string within LEVEL_TOL of
     lambda*. Histogram keys are each bin's smallest lambda; each string
-    adds its weight, the number of strings it stands for, to its bin.
+    adds its weight, the number of strings it stands for (weights, in the
+    order of the chunks' strings, or 1 each), to its bin.
     """
-    best, cands, bins, pending = -math.inf, [], np.empty((0, 3)), []
-    for digits, lam, weights in chunks:
-        if not len(lam):  # a chunk select left empty
-            continue
+    best, cands, bins, pending, at = -math.inf, [], np.empty((0, 3)), [], 0
+    for digits, lam in chunks:
         best = max(best, float(lam.max()))
         keep = lam >= best - LEVEL_TOL
         new = zip(map(tuple, digits[keep].tolist()), lam[keep].tolist())
         cands = _lex_records(cands + list(new), best)
-        pending.append(np.column_stack([lam, lam, weights]))
+        w = 1 if weights is None else weights[at : at + len(lam)]
+        at += len(lam)
+        pending.append(np.column_stack([lam, lam, np.broadcast_to(w, lam.shape)]))
         if sum(map(len, pending)) >= len(bins):  # amortized: bins may be many
             bins, pending = _merge_bins(np.vstack([bins, *pending])), []
     bins = _merge_bins(np.vstack([bins, *pending]))
@@ -429,9 +412,9 @@ def _summarize(chunks, count: int) -> SweepResult:
 
 
 def _reported(chunks, on_chunk):
-    for digits, lam, weights in chunks:
+    for digits, lam in chunks:
         on_chunk(digits, lam)
-        yield digits, lam, weights
+        yield digits, lam
 
 
 def sweep_max_eigen(
@@ -443,18 +426,18 @@ def sweep_max_eigen(
     """Exact maximum of lambda_max(P_b, mean) over all d^L strings b.
 
     A MubSet is swept over the strings with b_0 = b_1 = 0 that are the
-    smallest of their orbit under the maps f and k of mub.orbit_maps, each
-    standing for the d^2 |orbit| strings of its orbit under the Paulis, the
-    cycle unitary and complex conjugation (module docstring); raw bases are
-    swept over all d^L. The orbits are walked on the integer keys of each
-    range chunk (_orbit_minima, passed to _eigmax_chunks as select) with
-    orbit_maps' tables, and only the kept strings become digit rows.
-    `count` is d^L either way. For a MubSet, b* is the smallest string
-    within LEVEL_TOL of lambda* that the cycle unitary maps to itself, if
-    there is one; otherwise, and for raw bases, the smallest string within
-    LEVEL_TOL of lambda*. Strings are solved SWEEP_CHUNK at a time, read at
-    call time; the result is bit-identical for any worker count and chunk
-    size.
+    smallest of their orbit under the key permutations of mub.orbit_maps,
+    each standing for the d^2 |orbit| strings of its orbit under the Paulis,
+    the cycle unitary and complex conjugation (module docstring); raw bases
+    are swept over all d^L. The orbits are labelled once over the d^(L-2)
+    keys (_orbit_minima), and only the kept strings become digit rows; a
+    reduced range of 2^31 keys or more, which int32 labels cannot index, is
+    refused with BudgetExceededError before anything is allocated. `count`
+    is d^L either way. For a MubSet, b* is the smallest string within
+    LEVEL_TOL of lambda* that the cycle unitary maps to itself, if there is
+    one; otherwise, and for raw bases, the smallest string within LEVEL_TOL
+    of lambda*. Strings are solved SWEEP_CHUNK at a time, read at call time;
+    the result is bit-identical for any worker count and chunk size.
 
     on_chunk, if given, is called with (digits, lambdas) for every chunk of
     all d^L strings in lexicographic order; the sweep is then unreduced.
@@ -463,19 +446,29 @@ def sweep_max_eigen(
     total = _sweep_size(mats, budget)
     d, L = mats[0].shape[0], len(mats)
     B = np.stack(mats)
+    strings, weights = range(total), None
     if isinstance(ms, MubSet) and L >= 2 and on_chunk is None:
-        strings = range(d ** (L - 2))
-        select = _orbit_minima(*orbit_maps(ms), d * d)
-    else:
-        strings, select = range(total), None
-    chunks = _eigmax_chunks(B, strings, SWEEP_CHUNK, workers, select)
+        count = d ** (L - 2)
+        if count >= 2**31:
+            raise BudgetExceededError(
+                f"{d}^{L - 2} = {count} reduced strings, but int32 orbit labels "
+                "index fewer than 2^31; use sampling"
+            )
+        kept, sizes = _orbit_minima(orbit_maps(ms), count)
+        # rows in the least type that holds d - 1: the n = 3 spread keeps
+        # 2^20 strings, 9 MB of uint8 rows where int64 would take 75 MB
+        strings = np.empty((len(kept), L), dtype=np.min_scalar_type(d - 1))
+        for j in range(L):
+            strings[:, j] = kept // d ** (L - 1 - j) % d
+        weights = d * d * sizes
+    chunks = _eigmax_chunks(B, strings, SWEEP_CHUNK, workers)
     if on_chunk is not None:
         chunks = _reported(chunks, on_chunk)
-    res = _summarize(chunks, total)
+    res = _summarize(chunks, total, weights)
     if isinstance(ms, MubSet):
         cyc = _cycle_strings(ms)
         if len(cyc):
-            digits, lam, _ = next(_eigmax_chunks(B, cyc, len(cyc)))
+            digits, lam = next(_eigmax_chunks(B, cyc, len(cyc)))
             hits = digits[lam >= res.lambda_star - LEVEL_TOL]
             if len(hits):
                 res = replace(res, b_star=min(map(tuple, hits.tolist())))

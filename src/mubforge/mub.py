@@ -26,8 +26,8 @@ per set), and complex conjugation as b -> b ^ y_j, y_j holding the bits of
 the imaginary generators, read off their masks. The cycle unitary sends
 element b of basis j to element pi_j(b) of basis j+1, cyclically
 (MubSet.cycle_permutations, exact from the Clifford action cycle_unitary
-read off U, the one read of U). orbit_maps composes them into the two maps
-of integer string keys the selector sweep walks its orbits with: a table
+read off U, the one read of U). orbit_maps composes them into permutations
+of the integer string keys whose orbits the selector sweep labels: a table
 map for the cycle, and one XOR mask for conjugation, kept only where it
 commutes exactly with the cycle map. verify_cycle checks U against pi.
 """
@@ -378,9 +378,8 @@ def basis_matrices(bases) -> list[np.ndarray]:
     return [b.vectors if isinstance(b, Basis) else np.asarray(b) for b in bases]
 
 
-def complex_json(M: np.ndarray, indent: int | None = None, level: int = 0) -> str:
-    """json.dumps(M as nested lists with a [real, imag] pair for each entry,
-    indent=indent), written as if nested level deep in a document.
+def complex_json(M: np.ndarray) -> str:
+    """json.dumps(M as nested lists with a [real, imag] pair for each entry).
 
     json.dumps runs once per distinct entry, entries grouped by their bit
     pattern (so -0.0 and 0.0 stay apart), and the tokens are joined.
@@ -391,21 +390,13 @@ def complex_json(M: np.ndarray, indent: int | None = None, level: int = 0) -> st
     )
     values = values.view(complex)
     pairs = np.stack([values.real, values.imag], -1).tolist()
-    tokens = [json.dumps(pair, indent=indent) for pair in pairs]
-    if indent is not None:
-        pad = "\n" + " " * (indent * (level + M.ndim))
-        tokens = [t.replace("\n", pad) for t in tokens]
+    tokens = [json.dumps(pair) for pair in pairs]
     items = np.array(tokens, dtype=object)[inverse.reshape(M.shape)].tolist()
 
     def join(rows, depth):
-        if indent is None:
-            head, sep, tail = "[", ", ", "]"
-        else:
-            head = "[\n" + " " * (indent * (level + depth + 1))
-            sep, tail = "," + head[1:], "\n" + " " * (indent * (level + depth)) + "]"
         if depth < M.ndim - 1:
             rows = [join(r, depth + 1) for r in rows]
-        return head + sep.join(rows) + tail
+        return "[" + ", ".join(rows) + "]"
 
     return join(items, 0)
 
@@ -514,21 +505,22 @@ def _cycle_strings(ms: MubSet) -> np.ndarray:
     return rows[pi[-1, rows[:, -1]] == rows[:, 0]]
 
 
-def orbit_maps(ms: MubSet):
-    """(f, flips): the two maps on the keys of strings with prefix (0, 0)
-    whose orbits the sweep walks, f a function and k(b) = b ^ flips. A
-    string's key is its index: with d = 2^n, digit j fills bits n (L-1-j)
-    to n (L-j) - 1. Both keep the spectrum, and both map Pauli orbits onto
-    Pauli orbits, so each stands for one generator of the group of the
-    Paulis, U and complex conjugation K.
+def orbit_maps(ms: MubSet) -> list[np.ndarray]:
+    """The int32 key permutations of the strings with prefix (0, 0) whose
+    orbits the sweep labels: f, when the label maps carry Paulis to Paulis,
+    and k, when it moves some key and commutes with f. A string's key is its
+    index: with d = 2^n, digit j fills bits n (L-1-j) to n (L-j) - 1. Both
+    keep the spectrum, and both map Pauli orbits onto Pauli orbits, so each
+    stands for one generator of the group of the Paulis, U and complex
+    conjugation K. Entry b of a map is the key b goes to.
 
     f(b) is the Pauli representative of U.b, (U.b)_{j+1} = pi_j(b_j): P_{U.b}
-    = U P_b U^dag. When the label maps carry Paulis to Paulis
-    (PauliLabels.carried_by), f permutes the strings with prefix (0, 0). f
-    is the identity when U is None, does not cycle the bases or fails that
-    check. With b_0 = b_1 = 0, (U.b)_1 = pi_0(0) is fixed, so the one Pauli
-    that brings U.b back to prefix (0, 0) depends on b_{L-1} alone: digit j
-    of f(b) is T_j[b_{j-1}, b_{L-1}] (_cycle_tables).
+    = U P_b U^dag. f is left out when U is None, does not cycle the bases or
+    its label maps fail PauliLabels.carried_by. With b_0 = b_1 = 0,
+    (U.b)_1 = pi_0(0) is fixed, so the one Pauli that brings U.b back to
+    prefix (0, 0) depends on b_{L-1} alone: digit j of f(b) is
+    T_j[b_{j-1}, b_{L-1}] (_cycle_tables), read with shifts, masks and
+    gathers.
 
     k(b) is the Pauli representative of K.b, P_{K.b} = conj(P_b). A
     Hermitian generator i^p X^x Z^z has p = |x & z| mod 2 and conjugates to
@@ -536,45 +528,35 @@ def orbit_maps(ms: MubSet):
     name its generators with odd |x & z|, and the Pauli that brings K.b back
     to prefix (0, 0) flips more: digit j of k(b) is b_j ^ m_j
     (_conjugation_labels), read off the generator masks with no dense read.
-    flips holds every m_j in its digit's field, and is 0, the identity,
-    unless k commutes with f, checked exactly on the tables (_commutes).
+    So k is the XOR of the key with one mask, left out when the mask is 0
+    or k fails the exact check that it commutes with f (_commutes).
 
-    f's L - 2 tables are built here once per set, every entry already
-    shifted into its digit's bits, so a step is a few shifts, masks,
-    gathers and ORs per digit on int64 keys.
+    Each map holds d^(L-2) int32 keys, so the caller keeps that below 2^31.
     """
     if ms.L < 3:
-        return _same, 0
+        return []
     T, m = _cycle_tables(ms), _conjugation_labels(ms)
     n, L = ms.d.bit_length() - 1, ms.L
     mask = ms.d - 1
     shift = [n * (L - 1 - j) for j in range(L)]  # digit j's field starts here
-    flips = sum(int(m[j]) << shift[j] for j in range(L)) if _commutes(m, T) else 0
-    if T is None:
-        return _same, flips
-    first = T[0, 0].astype(np.int64) << shift[2]  # b_1 = 0
-    rest = [
-        (shift[j], T[j - 2].astype(np.int64).ravel() << shift[j]) for j in range(3, L)
-    ]
-
-    def f(keys):
-        last = keys & mask
-        out = first[last]
-        for at, Tj in rest:  # b_{j-1} << n | b_{L-1}, read from its field
-            out |= Tj[(keys >> at) & (mask << n) | last]
-        return out
-
-    return f, flips
-
-
-def _same(keys):
-    return keys
+    keys = np.arange(ms.d ** (L - 2), dtype=np.int32)
+    maps = []
+    if T is not None:
+        T, last = T.astype(np.int32), keys & mask
+        f = T[0, 0, last] << shift[2]  # b_1 = 0
+        for j in range(3, L):
+            f |= T[j - 2, (keys >> shift[j - 1]) & mask, last] << shift[j]
+        maps.append(f)
+    flips = sum(int(m[j]) << shift[j] for j in range(L))
+    if flips and _commutes(m, T):
+        maps.append(keys ^ flips)
+    return maps
 
 
 def _cycle_tables(ms: MubSet) -> np.ndarray | None:
     """T[j - 2, x, y]: digit j of f(b), j = 2..L-1, for b_{j-1} = x and
-    b_{L-1} = y (f reads row 0 of T_2, as b_1 = 0); None where f is the
-    identity. The Pauli for each b_{L-1} takes (U.b)_0 = pi_{L-1}(b_{L-1})
+    b_{L-1} = y (f reads row 0 of T_2, as b_1 = 0); None where there is
+    no f. The Pauli for each b_{L-1} takes (U.b)_0 = pi_{L-1}(b_{L-1})
     to label 0 of basis 0 and (U.b)_1 = pi_0(0) to label 0 of basis 1."""
     pi = ms.cycle_permutations
     if pi is None or not ms.pauli_labels.carried_by(pi):
@@ -597,7 +579,7 @@ def _conjugation_labels(ms: MubSet) -> np.ndarray:
 
 def _commutes(m: np.ndarray, T: np.ndarray | None) -> bool:
     """Whether k, digit j flipped by m[j] (_conjugation_labels), commutes
-    with f (_cycle_tables' T, None for the identity): T_j[x, y] ^ m_j =
+    with f (_cycle_tables' T; True when there is no f): T_j[x, y] ^ m_j =
     T_j[x ^ m_{j-1}, y ^ m_{L-1}] for every digit j >= 2 and all x, y.
     Exact, in O(L d^2) table reads."""
     if T is None:

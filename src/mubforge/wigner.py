@@ -144,7 +144,7 @@ def point_levels(bases) -> np.ndarray:
         reps = bases.pauli_labels.representatives(strings)
         strings, back = np.unique(reps, axis=0, return_inverse=True)
     chunks = _eigmax_chunks(np.stack(mats), strings, chunk=d)
-    return (d + 1) * np.concatenate([lam for _, lam, _ in chunks])[back.ravel()] - 1
+    return (d + 1) * np.concatenate([lam for _, lam in chunks])[back.ravel()] - 1
 
 
 def wigner_entropy_bound(bases, levels: np.ndarray) -> dict:

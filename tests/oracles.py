@@ -223,7 +223,7 @@ def iter_sweep_rows(ms, budget: int = DEFAULT_BUDGET, chunk: int = SWEEP_CHUNK):
     no reduction."""
     mats = _checked_matrices(ms)
     total = _sweep_size(mats, budget)
-    for digits, lam, _ in _eigmax_chunks(np.stack(mats), range(total), chunk):
+    for digits, lam in _eigmax_chunks(np.stack(mats), range(total), chunk):
         yield from zip(map(tuple, digits.tolist()), lam.tolist())
 
 

@@ -138,6 +138,16 @@ def test_sweep_budget_refusal(capsys):
     assert err.count("sampling") == 1 and err.count("\n") == 1
 
 
+def test_sweep_refuses_a_reduced_range_int32_labels_cannot_index(capsys):
+    # 32^11 strings are within the budget, but 32^9 reduced ones are not
+    # within int32 orbit labels: exit 3 before any labelling
+    code = run(["sweep", "--n", "5", "--L", "11", "--budget", str(10**17)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("budget refusal: 32^9 = 35184372088832 reduced strings")
+    assert err.count("\n") == 1
+
+
 def test_bad_arguments_exit_code():
     assert run(["generate", "--n", "2"]) == 4  # missing --L
     assert run(["nosuchcommand"]) == 4

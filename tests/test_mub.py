@@ -406,12 +406,11 @@ SPECIAL = np.array(
     ],
     ids=["special", "1d", "3d", "repeated", "distinct", "real"],
 )
-@pytest.mark.parametrize("indent, level", [(None, 0), (1, 0), (1, 1), (2, 3)])
+# json.dumps' default layout, at the top level of a document: the one
+# complex_json writes
+@pytest.mark.parametrize("indent, level", [(None, 0)])
 def test_complex_json_matches_json_dumps(M, indent, level):
-    want = json.dumps(complex_lists(M), indent=indent)
-    if indent is not None:  # as a value nested level deep
-        want = want.replace("\n", "\n" + " " * (indent * level))
-    assert complex_json(M, indent, level) == want
+    assert complex_json(M) == json.dumps(complex_lists(M), indent=indent)
 
 
 def whole_document_json(ms, cycle):

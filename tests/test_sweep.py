@@ -2,7 +2,7 @@
 conjugation, tolerance-aware bins and ties, input checks. The unreduced
 kernel (raw bases, or a MubSet swept with on_chunk) is the oracle for the
 reduced one, and orbits found by brute force over all d^L strings, from
-dense matrices, are the oracle for the orbit walk."""
+dense matrices, are the oracle for the orbit labelling."""
 
 import random
 from dataclasses import replace
@@ -122,9 +122,9 @@ def test_reduced_sweep_solves_one_string_per_orbit(monkeypatch, n, L, orbits):
     kernel = entropy._eigmax_chunks
 
     def counting(*args, **kwargs):
-        for digits, lam, weights in kernel(*args, **kwargs):
+        for digits, lam in kernel(*args, **kwargs):
             solved.append(len(lam))
-            yield digits, lam, weights
+            yield digits, lam
 
     monkeypatch.setattr(entropy, "_eigmax_chunks", counting)
     sweep_max_eigen(ms)
@@ -200,6 +200,13 @@ ORBIT_SETS = [("constructed", p) for p in SMALL_SETS] + [
 ]
 
 
+def reduced_orbits(ms):
+    """_orbit_minima over the reduced range with orbit_maps' permutations:
+    the kept keys, and d^2 times their orbits' sizes."""
+    kept, sizes = entropy._orbit_minima(orbit_maps(ms), ms.d ** (ms.L - 2))
+    return kept, ms.d**2 * sizes
+
+
 @pytest.mark.parametrize("kind, arg", ORBIT_SETS, ids=lambda a: str(a))
 def test_orbit_walk_matches_brute_force_orbits(kind, arg):
     ms = _orbit_set(kind, arg)
@@ -207,17 +214,94 @@ def test_orbit_walk_matches_brute_force_orbits(kind, arg):
     low, size = brute_force_orbits(ms)
     minima = np.flatnonzero(low == np.arange(d**L))
     assert np.all(minima < d ** (L - 2))  # every smallest member has prefix (0, 0)
-    select = entropy._orbit_minima(*orbit_maps(ms), d * d)
-    kept, weights = select(np.arange(d ** (L - 2)))
+    kept, weights = reduced_orbits(ms)
     assert kept.tolist() == minima.tolist()
     assert weights.tolist() == size[minima].tolist()
     assert weights.sum() == d**L
 
 
+def bfs_orbit_minima(maps, count):
+    """The smallest key and size of every orbit under the group the
+    permutations maps generate, each orbit walked breadth-first (oracle)."""
+    label = [-1] * count
+    kept, sizes = [], []
+    for start in range(count):
+        if label[start] >= 0:
+            continue
+        label[start], todo, size = start, [start], 1
+        while todo:
+            key = todo.pop()
+            for p in maps:
+                image = int(p[key])
+                if label[image] < 0:
+                    label[image] = start
+                    todo.append(image)
+                    size += 1
+        kept.append(start)
+        sizes.append(size)
+    return kept, sizes
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    count=st.integers(1, 40),
+    seeds=st.lists(st.integers(0, 2**32 - 1), max_size=4),
+    cycles=st.booleans(),
+)
+def test_orbit_labels_match_a_breadth_first_walk(count, seeds, cycles):
+    # random permutations, that in general do not commute; with cycles, one
+    # long cycle over the keys in a random order, so a label travels far
+    maps = [np.random.default_rng(s).permutation(count).astype(np.int32) for s in seeds]
+    if cycles and seeds:
+        order = np.random.default_rng(seeds[0] + 1).permutation(count)
+        p = np.empty(count, dtype=np.int32)
+        p[order] = np.roll(order, -1)
+        maps.append(p)
+    kept, sizes = entropy._orbit_minima(maps, count)
+    want_kept, want_sizes = bfs_orbit_minima(maps, count)
+    assert kept.tolist() == want_kept
+    assert sizes.tolist() == want_sizes
+    assert sizes.sum() == count
+
+
+def test_orbit_labels_take_non_commuting_maps():
+    # two transpositions that share a key do not commute, and join three keys
+    a = np.array([1, 0, 2, 3], dtype=np.int32)
+    b = np.array([0, 2, 1, 3], dtype=np.int32)
+    assert not np.array_equal(a[b], b[a])
+    kept, sizes = entropy._orbit_minima([a, b], 4)
+    assert (kept.tolist(), sizes.tolist()) == ([0, 3], [3, 1])
+
+
+@pytest.mark.parametrize("n, L", [(3, 7), (5, 5)])
+def test_a_third_generator_in_the_group_changes_no_orbit(n, L):
+    # f o k lies in the group f and k generate: the orbits stay the same
+    ms = build_mub_set(build_partition(n, L))
+    f, k = orbit_maps(ms)
+    count = ms.d ** (L - 2)
+    kept, sizes = entropy._orbit_minima([f, k], count)
+    for maps in ([f, k, f[k]], [f[k], k], [k, f]):
+        got_kept, got_sizes = entropy._orbit_minima(maps, count)
+        assert np.array_equal(got_kept, kept) and np.array_equal(got_sizes, sizes)
+    assert len(kept) == {(3, 7): 2344, (5, 5): 3280}[(n, L)]
+
+
+def test_a_reduced_range_int32_labels_cannot_index_is_refused_first(monkeypatch):
+    # (5, 11) has 32^9 = 2^45 reduced strings: refused before any labelling
+    ms = build_mub_set(build_partition(5, 11))
+    monkeypatch.setattr(entropy, "orbit_maps", mock.Mock(side_effect=AssertionError))
+    with pytest.raises(entropy.BudgetExceededError, match=r"32\^9 = 35184372088832"):
+        sweep_max_eigen(ms, budget=10**17)
+
+
 def test_orbit_step_is_the_identity_without_a_cycle():
+    # no f among the maps: at most k, the XOR of every key with one mask
     for ms in (build_mub_set(spread_partition(2)), _five_of_seven()):
-        keys = np.random.default_rng(5).integers(0, ms.d ** (ms.L - 2), size=30)
-        assert np.array_equal(orbit_maps(ms)[0](keys), keys)
+        keys = np.arange(ms.d ** (ms.L - 2))
+        maps = orbit_maps(ms)
+        assert len(maps) <= 1
+        for p in maps:
+            assert len(set((p ^ keys).tolist())) == 1
 
 
 # every cycled set up to n = 6 whose reduced range, d^(L-2) strings, is at
@@ -242,7 +326,7 @@ def test_key_walk_keeps_the_strings_of_the_digit_row_walk(kind, arg):
     ms = _orbit_set(kind, arg)
     d, L = ms.d, ms.L
     keys = np.arange(d ** (L - 2))
-    kept, weights = entropy._orbit_minima(*orbit_maps(ms), d * d)(keys)
+    kept, weights = reduced_orbits(ms)
     digits = (keys[:, None] // d ** np.arange(L - 1, -1, -1)) % d
     want, want_weights = digit_orbit_minima(ms, digits)
     assert kept.tolist() == (want @ d ** np.arange(L - 1, -1, -1)).tolist()
@@ -265,18 +349,28 @@ def test_conjugation_tables_match_the_dense_conjugate(kind, arg):
     keys = np.arange(d ** (L - 2))
     digits = (keys[:, None] // powers) % d
     want = digit_conjugation_step(ms)(digits) @ powers
-    assert (keys ^ orbit_maps(ms)[1]).tolist() == want.tolist()
+    if L >= 3:
+        m = mub._conjugation_labels(ms)
+        assert ((digits ^ m) @ powers).tolist() == want.tolist()
+    # k is one of the maps unless it is the identity
+    maps = orbit_maps(ms)
+    assert np.array_equal(want, keys) or any(np.array_equal(p, want) for p in maps)
 
 
 @pytest.mark.parametrize("kind, arg", KEY_WALK_SETS, ids=lambda a: str(a))
 def test_conjugation_is_an_involution_that_commutes_with_the_cycle(kind, arg):
-    # k is the XOR with flips, an involution; flips leaves the prefix
-    # (0, 0), so k permutes the reduced range
+    # every map permutes the reduced range; k, the XOR with one mask, is an
+    # involution, and the maps commute
     ms = _orbit_set(kind, arg)
-    f, flips = orbit_maps(ms)
+    maps = orbit_maps(ms)
     keys = np.arange(ms.d ** (ms.L - 2))
-    assert 0 <= flips < len(keys)
-    assert np.array_equal(f(keys) ^ flips, f(keys ^ flips))
+    assert all(p.dtype == np.int32 for p in maps)
+    for p in maps:
+        assert np.array_equal(np.sort(p), keys)
+        for q in maps:
+            assert np.array_equal(p[q], q[p])
+    if len(maps) == 2:
+        assert np.array_equal(maps[1][maps[1]], keys)
     if ms.L >= 3:
         m = mub._conjugation_labels(ms)
         assert m[0] == m[1] == 0
@@ -287,8 +381,8 @@ def test_a_conjugation_mask_off_by_one_bit_falls_back_to_the_cycle(
     monkeypatch, sweep_d8_L7
 ):
     # one bit of m_3 flipped: k is still an involution, an XOR, but no
-    # longer commutes with f. So k is the identity, and the cycle orbits
-    # alone give the same result
+    # longer commutes with f. So k is left out, and the cycle orbits alone
+    # give the same result
     ms, want = sweep_d8_L7
     labels = mub._conjugation_labels
 
@@ -298,10 +392,11 @@ def test_a_conjugation_mask_off_by_one_bit_falls_back_to_the_cycle(
         return m
 
     assert not mub._commutes(flipped(ms), mub._cycle_tables(ms))
+    f = orbit_maps(ms)[0]
     monkeypatch.setattr(mub, "_conjugation_labels", flipped)
-    f, flips = orbit_maps(ms)
-    assert flips == 0 and f is not mub._same
-    kept, _ = entropy._orbit_minima(f, flips, 64)(np.arange(8**5))
+    (kept_map,) = orbit_maps(ms)  # k left out, f kept
+    assert np.array_equal(kept_map, f)
+    kept, _ = entropy._orbit_minima([f], 8**5)
     assert len(kept) == 4688
     res = sweep_max_eigen(ms)
     assert (res.lambda_star, res.b_star) == (want.lambda_star, want.b_star)
@@ -341,11 +436,11 @@ def test_cycle_maps_are_derived_once_per_set(monkeypatch):
 
 
 def test_cycle_orbits_match_the_pauli_only_route_d8_L7(monkeypatch):
-    # the same lambda*, b* and histogram counts as walking no orbits of the
+    # the same lambda*, b* and histogram counts as labelling no orbits of the
     # cycle unitary or of conjugation
     ms = build_mub_set(build_partition(3, 7))
     res = sweep_max_eigen(ms)
-    monkeypatch.setattr(entropy, "orbit_maps", lambda ms: (mub._same, 0))
+    monkeypatch.setattr(entropy, "orbit_maps", lambda ms: [])
     pauli_only = sweep_max_eigen(ms)
     assert_same_sweep(res, pauli_only)
     assert res.b_star == pauli_only.b_star == (0, 0, 0, 2, 0, 0, 5)
@@ -365,8 +460,8 @@ def test_cycle_orbit_sweep_is_bit_identical_for_two_workers(sweep_d8_L7):
 
 @pytest.mark.parametrize("chunk", [1, 7, 4096])
 def test_cycle_orbit_sweep_is_bit_identical_for_any_chunk(monkeypatch, sweep_d8_L7, chunk):
-    # the key walk runs per chunk of the reduced range: at chunk 1 each of
-    # the 32,768 keys is walked alone
+    # the labelling runs once over the reduced range, and the chunk splits
+    # only the kept strings: at chunk 1 each of the 2,344 is solved alone
     ms, want = sweep_d8_L7
     monkeypatch.setattr(entropy, "SWEEP_CHUNK", chunk)
     assert sweep_max_eigen(ms) == want
@@ -422,7 +517,7 @@ def test_bins_ignore_ulps_and_splits(levels, ulps, cuts):
     assert len(whole) <= len(set(levels))
     bins = np.empty((0, 3))
     for part in np.split(vals, sorted(set(min(c, len(vals)) for c in cuts))):
-        if not len(part):  # _summarize skips empty chunks
+        if not len(part):  # the kernel yields no empty chunk
             continue
         pts = np.column_stack([part, part, np.ones_like(part)])
         bins = entropy._merge_bins(np.vstack([bins, pts]))
@@ -523,11 +618,10 @@ def test_sweep_rejects_bad_workers_and_chunk(monkeypatch, kwargs, match):
         sweep_max_eigen(ms.bases, **kwargs)
 
 
-def stack_eigmax_chunks(B, strings, chunk, workers=1, select=None):
+def stack_eigmax_chunks(B, strings, chunk, workers=1):
     """The kernel before selectors were built per chunk, kept as the oracle:
     every projector np.outer(v, v^dag) in one (L, d, d, d) stack, gathered
-    and summed per chunk in basis order (workers ignored). select thins a
-    range chunk's indices."""
+    and summed per chunk in basis order (workers ignored)."""
     L, d = B.shape[:2]
     projs = np.empty((L, d, d, d), dtype=complex)
     for j in range(L):
@@ -537,18 +631,14 @@ def stack_eigmax_chunks(B, strings, chunk, workers=1, select=None):
     for s in range(0, len(strings), chunk):
         part = strings[s : s + chunk]
         if isinstance(part, range):
-            keys = np.arange(part.start, part.stop)
-            weights = np.ones(len(keys), dtype=np.int64)
-            if select is not None:
-                keys, weights = select(keys)
-            digits = (keys[:, None] // powers) % d
+            digits = (np.arange(part.start, part.stop)[:, None] // powers) % d
         else:
-            digits, weights = part, np.ones(len(part), dtype=np.int64)
+            digits = part
         P = np.zeros((len(digits), d, d), dtype=complex)
         for j in range(L):
             P += projs[j, digits[:, j]]
         P /= L
-        yield digits, np.linalg.eigvalsh(P)[:, -1], weights
+        yield digits, np.linalg.eigvalsh(P)[:, -1]
 
 
 # (3,7) at chunk 1 solves its 32,768 reduced strings one call each, about
@@ -569,9 +659,9 @@ def test_selectors_built_per_chunk_equal_the_projector_stack(monkeypatch, n, L, 
         lams = []
 
         def recording(*args, kernel=kernel, lams=lams, **kwargs):
-            for digits, lam, weights in kernel(*args, **kwargs):
+            for digits, lam in kernel(*args, **kwargs):
                 lams.append(lam)
-                yield digits, lam, weights
+                yield digits, lam
 
         monkeypatch.setattr(entropy, "_eigmax_chunks", recording)
         monkeypatch.setattr(entropy, "SWEEP_CHUNK", chunk)
@@ -592,9 +682,9 @@ def test_selectors_built_per_chunk_equal_the_projector_stack_one_by_one():
     want = list(stack_eigmax_chunks(B, strings, chunk=1))
     got = list(entropy._eigmax_chunks(B, strings, chunk=1))
     assert len(got) == len(want) == len(strings)
-    for (gd, gl, gw), (wd, wl, ww) in zip(got, want):
+    for (gd, gl), (wd, wl) in zip(got, want):
         assert gl.tobytes() == wl.tobytes()
-        assert np.array_equal(gd, wd) and np.array_equal(gw, ww)
+        assert np.array_equal(gd, wd)
     a = entropy._summarize(iter(got), len(strings))
     b = entropy._summarize(iter(want), len(strings))
     assert (a.b_star, a.lambda_star, a.histogram) == (b.b_star, b.lambda_star, b.histogram)
@@ -604,8 +694,8 @@ KERNEL = entropy._eigmax_chunks
 
 
 def _recorded_sweep(monkeypatch, ms, **kwargs):
-    """sweep_max_eigen's result, and the bytes of every (digits, lambdas,
-    weights) chunk its kernel yielded."""
+    """sweep_max_eigen's result, and the bytes of every (digits, lambdas)
+    chunk its kernel yielded."""
     chunks = []
 
     def recording(*args, **kw):
