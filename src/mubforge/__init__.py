@@ -38,5 +38,5 @@ from .pauli import (
     multiply,
     to_dense,
 )
-from .transform import CycleSpec, conjugate_term, cycle_unitary, rotation_unitary
+from .transform import CycleSpec, conjugate_term, cycle_unitary
 from .wigner import GF, point_operator, wigner_entropy_bound

@@ -8,8 +8,8 @@ cycle unitary permutes one step forward (P3).
 Both generated families share one recipe: pick a singleton and n-1 disjoint
 commuting generator pairs as units, take every product of a nonempty subset
 of units as class 0, and push class 0 forward with the cycle's exact action
-on monomials (transform.cycle_action), which needs no dense matrix. The unit
-choices differ:
+on monomials (transform.cycle_action), the action the cycle unitary is
+checked to have; no dense matrix is involved. The unit choices differ:
 
   * full cycle over all 2n+1 generators (2n+1 prime): singleton G_0, pairs
     (a, 2n+1-a) for a = 1..n-1, so every pair's index sum is 0 mod 2n+1 and
@@ -22,9 +22,7 @@ choices differ:
     which straddle adjacent swap pairs so no unit maps to itself.
 
 Disjointness of the generated classes is certified by validate_partition
-rather than assumed, exactly on the mask arrays, under the action
-cycle_unitary read off the dense cycle unitary (U is not read again) or
-under the exact cycle_action.
+rather than assumed, exactly on the mask arrays, under that same action.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from .pauli import (
     parity,
     term_to_text,
 )
-from .transform import CliffordAction, CycleSpec, cycle_action, cycle_unitary
+from .transform import CliffordAction, CycleSpec, cycle_action
 
 
 @dataclass(frozen=True)
@@ -76,7 +74,6 @@ class ValidationReport:
     p3: bool
     hermitian: bool
     singletons: bool
-    worst_p3_residual: float
     p3_sign_flips: int
     failures: tuple[str, ...] = ()
 
@@ -213,13 +210,13 @@ def validate_partition(
     part: Partition, action: CliffordAction | None = None
 ) -> ValidationReport:
     """Check P1 (commutation), P2 (disjointness) and P3 (cycling under
-    action, by default the one cycle_unitary reads off the cycle unitary of
-    part.spec) plus Hermiticity and the one-singleton-per-class rule, exactly
-    on the mask arrays. Failures land in the report, they do not raise;
-    worst_p3_residual is the action's residual, 0 for an exact action.
+    action, by default cycle_action of part.spec, the exact action the cycle
+    unitary is checked to have) plus Hermiticity and the one-singleton-per-class
+    rule, exactly on the mask arrays. Failures land in the report, they do
+    not raise.
     """
     if action is None:
-        _, action = cycle_unitary(build_gamma_generators(part.n), part.spec)
+        action = cycle_action(build_gamma_generators(part.n), part.spec)
     n, d = part.n, part.d
     failures = []
     masks = [_masks(c.members) for c in part.classes]
@@ -280,7 +277,6 @@ def validate_partition(
         p3=p3,
         hermitian=hermitian,
         singletons=singletons,
-        worst_p3_residual=action.residual,
         p3_sign_flips=flips,
         failures=tuple(failures),
     )

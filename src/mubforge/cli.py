@@ -59,8 +59,7 @@ from .mub import (
     mub_set_json_parts,
     verify_cycle,
 )
-from .pauli import build_gamma_generators
-from .transform import ConstructionError, cycle_unitary
+from .transform import ConstructionError
 from .wigner import (
     complete_mub_bases,
     phase_space_csv,
@@ -128,8 +127,7 @@ def cmd_generate(args) -> int:
         )
         return EXIT_BAD_ARGS
     part = build_partition(n, L)
-    cycle = cycle_unitary(build_gamma_generators(n), part.spec)
-    report = validate_partition(part, cycle[1])
+    report = validate_partition(part)
     out = Path(args.out)
     _write(out / "partition.json", partition_to_json(part))
     validation = dataclasses.asdict(report)  # the fields, in their order
@@ -137,7 +135,7 @@ def cmd_generate(args) -> int:
         _write(out / "validation.json", json.dumps(validation, indent=1))
         print("partition validation FAILED", file=sys.stderr)
         return EXIT_VALIDATION
-    ms = build_mub_set(part, cycle)
+    ms = build_mub_set(part)
     cyc = verify_cycle(ms)
     validation.update(
         unbiasedness_deviation=ms.deviation,

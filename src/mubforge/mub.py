@@ -26,7 +26,7 @@ per set), and complex conjugation as b -> b ^ y_j, y_j holding the bits of
 the imaginary generators, read off their masks. The cycle unitary sends
 element b of basis j to element pi_j(b) of basis j+1, cyclically
 (MubSet.cycle_permutations, exact from the Clifford action cycle_unitary
-read off U, the one read of U). orbit_maps composes them into permutations
+composes as it builds U, not read off U). orbit_maps composes them into permutations
 of the integer string keys whose orbits the selector sweep labels: a table
 map for the cycle, and one XOR mask for conjugation, kept only where it
 commutes exactly with the cycle map. verify_cycle checks U against pi.
@@ -97,9 +97,10 @@ class MubSet:
     """Bases built from the classes of provenance, checked unbiased.
 
     U and action are cycle_unitary's pair for the partition's cycle spec,
-    both None without one; the label maps come from action alone, so a set
-    without it has none. deviation is the largest | |<a|b>|^2 - 1/d | over
-    cross-basis pairs, found when the set was built.
+    U checked against the exact action, both None without a spec; the label maps
+    come from action alone, so a set without it has none. deviation is the
+    largest | |<a|b>|^2 - 1/d | over cross-basis pairs, found when the set
+    was built.
     """
 
     bases: tuple[Basis, ...]
@@ -425,16 +426,13 @@ def _pair_deviations(mats):
                 yield j, k0 + i, top[i], divmod(a, d), hit[i]
 
 
-def build_mub_set(
-    part: Partition, cycle: tuple[np.ndarray, CliffordAction] | None = None
-) -> MubSet:
+def build_mub_set(part: Partition) -> MubSet:
     """Extract all joint eigenbases and verify mutual unbiasedness, keeping
-    the worst deviation. cycle is cycle_unitary's (U, action) for
-    part.spec, built here when not given; without a spec, U and its action
-    are None."""
-    if cycle is None and part.spec is not None:
-        cycle = cycle_unitary(build_gamma_generators(part.n), part.spec)
-    U, action = cycle or (None, None)
+    the worst deviation. U and its action are cycle_unitary's for
+    part.spec; without a spec, both are None."""
+    U, action = None, None
+    if part.spec is not None:
+        U, action = cycle_unitary(build_gamma_generators(part.n), part.spec)
     bases = tuple(common_eigenbasis(c) for c in part.classes)
     worst = 0.0
     for j, k, dev, bad, ov in _pair_deviations([b.vectors for b in bases]):

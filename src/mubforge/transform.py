@@ -1,6 +1,7 @@
 """Unitaries that cyclically permute generator sets by conjugation.
 
-The elementary move is a quarter rotation in the plane of two generators,
+The paper's elementary move is a quarter rotation in the plane of two
+generators,
 
     R(j -> k) = G_k (G_j + G_k) / sqrt(2),
 
@@ -14,20 +15,22 @@ One sign cannot be helped: the conjugation action of any unitary on the 2n+1
 generators restricts to an orthogonal map on the span of G_0..G_{2n-1}, and
 G_{2n} (proportional to their full product) must pick up the determinant of
 that map. A single even-length cycle has determinant -1, so it necessarily
-flips G_{2n}. All other generators outside the cycled groups are required to
-stay fixed exactly; any other sign flip is treated as a construction bug.
+flips G_{2n}. All other generators outside the cycled groups stay fixed.
 
-Since U permutes the generators up to sign, it maps every monomial to a
-signed monomial, and that image is exact bit-mask arithmetic: the images of
-the single-qubit X_q and Z_q follow from the generator images, and a whole
-array of monomials is mapped by folding in those images bit by bit
-(CliffordAction). Dense matrices enter only where U itself is built and
-where its action on the 2n+1 generators is read off and checked.
+So the action is known from the cycle spec alone (cycle_action), and it is
+exact bit-mask arithmetic: the images of the single-qubit X_q and Z_q follow
+from the generator images, and a whole array of monomials is mapped by
+folding in those images bit by bit (CliffordAction). U itself is the
+rotation product (cycle_unitary), each rotation one apply of the monomial
+G_k G_j, so no dense rotation is multiplied; the rotations' action is
+composed exactly alongside and checked against cycle_action, so U is never
+read back. conjugate_term, the dense read of U a U^H, stays as the oracle
+the tests check U against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -36,16 +39,16 @@ from .pauli import (
     GammaSet,
     PauliTerm,
     apply,
-    canonical,
+    commutes,
     gamma_indices,
     gamma_product,
+    identity,
     multiply,
     parity,
     row_mask,
     to_dense,
 )
 
-UNITARITY_TOL = 1e-10
 MONOMIAL_TOL = 1e-8
 
 
@@ -104,8 +107,6 @@ class CliffordAction:
 
     gs: GammaSet
     images: tuple[PauliTerm, ...]
-    # worst dense residual of the read that gave images (0: derived exactly)
-    residual: float = field(default=0.0, compare=False)
 
     @cached_property
     def tableau(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -139,13 +140,6 @@ class CliffordAction:
         return ox, oz, ph & 1, 1 - (ph & 2)
 
 
-def clifford_action(gs: GammaSet, U: np.ndarray) -> CliffordAction:
-    """Read U's action off its 2n+1 generator images (dense, checked),
-    keeping the worst monomial residual of the read."""
-    images, residuals = zip(*(conjugate_term(U, g) for g in gs.gammas))
-    return CliffordAction(gs, images, max(residuals))
-
-
 def cycle_action(gs: GammaSet, spec: CycleSpec) -> CliffordAction:
     """The action every cycle unitary for spec has, derived from spec alone.
 
@@ -162,64 +156,47 @@ def cycle_action(gs: GammaSet, spec: CycleSpec) -> CliffordAction:
     return CliffordAction(gs, (*images, last))
 
 
-def assert_unitary(U: np.ndarray) -> None:
-    d = U.shape[0]
-    err = np.linalg.norm(U.conj().T @ U - np.eye(d))
-    if err > UNITARITY_TOL:
-        raise ConstructionError(f"matrix is not unitary, |U^H U - I|_F = {err:.3e}")
-
-
-def rotation_unitary(gs: GammaSet, j: int, k: int) -> np.ndarray:
-    """Quarter rotation sending G_j to G_k (and G_k to -G_j)."""
-    if j == k:
-        raise ValueError("rotation needs two distinct generators")
-    m = 2 * gs.n + 1
-    if not (0 <= j < m and 0 <= k < m):
-        raise IndexError(f"generator index out of range: ({j}, {k}) for n={gs.n}")
-    gj, gk = to_dense(gs[j]), to_dense(gs[k])
-    return gk @ (gj + gk) / np.sqrt(2)
-
-
 def cycle_unitary(gs: GammaSet, spec: CycleSpec) -> tuple[np.ndarray, CliffordAction]:
     """Dense unitary whose conjugation cycles each group of generators, and
-    its action read once by clifford_action, for callers to hand on.
+    its exact action cycle_action(gs, spec), for callers to hand on.
 
-    The postcondition is verified before returning: U's action on the
-    generators is cycle_action(gs, spec) exactly. So every group index maps
-    one step forward with sign +1, every untouched generator except G_{2n}
-    maps to itself, and G_{2n} maps to itself times the forced determinant
-    sign. Violations raise ConstructionError.
+    U is the paper's quarter-rotation product, phase included: each group's
+    rotations R(j -> k) = (I + P)/sqrt(2), P = G_k G_j, in position order
+    with alternating direction, after the parity fixes F for even L. Each
+    rotation is one apply of the monomial P, so no dense rotation is formed.
+    The action of every factor is composed exactly alongside (R a R^H is P a
+    where a anticommutes with P, a elsewhere) and must be cycle_action(gs,
+    spec), the sign of G_{2n} included; otherwise ConstructionError.
     """
     if spec.n != gs.n:
         raise ValueError(f"spec built for n={spec.n}, generators for n={gs.n}")
-    d = 2**gs.n
-    L = spec.cycle_length
-    last = 2 * gs.n
+    n, L, last = gs.n, spec.cycle_length, 2 * gs.n
     if L % 2 == 0 and any(last in g for g in spec.groups):
         # determinant obstruction: an even cycle through G_{2n} cannot close
         # with all plus signs
         raise ValueError(f"even-length cycle may not contain G_{last}")
-    U = np.eye(d, dtype=complex)
+    U = np.eye(2**n, dtype=complex)
+    images = list(gs.gammas)  # U G_i U^H, exactly
+    if L % 2 == 0:
+        # each group's fix G_{2n} G_{g_{L-1}} flips its wrap-around sign and
+        # commutes with the other groups' rotations, so their product F is
+        # the rightmost factor; F a F^H = -a where a anticommutes with F
+        F = identity(n)
+        for g in spec.groups:
+            F = multiply(multiply(gs[last], gs[g[-1]]), F)
+        U = to_dense(F)
+        minus = PauliTerm(n, 0, 0, 2)
+        images = [a if commutes(F, a) else multiply(minus, a) for a in images]
     for g in spec.groups:
-        Ug = np.eye(d, dtype=complex)
-        if L % 2 == 0:
-            # F flips the wrap-around sign; applied first (rightmost factor)
-            Ug = to_dense(multiply(gs[last], gs[g[-1]]))
         for t in range(1, L):
-            if t % 2 == 1:
-                R = rotation_unitary(gs, g[0], g[t])
-            else:
-                R = rotation_unitary(gs, g[t], g[0])
-            Ug = R @ Ug
-        U = Ug @ U
-    assert_unitary(U)
-
-    action = clifford_action(gs, U)
-    for i, (term, want) in enumerate(zip(action.images, cycle_action(gs, spec).images)):
-        if canonical(term)[0] != canonical(want)[0]:
-            raise ConstructionError(f"G{i} maps onto {term}, wanted {want}")
+            j, k = (g[0], g[t]) if t % 2 == 1 else (g[t], g[0])
+            P = multiply(gs[k], gs[j])
+            U = (U + apply(P, U)) / np.sqrt(2)
+            images = [a if commutes(P, a) else multiply(P, a) for a in images]
+    action = cycle_action(gs, spec)
+    for i, (term, want) in enumerate(zip(images, action.images)):
         if term != want:
-            raise ConstructionError(f"G{i} maps onto {term}, wanted the sign of {want}")
+            raise ConstructionError(f"G{i} maps onto {term}, wanted {want}")
     return U, action
 
 

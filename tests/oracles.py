@@ -31,8 +31,20 @@ from mubforge.mub import (
     cycle_coherent_family,
     fix_phase,
 )
-from mubforge.pauli import PauliTerm, build_gamma_generators, gamma_indices, to_dense
-from mubforge.transform import CycleSpec, NotAMonomialError, clifford_action
+from mubforge.pauli import (
+    GammaSet,
+    PauliTerm,
+    build_gamma_generators,
+    gamma_indices,
+    multiply,
+    to_dense,
+)
+from mubforge.transform import (
+    CliffordAction,
+    CycleSpec,
+    NotAMonomialError,
+    conjugate_term,
+)
 from mubforge.wigner import GF, PhasePointOperator, point_operator
 
 # ----------------------------------------------------------------- pauli
@@ -54,6 +66,45 @@ def term_from_text(text: str) -> PauliTerm:
         zmask=int(fields["Z"], 16),
         phase=fields["phase"],
     )
+
+
+# ------------------------------------------------------------- transform
+
+
+def rotation_unitary(gs: GammaSet, j: int, k: int) -> np.ndarray:
+    """Quarter rotation R(j -> k) = G_k (G_j + G_k) / sqrt(2), dense: it
+    sends G_j to G_k, G_k to -G_j and fixes every other generator."""
+    if j == k:
+        raise ValueError("rotation needs two distinct generators")
+    m = 2 * gs.n + 1
+    if not (0 <= j < m and 0 <= k < m):
+        raise IndexError(f"generator index out of range: ({j}, {k}) for n={gs.n}")
+    gj, gk = to_dense(gs[j]), to_dense(gs[k])
+    return gk @ (gj + gk) / np.sqrt(2)
+
+
+def rotation_product(gs: GammaSet, spec: CycleSpec) -> np.ndarray:
+    """The cycle unitary of spec as the dense product of quarter rotations,
+    which transform.cycle_unitary applies monomial by monomial: per group,
+    the parity fix G_{2n} G_{g_{L-1}} first for even L, then R(g_0 -> g_t)
+    for odd t and R(g_t -> g_0) for even t, t = 1..L-1."""
+    d, L, last = 2**gs.n, spec.cycle_length, 2 * gs.n
+    U = np.eye(d, dtype=complex)
+    for g in spec.groups:
+        Ug = np.eye(d, dtype=complex)
+        if L % 2 == 0:
+            Ug = to_dense(multiply(gs[last], gs[g[-1]]))
+        for t in range(1, L):
+            j, k = (g[0], g[t]) if t % 2 == 1 else (g[t], g[0])
+            Ug = rotation_unitary(gs, j, k) @ Ug
+        U = Ug @ U
+    return U
+
+
+def clifford_action(gs: GammaSet, U: np.ndarray) -> CliffordAction:
+    """U's action read densely off its 2n+1 generator images, one
+    conjugate_term each; raises NotAMonomialError unless U is Clifford."""
+    return CliffordAction(gs, tuple(conjugate_term(U, g)[0] for g in gs.gammas))
 
 
 # --------------------------------------------------------------- classes

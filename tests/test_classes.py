@@ -23,9 +23,9 @@ from mubforge.pauli import (
     is_hermitian,
     multiply,
 )
-from mubforge.transform import CycleSpec, conjugate_term, cycle_action, cycle_unitary
+from mubforge.transform import CycleSpec, cycle_action, cycle_unitary
 from oracles import index_sum, partition_from_json, spacing
-from test_transform import _batched, conjugation_residual
+from test_transform import _batched
 
 
 def test_fixture_d4_l3_verbatim():
@@ -57,7 +57,6 @@ def test_fixtures_validate(L):
     part = fixture_d4(L)
     report = validate_partition(part)
     assert report.ok, report.failures
-    assert report.worst_p3_residual < 1e-10
 
 
 @pytest.mark.parametrize("L", [3, 4])
@@ -275,18 +274,6 @@ def test_is_prime():
     assert [m for m in range(14) if is_prime(m)] == [2, 3, 5, 7, 11, 13]
 
 
-@pytest.mark.parametrize("part", [fixture_d4(4), build_classes_2n1(3), build_classes_Ln(4, 2)])
-def test_p3_residual_is_the_worst_generator_image(part):
-    gs = build_gamma_generators(part.n)
-    U, action = cycle_unitary(gs, part.spec)
-    report = validate_partition(part, action)
-    want = max(
-        conjugation_residual(U, g, *canonical(conjugate_term(U, g)[0])) for g in gs.gammas
-    )
-    assert report.worst_p3_residual == want
-    assert report.p3 and report.ok
-
-
 def test_validator_flags_a_unitary_that_does_not_cycle():
     part = fixture_d4(3)
     _, action = cycle_unitary(build_gamma_generators(2), CycleSpec(2, ((0, 2, 1),)))
@@ -399,7 +386,7 @@ def _check_by_loops(part, action):
         if got != target:
             p3 = False
             failures.append(f"class {ci} does not map onto class {(ci + 1) % part.L}")
-    return (p1, p2, p3, hermitian, singletons, 0.0, flips, tuple(failures))
+    return (p1, p2, p3, hermitian, singletons, flips, tuple(failures))
 
 
 @settings(max_examples=150, deadline=None)
@@ -482,13 +469,3 @@ def test_known_p2_failures_fail_only_p2(n, L):
     assert report.p1 and report.p3 and report.hermitian and report.singletons
     assert not report.p2 and len(report.failures) == P2_REPEATS[n, L]
     assert all(f.startswith("member shared by classes") for f in report.failures)
-
-
-@pytest.mark.parametrize("part", [fixture_d4(3), build_classes_2n1(3), build_classes_Ln(6, 3)])
-def test_validate_is_the_exact_check_plus_the_dense_residual(part):
-    gs = build_gamma_generators(part.n)
-    _, action = cycle_unitary(gs, part.spec)
-    dense = validate_partition(part, action)
-    exact = validate_partition(part, cycle_action(gs, part.spec))
-    assert 0.0 < dense.worst_p3_residual < 1e-10
-    assert replace(dense, worst_p3_residual=0.0) == exact

@@ -329,8 +329,8 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def test_generate_matches_fixture(tmp_path):
     # partition.json and unitary.json as generate wrote them before monomials
-    # were mapped exactly; bases.json and validation.json from the exact bases,
-    # with the cycle residual of the one-product Gram form
+    # were mapped exactly; bases.json from the exact bases; validation.json
+    # with the cycle residual of the one-product Gram form and no P3 residual
     assert run(["generate", "--n", "3", "--L", "7", "--out", str(tmp_path)]) == 0
     for name in ("partition.json", "validation.json", "bases.json", "unitary.json"):
         want = (FIXTURES / "generate_n3_L7" / name).read_bytes()
@@ -349,17 +349,19 @@ def test_generate_builds_the_cycle_unitary_once(tmp_path, monkeypatch):
         calls.append(spec)
         return cycle_unitary(gs, spec)
 
-    for mod in (mubforge.cli, mubforge.classes, mubforge.mub):
-        monkeypatch.setattr(mod, "cycle_unitary", counted)
+    # build_mub_set is the one caller: the CLI and the validator use the
+    # exact action alone
+    assert not hasattr(mubforge.cli, "cycle_unitary")
+    assert not hasattr(mubforge.classes, "cycle_unitary")
+    monkeypatch.setattr(mubforge.mub, "cycle_unitary", counted)
     assert run(["generate", "--n", "3", "--L", "3", "--out", str(tmp_path)]) == 0
     assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n, L", [(3, 7), (6, 13)])
 def test_generate_reads_u_once(tmp_path, monkeypatch, n, L):
-    # the 2n+1 dense generator reads of cycle_unitary's postcondition, and
-    # nothing after it: validation and the set reuse that action, and the
-    # cycle maps take one apply per basis
+    # no dense read of U: its action is composed exactly as it is built,
+    # validation checks that action, and the cycle maps take one apply per basis
     import mubforge.mub
     import mubforge.transform
 
@@ -371,7 +373,7 @@ def test_generate_reads_u_once(tmp_path, monkeypatch, n, L):
     monkeypatch.setattr(mubforge.mub, "apply", lambda *a: applies.append(a) or apply(*a))
     monkeypatch.setenv("MUBFORGE_MAX_N", "6")
     assert run(["generate", "--n", str(n), "--L", str(L), "--out", str(tmp_path)]) == 0
-    assert len(reads) == 2 * n + 1
+    assert len(reads) == 0
     assert len(applies) == L
 
 
@@ -607,16 +609,18 @@ def test_tracer_targets_resolve():
         assert callable(getattr(importlib.import_module(module), function))
 
 
-# sha256 of the n = 6 generate outputs as the per-monomial route wrote them;
-# validation.json and bases.json at L = 13 with the cycle residual of the
-# one-product Gram form (2.201003820562027e-15, was 2.333450050627095e-15)
+# sha256 of the n = 6 generate outputs: partition.json as the per-monomial
+# route wrote it; bases.json and validation.json at L = 13 with the cycle
+# residual of the one-product Gram form (2.201003820562027e-15), and
+# validation.json without a P3 residual; unitary.json as the rotation product
+# applied monomial by monomial (entries within 2.4e-18 of the dense product)
 GENERATE_N6_SHA256 = {
     ("13", "partition.json"): "55dec0ba43df64e13a531fed26d38b67e052a9aaae0210a32781314a8d1ce1d9",
-    ("13", "validation.json"): "4599c8bdb57419ee7daf4983d87cab636f97c8b8efa93a78b63442fa85bdd915",
+    ("13", "validation.json"): "f88e3606b1aaa709a991e944186ae41e46fdab586f39100efd485f5dfbd75551",
     ("13", "bases.json"): "49941a85b75daf1c572a5b145bb9b65b3de1482e5081e8f7f2ee0c870a0a9654",
-    ("13", "unitary.json"): "d73faae38af01e0b6a852eef43a4cf0e5177eaeb8f212f22128589c469eeb3f0",
+    ("13", "unitary.json"): "7c39b7b55cffaf55af66948540dce7a753cc6ec0c97416388ddf99d2e2960b4c",
     ("3", "partition.json"): "2c132df5a5e0a1785efd24aece5d1a358e864530495d1f10b63cc093cac4a9e4",
-    ("3", "validation.json"): "c67a4346906dc632c0a027a91c7ad73a6c0d6219341a221b61e1ffd2e3aa38b3",
+    ("3", "validation.json"): "22acf210dcdf761736d7d10fce06490d712b415b3bf971ca6452ba77c64cfa35",
 }
 
 
