@@ -118,7 +118,7 @@ def _push_classes(
 ) -> tuple[CommutingClass, ...]:
     """Generate classes 1..L-1 by repeated conjugation of class 0, one
     batched step per class; signs are dropped (canonical members)."""
-    n = action.gs.n
+    n = action.n
     classes = [CommutingClass(c0, singleton)]
     x, z, p = _masks(c0)
     cur_single = singleton
@@ -213,10 +213,14 @@ def validate_partition(
     action, by default cycle_action of part.spec, the exact action the cycle
     unitary is checked to have) plus Hermiticity and the one-singleton-per-class
     rule, exactly on the mask arrays. Failures land in the report, they do
-    not raise.
+    not raise; a partition with no cycle spec and no action given is a
+    ValueError, as there is nothing to check P3 against.
     """
+    gs = build_gamma_generators(part.n)
     if action is None:
-        action = cycle_action(build_gamma_generators(part.n), part.spec)
+        if part.spec is None:
+            raise ValueError("partition has no cycle spec, so P3 needs an action")
+        action = cycle_action(gs, part.spec)
     n, d = part.n, part.d
     failures = []
     masks = [_masks(c.members) for c in part.classes]
@@ -224,7 +228,7 @@ def validate_partition(
     def key(x, z, p):  # the canonical monomial up to sign, as one integer
         return x | z << n | (p & 1) << 2 * n
 
-    gen_keys = key(*_masks(action.gs.gammas))
+    gen_keys = key(*_masks(gs.gammas))
     p1 = hermitian = singletons = True
     for ci, (c, (x, z, p)) in enumerate(zip(part.classes, masks)):
         if len(c.members) != d - 1:

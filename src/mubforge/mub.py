@@ -25,8 +25,11 @@ acts on the labels of basis j as b -> b ^ tau_j(W) (PauliLabels, built once
 per set), and complex conjugation as b -> b ^ y_j, y_j holding the bits of
 the imaginary generators, read off their masks. The cycle unitary sends
 element b of basis j to element pi_j(b) of basis j+1, cyclically
-(MubSet.cycle_permutations, exact from the Clifford action cycle_unitary
-composes as it builds U, not read off U). orbit_maps composes them into permutations
+(MubSet.cycle_permutations). pi is read exactly off the set's Clifford
+action, the tableau cycle_unitary checks U against: each generator image
+is found by its masks in the next basis's table of subset products
+(_group), whose signs on every column are one table read, so no dense
+matrix is touched. orbit_maps composes them into permutations
 of the integer string keys whose orbits the selector sweep labels: a table
 map for the cycle, and one XOR mask for conjugation, kept only where it
 commutes exactly with the cycle map. verify_cycle checks U against pi.
@@ -46,7 +49,6 @@ import numpy as np
 from .classes import CommutingClass, Partition
 from .pauli import (
     PauliTerm,
-    apply,
     build_gamma_generators,
     commutes,
     is_hermitian,
@@ -132,34 +134,34 @@ class MubSet:
 
     @cached_property
     def _cycle(self) -> tuple[np.ndarray | None, str]:
-        """(pi, "") with pi as in cycle_permutations, or (None, why). U takes
-        label b of basis j to the vector with b's signs under the images
-        U g_i U^H of basis j's generators, mapped by the set's action. Each
-        image must map every column of basis j+1 to exactly +-itself (the
-        entries are exactly 0, +-a or +-i a), and those signs, read as a
-        label of basis j, are the label that lands on the column."""
+        """(pi, "") with pi as in cycle_permutations, or (None, why). The set's
+        action maps all L n basis generators at once. Each image U g_i U^H of
+        a generator of basis j must be +-g_S, a product of generators of
+        basis j+1 (its _group table), which has sign (-1)^|S & t| on the
+        column of code t. So the image's sign on a column, read as a label of
+        basis j, is exact, and it is the label that lands on the column."""
         if self.action is None:
             return None, "no projector match: set has no Clifford action of U"
         gens = [g for B in self.bases for g in B.generators]
-        n, L = gens[0].n, self.L
+        n, L, d = gens[0].n, self.L, self.d
         masks = np.array([(g.xmask, g.zmask, g.phase) for g in gens]).T
         x, z, p, s = self.action.conjugate_masks(*masks)
-        p = (p + 1 - s).tolist()  # the sign folded into the phase
-        images = list(map(PauliTerm, [n] * len(p), x.tolist(), z.tolist(), p))
-        bit = 1 << np.arange(n - 1, -1, -1)[:, None]  # g_i's sign is bit n-1-i
-        pi = np.empty((L, self.d), dtype=np.int64)
+        key = (row_mask(x, n) | row_mask(z, n) << n).reshape(L, n)
+        p = (p + 1 - s).reshape(L, n)  # the sign folded into the phase
+        flip = _sign_tables(n)[0][:, row_mask(np.arange(d), n)]  # [S, column]
+        bit = 1 << np.arange(n - 1, -1, -1)  # g_i's sign is bit n-1-i
+        pi = np.full((L, d), -1)
         for j in range(L):
             nxt = (j + 1) % L
-            V = self.bases[nxt].vectors
-            # [i, row, column re | im]: compared as floats, which is faster
-            image = apply(images[j * n : (j + 1) * n], V).view(float)
-            minus, plus = (
-                (image == sign * V.view(float)).all(axis=1).reshape(n, -1, 2).all(axis=2)
-                for sign in (-1, 1)
-            )
-            if not (minus | plus).all():
+            xs, zs, ps = _group(self.bases[nxt].generators)
+            table = xs | zs << n
+            order = np.argsort(table)
+            S = order[np.searchsorted(table, key[j], sorter=order).clip(max=d - 1)]
+            lead = (p[j] - ps[S]) % 4  # 0 or 2 where the image is +-g_S
+            minus = (lead == 2)[:, None] ^ flip[S]  # [i, column]
+            pi[j, bit @ minus] = np.arange(d)
+            if (table[S] != key[j]).any() or (lead % 2).any() or (pi[j] < 0).any():
                 return None, f"no projector match: U maps basis {j} off basis {nxt}"
-            pi[j, (minus * bit).sum(axis=0)] = np.arange(self.d)
         return pi, ""
 
 
@@ -270,6 +272,23 @@ def _sign_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return flip, sign
 
 
+def _group(gens: "Sequence[PauliTerm]") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(xs, zs, ps): g_S = i^ps[S] X^xs[S] Z^zs[S] for every subset S of
+    the generators (bit i of S for g_i), the masks in row-index bit order
+    (pauli.apply) and ps not reduced mod 4."""
+    n = gens[0].n
+    flip = _sign_tables(n)[0]
+    xs, zs, ps = np.zeros(1, int), np.zeros(1, int), np.zeros(1, int)
+    for g in gens:
+        gx, gz = row_mask(g.xmask, n), row_mask(g.zmask, n)
+        xs, zs, ps = (
+            np.concatenate([xs, xs ^ gx]),
+            np.concatenate([zs, zs ^ gz]),
+            np.concatenate([ps, ps + g.phase + 2 * flip[zs, gx]]),
+        )
+    return xs, zs, ps
+
+
 def basis_from_involutions(members: "Sequence[PauliTerm]") -> Basis:
     """Joint eigenbasis of commuting Hermitian Pauli monomials, exactly.
 
@@ -292,15 +311,7 @@ def basis_from_involutions(members: "Sequence[PauliTerm]") -> Basis:
         )
     t = np.arange(d)  # the codes, and the row indices alike
     flip, sign = _sign_tables(n)  # [t, S]: parity of |S & t|, and (-1)^that
-    # g_S for every subset S, in row-index bit order (pauli.apply)
-    xs, zs, ps = np.zeros(1, int), np.zeros(1, int), np.zeros(1, int)
-    for g in gens:
-        gx, gz = row_mask(g.xmask, n), row_mask(g.zmask, n)
-        xs, zs, ps = (
-            np.concatenate([xs, xs ^ gx]),
-            np.concatenate([zs, zs ^ gz]),
-            np.concatenate([ps, ps + g.phase + 2 * flip[zs, gx]]),
-        )
+    xs, zs, ps = _group(gens)
     # d <j|P_t|j>, a sum over the diagonal subgroup K: |K| on the support of
     # code t, 0 off it
     K = xs == 0

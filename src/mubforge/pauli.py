@@ -25,7 +25,7 @@ for every n (a bare factor i only works for odd n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, reduce
 from typing import Sequence
 
@@ -190,17 +190,13 @@ def build_gamma_generators(n: int) -> "GammaSet":
 
 @dataclass(frozen=True, slots=True)
 class GammaSet:
-    """Ordered generators G_0 .. G_{2n} produced by build_gamma_generators."""
+    """Ordered generators G_0 .. G_{2n} produced by build_gamma_generators.
+
+    Nothing is derived from them here: maps of monomials act on the masks,
+    through the images of X_q and Z_q (transform.CliffordAction)."""
 
     n: int
     gammas: tuple[PauliTerm, ...]
-    # GF(2) elimination of G_0 .. G_{2n-1}, made once for gamma_indices
-    pivots: tuple[tuple[int, int, int], ...] = field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self):
-        object.__setattr__(self, "pivots", _eliminate(self.n, self.gammas))
 
     def __len__(self) -> int:
         return len(self.gammas)
@@ -219,51 +215,6 @@ def gamma_product(gs: GammaSet, indices: Sequence[int], extra_phase: int = 0) ->
             raise IndexError(f"generator index {i} out of range for n={gs.n}")
         out = multiply(out, gs.gammas[i])
     return out
-
-
-def gamma_indices(gs: GammaSet, a: PauliTerm) -> tuple[int, ...]:
-    """Decompose a monomial as a product of generators, shortest form.
-
-    The generators G_0 .. G_{2n-1} are linearly independent over GF(2), so the
-    decomposition restricted to them is unique. Because the product of all
-    2n+1 generators is a phase times the identity, a set S and its complement
-    in {0..2n} name the same monomial up to phase; the shorter one (at most n
-    indices) is returned.
-    """
-    if a.n != gs.n:
-        raise DimensionMismatchError(f"qubit counts differ: {a.n} != {gs.n}")
-    target = a.xmask | a.zmask << gs.n
-    sel = 0
-    for bit, pr, pc in gs.pivots:
-        if target >> bit & 1:
-            target ^= pr
-            sel ^= pc
-    if target:
-        raise ValueError("monomial is not a generator product (bad masks)")
-    m = 2 * gs.n
-    indices = [i for i in range(m) if sel >> i & 1]
-    if len(indices) > gs.n:
-        indices = [i for i in range(m + 1) if i not in indices]
-    return tuple(indices)
-
-
-def _eliminate(n: int, gammas: Sequence[PauliTerm]) -> tuple[tuple[int, int, int], ...]:
-    """Pivot rows (bit, row, combo) of G_0 .. G_{2n-1} over GF(2), highest
-    bit first. A row encodes (xmask | zmask << n); combo records which
-    generators were added up to build it."""
-    rows = [(g.xmask | g.zmask << n) for g in gammas[: 2 * n]]
-    pivots: dict[int, tuple[int, int]] = {}
-    for i, r in enumerate(rows):
-        c = 1 << i
-        while r:
-            top = r.bit_length() - 1
-            if top not in pivots:
-                pivots[top] = (r, c)
-                break
-            pr, pc = pivots[top]
-            r ^= pr
-            c ^= pc
-    return tuple((bit, r, c) for bit, (r, c) in sorted(pivots.items(), reverse=True))
 
 
 def term_to_text(a: PauliTerm) -> str:

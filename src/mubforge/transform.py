@@ -18,20 +18,22 @@ that map. A single even-length cycle has determinant -1, so it necessarily
 flips G_{2n}. All other generators outside the cycled groups stay fixed.
 
 So the action is known from the cycle spec alone (cycle_action), and it is
-exact bit-mask arithmetic: the images of the single-qubit X_q and Z_q follow
-from the generator images, and a whole array of monomials is mapped by
-folding in those images bit by bit (CliffordAction). U itself is the
+exact bit-mask arithmetic. A Clifford action is its stabilizer tableau, the
+images of the single-qubit X_q and Z_q (CliffordAction): they follow in
+closed form from the generator images, as X_k = Y_0 ... Y_{k-1} G_2k,
+Z_k = Y_0 ... Y_{k-1} G_2k+1 and Y_q = i G_2q G_2q+1, and a whole array of
+monomials is mapped by folding in those images bit by bit. U itself is the
 rotation product (cycle_unitary), each rotation one apply of the monomial
-G_k G_j, so no dense rotation is multiplied; the rotations' action is
-composed exactly alongside and checked against cycle_action, so U is never
-read back. conjugate_term, the dense read of U a U^H, stays as the oracle
-the tests check U against.
+G_k G_j, so no dense rotation is multiplied; the rotations' action on X_q
+and Z_q is composed exactly alongside and must equal cycle_action, so U is
+never read back. conjugate_term, the dense read of U a U^H, stays as the
+oracle the tests check U against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -40,8 +42,6 @@ from .pauli import (
     PauliTerm,
     apply,
     commutes,
-    gamma_indices,
-    gamma_product,
     identity,
     multiply,
     parity,
@@ -95,65 +95,67 @@ class CycleSpec:
 
 @dataclass(frozen=True)
 class CliffordAction:
-    """Conjugation a -> U a U^H on monomials, exactly.
+    """Conjugation a -> U a U^H on monomials, exactly, as a stabilizer
+    tableau (Aaronson and Gottesman, PRA 70, 052328).
 
-    images[i] is U G_i U^H with its sign folded into the phase. Conjugation
-    is an algebra automorphism, so i^k G_i1 ... G_im maps to
-    i^k images[i1] ... images[im]. The map is applied as a stabilizer
-    tableau (Aaronson and Gottesman, PRA 70, 052328): the images of X_q and
-    Z_q are read once from the generator images, and i^p X^x Z^z maps to
-    i^p times the product of the images of its bits, x bits first.
+    Row k of (x, z, phase) is the image i^phase[k] X^x[k] Z^z[k] of X_k for
+    k < n and of Z_{k-n} for k >= n, its sign folded into the phase.
+    Conjugation is an algebra automorphism, so i^p X^x Z^z maps to i^p
+    times the product of the images of its bits, x bits first.
     """
 
-    gs: GammaSet
-    images: tuple[PauliTerm, ...]
-
-    @cached_property
-    def tableau(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(x, z, phase) of the images of X_0 .. X_{n-1}, Z_0 .. Z_{n-1}."""
-        n = self.gs.n
-        rows = []
-        for x, z in [(1 << q, 0) for q in range(n)] + [(0, 1 << q) for q in range(n)]:
-            idx = gamma_indices(self.gs, PauliTerm(n, x, z, 0))
-            out = PauliTerm(n, 0, 0, -gamma_product(self.gs, idx).phase % 4)
-            for i in idx:
-                out = multiply(out, self.images[i])
-            rows.append((out.xmask, out.zmask, out.phase))
-        return tuple(np.array(col, dtype=np.int64) for col in zip(*rows))
+    n: int
+    x: tuple[int, ...]
+    z: tuple[int, ...]
+    phase: tuple[int, ...]
 
     def conjugate_masks(self, x, z, phase):
         """U a U^H for every a = i^phase X^x Z^z of the mask arrays, as
         (x', z', phase', sign) with phase' in {0, 1} (canonical) and sign
-        +-1. Each set bit k multiplies in image k on the right, adding
+        +-1. Each set bit k multiplies in row k on the right, adding
         p_k + 2 parity(z & x_k) to the phase (pauli.multiply)."""
-        tx, tz, tp = self.tableau
-        n = self.gs.n
+        n = self.n
         x, z = np.asarray(x, dtype=np.int64), np.asarray(z, dtype=np.int64)
         ox, oz = np.zeros_like(x), np.zeros_like(z)
         ph = np.array(phase, dtype=np.int64)
-        for k in range(2 * n):
+        for k, (tx, tz, tp) in enumerate(zip(self.x, self.z, self.phase)):
             on = (x >> k if k < n else z >> k - n) & 1
-            ph += on * (tp[k] + 2 * parity(oz & tx[k]))
-            ox ^= -on & tx[k]
-            oz ^= -on & tz[k]
+            ph += on * (tp + 2 * parity(oz & tx))
+            ox ^= -on & tx
+            oz ^= -on & tz
         ph %= 4
         return ox, oz, ph & 1, 1 - (ph & 2)
+
+
+def _tableau_rows(images: Sequence[PauliTerm]) -> list[PauliTerm]:
+    """The images of X_0 .. X_{n-1}, Z_0 .. Z_{n-1} under an automorphism
+    that sends ladder generator G_i to images[i], i < 2n: in closed form,
+    X_k = Y_0 ... Y_{k-1} G_2k and Z_k = Y_0 ... Y_{k-1} G_2k+1, with
+    Y_q = i G_2q G_2q+1."""
+    n = images[0].n
+    ys = identity(n)  # the image of Y_0 ... Y_{k-1}
+    xs, zs = [], []
+    for k in range(n):
+        gx, gz = images[2 * k], images[2 * k + 1]
+        xs.append(multiply(ys, gx))
+        zs.append(multiply(ys, gz))
+        ys = multiply(ys, multiply(PauliTerm(n, 0, 0, 1), multiply(gx, gz)))
+    return xs + zs
 
 
 def cycle_action(gs: GammaSet, spec: CycleSpec) -> CliffordAction:
     """The action every cycle unitary for spec has, derived from spec alone.
 
-    G_i -> G_shift(i) with sign +1 for the 2n ladder generators; the image of
-    G_2n = i^(n mod 2) G_0 ... G_{2n-1} is the same product of their images,
-    which carries the determinant sign.
+    G_i -> G_shift(i) with sign +1 for the 2n ladder generators, which fix
+    the tableau (_tableau_rows). The image of G_2n = i^(n mod 2) G_0 ...
+    G_{2n-1}, the same product of their images, follows from the rows, and
+    with it the determinant sign.
     """
     if spec.n != gs.n:
         raise ValueError(f"spec built for n={spec.n}, generators for n={gs.n}")
-    images = [gs[spec.shift(i)] for i in range(2 * gs.n)]
-    last = PauliTerm(gs.n, 0, 0, gs.n % 2)
-    for g in images:
-        last = multiply(last, g)
-    return CliffordAction(gs, (*images, last))
+    rows = _tableau_rows([gs[spec.shift(i)] for i in range(2 * gs.n)])
+    masks = ((r.xmask, r.zmask, r.phase) for r in rows)
+    return CliffordAction(gs.n, *zip(*masks))
 
 
 def cycle_unitary(gs: GammaSet, spec: CycleSpec) -> tuple[np.ndarray, CliffordAction]:
@@ -164,9 +166,10 @@ def cycle_unitary(gs: GammaSet, spec: CycleSpec) -> tuple[np.ndarray, CliffordAc
     rotations R(j -> k) = (I + P)/sqrt(2), P = G_k G_j, in position order
     with alternating direction, after the parity fixes F for even L. Each
     rotation is one apply of the monomial P, so no dense rotation is formed.
-    The action of every factor is composed exactly alongside (R a R^H is P a
-    where a anticommutes with P, a elsewhere) and must be cycle_action(gs,
-    spec), the sign of G_{2n} included; otherwise ConstructionError.
+    The action of every factor on X_q and Z_q is composed exactly alongside
+    (R a R^H is P a where a anticommutes with P, a elsewhere) and must be
+    cycle_action(gs, spec); otherwise ConstructionError names the first
+    row that differs.
     """
     if spec.n != gs.n:
         raise ValueError(f"spec built for n={spec.n}, generators for n={gs.n}")
@@ -176,7 +179,9 @@ def cycle_unitary(gs: GammaSet, spec: CycleSpec) -> tuple[np.ndarray, CliffordAc
         # with all plus signs
         raise ValueError(f"even-length cycle may not contain G_{last}")
     U = np.eye(2**n, dtype=complex)
-    images = list(gs.gammas)  # U G_i U^H, exactly
+    # U X_q U^H, then U Z_q U^H, exactly
+    rows = [PauliTerm(n, 1 << q, 0, 0) for q in range(n)]
+    rows += [PauliTerm(n, 0, 1 << q, 0) for q in range(n)]
     if L % 2 == 0:
         # each group's fix G_{2n} G_{g_{L-1}} flips its wrap-around sign and
         # commutes with the other groups' rotations, so their product F is
@@ -186,17 +191,19 @@ def cycle_unitary(gs: GammaSet, spec: CycleSpec) -> tuple[np.ndarray, CliffordAc
             F = multiply(multiply(gs[last], gs[g[-1]]), F)
         U = to_dense(F)
         minus = PauliTerm(n, 0, 0, 2)
-        images = [a if commutes(F, a) else multiply(minus, a) for a in images]
+        rows = [a if commutes(F, a) else multiply(minus, a) for a in rows]
     for g in spec.groups:
         for t in range(1, L):
             j, k = (g[0], g[t]) if t % 2 == 1 else (g[t], g[0])
             P = multiply(gs[k], gs[j])
             U = (U + apply(P, U)) / np.sqrt(2)
-            images = [a if commutes(P, a) else multiply(P, a) for a in images]
+            rows = [a if commutes(P, a) else multiply(P, a) for a in rows]
     action = cycle_action(gs, spec)
-    for i, (term, want) in enumerate(zip(images, action.images)):
+    wanted = map(PauliTerm, [n] * 2 * n, action.x, action.z, action.phase)
+    for k, (term, want) in enumerate(zip(rows, wanted)):
         if term != want:
-            raise ConstructionError(f"G{i} maps onto {term}, wanted {want}")
+            name = f"{'XZ'[k // n]}_{k % n}"
+            raise ConstructionError(f"{name} maps onto {term}, wanted {want}")
     return U, action
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -32,10 +33,10 @@ from mubforge.mub import (
     fix_phase,
 )
 from mubforge.pauli import (
+    DimensionMismatchError,
     GammaSet,
     PauliTerm,
     build_gamma_generators,
-    gamma_indices,
     multiply,
     to_dense,
 )
@@ -66,6 +67,52 @@ def term_from_text(text: str) -> PauliTerm:
         zmask=int(fields["Z"], 16),
         phase=fields["phase"],
     )
+
+
+def gamma_indices(gs: GammaSet, a: PauliTerm) -> tuple[int, ...]:
+    """Decompose a monomial as a product of generators, shortest form.
+
+    The generators G_0 .. G_{2n-1} are linearly independent over GF(2), so the
+    decomposition restricted to them is unique. Because the product of all
+    2n+1 generators is a phase times the identity, a set S and its complement
+    in {0..2n} name the same monomial up to phase; the shorter one (at most n
+    indices) is returned.
+    """
+    if a.n != gs.n:
+        raise DimensionMismatchError(f"qubit counts differ: {a.n} != {gs.n}")
+    target = a.xmask | a.zmask << gs.n
+    sel = 0
+    for bit, pr, pc in _eliminate(gs):
+        if target >> bit & 1:
+            target ^= pr
+            sel ^= pc
+    if target:
+        raise ValueError("monomial is not a generator product (bad masks)")
+    m = 2 * gs.n
+    indices = [i for i in range(m) if sel >> i & 1]
+    if len(indices) > gs.n:
+        indices = [i for i in range(m + 1) if i not in indices]
+    return tuple(indices)
+
+
+@lru_cache(maxsize=None)
+def _eliminate(gs: GammaSet) -> tuple[tuple[int, int, int], ...]:
+    """Pivot rows (bit, row, combo) of G_0 .. G_{2n-1} over GF(2), highest
+    bit first. A row encodes (xmask | zmask << n); combo records which
+    generators were added up to build it."""
+    n = gs.n
+    pivots: dict[int, tuple[int, int]] = {}
+    for i, g in enumerate(gs.gammas[: 2 * n]):
+        r, c = g.xmask | g.zmask << n, 1 << i
+        while r:
+            top = r.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = (r, c)
+                break
+            pr, pc = pivots[top]
+            r ^= pr
+            c ^= pc
+    return tuple((bit, r, c) for bit, (r, c) in sorted(pivots.items(), reverse=True))
 
 
 # ------------------------------------------------------------- transform
@@ -101,10 +148,18 @@ def rotation_product(gs: GammaSet, spec: CycleSpec) -> np.ndarray:
     return U
 
 
-def clifford_action(gs: GammaSet, U: np.ndarray) -> CliffordAction:
-    """U's action read densely off its 2n+1 generator images, one
-    conjugate_term each; raises NotAMonomialError unless U is Clifford."""
-    return CliffordAction(gs, tuple(conjugate_term(U, g)[0] for g in gs.gammas))
+def clifford_action(U: np.ndarray) -> CliffordAction:
+    """U's tableau read densely, one conjugate_term each of the images of
+    X_q and Z_q; raises NotAMonomialError unless U is Clifford."""
+    n = U.shape[0].bit_length() - 1
+    units = [(1 << q, 0) for q in range(n)] + [(0, 1 << q) for q in range(n)]
+    rows = [conjugate_term(U, PauliTerm(n, x, z, 0))[0] for x, z in units]
+    return CliffordAction(
+        n,
+        tuple(r.xmask for r in rows),
+        tuple(r.zmask for r in rows),
+        tuple(r.phase for r in rows),
+    )
 
 
 # --------------------------------------------------------------- classes
@@ -156,7 +211,7 @@ def set_by_hand(bases, U: np.ndarray, provenance: Partition) -> MubSet:
     clifford_action, or None (no label maps) when U is not Clifford, and
     the unbiasedness deviation of the bases."""
     try:
-        action = clifford_action(build_gamma_generators(provenance.n), U)
+        action = clifford_action(U)
     except NotAMonomialError:
         action = None
     bases = tuple(bases)

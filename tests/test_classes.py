@@ -164,12 +164,6 @@ def test_l2_spacings_all_distinct():
             assert canonical(gamma_product(gs, list(p), 1))[0] in keys
 
 
-def _indices(gs, m):
-    from mubforge.pauli import gamma_indices
-
-    return gamma_indices(gs, m)
-
-
 def _built_index_sets(singleton, pairs):
     """Index sets of every subset product, mirroring the construction."""
     units = [(singleton,)] + [tuple(p) for p in pairs]
@@ -281,6 +275,17 @@ def test_validator_flags_a_unitary_that_does_not_cycle():
     assert not report.p3 and not report.ok
 
 
+def test_validator_needs_a_cycle_spec_or_an_action():
+    # a spread has no cycle spec: P3 is checked under a given action only
+    from mubforge.wigner import spread_partition
+
+    part = spread_partition(2)
+    with pytest.raises(ValueError, match="no cycle spec"):
+        validate_partition(part)
+    action = cycle_action(build_gamma_generators(2), CycleSpec(2, ((0, 1, 2, 3, 4),)))
+    assert validate_partition(part, action).p1
+
+
 def _constructible_partitions():
     from mubforge.cli import build_partition, constructible
     from mubforge.wigner import spread_partition
@@ -335,7 +340,7 @@ def test_json_roundtrip_of_arbitrary_partitions(part):
 
 def _check_by_loops(part, action):
     """The per-monomial loops validate_partition replaced, as its oracle."""
-    gs = action.gs
+    gs = build_gamma_generators(part.n)
     d = part.d
     failures = []
     p1 = hermitian = singletons = True

@@ -361,20 +361,23 @@ def test_generate_builds_the_cycle_unitary_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("n, L", [(3, 7), (6, 13)])
 def test_generate_reads_u_once(tmp_path, monkeypatch, n, L):
     # no dense read of U: its action is composed exactly as it is built,
-    # validation checks that action, and the cycle maps take one apply per basis
+    # validation checks that action, and the label maps come from the masks,
+    # derived once: one subset table of each basis for its vectors, and one
+    # for the maps
     import mubforge.mub
     import mubforge.transform
 
     reads, read = [], mubforge.transform.conjugate_term
-    applies, apply = [], mubforge.mub.apply
+    groups, group = [], mubforge.mub._group
     monkeypatch.setattr(
         mubforge.transform, "conjugate_term", lambda *a: reads.append(a) or read(*a)
     )
-    monkeypatch.setattr(mubforge.mub, "apply", lambda *a: applies.append(a) or apply(*a))
+    monkeypatch.setattr(mubforge.mub, "_group", lambda g: groups.append(g) or group(g))
     monkeypatch.setenv("MUBFORGE_MAX_N", "6")
     assert run(["generate", "--n", str(n), "--L", str(L), "--out", str(tmp_path)]) == 0
     assert len(reads) == 0
-    assert len(applies) == L
+    assert not hasattr(mubforge.mub, "apply")
+    assert len(groups) == 2 * L
 
 
 @pytest.mark.parametrize(

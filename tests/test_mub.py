@@ -49,6 +49,7 @@ from mubforge.pauli import (
     row_mask,
     to_dense,
 )
+from mubforge.transform import CliffordAction
 from mubforge.wigner import complete_mub_bases, spread_partition
 
 
@@ -559,6 +560,42 @@ def test_a_unitary_that_is_not_clifford_is_refused():
     with pytest.raises(CycleMatchError) as info:
         verify_cycle(bad)
     assert str(info.value).startswith("no projector match")
+
+
+@pytest.mark.parametrize("n, L", _buildable(5))
+def test_label_maps_of_a_pauli_times_u_equal_the_per_column_matcher(n, L):
+    # W U maps every basis onto the next one too, with other labels: the
+    # maps read off its densely read tableau are the dense matcher's
+    ms = _cli_set(n, L)
+    rng = np.random.default_rng(n * 100 + L)
+    for w in rng.choice(np.arange(1, ms.d**2), size=3, replace=False).tolist():
+        W = to_dense(PauliTerm(n, w % ms.d, w // ms.d, 0))
+        moved = set_by_hand(ms.bases, W @ ms.U, ms.provenance)
+        _, perms = _match_by_columns(moved)
+        assert moved.cycle_permutations.tolist() == [list(p) for p in perms]
+        assert (moved.cycle_permutations != ms.cycle_permutations).any()
+
+
+@pytest.mark.parametrize("n, L", [(2, 4), (3, 7), (5, 5)])
+def test_a_tableau_with_a_duplicated_row_has_no_label_maps(n, L):
+    # X_1 sent where X_0 goes: not an automorphism, so no basis maps onto
+    # the next one label for label
+    ms = _cli_set(n, L)
+    a = ms.action
+    rows = [row[:1] * 2 + row[2:] for row in (a.x, a.z, a.phase)]
+    bad = replace(ms, action=CliffordAction(n, *rows))
+    assert bad.cycle_permutations is None
+    with pytest.raises(CycleMatchError, match="no projector match"):
+        verify_cycle(bad)
+
+
+def test_a_tableau_with_an_imaginary_image_has_no_label_maps():
+    # X_0 sent to i times its image: the generators' images keep their
+    # masks, but an anti-Hermitian image is no +-g_S of the next basis
+    ms = _cli_set(3, 7)
+    a = ms.action
+    bad = replace(ms, action=replace(a, phase=((a.phase[0] + 1) % 4, *a.phase[1:])))
+    assert bad.cycle_permutations is None
 
 
 def parity_loop(v):

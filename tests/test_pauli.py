@@ -10,7 +10,6 @@ from mubforge.pauli import (
     build_gamma_generators,
     canonical,
     commutes,
-    gamma_indices,
     gamma_product,
     identity,
     is_hermitian,
@@ -18,7 +17,7 @@ from mubforge.pauli import (
     term_to_text,
     to_dense,
 )
-from oracles import term_from_text
+from oracles import gamma_indices, term_from_text
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -261,7 +260,6 @@ def test_gamma_set_elimination_is_not_part_of_equality():
     gs = build_gamma_generators(3)
     again = GammaSet(3, gs.gammas)
     assert gs == again and hash(gs) == hash(again)
-    assert gs.pivots == again.pivots and len(gs.pivots) == 6
 
 
 @st.composite

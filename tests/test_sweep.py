@@ -421,18 +421,20 @@ def test_label_maps_that_break_the_pauli_action_are_refused(kind, arg):
 
 
 def test_cycle_maps_are_derived_once_per_set(monkeypatch):
-    # one apply per basis, once per set, with the action cycle_unitary read
-    applies, apply = [], mub.apply
-    monkeypatch.setattr(mub, "apply", lambda *a: applies.append(a) or apply(*a))
+    # from the masks, with no apply: one subset table of each basis, once
+    # per set, with the action cycle_unitary checked
     ms = build_mub_set(build_partition(3, 7))
+    groups, group = [], mub._group
+    monkeypatch.setattr(mub, "_group", lambda g: groups.append(g) or group(g))
     sweep_max_eigen(ms)
     report = verify_cycle(ms)
-    assert len(applies) == ms.L
+    assert not hasattr(mub, "apply")
+    assert len(groups) == ms.L
     assert report.permutations == tuple(map(tuple, ms.cycle_permutations.tolist()))
     assert ms.cycle_permutations is ms.cycle_permutations
     # a set without U's action has no label maps
     assert replace(ms, action=None).cycle_permutations is None
-    assert len(applies) == ms.L
+    assert len(groups) == ms.L
 
 
 def test_cycle_orbits_match_the_pauli_only_route_d8_L7(monkeypatch):

@@ -7,7 +7,6 @@ from mubforge.pauli import (
     PauliTerm,
     build_gamma_generators,
     canonical,
-    gamma_indices,
     gamma_product,
     identity,
     multiply,
@@ -17,11 +16,12 @@ from mubforge.transform import (
     ConstructionError,
     CycleSpec,
     NotAMonomialError,
+    _tableau_rows,
     conjugate_term,
     cycle_action,
     cycle_unitary,
 )
-from oracles import clifford_action, rotation_product, rotation_unitary
+from oracles import clifford_action, gamma_indices, rotation_product, rotation_unitary
 
 # every partition the constructions give with n <= 5
 PARTITIONS = [
@@ -251,20 +251,30 @@ def _batched(action, terms):
     x, z, p, s = action.conjugate_masks(
         [a.xmask for a in terms], [a.zmask for a in terms], [a.phase for a in terms]
     )
-    n = action.gs.n
+    n = action.n
     return [
         (PauliTerm(n, *t), sign)
         for *t, sign in zip(x.tolist(), z.tolist(), p.tolist(), s.tolist())
     ]
 
 
-def _by_generators(action, a):
+def _spec_images(gs, spec):
+    """The images of G_0 .. G_{2n} that spec prescribes: G_shift(i) for the
+    ladder, and for G_{2n} the product of those, times i^(n mod 2)."""
+    images = [gs[spec.shift(i)] for i in range(2 * gs.n)]
+    last = PauliTerm(gs.n, 0, 0, gs.n % 2)
+    for g in images:
+        last = multiply(last, g)
+    return images + [last]
+
+
+def _by_generators(gs, images, a):
     """The per-term route the batched action replaced: a as i^k times a
     product of generators, whose images are multiplied in that order."""
-    idx = gamma_indices(action.gs, a)
-    out = PauliTerm(a.n, 0, 0, (a.phase - gamma_product(action.gs, idx).phase) % 4)
+    idx = gamma_indices(gs, a)
+    out = PauliTerm(a.n, 0, 0, (a.phase - gamma_product(gs, idx).phase) % 4)
     for i in idx:
-        out = multiply(out, action.images[i])
+        out = multiply(out, images[i])
     return canonical(out)
 
 
@@ -290,7 +300,8 @@ def test_batched_action_matches_the_generator_route(part):
         for m in c.members
         for k in range(4)
     ]
-    assert _batched(action, terms) == [_by_generators(action, a) for a in terms]
+    images = _spec_images(gs, part.spec)
+    assert _batched(action, terms) == [_by_generators(gs, images, a) for a in terms]
 
 
 @pytest.mark.parametrize("part", _constructible(6), ids=lambda p: f"n{p.n}L{p.L}")
@@ -300,7 +311,7 @@ def test_the_cycle_unitary_is_the_dense_rotation_product(part):
     gs = build_gamma_generators(part.n)
     U, action = cycle_unitary(gs, part.spec)
     assert np.abs(U - rotation_product(gs, part.spec)).max() <= 1e-15
-    assert action == cycle_action(gs, part.spec) == clifford_action(gs, U)
+    assert action == cycle_action(gs, part.spec) == clifford_action(U)
     # every entry is exactly c {0, +-a, +-i a}, for one 8th root of unity c
     u = U[0, np.flatnonzero(U[0])[0]]
     assert set(U.ravel().tolist()) <= {0, u, -u, 1j * u, -1j * u}
@@ -324,15 +335,26 @@ def test_exact_action_matches_dense_under_random_rotations(n, pairs, masks):
     top = 2**n
     a = PauliTerm(n, masks[0] % top, masks[1] % top, masks[2])
     want = canonical(conjugate_term(U, a)[0])
-    assert _batched(clifford_action(gs, U), [a]) == [want]
+    assert _batched(clifford_action(U), [a]) == [want]
 
 
 def test_cycle_action_carries_the_determinant_sign():
     # an even cycle has determinant -1 and flips G_{2n}; an odd one does not
     gs = build_gamma_generators(2)
-    flipped = cycle_action(gs, CycleSpec(2, ((0, 1, 2, 3),))).images[4]
-    assert canonical(flipped) == (canonical(gs[4])[0], -canonical(gs[4])[1])
-    assert cycle_action(gs, CycleSpec(2, ((0, 1, 2),))).images[4] == gs[4]
+    even = cycle_action(gs, CycleSpec(2, ((0, 1, 2, 3),)))
+    odd = cycle_action(gs, CycleSpec(2, ((0, 1, 2),)))
+    rep, sign = canonical(gs[4])
+    assert _batched(even, [gs[4]]) == [(rep, -sign)]
+    assert _batched(odd, [gs[4]]) == [(rep, sign)]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_closed_form_rows_of_the_ladder_are_x_and_z(n):
+    # the identity map on the generators has the identity tableau
+    rows = _tableau_rows(build_gamma_generators(n).gammas[: 2 * n])
+    assert rows == [PauliTerm(n, 1 << q, 0, 0) for q in range(n)] + [
+        PauliTerm(n, 0, 1 << q, 0) for q in range(n)
+    ]
 
 
 def test_cycle_unitary_rejects_a_wrong_action(monkeypatch):
@@ -342,5 +364,6 @@ def test_cycle_unitary_rejects_a_wrong_action(monkeypatch):
     spec = CycleSpec(2, ((0, 1, 2),))
     wrong = cycle_action(gs, CycleSpec(2, ((0, 2, 1),)))
     monkeypatch.setattr(mubforge.transform, "cycle_action", lambda gs, spec: wrong)
-    with pytest.raises(ConstructionError):
+    # the rotations send X_0 = G_0 to G_1 = Z_0, the wrong action to G_2
+    with pytest.raises(ConstructionError, match="^X_0 maps onto "):
         cycle_unitary(gs, spec)
