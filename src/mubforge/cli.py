@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, entropy, wigner
 from .classes import (
     Partition,
     build_classes_2n1,
@@ -38,17 +38,9 @@ from .classes import (
     partition_to_json,
     validate_partition,
 )
-from .entropy import (
-    BudgetExceededError,
-    DEFAULT_BUDGET,
-    _avg_entropy_values,
-    _basis_stack,
-    bounds,
-    minimize_avg_entropy,
-    sample_max_eigen,
-    sweep_max_eigen,
-)
 from .mub import (
+    DEFAULT_BUDGET,
+    BudgetExceededError,
     CycleMatchError,
     DiagonalizationError,
     MubSet,
@@ -60,12 +52,6 @@ from .mub import (
     verify_cycle,
 )
 from .transform import ConstructionError
-from .wigner import (
-    complete_mub_bases,
-    phase_space_csv,
-    point_levels,
-    wigner_entropy_bound,
-)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -162,7 +148,7 @@ def cmd_bounds(args) -> int:
     d = 2
     while d <= args.dmax:
         for L in range(1, args.Lmax + 1):
-            bs = bounds(L, d)
+            bs = entropy.bounds(L, d)
             rows.append(
                 f"{L},{d},{bs.small_L:.10f},{bs.large_L:.10f},{bs.best:.10f}"
             )
@@ -192,7 +178,7 @@ def cmd_sweep(args) -> int:
     if args.out:
         res = _sweep_to_csv(ms, args, scale)
     else:
-        res = sweep_max_eigen(ms, budget=args.budget, workers=args.threads)
+        res = entropy.sweep_max_eigen(ms, budget=args.budget, workers=args.threads)
     print(
         f"lambda* = {scale * res.lambda_star:.12f} ({args.normalization} form) "
         f"at b = {res.b_star}; min avg H_inf = {res.min_avg_entropy:.9f} bits "
@@ -224,7 +210,7 @@ def _sweep_to_csv(ms: MubSet, args, scale: int):
         )
 
     try:
-        res = sweep_max_eigen(
+        res = entropy.sweep_max_eigen(
             ms, budget=args.budget, workers=args.threads, on_chunk=write_rows
         )
     finally:
@@ -246,8 +232,10 @@ def cmd_minimize(args) -> int:
         print(f"unsupported (n={args.n}, L={args.L})", file=sys.stderr)
         return EXIT_BAD_ARGS
     ms = build_mub_set(build_partition(args.n, args.L))
-    psi, val = minimize_avg_entropy(ms, alpha, restarts=args.restarts, seed=args.seed)
-    bs = bounds(args.L, ms.d)
+    psi, val = entropy.minimize_avg_entropy(
+        ms, alpha, restarts=args.restarts, seed=args.seed
+    )
+    bs = entropy.bounds(args.L, ms.d)
     print(
         f"min avg H_{args.alpha} ~= {val:.9f} bits over {args.restarts} restarts "
         f"(seed {args.seed}); min-entropy bound {bs.best:.9f}"
@@ -279,24 +267,27 @@ def cmd_reproduce_fig(args) -> int:
         "L,d,small_L,large_L,best,sweep_bits,sweep_mode,numeric_min,invariant_min"
     ]
     for L in Ls:
-        bs = bounds(L, d)
+        bs = entropy.bounds(L, d)
         sweep_bits = sweep_mode = numeric = circle = ""
         if constructible(n, L):
             ms = build_mub_set(build_partition(n, L))
             total = d**L
             if total <= FIG_SWEEP_GATE or args.full:
-                res = sweep_max_eigen(ms, budget=args.budget, workers=args.threads)
+                res = entropy.sweep_max_eigen(
+                    ms, budget=args.budget, workers=args.threads
+                )
                 sweep_bits, sweep_mode = f"{res.min_avg_entropy:.9f}", "full"
             else:
-                res = sample_max_eigen(ms, SAMPLE_SIZE, seed=args.seed)
+                res = entropy.sample_max_eigen(ms, SAMPLE_SIZE, seed=args.seed)
                 sweep_bits, sweep_mode = f"{res.min_avg_entropy:.9f}", "sampled"
-            _, val = minimize_avg_entropy(
+            _, val = entropy.minimize_avg_entropy(
                 ms, math.inf, restarts=args.restarts, seed=args.seed
             )
             numeric = f"{val:.9f}"
             fam = invariant_superposition_family(ms)
             if fam:  # every state scored at once, each as avg_entropy scores it
-                h, _ = _avg_entropy_values(_basis_stack(ms), np.array(fam), math.inf)
+                stack = entropy._basis_stack(ms)
+                h, _ = entropy._avg_entropy_values(stack, np.array(fam), math.inf)
                 circle = f"{h.min():.9f}"
         rows.append(
             f"{L},{d},{bs.small_L:.9f},{bs.large_L:.9f},{bs.best:.9f},"
@@ -332,14 +323,14 @@ plt.savefig("fig{which}.png", dpi=150)
 
 
 def cmd_wigner(args) -> int:
-    ms = complete_mub_bases(args.n)
-    levels = point_levels(ms)
-    text = phase_space_csv(levels)
+    ms = wigner.complete_mub_bases(args.n)
+    levels = wigner.point_levels(ms)
+    text = wigner.phase_space_csv(levels)
     if args.out:
         _write(Path(args.out), text)
     else:
         print(text, end="")
-    net = wigner_entropy_bound(ms, levels)
+    net = wigner.wigner_entropy_bound(ms, levels)
     # bench/test_bench.py reads the value after "bound "; see wigner's docstring
     print(
         f"W_max = {net['w_max']:.9f}; phase-point value of this net, an upper "

@@ -98,10 +98,19 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import mub
-from .mub import UNBIAS_TOL, MubSet, _cycle_strings, basis_matrices, orbit_maps
+# DEFAULT_BUDGET and BudgetExceededError live in mub, so that the CLI's
+# --budget default and its exit-3 clause do not load this module
+from .mub import (
+    DEFAULT_BUDGET,
+    UNBIAS_TOL,
+    BudgetExceededError,
+    MubSet,
+    _cycle_strings,
+    basis_matrices,
+    orbit_maps,
+)
 
 LOG2 = math.log(2)
-DEFAULT_BUDGET = 2**28
 SWEEP_CHUNK = 4096
 LEVEL_TOL = 1e-10  # eigenvalues closer than this are one level: bins, b* ties
 MINIMIZE_BLOCK = 128  # restarts descending together; bounds the minimizer's memory
@@ -109,10 +118,6 @@ MINIMIZE_ITERS = 500  # moves per restart in the last (or only) descent stage
 ANNEAL_ORDERS = (2.0, 20.0)  # smooth orders an alpha = inf descent passes first
 ANNEAL_MOVES = 50  # moves per restart in each annealing stage
 STALL_ETA = 2.0**-8  # a row stops once a rejected step leaves eta at or below this
-
-
-class BudgetExceededError(RuntimeError):
-    """Sweep size is over the configured budget; sample or raise the budget."""
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,7 @@ UNBIAS_TOL = 1e-8
 # entropy._eigmax_chunks, holds: 1 MB blocks ran faster than 4 MB ones in the
 # unbiasedness check at d = 32 and d = 64, on a core with 2 MB of L2
 BLOCK_BYTES = 1 << 20
+DEFAULT_BUDGET = 2**28  # strings a sweep may cover; entropy and the CLI read it
 
 
 class DiagonalizationError(RuntimeError):
@@ -75,6 +76,10 @@ class UnbiasednessError(RuntimeError):
 
 class CycleMatchError(RuntimeError):
     """The cycle unitary does not map a basis onto the next one."""
+
+
+class BudgetExceededError(RuntimeError):
+    """Sweep size is over the configured budget; sample or raise the budget."""
 
 
 @dataclass(frozen=True)

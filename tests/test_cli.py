@@ -230,12 +230,18 @@ def test_invariant_column_scores_each_state_as_avg_entropy(n, L):
 
 
 def test_invariant_column_is_one_call_per_set(tmp_path, monkeypatch):
-    import mubforge.cli as cli
+    import sys
 
-    calls, score = [], cli._avg_entropy_values
-    monkeypatch.setattr(
-        cli, "_avg_entropy_values", lambda *a: calls.append(a) or score(*a)
-    )
+    import mubforge.entropy as entropy
+
+    calls, score = [], entropy._avg_entropy_values
+
+    def scored(*a):  # the minimizer's own calls are not counted
+        if sys._getframe(1).f_globals["__name__"] == "mubforge.cli":
+            calls.append(a)
+        return score(*a)
+
+    monkeypatch.setattr(entropy, "_avg_entropy_values", scored)
     args = ["reproduce-fig", "--which", "1", "--restarts", "1", "--out", str(tmp_path)]
     assert run(args) == 0
     assert [len(a[1]) for a in calls] == [8, 8, 16, 16]  # L = 2..5
@@ -522,10 +528,17 @@ def _child_output(code, cwd=None):
     return out.stdout.splitlines()[-1]
 
 
-def _loaded_after(code, modules, cwd=None):
+def _loaded_after(code, modules, cwd=None, ran=False):
     """Which of `modules` a fresh interpreter has imported after running
-    `code` with mubforge on its path."""
-    code += f"\nimport sys; print([m for m in {modules!r} if m in sys.modules])"
+    `code` with mubforge on its path. With `ran`, only those whose code has
+    run: a lazy module is in sys.modules before that, as an instance of
+    LazyLoader's subclass of ModuleType until its first attribute access.
+    type() reads no attribute, so the check itself loads nothing."""
+    test = "type(sys.modules[m]) is types.ModuleType" if ran else "True"
+    code += (
+        "\nimport sys, types"
+        f"\nprint([m for m in {modules!r} if m in sys.modules and {test}])"
+    )
     return json.loads(_child_output(code, cwd).replace("'", '"'))
 
 
@@ -538,6 +551,35 @@ def test_child_interpreter_keeps_the_bytecode_setting():
 
 def test_cli_import_leaves_scipy_out():
     assert _loaded_after("import mubforge.cli", ["scipy"]) == []
+
+
+LAZY = ["mubforge.entropy", "mubforge.wigner"]
+
+
+def test_cli_import_registers_every_module_and_runs_no_lazy_one():
+    # bench/tracer.py reads sys.modules[m] for each of its target modules
+    # right after `import mubforge.cli`
+    modules = ["mubforge"] + [
+        f"mubforge.{m}"
+        for m in ("pauli", "transform", "classes", "mub", "entropy", "wigner", "cli")
+    ]
+    assert _loaded_after("import mubforge.cli", modules) == modules
+    assert _loaded_after("import mubforge.cli", LAZY, ran=True) == []
+
+
+@pytest.mark.parametrize(
+    "args, code, ran",
+    [
+        (["generate", "--n", "3", "--L", "7"], 0, []),
+        (["generate", "--n", "2", "--L", "3", "--tol", "nan"], 4, []),
+        (["reproduce-fig", "--which", "1", "--restarts", "2"], 0, LAZY[:1]),
+        (["wigner", "--n", "2"], 0, LAZY),
+    ],
+    ids=["generate", "generate-bad-tol", "fig1", "wigner"],
+)
+def test_commands_run_only_the_lazy_modules_they_call(tmp_path, args, code, ran):
+    script = f"import mubforge.cli as c; assert c.main({args!r}) == {code}"
+    assert _loaded_after(script, LAZY, cwd=tmp_path, ran=True) == ran
 
 
 def test_cli_import_leaves_the_pool_and_masked_arrays_out():

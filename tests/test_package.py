@@ -34,6 +34,25 @@ def test_src_imports_only_the_standard_library_and_numpy():
     assert names == ["numpy"]
 
 
+def test_star_import_gives_every_exported_name_from_its_module():
+    # entropy's and wigner's names are served by the package's __getattr__,
+    # which `import *` reaches only through __all__
+    import mubforge
+
+    namespace = {}
+    exec("from mubforge import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(mubforge.__all__)
+    assert len(set(mubforge.__all__)) == len(mubforge.__all__) == 33
+    for name, value in namespace.items():
+        module = sys.modules[value.__module__]
+        assert module.__name__.startswith("mubforge.")
+        assert getattr(module, name) is value is getattr(mubforge, name)
+    # every other public name is a submodule
+    rest = {n for n in dir(mubforge) if n[0] != "_" and n not in namespace}
+    assert all(isinstance(vars(mubforge)[n], type(mubforge)) for n in rest)
+
+
 def test_readme_quickstart_runs_as_written(capsys):
     readme = (ROOT / "README.md").read_text()
     section = readme.split("## Library quickstart", 1)[1]
