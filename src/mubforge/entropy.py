@@ -61,10 +61,8 @@ smallest string, weighted d^2 times the orbit's size. Since each orbit's
 smallest string is still solved, lambda* and the tie rule below give the
 same b* as the Pauli reduction alone. The maps pi_j follow exactly from
 U's Clifford action (mub.MubSet.cycle_permutations). Where there are none
-(U is None or leaves the set), or they fail the exact check of
-U.(W.b) = W'.(U.b) (mub.PauliLabels.carried_by), f is left out, and k
-alone joins the Pauli orbits in pairs. Where k fails the exact check that
-it commutes with f (mub._commutes), k is left out.
+(U is None or leaves the set), f is left out, and k alone joins the Pauli
+orbits in pairs.
 
 The maps run on integer keys: a string's key is its index, digit j in its
 own n-bit field since d = 2^n. On a string with b_0 = b_1 = 0 the Pauli

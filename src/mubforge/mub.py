@@ -31,8 +31,8 @@ is found by its masks in the next basis's table of subset products
 (_group), whose signs on every column are one table read, so no dense
 matrix is touched. orbit_maps composes them into permutations
 of the integer string keys whose orbits the selector sweep labels: a table
-map for the cycle, and one XOR mask for conjugation, kept only where it
-commutes exactly with the cycle map. verify_cycle checks U against pi.
+map for the cycle, and one XOR mask for conjugation. verify_cycle checks U
+against pi.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from .pauli import (
 )
 from .transform import CliffordAction, cycle_unitary
 
-EIGEN_TOL = 1e-8  # |eigenvalue| - 1 allowed to a dense eigensolver (the test oracle)
 UNBIAS_TOL = 1e-8
 # about the most one block of unbiasedness products, or of selectors in
 # entropy._eigmax_chunks, holds: 1 MB blocks ran faster than 4 MB ones in the
@@ -213,18 +212,6 @@ class PauliLabels:
         (0, 0); P_{W.b} = W P_b W^dag has the spectrum of P_b."""
         W = self.pauli_of[strings[:, 0], strings[:, 1]]
         return strings ^ self.tau[:, W].T
-
-    def carried_by(self, pi: np.ndarray) -> bool:
-        """Whether the label maps pi (MubSet.cycle_permutations) carry every
-        Pauli to one Pauli: pi_j(W.b) = W'.pi_j(b) on every basis j, with one
-        W' for each W. Then a map with these label maps sends Pauli orbits of
-        strings onto Pauli orbits."""
-        L, d = pi.shape
-        j, nxt = np.arange(L)[:, None], np.roll(np.arange(L), -1)
-        moved = pi[j, np.arange(d) ^ self.tau.T[:, :, None]] ^ pi  # [W, j, b]
-        # W' from the labels it must flip in bases 0 (j = L-1) and 1 (j = 0)
-        image = self.pauli_of[moved[:, -1, 0], moved[:, 0, 0]]
-        return bool(np.all(moved == self.tau[nxt][:, image].T[:, :, None]))
 
 
 @dataclass(frozen=True)
@@ -521,20 +508,20 @@ def _cycle_strings(ms: MubSet) -> np.ndarray:
 
 def orbit_maps(ms: MubSet) -> list[np.ndarray]:
     """The int32 key permutations of the strings with prefix (0, 0) whose
-    orbits the sweep labels: f, when the label maps carry Paulis to Paulis,
-    and k, when it moves some key and commutes with f. A string's key is its
-    index: with d = 2^n, digit j fills bits n (L-1-j) to n (L-j) - 1. Both
-    keep the spectrum, and both map Pauli orbits onto Pauli orbits, so each
-    stands for one generator of the group of the Paulis, U and complex
-    conjugation K. Entry b of a map is the key b goes to.
+    orbits the sweep labels: f, when U cycles the bases, and k, when it
+    moves some key. A string's key is its index: with d = 2^n, digit j fills
+    bits n (L-1-j) to n (L-j) - 1. Both keep the spectrum, and both map
+    Pauli orbits onto Pauli orbits, so each stands for one generator of the
+    group of the Paulis, U and complex conjugation K. Entry b of a map is
+    the key b goes to.
 
     f(b) is the Pauli representative of U.b, (U.b)_{j+1} = pi_j(b_j): P_{U.b}
-    = U P_b U^dag. f is left out when U is None, does not cycle the bases or
-    its label maps fail PauliLabels.carried_by. With b_0 = b_1 = 0,
+    = U P_b U^dag. f is left out when U is None or does not cycle the bases.
+    U is Clifford, so U W U^dag is one Pauli W' for every Pauli W, and pi,
+    read exactly off U's action, has U.(W.b) = W'.(U.b). With b_0 = b_1 = 0,
     (U.b)_1 = pi_0(0) is fixed, so the one Pauli that brings U.b back to
     prefix (0, 0) depends on b_{L-1} alone: digit j of f(b) is
-    T_j[b_{j-1}, b_{L-1}] (_cycle_tables), read with shifts, masks and
-    gathers.
+    T_j[b_{j-1}, b_{L-1}], read with shifts, masks and gathers.
 
     k(b) is the Pauli representative of K.b, P_{K.b} = conj(P_b). A
     Hermitian generator i^p X^x Z^z has p = |x & z| mod 2 and conjugates to
@@ -542,43 +529,36 @@ def orbit_maps(ms: MubSet) -> list[np.ndarray]:
     name its generators with odd |x & z|, and the Pauli that brings K.b back
     to prefix (0, 0) flips more: digit j of k(b) is b_j ^ m_j
     (_conjugation_labels), read off the generator masks with no dense read.
-    So k is the XOR of the key with one mask, left out when the mask is 0
-    or k fails the exact check that it commutes with f (_commutes).
+    So k is the XOR of the key with one mask, left out when the mask is 0.
 
     Each map holds d^(L-2) int32 keys, so the caller keeps that below 2^31.
     """
     if ms.L < 3:
         return []
-    T, m = _cycle_tables(ms), _conjugation_labels(ms)
-    n, L = ms.d.bit_length() - 1, ms.L
-    mask = ms.d - 1
+    n, L, d = ms.d.bit_length() - 1, ms.L, ms.d
+    mask = d - 1
     shift = [n * (L - 1 - j) for j in range(L)]  # digit j's field starts here
-    keys = np.arange(ms.d ** (L - 2), dtype=np.int32)
+    keys = np.arange(d ** (L - 2), dtype=np.int32)
     maps = []
-    if T is not None:
-        T, last = T.astype(np.int32), keys & mask
+    pi = ms.cycle_permutations
+    if pi is not None:
+        # T[j - 2, x, y]: digit j of f(b) for b_{j-1} = x and b_{L-1} = y (f
+        # reads row 0 of T_2, as b_1 = 0). The Pauli W for each b_{L-1}
+        # takes (U.b)_0 = pi_{L-1}(b_{L-1}) to label 0 of basis 0 and
+        # (U.b)_1 = pi_0(0) to label 0 of basis 1
+        pl = ms.pauli_labels
+        W = pl.pauli_of[pi[-1], pi[0, 0]]
+        digit, x = np.arange(2, L)[:, None, None], np.arange(d)[:, None]
+        T = (pi[digit - 1, x] ^ pl.tau[digit, W]).astype(np.int32)
+        last = keys & mask
         f = T[0, 0, last] << shift[2]  # b_1 = 0
         for j in range(3, L):
             f |= T[j - 2, (keys >> shift[j - 1]) & mask, last] << shift[j]
         maps.append(f)
-    flips = sum(int(m[j]) << shift[j] for j in range(L))
-    if flips and _commutes(m, T):
+    flips = sum(int(m) << s for m, s in zip(_conjugation_labels(ms), shift))
+    if flips:
         maps.append(keys ^ flips)
     return maps
-
-
-def _cycle_tables(ms: MubSet) -> np.ndarray | None:
-    """T[j - 2, x, y]: digit j of f(b), j = 2..L-1, for b_{j-1} = x and
-    b_{L-1} = y (f reads row 0 of T_2, as b_1 = 0); None where there is
-    no f. The Pauli for each b_{L-1} takes (U.b)_0 = pi_{L-1}(b_{L-1})
-    to label 0 of basis 0 and (U.b)_1 = pi_0(0) to label 0 of basis 1."""
-    pi = ms.cycle_permutations
-    if pi is None or not ms.pauli_labels.carried_by(pi):
-        return None
-    pl = ms.pauli_labels
-    W = pl.pauli_of[pi[-1], pi[0, 0]]
-    j, x = np.arange(2, ms.L)[:, None, None], np.arange(ms.d)[:, None]
-    return pi[j - 1, x] ^ pl.tau[j, W]
 
 
 def _conjugation_labels(ms: MubSet) -> np.ndarray:
@@ -589,18 +569,6 @@ def _conjugation_labels(ms: MubSet) -> np.ndarray:
     xz = np.array([[g.xmask & g.zmask for g in B.generators] for B in ms.bases])
     y = (parity(xz) << np.arange(n - 1, -1, -1)).sum(axis=1)  # [j]: bits K flips
     return y ^ pl.tau[:, pl.pauli_of[y[0], y[1]]]
-
-
-def _commutes(m: np.ndarray, T: np.ndarray | None) -> bool:
-    """Whether k, digit j flipped by m[j] (_conjugation_labels), commutes
-    with f (_cycle_tables' T; True when there is no f): T_j[x, y] ^ m_j =
-    T_j[x ^ m_{j-1}, y ^ m_{L-1}] for every digit j >= 2 and all x, y.
-    Exact, in O(L d^2) table reads."""
-    if T is None:
-        return True
-    t = np.arange(T.shape[1])
-    j = np.arange(2, len(m))[:, None, None]
-    return bool(((T ^ m[j]) == T[j - 2, t[:, None] ^ m[j - 1], t ^ m[-1]]).all())
 
 
 def cycle_coherent_family(ms: MubSet, b: int) -> np.ndarray:

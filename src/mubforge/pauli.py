@@ -76,16 +76,6 @@ def is_hermitian(a: PauliTerm) -> bool:
     return (a.phase - (a.xmask & a.zmask).bit_count()) % 2 == 0
 
 
-def canonical(a: PauliTerm) -> tuple[PauliTerm, int]:
-    """Split a Hermitian term into (representative with phase in {0,1}, sign).
-
-    Two terms that differ only by an overall sign share a representative.
-    """
-    if a.phase < 2:
-        return a, 1
-    return PauliTerm(a.n, a.xmask, a.zmask, a.phase - 2), -1
-
-
 def multiply(a: PauliTerm, b: PauliTerm) -> PauliTerm:
     """Exact symbolic product a*b with the phase tracked mod 4."""
     if a.n != b.n:

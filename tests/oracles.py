@@ -27,6 +27,7 @@ from mubforge.entropy import (
 from mubforge.mub import (
     Basis,
     MubSet,
+    PauliLabels,
     _pair_deviations,
     basis_matrices,
     cycle_coherent_family,
@@ -67,6 +68,16 @@ def term_from_text(text: str) -> PauliTerm:
         zmask=int(fields["Z"], 16),
         phase=fields["phase"],
     )
+
+
+def canonical(a: PauliTerm) -> tuple[PauliTerm, int]:
+    """Split a Hermitian term into (representative with phase in {0,1}, sign).
+
+    Two terms that differ only by an overall sign share a representative.
+    """
+    if a.phase < 2:
+        return a, 1
+    return PauliTerm(a.n, a.xmask, a.zmask, a.phase - 2), -1
 
 
 def gamma_indices(gs: GammaSet, a: PauliTerm) -> tuple[int, ...]:
@@ -206,6 +217,23 @@ def partition_from_json(text: str) -> Partition:
 # ------------------------------------------------------------------- mub
 
 
+EIGEN_TOL = 1e-8  # |eigenvalue| - 1 allowed to a dense eigensolver
+
+
+def carried_by(pauli_labels: PauliLabels, pi: np.ndarray) -> bool:
+    """Whether the label maps pi (MubSet.cycle_permutations) carry every
+    Pauli to one Pauli: pi_j(W.b) = W'.pi_j(b) on every basis j, with one
+    W' for each W. Then a map with these label maps sends Pauli orbits of
+    strings onto Pauli orbits."""
+    tau, pauli_of = pauli_labels.tau, pauli_labels.pauli_of
+    L, d = pi.shape
+    j, nxt = np.arange(L)[:, None], np.roll(np.arange(L), -1)
+    moved = pi[j, np.arange(d) ^ tau.T[:, :, None]] ^ pi  # [W, j, b]
+    # W' from the labels it must flip in bases 0 (j = L-1) and 1 (j = 0)
+    image = pauli_of[moved[:, -1, 0], moved[:, 0, 0]]
+    return bool(np.all(moved == tau[nxt][:, image].T[:, :, None]))
+
+
 def set_by_hand(bases, U: np.ndarray, provenance: Partition) -> MubSet:
     """A MubSet of these bases and U, with U's action read densely by
     clifford_action, or None (no label maps) when U is not Clifford, and
@@ -282,7 +310,7 @@ def digit_orbit_step(ms):
     """mub.orbit_maps's f on (m, L) digit rows, step by step: U.b from the
     label maps, rolled into place, then its Pauli representative."""
     pi = ms.cycle_permutations
-    if pi is None or not ms.pauli_labels.carried_by(pi):
+    if pi is None or not carried_by(ms.pauli_labels, pi):
         return lambda strings: strings
     reps, j = ms.pauli_labels.representatives, np.arange(ms.L)
     return lambda strings: reps(np.roll(pi[j, strings], 1, axis=1))

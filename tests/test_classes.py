@@ -17,14 +17,13 @@ from mubforge.classes import (
 from mubforge.pauli import (
     PauliTerm,
     build_gamma_generators,
-    canonical,
     commutes,
     gamma_product,
     is_hermitian,
     multiply,
 )
 from mubforge.transform import CycleSpec, cycle_action, cycle_unitary
-from oracles import index_sum, partition_from_json, spacing
+from oracles import canonical, index_sum, partition_from_json, spacing
 from test_transform import _batched
 
 

@@ -31,8 +31,9 @@ from mubforge.mub import (
     mub_set_to_json,
     verify_cycle,
 )
-from mubforge.mub import EIGEN_TOL, _projector_distances, fix_phase
+from mubforge.mub import _projector_distances, fix_phase
 from oracles import (
+    EIGEN_TOL,
     invariant_states,
     phase_ramp_states,
     raw_unbiasedness_deviation,

@@ -8,7 +8,6 @@ from mubforge.pauli import (
     PauliTerm,
     apply,
     build_gamma_generators,
-    canonical,
     commutes,
     gamma_product,
     identity,
@@ -17,7 +16,7 @@ from mubforge.pauli import (
     term_to_text,
     to_dense,
 )
-from oracles import gamma_indices, term_from_text
+from oracles import canonical, gamma_indices, term_from_text
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)

@@ -6,7 +6,6 @@ from mubforge.classes import build_classes_2n1, build_classes_Ln, fixture_d4
 from mubforge.pauli import (
     PauliTerm,
     build_gamma_generators,
-    canonical,
     gamma_product,
     identity,
     multiply,
@@ -21,7 +20,13 @@ from mubforge.transform import (
     cycle_action,
     cycle_unitary,
 )
-from oracles import clifford_action, gamma_indices, rotation_product, rotation_unitary
+from oracles import (
+    canonical,
+    clifford_action,
+    gamma_indices,
+    rotation_product,
+    rotation_unitary,
+)
 
 # every partition the constructions give with n <= 5
 PARTITIONS = [
