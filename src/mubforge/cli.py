@@ -188,8 +188,8 @@ def cmd_sweep(args) -> int:
 
 
 def _sweep_to_csv(ms: MubSet, args, scale: int):
-    """Unreduced sweep that writes every string's row to --out as its chunk
-    is solved. The file is created at the first chunk, so a refused sweep
+    """Unreduced sweep that writes every string's row to --out as its block
+    is solved. The file is created at the first block, so a refused sweep
     leaves none."""
     path = Path(args.out)
     fh = None

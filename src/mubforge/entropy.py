@@ -14,10 +14,9 @@ Both arise from a bound on the top eigenvalue of the selector operators
     P_b = (1/L) sum_j |b^(j)><b^(j)|,      b in {0..d-1}^L,
 
 and sweep_max_eigen certifies tightness by covering all d^L of them. Every
-selector eigenvalue goes through one chunked kernel, _eigmax_chunks. It
-builds and solves a chunk's selectors a block at a time, so that at most
-about mub.BLOCK_BYTES of them are live in each worker, whatever d and the
-chunk size.
+selector eigenvalue goes through one kernel, _eigmax_chunks. It builds and
+solves the selectors a block of strings at a time, the block sized so that
+at most about mub.BLOCK_BYTES of them are live in each worker, whatever d.
 
 Pauli reduction. Each basis of a MubSet is the joint eigenbasis of a class
 C_j of d-1 commuting Pauli operators that, with the identity, span a
@@ -72,21 +71,23 @@ exact tables read with shifts, masks and gathers and ORed into the image
 key. A Pauli or K flips fixed bits of each label, so k is the XOR of the
 key with one mask. Labels and maps are int32, one array of d^(L-2) each
 (8 MB at 8^7 keys), so a reduced range of 2^31 keys or more is refused
-before any is allocated. Digit rows are formed only for the kept strings.
+before any is allocated. The kept keys go to the kernel as string indices,
+which it decodes to digits a block at a time.
 
 Ties and bins. Orbit members agree only to rounding, so eigenvalues within
 LEVEL_TOL are one level. Histogram bins group eigenvalues that chain
 within LEVEL_TOL (no fixed bin edges), and b* is the smallest string
 within LEVEL_TOL of lambda*, preferring for a MubSet the strings the cycle
-unitary maps to themselves. Chunk boundaries are fixed independently of
-the worker count and chunks are combined in order, so results are
-bit-identical for any number of workers and any chunk size.
+unitary maps to themselves. Block boundaries are fixed independently of
+the worker count and blocks are combined in order, so results are
+bit-identical for any number of workers and any block size.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import os
 import random
 import threading
 from collections import Counter, deque
@@ -109,7 +110,6 @@ from .mub import (
 )
 
 LOG2 = math.log(2)
-SWEEP_CHUNK = 4096
 LEVEL_TOL = 1e-10  # eigenvalues closer than this are one level: bins, b* ties
 MINIMIZE_BLOCK = 128  # restarts descending together; bounds the minimizer's memory
 MINIMIZE_ITERS = 500  # moves per restart in the last (or only) descent stage
@@ -264,60 +264,58 @@ def _sweep_size(mats, budget: int) -> int:
     return total
 
 
-def _eigmax_chunks(B: np.ndarray, strings, chunk: int, workers: int = 1):
-    """Top eigenvalue of the mean-form selector of every string, by chunks.
+def _eigmax_chunks(B: np.ndarray, strings, workers: int = 1):
+    """Top eigenvalue of the mean-form selector of every string, by blocks.
 
     The one selector-eigenvalue kernel. B is the (L, d, d) stack of basis
-    matrices. `strings` is a range of string indices (digit j of an index,
-    base d with basis 0 most significant, is the element of basis j) or an
-    (n, L) array of digit rows. Yields (digits, lambdas) for consecutive
-    chunks of at most `chunk` strings, in input order for any worker count.
-    A string's eigenvalue does not depend on the chunk or the block it
-    falls in: selectors are summed from zero, basis by basis, from the
-    outer products c c^dag of the basis columns, the products np.outer
-    forms, and eigvalsh solves each matrix on its own.
+    matrices. `strings` holds string indices, a range or a 1-D int array
+    (digit j of an index, base d with basis 0 most significant, is the
+    element of basis j), or is an (n, L) array of digit rows. Yields
+    (digits, lambdas) for consecutive blocks of
+    max(1, mub.BLOCK_BYTES // (48 d^2)) strings, read at call time, the
+    last one shorter, in input order for any worker count; indices are
+    decoded to digits a block at a time. A block is also the unit a worker
+    solves. A string's eigenvalue does not depend on the block it falls in:
+    selectors are summed from zero, basis by basis, from the outer products
+    c c^dag of the basis columns, the products np.outer forms, and eigvalsh
+    solves each matrix on its own.
 
-    Memory: a chunk's strings are solved in blocks of
-    max(1, mub.BLOCK_BYTES // (48 d^2)) strings, read at call time, in one
-    pair of buffers for the selectors and the outer products. That budgets
-    three complex d x d arrays per string: the two buffers and room for
-    eigvalsh, which solves a stack one matrix at a time. So a chunk needs
-    about BLOCK_BYTES for any d and chunk size. Each worker allocates its
-    pair once per call and reuses it for every chunk it solves, so the
-    heap does not churn chunk by chunk. A chunk keeps only its digits and
-    eigenvalues, and no (L, d, d, d) projector stack is formed.
+    Memory: a block is solved in one pair of buffers, for the selectors and
+    the outer products. The block size budgets three complex d x d arrays
+    per string: the two buffers and room for eigvalsh, which solves a stack
+    one matrix at a time. So a block needs about BLOCK_BYTES for any d. Each
+    worker allocates its pair once per call and reuses it for every block
+    it solves, so the heap does not churn block by block. A block keeps
+    only its digits and eigenvalues, and no (L, d, d, d) projector stack is
+    formed. At most min(workers, os.cpu_count()) threads run, and one runs
+    the blocks in the calling thread.
     """
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     L, d = B.shape[:2]
     cols = B.transpose(0, 2, 1)  # [j, b]: column b of B_j
     powers = np.array([d ** (L - 1 - j) for j in range(L)])
-    block = max(1, min(chunk, len(strings), mub.BLOCK_BYTES // (48 * d * d)))
+    block = max(1, min(len(strings), mub.BLOCK_BYTES // (48 * d * d)))
     local = threading.local()  # each worker's buffer pair, for this call only
 
     def solve(digits):
         if isinstance(digits, range):
-            digits = (np.arange(digits.start, digits.stop)[:, None] // powers) % d
-        n = len(digits)
+            digits = np.arange(digits.start, digits.stop)
+        if digits.ndim == 1:
+            digits = digits[:, None] // powers % d
         if not hasattr(local, "buffers"):
             local.buffers = np.empty((2, block, d, d), dtype=complex)
-        P, outer = local.buffers  # reused for every block of every chunk
-        lam = np.empty(n)
-        for s in range(0, n, block):
-            rows = digits[s : s + block]
-            Pb, ob = P[: len(rows)], outer[: len(rows)]
-            Pb.fill(0)
-            for j in range(L):
-                c = cols[j, rows[:, j]]  # [string, row]: each string's column of B_j
-                np.multiply(c[:, :, None], c.conj()[:, None, :], out=ob)
-                Pb += ob
-            Pb /= L
-            lam[s : s + block] = np.linalg.eigvalsh(Pb)[:, -1]
-        return digits, lam
+        P, outer = local.buffers[:, : len(digits)]  # reused for every block
+        P.fill(0)
+        for j in range(L):
+            c = cols[j, digits[:, j]]  # [string, row]: each string's column of B_j
+            np.multiply(c[:, :, None], c.conj()[:, None, :], out=outer)
+            P += outer
+        P /= L
+        return digits, np.linalg.eigvalsh(P)[:, -1]
 
-    parts = (strings[s : s + chunk] for s in range(0, len(strings), chunk))
+    parts = (strings[s : s + block] for s in range(0, len(strings), block))
+    workers = min(workers, os.cpu_count() or 1)
     if workers == 1:
         yield from map(solve, parts)
         return
@@ -390,16 +388,16 @@ def _lex_records(cands, top: float) -> list:
     return out
 
 
-def _summarize(chunks, count: int, weights: np.ndarray | None = None) -> SweepResult:
-    """lambda*, b* and the histogram of the (digits, lambdas) chunks.
+def _summarize(blocks, count: int, weights: np.ndarray | None = None) -> SweepResult:
+    """lambda*, b* and the histogram of the (digits, lambdas) blocks.
 
     b* is the lexicographically smallest string within LEVEL_TOL of
     lambda*. Histogram keys are each bin's smallest lambda; each string
     adds its weight, the number of strings it stands for (weights, in the
-    order of the chunks' strings, or 1 each), to its bin.
+    order of the blocks' strings, or 1 each), to its bin.
     """
     best, cands, bins, pending, at = -math.inf, [], np.empty((0, 3)), [], 0
-    for digits, lam in chunks:
+    for digits, lam in blocks:
         best = max(best, float(lam.max()))
         keep = lam >= best - LEVEL_TOL
         new = zip(map(tuple, digits[keep].tolist()), lam[keep].tolist())
@@ -414,8 +412,8 @@ def _summarize(chunks, count: int, weights: np.ndarray | None = None) -> SweepRe
     return SweepResult(cands[0][0], best, hist, count)
 
 
-def _reported(chunks, on_chunk):
-    for digits, lam in chunks:
+def _reported(blocks, on_chunk):
+    for digits, lam in blocks:
         on_chunk(digits, lam)
         yield digits, lam
 
@@ -433,16 +431,17 @@ def sweep_max_eigen(
     each standing for the d^2 |orbit| strings of its orbit under the Paulis,
     the cycle unitary and complex conjugation (module docstring); raw bases
     are swept over all d^L. The orbits are labelled once over the d^(L-2)
-    keys (_orbit_minima), and only the kept strings become digit rows; a
-    reduced range of 2^31 keys or more, which int32 labels cannot index, is
-    refused with BudgetExceededError before anything is allocated. `count`
-    is d^L either way. For a MubSet, b* is the smallest string within
-    LEVEL_TOL of lambda* that the cycle unitary maps to itself, if there is
-    one; otherwise, and for raw bases, the smallest string within LEVEL_TOL
-    of lambda*. Strings are solved SWEEP_CHUNK at a time, read at call time;
-    the result is bit-identical for any worker count and chunk size.
+    keys (_orbit_minima), and the kept keys, which are string indices, go
+    to the kernel as they are; a reduced range of 2^31 keys or more, which
+    int32 labels cannot index, is refused with BudgetExceededError before
+    anything is allocated. `count` is d^L either way. For a MubSet, b* is
+    the smallest string within LEVEL_TOL of lambda* that the cycle unitary
+    maps to itself, if there is one; otherwise, and for raw bases, the
+    smallest string within LEVEL_TOL of lambda*. The kernel solves the
+    strings a block at a time (_eigmax_chunks); the result is bit-identical
+    for any worker count and block size.
 
-    on_chunk, if given, is called with (digits, lambdas) for every chunk of
+    on_chunk, if given, is called with (digits, lambdas) for every block of
     all d^L strings in lexicographic order; the sweep is then unreduced.
     """
     mats = _checked_matrices(ms)
@@ -457,22 +456,18 @@ def sweep_max_eigen(
                 f"{d}^{L - 2} = {count} reduced strings, but int32 orbit labels "
                 "index fewer than 2^31; use sampling"
             )
-        kept, sizes = _orbit_minima(orbit_maps(ms), count)
-        # rows in the least type that holds d - 1: the n = 3 spread keeps
-        # 2^20 strings, 9 MB of uint8 rows where int64 would take 75 MB
-        strings = np.empty((len(kept), L), dtype=np.min_scalar_type(d - 1))
-        for j in range(L):
-            strings[:, j] = kept // d ** (L - 1 - j) % d
+        # with b_0 = b_1 = 0 a key is its string's index
+        strings, sizes = _orbit_minima(orbit_maps(ms), count)
         weights = d * d * sizes
-    chunks = _eigmax_chunks(B, strings, SWEEP_CHUNK, workers)
+    blocks = _eigmax_chunks(B, strings, workers)
     if on_chunk is not None:
-        chunks = _reported(chunks, on_chunk)
-    res = _summarize(chunks, total, weights)
+        blocks = _reported(blocks, on_chunk)
+    res = _summarize(blocks, total, weights)
     if isinstance(ms, MubSet):
         cyc = _cycle_strings(ms)
         if len(cyc):
-            digits, lam = next(_eigmax_chunks(B, cyc, len(cyc)))
-            hits = digits[lam >= res.lambda_star - LEVEL_TOL]
+            lam = np.concatenate([lam for _, lam in _eigmax_chunks(B, cyc)])
+            hits = cyc[lam >= res.lambda_star - LEVEL_TOL]
             if len(hits):
                 res = replace(res, b_star=min(map(tuple, hits.tolist())))
     return res
@@ -498,7 +493,7 @@ def sample_max_eigen(ms, samples: int, seed: int) -> SweepResult:
         raise ValueError(f"samples must be >= 1, got {samples}")
     d = mats[0].shape[0]
     strings = np.array([[int(d * rng.random()) for _ in mats] for _ in range(samples)])
-    return _summarize(_eigmax_chunks(np.stack(mats), strings, SWEEP_CHUNK), samples)
+    return _summarize(_eigmax_chunks(np.stack(mats), strings), samples)
 
 
 def _log2(x: np.ndarray) -> np.ndarray:

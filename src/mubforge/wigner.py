@@ -134,8 +134,8 @@ def point_levels(bases) -> np.ndarray:
     For a MubSet only one string per Pauli orbit is solved: each phase-point
     string is replaced by its representative with prefix (0, 0)
     (PauliLabels.representatives), the distinct representatives go through
-    the selector kernel d strings at a time, and their levels are scattered
-    back. Raw bases solve all d^2 strings; that route is the oracle.
+    the selector kernel in one pass, and their levels are scattered back.
+    Raw bases solve all d^2 strings; that route is the oracle.
     """
     mats, d = _net(bases)
     strings = _point_strings(d.bit_length() - 1)
@@ -143,7 +143,7 @@ def point_levels(bases) -> np.ndarray:
     if isinstance(bases, MubSet):
         reps = bases.pauli_labels.representatives(strings)
         strings, back = np.unique(reps, axis=0, return_inverse=True)
-    chunks = _eigmax_chunks(np.stack(mats), strings, chunk=d)
+    chunks = _eigmax_chunks(np.stack(mats), strings)
     return (d + 1) * np.concatenate([lam for _, lam in chunks])[back.ravel()] - 1
 
 

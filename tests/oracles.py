@@ -18,7 +18,6 @@ import scipy.linalg
 from mubforge.classes import CommutingClass, Partition
 from mubforge.entropy import (
     DEFAULT_BUDGET,
-    SWEEP_CHUNK,
     _checked_matrices,
     _eigmax_chunks,
     _sweep_size,
@@ -352,12 +351,12 @@ def digit_orbit_minima(ms, digits: np.ndarray, conjugate: bool = True):
     return digits[keep], d * d * size[keep]
 
 
-def iter_sweep_rows(ms, budget: int = DEFAULT_BUDGET, chunk: int = SWEEP_CHUNK):
+def iter_sweep_rows(ms, budget: int = DEFAULT_BUDGET):
     """Yield (b, lambda_max) for every string in lexicographic order, with
     no reduction."""
     mats = _checked_matrices(ms)
     total = _sweep_size(mats, budget)
-    for digits, lam in _eigmax_chunks(np.stack(mats), range(total), chunk):
+    for digits, lam in _eigmax_chunks(np.stack(mats), range(total)):
         yield from zip(map(tuple, digits.tolist()), lam.tolist())
 
 

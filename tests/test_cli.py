@@ -302,10 +302,13 @@ def test_max_n_env_not_an_integer(monkeypatch, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-def test_sweep_out_streams_the_same_result(tmp_path, capsys):
+def test_sweep_out_streams_the_same_result(tmp_path, monkeypatch, capsys):
+    import os
+
     from mubforge.cli import build_partition
     from mubforge.mub import build_mub_set
 
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # the pool runs on any host
     assert run(["sweep", "--n", "3", "--L", "3"]) == 0
     plain = capsys.readouterr().out.splitlines()
     out = tmp_path / "deep" / "sweep.csv"

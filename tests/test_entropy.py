@@ -1,5 +1,6 @@
 import functools
 import math
+import os
 import random
 from dataclasses import replace
 from unittest import mock
@@ -210,7 +211,8 @@ def test_sweep_d2_closed_form():
     assert abs(res.lambda_star - vals.max()) < 1e-9
 
 
-def test_sweep_deterministic_across_workers(ms4):
+def test_sweep_deterministic_across_workers(monkeypatch, ms4):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # the pool runs on any host
     a = sweep_max_eigen(ms4, workers=1)
     b = sweep_max_eigen(ms4, workers=4)
     assert a.lambda_star == b.lambda_star

@@ -4,6 +4,7 @@ kernel (raw bases, or a MubSet swept with on_chunk) is the oracle for the
 reduced one, and orbits found by brute force over all d^L strings, from
 dense matrices, are the oracle for the orbit labelling."""
 
+import os
 import random
 from dataclasses import replace
 from unittest import mock
@@ -499,17 +500,28 @@ def sweep_d8_L7():
     return ms, sweep_max_eigen(ms)
 
 
-def test_cycle_orbit_sweep_is_bit_identical_for_two_workers(sweep_d8_L7):
+def per_block_bytes(per_block, d):
+    """mub.BLOCK_BYTES at which the kernel solves per_block strings of
+    dimension d at a time."""
+    return per_block * 48 * d * d
+
+
+def test_cycle_orbit_sweep_is_bit_identical_for_two_workers(monkeypatch, sweep_d8_L7):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # the pool runs on any host
     ms, want = sweep_d8_L7
     assert sweep_max_eigen(ms, workers=2) == want
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 4096])
-def test_cycle_orbit_sweep_is_bit_identical_for_any_chunk(monkeypatch, sweep_d8_L7, chunk):
-    # the labelling runs once over the reduced range, and the chunk splits
-    # only the kept strings: at chunk 1 each of the 2,344 is solved alone
+# strings per block: one, an odd count, more than the 341 of the default
+@pytest.mark.parametrize("per_block", [1, 7, 4096])
+def test_cycle_orbit_sweep_is_bit_identical_for_any_chunk(
+    monkeypatch, sweep_d8_L7, per_block
+):
+    # the labelling runs once over the reduced range, and the blocks split
+    # only the kept strings: at one string per block each of the 2,344 is
+    # solved alone
     ms, want = sweep_d8_L7
-    monkeypatch.setattr(entropy, "SWEEP_CHUNK", chunk)
+    monkeypatch.setattr(mub, "BLOCK_BYTES", per_block_bytes(per_block, ms.d))
     assert sweep_max_eigen(ms) == want
 
 
@@ -537,12 +549,15 @@ def pair_sets():
 @settings(max_examples=15, deadline=None)
 @given(
     name=st.sampled_from(["d4L4", "d8L3"]),
-    chunk=st.integers(1, 700),
+    per_block=st.integers(1, 700),
     workers=st.integers(1, 3),
 )
-def test_sweep_bit_identical_across_chunk_and_workers(pair_sets, name, chunk, workers):
+def test_sweep_bit_identical_across_chunk_and_workers(pair_sets, name, per_block, workers):
     ms, (reduced, full, raw) = pair_sets[name]
-    with mock.patch.object(entropy, "SWEEP_CHUNK", chunk):
+    with (
+        mock.patch.object(mub, "BLOCK_BYTES", per_block_bytes(per_block, ms.d)),
+        mock.patch.object(os, "cpu_count", return_value=3),  # the pool runs anywhere
+    ):
         assert sweep_max_eigen(ms, workers=workers) == reduced
         assert sweep_max_eigen(ms, workers=workers, on_chunk=_ignore) == full
         assert sweep_max_eigen(ms.bases, workers=workers) == raw
@@ -563,7 +578,7 @@ def test_bins_ignore_ulps_and_splits(levels, ulps, cuts):
     assert len(whole) <= len(set(levels))
     bins = np.empty((0, 3))
     for part in np.split(vals, sorted(set(min(c, len(vals)) for c in cuts))):
-        if not len(part):  # the kernel yields no empty chunk
+        if not len(part):  # the kernel yields no empty block
             continue
         pts = np.column_stack([part, part, np.ones_like(part)])
         bins = entropy._merge_bins(np.vstack([bins, pts]))
@@ -651,35 +666,32 @@ def test_spread_set_reduced_sweep_matches_full_sweep(n):
 
 
 @pytest.mark.parametrize(
-    "kwargs, match",
-    [({"workers": 0}, "workers"), ({"workers": -3}, "workers"), ({"chunk": 0}, "chunk")],
+    "kwargs, match", [({"workers": 0}, "workers"), ({"workers": -3}, "workers")]
 )
-def test_sweep_rejects_bad_workers_and_chunk(monkeypatch, kwargs, match):
+def test_sweep_rejects_bad_workers_and_chunk(kwargs, match):
     ms = build_mub_set(build_partition(2, 3))
-    kwargs = dict(kwargs)  # the chunk is a module constant, read at call time
-    monkeypatch.setattr(entropy, "SWEEP_CHUNK", kwargs.pop("chunk", entropy.SWEEP_CHUNK))
     with pytest.raises(ValueError, match=match):
         sweep_max_eigen(ms, **kwargs)
     with pytest.raises(ValueError, match=match):
         sweep_max_eigen(ms.bases, **kwargs)
 
 
-def stack_eigmax_chunks(B, strings, chunk, workers=1):
-    """The kernel before selectors were built per chunk, kept as the oracle:
+def stack_eigmax_chunks(B, strings, workers=1):
+    """The kernel before selectors were built per block, kept as the oracle:
     every projector np.outer(v, v^dag) in one (L, d, d, d) stack, gathered
-    and summed per chunk in basis order (workers ignored)."""
+    and summed in basis order for each block of
+    max(1, mub.BLOCK_BYTES // (48 d^2)) strings (workers ignored). String
+    indices are decoded by np.unravel_index."""
     L, d = B.shape[:2]
     projs = np.empty((L, d, d, d), dtype=complex)
     for j in range(L):
         for b in range(d):
             projs[j, b] = np.outer(B[j][:, b], B[j][:, b].conj())
-    powers = np.array([d ** (L - 1 - j) for j in range(L)])
-    for s in range(0, len(strings), chunk):
-        part = strings[s : s + chunk]
-        if isinstance(part, range):
-            digits = (np.arange(part.start, part.stop)[:, None] // powers) % d
-        else:
-            digits = part
+    block = max(1, mub.BLOCK_BYTES // (48 * d * d))
+    for s in range(0, len(strings), block):
+        digits = strings[s : s + block]
+        if np.ndim(digits) == 1:  # string indices: a range or an int array
+            digits = np.stack(np.unravel_index(np.asarray(digits), (d,) * L), axis=1)
         P = np.zeros((len(digits), d, d), dtype=complex)
         for j in range(L):
             P += projs[j, digits[:, j]]
@@ -687,19 +699,14 @@ def stack_eigmax_chunks(B, strings, chunk, workers=1):
         yield digits, np.linalg.eigvalsh(P)[:, -1]
 
 
-# (3,7) at chunk 1 solves its 32,768 reduced strings one call each, about
-# 5 s for both kernels; the test below takes it on a sample of them
+# strings per block: one, an odd count, more than the default at d = 4 and 8
 @pytest.mark.parametrize(
-    "n, L, chunk",
-    [
-        (n, L, chunk)
-        for n, L in [(2, 4), (2, 5), (3, 3), (3, 7)]
-        for chunk in (1, 7, 4096)
-        if (n, L, chunk) != (3, 7, 1)
-    ],
+    "n, L, per_block",
+    [(n, L, b) for n, L in [(2, 4), (2, 5), (3, 3), (3, 7)] for b in (1, 7, 4096)],
 )
-def test_selectors_built_per_chunk_equal_the_projector_stack(monkeypatch, n, L, chunk):
+def test_selectors_built_per_chunk_equal_the_projector_stack(monkeypatch, n, L, per_block):
     ms = build_mub_set(build_partition(n, L))
+    monkeypatch.setattr(mub, "BLOCK_BYTES", per_block_bytes(per_block, ms.d))
     runs = []
     for kernel in (stack_eigmax_chunks, entropy._eigmax_chunks):
         lams = []
@@ -710,7 +717,6 @@ def test_selectors_built_per_chunk_equal_the_projector_stack(monkeypatch, n, L, 
                 yield digits, lam
 
         monkeypatch.setattr(entropy, "_eigmax_chunks", recording)
-        monkeypatch.setattr(entropy, "SWEEP_CHUNK", chunk)
         res = sweep_max_eigen(ms)
         runs.append((res, np.concatenate(lams)))
     (want, want_lams), (got, got_lams) = runs
@@ -720,13 +726,14 @@ def test_selectors_built_per_chunk_equal_the_projector_stack(monkeypatch, n, L, 
     assert got.histogram == want.histogram
 
 
-def test_selectors_built_per_chunk_equal_the_projector_stack_one_by_one():
+def test_selectors_built_per_chunk_equal_the_projector_stack_one_by_one(monkeypatch):
     ms = build_mub_set(build_partition(3, 7))
     B = np.stack([b.vectors for b in ms.bases])
-    # every 13th string with prefix (0, 0), as digit rows, one per chunk
+    # every 13th string with prefix (0, 0), as digit rows, one per block
     strings = (np.arange(0, 8**5, 13)[:, None] // 8 ** np.arange(6, -1, -1)) % 8
-    want = list(stack_eigmax_chunks(B, strings, chunk=1))
-    got = list(entropy._eigmax_chunks(B, strings, chunk=1))
+    monkeypatch.setattr(mub, "BLOCK_BYTES", per_block_bytes(1, ms.d))
+    want = list(stack_eigmax_chunks(B, strings))
+    got = list(entropy._eigmax_chunks(B, strings))
     assert len(got) == len(want) == len(strings)
     for (gd, gl), (wd, wl) in zip(got, want):
         assert gl.tobytes() == wl.tobytes()
@@ -740,17 +747,20 @@ KERNEL = entropy._eigmax_chunks
 
 
 def _recorded_sweep(monkeypatch, ms, **kwargs):
-    """sweep_max_eigen's result, and the bytes of every (digits, lambdas)
-    chunk its kernel yielded."""
-    chunks = []
+    """sweep_max_eigen's result and, for every kernel call, the bytes of the
+    digits and of the lambdas it yielded, each joined over its blocks."""
+    calls = []
 
     def recording(*args, **kw):
+        blocks = []
+        calls.append(blocks)
         for part in KERNEL(*args, **kw):
-            chunks.append(tuple(a.tobytes() for a in part))
+            blocks.append(part)
             yield part
 
     monkeypatch.setattr(entropy, "_eigmax_chunks", recording)
-    return sweep_max_eigen(ms, **kwargs), chunks
+    res = sweep_max_eigen(ms, **kwargs)
+    return res, [[np.concatenate(a).tobytes() for a in zip(*b)] for b in calls]
 
 
 # the unreduced (3,7) sweep at one string per block would take minutes
@@ -764,8 +774,7 @@ def _recorded_sweep(monkeypatch, ms, **kwargs):
     ],
 )
 def test_kernel_is_bit_identical_for_any_block_size(monkeypatch, n, L, mode):
-    import mubforge.mub
-
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # the pool runs on any host
     ms = build_mub_set(build_partition(n, L))
     kwargs = {
         "reduced": {},
@@ -773,31 +782,89 @@ def test_kernel_is_bit_identical_for_any_block_size(monkeypatch, n, L, mode):
         "workers=2": {"workers": 2},
     }[mode]
     runs = []
-    # strings per block: one, an odd count, more than a chunk
-    for per_block in (1, 7, entropy.SWEEP_CHUNK + 1):
-        monkeypatch.setattr(mubforge.mub, "BLOCK_BYTES", per_block * 48 * ms.d**2)
+    # strings per block: one, an odd count, more than the default at d = 4 and 8
+    for per_block in (1, 7, 4097):
+        monkeypatch.setattr(mub, "BLOCK_BYTES", per_block_bytes(per_block, ms.d))
         runs.append(_recorded_sweep(monkeypatch, ms, **kwargs))
-    (want, want_chunks), *others = runs
-    assert want_chunks
-    for got, got_chunks in others:
-        assert got_chunks == want_chunks
+    (want, want_calls), *others = runs
+    assert want_calls
+    for got, got_calls in others:
+        assert got_calls == want_calls
         assert got == want
 
 
 def test_kernel_memory_stays_within_its_block_budget():
     import tracemalloc
 
-    import mubforge.mub
-
     ms = build_mub_set(build_partition(5, 5))
     B = np.stack([b.vectors for b in ms.bases])
     strings = np.random.default_rng(5).integers(0, ms.d, size=(2048, ms.L))
     tracemalloc.start()
     try:
-        (chunk,) = KERNEL(B, strings, entropy.SWEEP_CHUNK)  # one chunk of 2,048 d = 32 selectors
+        blocks = list(KERNEL(B, strings))  # 2,048 d = 32 selectors, 21 a block
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(chunk[1]) == 2048
-    # one chunk's selectors at once would be 2,048 x 16 KB = 32 MB each array
-    assert peak < 4 * mubforge.mub.BLOCK_BYTES
+    assert sum(len(lam) for _, lam in blocks) == 2048
+    # all 2,048 selectors at once would be 2,048 x 16 KB = 32 MB each array
+    assert peak < 4 * mub.BLOCK_BYTES
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n, L", [(2, 4), (3, 3), (5, 5)])
+def test_kernel_yields_blocks_of_its_byte_budget_in_input_order(
+    monkeypatch, n, L, workers
+):
+    # d = 4, 8 and 32: blocks of 1,365, 341 and 21 strings at the default
+    monkeypatch.setattr(os, "cpu_count", lambda: workers)
+    ms = build_mub_set(build_partition(n, L))
+    # each basis twice: d^(2L) strings hold the three blocks at d = 4 too
+    B = np.stack([b.vectors for b in ms.bases] * 2)
+    L, d = B.shape[:2]
+    block = max(1, mub.BLOCK_BYTES // (48 * d * d))
+    count = 2 * block + block // 2 + 1  # two whole blocks and a shorter one
+    start = d**L - count - 3
+    scattered = np.random.default_rng(n).integers(0, d**L, size=count)
+    for indices in (range(start, start + count), scattered):
+        rows = np.stack(np.unravel_index(np.asarray(indices), (d,) * L), axis=1)
+        by_index = list(KERNEL(B, indices, workers))
+        by_rows = list(KERNEL(B, rows, workers))
+        for got in (by_index, by_rows):
+            assert [len(lam) for _, lam in got] == [block, block, count - 2 * block]
+            assert np.array_equal(np.concatenate([digits for digits, _ in got]), rows)
+        lams = [np.concatenate([lam for _, lam in got]) for got in (by_index, by_rows)]
+        assert lams[0].tobytes() == lams[1].tobytes()
+
+
+@pytest.mark.parametrize(
+    "workers, cpus, pools", [(100000, 2, [2]), (100000, 1, []), (100000, None, []), (3, 8, [3])]
+)
+def test_worker_pool_is_capped_by_the_cpu_count(monkeypatch, workers, cpus, pools):
+    # the fake pool records the threads asked for and solves each submitted
+    # block at once, so no thread starts
+    import concurrent.futures
+
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    ms = build_mub_set(build_partition(2, 4))
+    want = unreduced(ms)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(mub, "BLOCK_BYTES", per_block_bytes(7, ms.d))  # 37 blocks
+    assert sweep_max_eigen(ms, workers=workers, on_chunk=_ignore) == want
+    assert asked == pools

@@ -366,9 +366,9 @@ def test_phase_point_strings_fall_into_d_orbits(monkeypatch, n):
 
     kernel, solved = mubforge.wigner._eigmax_chunks, []
 
-    def counted(projs, strings, chunk):
+    def counted(projs, strings):
         solved.append(len(strings))
-        return kernel(projs, strings, chunk=chunk)
+        return kernel(projs, strings)
 
     monkeypatch.setattr(mubforge.wigner, "_eigmax_chunks", counted)
     point_levels(complete_mub_bases(n))
