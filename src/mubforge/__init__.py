@@ -1,41 +1,17 @@
 """Symmetric mutually unbiased bases from anticommuting generators, with
 min-entropy bounds, brute-force extrema and discrete Wigner analysis.
 
-`import mubforge` runs pauli, transform, classes and mub. entropy and
-wigner are registered in sys.modules through importlib's LazyLoader: each
-is compiled and run on its first attribute access, so a command that never
-calls them (`generate`) never compiles them. The names re-exported from
-those two are served by the module `__getattr__` below.
+`import mubforge` runs pauli, classes and mub. transform, selector, entropy
+and wigner are registered in sys.modules through importlib's LazyLoader:
+each is compiled and run on its first attribute access, so a command runs
+only the modules it calls. `generate` runs transform alone; `wigner` on a
+spread set (n >= 3) runs selector and wigner, and never entropy, whose
+sweeps and minimizer it does not call, or transform, since a spread has no
+cycle spec. The names re-exported from the lazy modules are served by the
+module `__getattr__` below.
 """
 
 __version__ = "0.1.0"
-
-from .classes import (
-    CommutingClass,
-    Partition,
-    ValidationReport,
-    build_classes_2n1,
-    build_classes_Ln,
-    fixture_d4,
-    validate_partition,
-)
-from .mub import (
-    Basis,
-    MubSet,
-    build_mub_set,
-    common_eigenbasis,
-    verify_cycle,
-)
-from .pauli import (
-    GammaSet,
-    PauliTerm,
-    build_gamma_generators,
-    commutes,
-    gamma_product,
-    multiply,
-    to_dense,
-)
-from .transform import CycleSpec, conjugate_term, cycle_unitary
 
 
 def _lazy(name):
@@ -51,22 +27,59 @@ def _lazy(name):
     return module
 
 
+# classes and mub reach transform as a module, so it is registered first
+transform = _lazy("transform")
+
+from .classes import (  # noqa: E402
+    CommutingClass,
+    Partition,
+    ValidationReport,
+    build_classes_2n1,
+    build_classes_Ln,
+    fixture_d4,
+    validate_partition,
+)
+from .mub import (  # noqa: E402
+    Basis,
+    MubSet,
+    build_mub_set,
+    common_eigenbasis,
+    verify_cycle,
+)
+from .pauli import (  # noqa: E402
+    GammaSet,
+    PauliTerm,
+    build_gamma_generators,
+    commutes,
+    gamma_product,
+    multiply,
+    to_dense,
+)
+
+selector = _lazy("selector")
 entropy = _lazy("entropy")
 wigner = _lazy("wigner")
 
 _SERVED = {
-    name: entropy
-    for name in (
-        "BoundSet",
-        "avg_entropy",
-        "bounds",
-        "hermitian_eigmax",
-        "minimize_avg_entropy",
-        "pvec_operator",
-        "renyi_entropy",
-        "sweep_max_eigen",
+    name: module
+    for module, names in (
+        (transform, ("CycleSpec", "conjugate_term", "cycle_unitary")),
+        (selector, ("hermitian_eigmax", "pvec_operator")),
+        (
+            entropy,
+            (
+                "BoundSet",
+                "avg_entropy",
+                "bounds",
+                "minimize_avg_entropy",
+                "renyi_entropy",
+                "sweep_max_eigen",
+            ),
+        ),
+        (wigner, ("GF", "point_operator", "wigner_entropy_bound")),
     )
-} | {name: wigner for name in ("GF", "point_operator", "wigner_entropy_bound")}
+    for name in names
+}
 
 
 def __getattr__(name):

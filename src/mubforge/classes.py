@@ -33,6 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import transform
 from .pauli import (
     GammaSet,
     PauliTerm,
@@ -43,7 +44,6 @@ from .pauli import (
     parity,
     term_to_text,
 )
-from .transform import CliffordAction, CycleSpec, cycle_action
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class CommutingClass:
 class Partition:
     n: int
     L: int
-    spec: CycleSpec | None  # None: the classes are not cycled, as in a spread
+    spec: transform.CycleSpec | None  # None: not cycled, as in a spread
     classes: tuple[CommutingClass, ...]
 
     @property
@@ -113,8 +113,11 @@ def _masks(members: Sequence[PauliTerm]) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 def _push_classes(
-    action: CliffordAction, c0: tuple[PauliTerm, ...], singleton: int, L: int,
-    spec: CycleSpec,
+    action: transform.CliffordAction,
+    c0: tuple[PauliTerm, ...],
+    singleton: int,
+    L: int,
+    spec: transform.CycleSpec,
 ) -> tuple[CommutingClass, ...]:
     """Generate classes 1..L-1 by repeated conjugation of class 0, one
     batched step per class; signs are dropped (canonical members)."""
@@ -141,10 +144,10 @@ def build_classes_2n1(n: int) -> Partition:
     if not is_prime(L):
         raise ValueError(f"2n+1 = {L} is not prime")
     gs = build_gamma_generators(n)
-    spec = CycleSpec(n, (tuple(range(L)),))
+    spec = transform.CycleSpec(n, (tuple(range(L)),))
     pairs = [(a, L - a) for a in range(1, n)]
     c0 = _subset_products(gs, 0, pairs)
-    classes = _push_classes(cycle_action(gs, spec), c0, 0, L, spec)
+    classes = _push_classes(transform.cycle_action(gs, spec), c0, 0, L, spec)
     return Partition(n, L, spec, classes)
 
 
@@ -157,7 +160,7 @@ def build_classes_Ln(n: int, L: int) -> Partition:
     r = n // L
     gs = build_gamma_generators(n)
     groups = tuple(tuple(range(i * L, (i + 1) * L)) for i in range(2 * r))
-    spec = CycleSpec(n, groups)
+    spec = transform.CycleSpec(n, groups)
 
     if L == 2:
         singleton = 0
@@ -170,7 +173,7 @@ def build_classes_Ln(n: int, L: int) -> Partition:
         pairs += [((2 * i) * L, (2 * i + 1) * L) for i in range(r)]
     assert len(pairs) == n - 1
     c0 = _subset_products(gs, singleton, pairs)
-    classes = _push_classes(cycle_action(gs, spec), c0, singleton, L, spec)
+    classes = _push_classes(transform.cycle_action(gs, spec), c0, singleton, L, spec)
     return Partition(n, L, spec, classes)
 
 
@@ -194,7 +197,7 @@ def fixture_d4(L: int) -> Partition:
             cls(1, [2, 4], [3, 0]),
             cls(2, [0, 4], [3, 1]),
         )
-        spec = CycleSpec(2, ((0, 1, 2),))
+        spec = transform.CycleSpec(2, ((0, 1, 2),))
     else:
         classes = (
             cls(0, [1, 4], [2, 3]),
@@ -202,12 +205,12 @@ def fixture_d4(L: int) -> Partition:
             cls(2, [3, 4], [0, 1]),
             cls(3, [0, 4], [1, 2]),
         )
-        spec = CycleSpec(2, ((0, 1, 2, 3),))
+        spec = transform.CycleSpec(2, ((0, 1, 2, 3),))
     return Partition(2, L, spec, classes)
 
 
 def validate_partition(
-    part: Partition, action: CliffordAction | None = None
+    part: Partition, action: transform.CliffordAction | None = None
 ) -> ValidationReport:
     """Check P1 (commutation), P2 (disjointness) and P3 (cycling under
     action, by default cycle_action of part.spec, the exact action the cycle
@@ -220,7 +223,7 @@ def validate_partition(
     if action is None:
         if part.spec is None:
             raise ValueError("partition has no cycle spec, so P3 needs an action")
-        action = cycle_action(gs, part.spec)
+        action = transform.cycle_action(gs, part.spec)
     n, d = part.n, part.d
     failures = []
     masks = [_masks(c.members) for c in part.classes]

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, entropy, wigner
+from . import __version__, entropy, transform, wigner
 from .classes import (
     Partition,
     build_classes_2n1,
@@ -51,7 +51,6 @@ from .mub import (
     mub_set_json_parts,
     verify_cycle,
 )
-from .transform import ConstructionError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -415,7 +414,10 @@ def main(argv=None) -> int:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (
-        UnbiasednessError, DiagonalizationError, ConstructionError, CycleMatchError
+        UnbiasednessError,
+        DiagonalizationError,
+        transform.ConstructionError,
+        CycleMatchError,
     ) as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

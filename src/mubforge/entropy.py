@@ -14,9 +14,11 @@ Both arise from a bound on the top eigenvalue of the selector operators
     P_b = (1/L) sum_j |b^(j)><b^(j)|,      b in {0..d-1}^L,
 
 and sweep_max_eigen certifies tightness by covering all d^L of them. Every
-selector eigenvalue goes through one kernel, _eigmax_chunks. It builds and
-solves the selectors a block of strings at a time, the block sized so that
-at most about mub.BLOCK_BYTES of them are live in each worker, whatever d.
+selector eigenvalue goes through one kernel, selector._eigmax_chunks, which
+this module binds under the same name beside hermitian_eigmax,
+pvec_operator and LEVEL_TOL. It builds and solves the selectors a block of
+strings at a time, the block sized so that at most about mub.BLOCK_BYTES of
+them are live in each worker, whatever d.
 
 Pauli reduction. Each basis of a MubSet is the joint eigenbasis of a class
 C_j of d-1 commuting Pauli operators that, with the identity, span a
@@ -87,10 +89,8 @@ from __future__ import annotations
 
 import math
 import operator
-import os
 import random
-import threading
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -108,9 +108,11 @@ from .mub import (
     basis_matrices,
     orbit_maps,
 )
+# the kernel and the dense selector, bound here as well: the tests and
+# bench/tracer.py reach them through this module
+from .selector import LEVEL_TOL, _eigmax_chunks, hermitian_eigmax, pvec_operator
 
 LOG2 = math.log(2)
-LEVEL_TOL = 1e-10  # eigenvalues closer than this are one level: bins, b* ties
 MINIMIZE_BLOCK = 128  # restarts descending together; bounds the minimizer's memory
 MINIMIZE_ITERS = 500  # moves per restart in the last (or only) descent stage
 ANNEAL_ORDERS = (2.0, 20.0)  # smooth orders an alpha = inf descent passes first
@@ -126,12 +128,6 @@ class BoundSet:
     @property
     def best(self) -> float:
         return max(self.small_L, self.large_L)
-
-
-@dataclass(frozen=True)
-class PvecOperator:
-    matrix: np.ndarray
-    b: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -198,37 +194,6 @@ def avg_entropy(ms: "MubSet | Sequence", state, alpha: float) -> float:
     return sum(renyi_entropy(B, state, alpha) for B in mats) / len(mats)
 
 
-def pvec_operator(ms, b: Sequence[int]) -> PvecOperator:
-    """Selector operator for the string b: the mean of one projector per
-    basis."""
-    mats = basis_matrices(ms)
-    d = mats[0].shape[0]
-    if len(b) != len(mats):
-        raise ValueError(f"string length {len(b)} != basis count {len(mats)}")
-    if any(not 0 <= int(x) < d for x in b):
-        raise IndexError(f"basis-element index out of range in {tuple(b)}")
-    P = np.zeros((d, d), dtype=complex)
-    for j, B in enumerate(mats):
-        v = B[:, int(b[j])]
-        P += np.outer(v, v.conj())
-    P /= len(mats)
-    return PvecOperator(P, tuple(int(x) for x in b))
-
-
-def hermitian_eigmax(M: np.ndarray) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue and a deterministic unit eigenvector."""
-    M = np.asarray(M)
-    if np.max(np.abs(M - M.conj().T)) > 1e-10:
-        raise ValueError("matrix is not Hermitian within 1e-10")
-    w, V = np.linalg.eigh(M)
-    i = int(np.argmax(w))  # first index attaining the max
-    v = mub.fix_phase(V[:, i])
-    lam = float(w[i])
-    if np.linalg.norm(M @ v - lam * v) > 1e-10:
-        raise RuntimeError("eigenpair residual above 1e-10")
-    return lam, v
-
-
 def _checked_matrices(ms) -> list[np.ndarray]:
     """Basis matrices of a MubSet or a sequence of bases, checked.
 
@@ -262,73 +227,6 @@ def _sweep_size(mats, budget: int) -> int:
             "raise the budget or use sampling"
         )
     return total
-
-
-def _eigmax_chunks(B: np.ndarray, strings, workers: int = 1):
-    """Top eigenvalue of the mean-form selector of every string, by blocks.
-
-    The one selector-eigenvalue kernel. B is the (L, d, d) stack of basis
-    matrices. `strings` holds string indices, a range or a 1-D int array
-    (digit j of an index, base d with basis 0 most significant, is the
-    element of basis j), or is an (n, L) array of digit rows. Yields
-    (digits, lambdas) for consecutive blocks of
-    max(1, mub.BLOCK_BYTES // (48 d^2)) strings, read at call time, the
-    last one shorter, in input order for any worker count; indices are
-    decoded to digits a block at a time. A block is also the unit a worker
-    solves. A string's eigenvalue does not depend on the block it falls in:
-    selectors are summed from zero, basis by basis, from the outer products
-    c c^dag of the basis columns, the products np.outer forms, and eigvalsh
-    solves each matrix on its own.
-
-    Memory: a block is solved in one pair of buffers, for the selectors and
-    the outer products. The block size budgets three complex d x d arrays
-    per string: the two buffers and room for eigvalsh, which solves a stack
-    one matrix at a time. So a block needs about BLOCK_BYTES for any d. Each
-    worker allocates its pair once per call and reuses it for every block
-    it solves, so the heap does not churn block by block. A block keeps
-    only its digits and eigenvalues, and no (L, d, d, d) projector stack is
-    formed. At most min(workers, os.cpu_count()) threads run, and one runs
-    the blocks in the calling thread.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    L, d = B.shape[:2]
-    cols = B.transpose(0, 2, 1)  # [j, b]: column b of B_j
-    powers = np.array([d ** (L - 1 - j) for j in range(L)])
-    block = max(1, min(len(strings), mub.BLOCK_BYTES // (48 * d * d)))
-    local = threading.local()  # each worker's buffer pair, for this call only
-
-    def solve(digits):
-        if isinstance(digits, range):
-            digits = np.arange(digits.start, digits.stop)
-        if digits.ndim == 1:
-            digits = digits[:, None] // powers % d
-        if not hasattr(local, "buffers"):
-            local.buffers = np.empty((2, block, d, d), dtype=complex)
-        P, outer = local.buffers[:, : len(digits)]  # reused for every block
-        P.fill(0)
-        for j in range(L):
-            c = cols[j, digits[:, j]]  # [string, row]: each string's column of B_j
-            np.multiply(c[:, :, None], c.conj()[:, None, :], out=outer)
-            P += outer
-        P /= L
-        return digits, np.linalg.eigvalsh(P)[:, -1]
-
-    parts = (strings[s : s + block] for s in range(0, len(strings), block))
-    workers = min(workers, os.cpu_count() or 1)
-    if workers == 1:
-        yield from map(solve, parts)
-        return
-    from concurrent.futures import ThreadPoolExecutor  # only here: ~3 ms to import
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending: deque = deque()
-        for part in parts:
-            pending.append(pool.submit(solve, part))
-            if len(pending) > 2 * workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
 
 
 def _orbit_minima(maps, count: int):
@@ -405,7 +303,9 @@ def _summarize(blocks, count: int, weights: np.ndarray | None = None) -> SweepRe
         w = 1 if weights is None else weights[at : at + len(lam)]
         at += len(lam)
         pending.append(np.column_stack([lam, lam, np.broadcast_to(w, lam.shape)]))
-        if sum(map(len, pending)) >= len(bins):  # amortized: bins may be many
+        # amortized, since bins may be many; pending rows are three float64s,
+        # so at most about one block's bytes of them wait for a merge
+        if sum(map(len, pending)) >= max(len(bins), mub.BLOCK_BYTES // 24):
             bins, pending = _merge_bins(np.vstack([bins, *pending])), []
     bins = _merge_bins(np.vstack([bins, *pending]))
     hist = Counter({float(lo): int(n) for lo, _, n in bins})

@@ -46,6 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import transform
 from .classes import CommutingClass, Partition
 from .pauli import (
     PauliTerm,
@@ -55,11 +56,11 @@ from .pauli import (
     parity,
     row_mask,
 )
-from .transform import CliffordAction, cycle_unitary
 
 UNBIAS_TOL = 1e-8
-# about the most one block of unbiasedness products, or of selectors in
-# entropy._eigmax_chunks, holds: 1 MB blocks ran faster than 4 MB ones in the
+# about the most one block of unbiasedness products, of selectors in
+# selector._eigmax_chunks, or of histogram rows waiting for a merge in
+# entropy._summarize, holds: 1 MB blocks ran faster than 4 MB ones in the
 # unbiasedness check at d = 32 and d = 64, on a core with 2 MB of L2
 BLOCK_BYTES = 1 << 20
 DEFAULT_BUDGET = 2**28  # strings a sweep may cover; entropy and the CLI read it
@@ -113,7 +114,7 @@ class MubSet:
     U: np.ndarray | None
     provenance: Partition
     deviation: float
-    action: CliffordAction | None
+    action: transform.CliffordAction | None
 
     @property
     def L(self) -> int:
@@ -435,7 +436,7 @@ def build_mub_set(part: Partition) -> MubSet:
     part.spec; without a spec, both are None."""
     U, action = None, None
     if part.spec is not None:
-        U, action = cycle_unitary(build_gamma_generators(part.n), part.spec)
+        U, action = transform.cycle_unitary(build_gamma_generators(part.n), part.spec)
     bases = tuple(common_eigenbasis(c) for c in part.classes)
     worst = 0.0
     for j, k, dev, bad, ov in _pair_deviations([b.vectors for b in bases]):

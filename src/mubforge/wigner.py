@@ -17,9 +17,12 @@ and W_alpha(rho) = tr(A_alpha rho)/d is the discrete Wigner function. With b
 the string of elements on the lines through alpha, A_alpha + I = (d+1) P_b
 for the mean-form selector P_b, so lambda_max(A_alpha) = (d+1)
 lambda_max(P_b) - 1: point_levels solves the phase-point strings in one
-pass of the selector kernel entropy._eigmax_chunks, one string per Pauli
+pass of the selector kernel selector._eigmax_chunks, one string per Pauli
 orbit (Pauli translations make point operators unitarily equivalent). The
 dense point_operator is the oracle, checked once at the maximising point.
+This module needs the kernel alone, not entropy's sweeps and minimizer, so
+a wigner run never compiles entropy; on a spread set, which has no cycle
+spec, it never compiles transform either.
 The phase-point value of this net, -log2[(d W_max + 1)/(d+1)], is not a
 min-entropy bound: the bound maximises lambda_max(P_b) over all d^(d+1)
 strings, not over the d^2 of one net (at n = 3 a minimized state reaches
@@ -37,9 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classes import CommutingClass, Partition, build_classes_2n1
-from .entropy import LEVEL_TOL, _eigmax_chunks, hermitian_eigmax, pvec_operator
 from .mub import MubSet, basis_matrices, build_mub_set
 from .pauli import PauliTerm
+from .selector import LEVEL_TOL, _eigmax_chunks, hermitian_eigmax, pvec_operator
 
 IRREDUCIBLE = {1: 0b10, 2: 0b111, 3: 0b1011, 4: 0b10011, 5: 0b100101, 6: 0b1000011}
 
@@ -128,6 +131,19 @@ def _point_strings(n: int) -> np.ndarray:
     return np.column_stack([y[:, None] ^ GF(n).table()[:, x].T, x])
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an integer array in lexicographic order, and the
+    index of each row among them: np.unique(rows, axis=0,
+    return_inverse=True), by one lexsort instead of a sort of the rows as
+    opaque structured values."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    new = np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]
+    back = np.empty(len(rows), dtype=np.intp)
+    back[order] = np.cumsum(new) - 1
+    return ranked[new], back
+
+
 def point_levels(bases) -> np.ndarray:
     """lambda_max(A_alpha) at every point, x-major: (d+1) lambda_max(P_b) - 1.
 
@@ -141,10 +157,9 @@ def point_levels(bases) -> np.ndarray:
     strings = _point_strings(d.bit_length() - 1)
     back = np.arange(d * d)
     if isinstance(bases, MubSet):
-        reps = bases.pauli_labels.representatives(strings)
-        strings, back = np.unique(reps, axis=0, return_inverse=True)
+        strings, back = _distinct_rows(bases.pauli_labels.representatives(strings))
     chunks = _eigmax_chunks(np.stack(mats), strings)
-    return (d + 1) * np.concatenate([lam for _, lam in chunks])[back.ravel()] - 1
+    return (d + 1) * np.concatenate([lam for _, lam in chunks])[back] - 1
 
 
 def wigner_entropy_bound(bases, levels: np.ndarray) -> dict:

@@ -349,7 +349,7 @@ def test_generate_matches_fixture(tmp_path):
 def test_generate_builds_the_cycle_unitary_once(tmp_path, monkeypatch):
     import mubforge.classes
     import mubforge.cli
-    import mubforge.mub
+    import mubforge.transform
     from mubforge.transform import cycle_unitary
 
     calls = []
@@ -358,11 +358,11 @@ def test_generate_builds_the_cycle_unitary_once(tmp_path, monkeypatch):
         calls.append(spec)
         return cycle_unitary(gs, spec)
 
-    # build_mub_set is the one caller: the CLI and the validator use the
-    # exact action alone
+    # build_mub_set is the one caller, through the module: the CLI and the
+    # validator use the exact action alone
     assert not hasattr(mubforge.cli, "cycle_unitary")
     assert not hasattr(mubforge.classes, "cycle_unitary")
-    monkeypatch.setattr(mubforge.mub, "cycle_unitary", counted)
+    monkeypatch.setattr(mubforge.transform, "cycle_unitary", counted)
     assert run(["generate", "--n", "3", "--L", "3", "--out", str(tmp_path)]) == 0
     assert len(calls) == 1
 
@@ -556,29 +556,42 @@ def test_cli_import_leaves_scipy_out():
     assert _loaded_after("import mubforge.cli", ["scipy"]) == []
 
 
-LAZY = ["mubforge.entropy", "mubforge.wigner"]
+LAZY = [f"mubforge.{m}" for m in ("transform", "selector", "entropy", "wigner")]
+TRANSFORM, SELECTOR, ENTROPY, WIGNER = LAZY
 
 
 def test_cli_import_registers_every_module_and_runs_no_lazy_one():
     # bench/tracer.py reads sys.modules[m] for each of its target modules
     # right after `import mubforge.cli`
-    modules = ["mubforge"] + [
-        f"mubforge.{m}"
-        for m in ("pauli", "transform", "classes", "mub", "entropy", "wigner", "cli")
-    ]
+    eager = [f"mubforge.{m}" for m in ("pauli", "classes", "mub", "cli")]
+    modules = ["mubforge"] + eager + LAZY
     assert _loaded_after("import mubforge.cli", modules) == modules
     assert _loaded_after("import mubforge.cli", LAZY, ran=True) == []
+
+
+def test_entropy_binds_the_selector_kernel_itself():
+    # bench/tracer.py wraps mubforge.entropy.hermitian_eigmax, and the
+    # tests reach the kernel through entropy: one object, not a copy
+    from mubforge import entropy, selector
+
+    for name in ("hermitian_eigmax", "_eigmax_chunks", "pvec_operator", "LEVEL_TOL"):
+        assert getattr(entropy, name) is getattr(selector, name)
 
 
 @pytest.mark.parametrize(
     "args, code, ran",
     [
-        (["generate", "--n", "3", "--L", "7"], 0, []),
-        (["generate", "--n", "2", "--L", "3", "--tol", "nan"], 4, []),
-        (["reproduce-fig", "--which", "1", "--restarts", "2"], 0, LAZY[:1]),
-        (["wigner", "--n", "2"], 0, LAZY),
+        (["generate", "--n", "3", "--L", "7"], 0, [TRANSFORM]),
+        (["generate", "--n", "2", "--L", "3", "--tol", "nan"], 4, [TRANSFORM]),
+        (
+            ["reproduce-fig", "--which", "1", "--restarts", "2"],
+            0,
+            [TRANSFORM, SELECTOR, ENTROPY],
+        ),
+        (["wigner", "--n", "2"], 0, [TRANSFORM, SELECTOR, WIGNER]),
+        (["wigner", "--n", "3"], 0, [SELECTOR, WIGNER]),
     ],
-    ids=["generate", "generate-bad-tol", "fig1", "wigner"],
+    ids=["generate", "generate-bad-tol", "fig1", "wigner", "wigner-spread"],
 )
 def test_commands_run_only_the_lazy_modules_they_call(tmp_path, args, code, ran):
     script = f"import mubforge.cli as c; assert c.main({args!r}) == {code}"

@@ -35,8 +35,9 @@ def test_src_imports_only_the_standard_library_and_numpy():
 
 
 def test_star_import_gives_every_exported_name_from_its_module():
-    # entropy's and wigner's names are served by the package's __getattr__,
-    # which `import *` reaches only through __all__
+    # the lazy modules' names (transform, selector, entropy, wigner) are
+    # served by the package's __getattr__, which `import *` reaches only
+    # through __all__
     import mubforge
 
     namespace = {}

@@ -15,6 +15,7 @@ from mubforge.pauli import PauliTerm, apply, commutes
 from mubforge.wigner import (
     GF,
     ROUTE_TOL,
+    _distinct_rows,
     _point_strings,
     complete_mub_bases,
     line_indices_through,
@@ -373,6 +374,24 @@ def test_phase_point_strings_fall_into_d_orbits(monkeypatch, n):
     monkeypatch.setattr(mubforge.wigner, "_eigmax_chunks", counted)
     point_levels(complete_mub_bases(n))
     assert solved == [2**n]  # d^2 strings, one kernel call, one per orbit
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        np.random.default_rng(5).integers(0, 3, size=(200, 4)),  # many repeats
+        np.random.default_rng(6).integers(0, 8, size=(50, 6)),
+        np.array([[3, 1, 2]]),
+        np.full((7, 5), 4),
+    ],
+    ids=["small-alphabet", "wide", "one-row", "all-equal"],
+)
+def test_distinct_rows_equal_np_unique(rows):
+    got, back = _distinct_rows(rows)
+    want, inverse = np.unique(rows, axis=0, return_inverse=True)
+    assert got.tolist() == want.tolist()
+    assert back.tolist() == inverse.ravel().tolist()
+    assert (got[back] == rows).all()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
