@@ -28,7 +28,7 @@ rather than assumed, exactly on the mask arrays, under that same action.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -57,10 +57,19 @@ class CommutingClass:
 
 @dataclass(frozen=True)
 class Partition:
+    """L classes, the cycle spec whose unitary carries class j to class j+1,
+    and symmetries: further generator permutations, as cycle specs, whose
+    exact actions (transform.cycle_action) permute the classes. Only
+    build_classes_2n1 declares one, its multiplier, so the sweep of an
+    (n, 2n+1) set quotients by the Paulis x AGL(1, L) x K. They state a
+    property of the classes rather than define them, so partition_to_json
+    does not write them and equality does not compare them."""
+
     n: int
     L: int
     spec: transform.CycleSpec | None  # None: not cycled, as in a spread
     classes: tuple[CommutingClass, ...]
+    symmetries: tuple[transform.CycleSpec, ...] = field(default=(), compare=False)
 
     @property
     def d(self) -> int:
@@ -86,6 +95,14 @@ def is_prime(m: int) -> bool:
     if m < 2:
         return False
     return all(m % k for k in range(2, int(m**0.5) + 1))
+
+
+def primitive_root(p: int) -> int:
+    """The least g whose powers mod the prime p run through all of 1..p-1."""
+    for g in range(2, p):
+        if len({pow(g, k, p) for k in range(1, p)}) == p - 1:
+            return g
+    return 1  # p = 2
 
 
 def _subset_products(
@@ -139,6 +156,16 @@ def build_classes_2n1(n: int) -> Partition:
     Class 0 uses singleton G_0 and the mirrored pairs (1,2n), (2,2n-1), ...,
     (n-1,n+2); the middle pair (n,n+1) stays out so the count works out to
     d-1 members.
+
+    The multiplier G_a -> +-G_{g a mod L}, g = primitive_root(L), sends
+    class j onto class g j mod L. Class j is generated by G_j and the pair
+    products G_{j+a} G_{j-a}, a = 1..n-1, whose images are G_{gj} and
+    G_{gj+ga} G_{gj-ga}: n-1 of the n pairs (gj+c, gj-c), c = 1..n, and any
+    n-1 of them generate class g j with G_{gj}, as the product of all 2n+1
+    generators is a phase. It is declared as a symmetry: one cycle
+    (g^0, g^1, .., g^(L-2)) mod L over G_1..G_2n that fixes G_0. That cycle
+    is even and runs through G_2n, so it has an exact action but no
+    cycle_unitary, and needs none.
     """
     L = 2 * n + 1
     if not is_prime(L):
@@ -148,7 +175,9 @@ def build_classes_2n1(n: int) -> Partition:
     pairs = [(a, L - a) for a in range(1, n)]
     c0 = _subset_products(gs, 0, pairs)
     classes = _push_classes(transform.cycle_action(gs, spec), c0, 0, L, spec)
-    return Partition(n, L, spec, classes)
+    g = primitive_root(L)
+    multiplier = transform.CycleSpec(n, (tuple(pow(g, k, L) for k in range(L - 1)),))
+    return Partition(n, L, spec, classes, (multiplier,))
 
 
 def build_classes_Ln(n: int, L: int) -> Partition:

@@ -189,10 +189,13 @@ def cmd_sweep(args) -> int:
 def _sweep_to_csv(ms: MubSet, args, scale: int):
     """Unreduced sweep that writes every string's row to --out as its block
     is solved. The file is created at the first block, so a refused sweep
-    leaves none."""
+    leaves none. A block is formatted by one % over a flat tuple of its
+    cells, a row's L digits then its two values: %0<width>d and %.12f give
+    the text of the f-string specs {:0<width>d} and {:.12f}."""
     path = Path(args.out)
     fh = None
     width = len(str(ms.d - 1))  # fixed-width digits keep labels unambiguous
+    row = f"%0{width}d" * ms.L + ",%.12f,%.12f\n"
 
     def write_rows(digits, lam):
         nonlocal fh
@@ -200,13 +203,11 @@ def _sweep_to_csv(ms: MubSet, args, scale: int):
             path.parent.mkdir(parents=True, exist_ok=True)
             fh = path.open("w")
             fh.write("b_string,lambda_max,minus_log2\n")
-        fh.write(
-            "".join(
-                f"{''.join(f'{i:0{width}d}' for i in b)},{scale * x:.12f},"
-                f"{-math.log2(x):.12f}\n"
-                for b, x in zip(digits.tolist(), lam.tolist())
-            )
-        )
+        cells = np.empty((len(lam), ms.L + 2), dtype=object)
+        cells[:, : ms.L] = digits
+        cells[:, -2] = scale * lam
+        cells[:, -1] = [-math.log2(x) for x in lam.tolist()]
+        fh.write(row * len(lam) % tuple(cells.ravel().tolist()))
 
     try:
         res = entropy.sweep_max_eigen(

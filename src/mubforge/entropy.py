@@ -49,29 +49,36 @@ conjugation K, the antiunitary half of the extended Clifford group, does
 too: each Hermitian basis generator is real or imaginary, so the conjugate
 of an element of basis j is the element whose label, its sign code
 (mub.Basis), has the bits of the imaginary generators flipped, P_{K.b} =
-conj(P_b) has the spectrum of P_b, and conj(W) = +-W. On strings with
-b_0 = b_1 = 0, f(b) and k(b) are the representatives with prefix (0, 0)
-of U.b and of K.b, and mub.orbit_maps gives each as a permutation of the
-d^(L-2) keys. The group of the Paulis, U and K has orbits that are unions
-of Pauli orbits, and its orbit through b holds d^2 times as many strings
-as the orbit of b under the maps. Its smallest member has prefix (0, 0),
+conj(P_b) has the spectrum of P_b, and conj(W) = +-W. A partition may
+declare further Clifford symmetries that permute the bases
+(classes.Partition.symmetries): an (n, 2n+1) set declares its multiplier,
+which sends basis j to basis g j mod L and with U generates AGL(1, L). On
+strings with b_0 = b_1 = 0, f(b), k(b) and each symmetry's map are the
+representatives with prefix (0, 0) of U.b, of K.b and of the symmetry's
+image of b, and orbits.orbit_maps gives each as a permutation of the
+d^(L-2) keys. The group they generate with the Paulis (Paulis x
+AGL(1, L) x K for an (n, 2n+1) set) has orbits that are unions of Pauli
+orbits, and its orbit through b holds d^2 times as many strings as the
+orbit of b under the maps. Its smallest member has prefix (0, 0),
 so it is the smallest key of that orbit. The sweep labels the orbits of
 the maps in one pass over all d^(L-2) keys (_orbit_minima), which works
 for any number of maps, commuting or not, and solves only each orbit's
 smallest string, weighted d^2 times the orbit's size. Since each orbit's
 smallest string is still solved, lambda* and the tie rule below give the
 same b* as the Pauli reduction alone. The maps pi_j follow exactly from
-U's Clifford action (mub.MubSet.cycle_permutations). Where there are none
-(U is None or leaves the set), f is left out, and k alone joins the Pauli
-orbits in pairs.
+each action (mub.MubSet.cycle_permutations and symmetry_permutations).
+Where there are none (U is None or leaves the set), f is left out, as is
+a symmetry that leaves the set, and k alone may join the Pauli orbits in
+pairs.
 
 The maps run on integer keys: a string's key is its index, digit j in its
 own n-bit field since d = 2^n. On a string with b_0 = b_1 = 0 the Pauli
-that brings U.b back to prefix (0, 0) depends on b_{L-1} alone, so f sends
-digit 2 to T_2[b_{L-1}] and digit j >= 3 to T_j[b_{j-1}, b_{L-1}]: L - 2
-exact tables read with shifts, masks and gathers and ORed into the image
-key. A Pauli or K flips fixed bits of each label, so k is the XOR of the
-key with one mask. Labels and maps are int32, one array of d^(L-2) each
+that brings g.b back to prefix (0, 0) depends on the digits that land at
+positions 0 and 1 alone (b_{L-1} for U), so each digit of the image is an
+exact int32 table over at most three digits, which orbits._key_map
+broadcasts over the grid of keys and ORs into the image keys. A Pauli or
+K flips fixed bits of each label, so k is the XOR of the key with one
+mask. Labels and maps are int32, one array of d^(L-2) each
 (8 MB at 8^7 keys), so a reduced range of 2^31 keys or more is refused
 before any is allocated. The kept keys go to the kernel as string indices,
 which it decodes to digits a block at a time.
@@ -104,10 +111,9 @@ from .mub import (
     UNBIAS_TOL,
     BudgetExceededError,
     MubSet,
-    _cycle_strings,
     basis_matrices,
-    orbit_maps,
 )
+from .orbits import _cycle_strings, orbit_maps
 # the kernel and the dense selector, bound here as well: the tests and
 # bench/tracer.py reach them through this module
 from .selector import LEVEL_TOL, _eigmax_chunks, hermitian_eigmax, pvec_operator
@@ -232,7 +238,7 @@ def _sweep_size(mats, budget: int) -> int:
 def _orbit_minima(maps, count: int):
     """(kept, sizes): the keys 0..count-1 that are the smallest of their
     orbit under the group the key permutations `maps` generate
-    (mub.orbit_maps), in increasing order, and the size of each one's orbit.
+    (orbits.orbit_maps), in increasing order, and the size of each one's orbit.
 
     Every key holds a label, at first itself. A round gives each key the
     least label among its own and those of its images under every map; the
@@ -242,17 +248,20 @@ def _orbit_minima(maps, count: int):
     label is then the same on the whole orbit: its smallest key, the one
     key that keeps its own label. The maps need not commute, and there may
     be any number of them. The labels are int32, so count must be below
-    2^31. Besides the maps, a round holds four int32 arrays of count
-    entries (the keys, the labels, the last round's labels and one gather),
-    and the sizes are counted in one int64 array of as many.
+    2^31. Besides the maps, a round holds two int32 arrays of count entries
+    (the labels and the next labels, swapped after each map), and the sizes
+    are counted in one int64 array of as many.
     """
-    keys = np.arange(count, dtype=np.int32)
-    low, prev = keys.copy(), None
-    while not np.array_equal(low, prev):
-        prev = low.copy()
+    low, new = np.arange(count, dtype=np.int32), np.empty(count, dtype=np.int32)
+    changed = True
+    while changed:
+        changed = False
         for p in maps:
-            np.minimum(low, low[p], out=low)
-    kept = np.flatnonzero(low == keys)
+            np.minimum(low, np.take(low, p, out=new, mode="clip"), out=new)
+            changed = changed or not np.array_equal(new, low)
+            low, new = new, low
+    del new
+    kept = np.flatnonzero(low == np.arange(count, dtype=np.int32))
     return kept, np.bincount(low)[kept]
 
 
@@ -327,9 +336,10 @@ def sweep_max_eigen(
     """Exact maximum of lambda_max(P_b, mean) over all d^L strings b.
 
     A MubSet is swept over the strings with b_0 = b_1 = 0 that are the
-    smallest of their orbit under the key permutations of mub.orbit_maps,
+    smallest of their orbit under the key permutations of orbits.orbit_maps,
     each standing for the d^2 |orbit| strings of its orbit under the Paulis,
-    the cycle unitary and complex conjugation (module docstring); raw bases
+    the cycle unitary, the declared symmetries and complex conjugation:
+    Paulis x AGL(1, L) x K for an (n, 2n+1) set (module docstring); raw bases
     are swept over all d^L. The orbits are labelled once over the d^(L-2)
     keys (_orbit_minima), and the kept keys, which are string indices, go
     to the kernel as they are; a reduced range of 2^31 keys or more, which

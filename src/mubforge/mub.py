@@ -23,16 +23,18 @@ A label is its own sign code: label b of basis j has sign -1 under
 generator g_i exactly when bit n-1-i of b is set. So a Pauli operator W
 acts on the labels of basis j as b -> b ^ tau_j(W) (PauliLabels, built once
 per set), and complex conjugation as b -> b ^ y_j, y_j holding the bits of
-the imaginary generators, read off their masks. The cycle unitary sends
-element b of basis j to element pi_j(b) of basis j+1, cyclically
-(MubSet.cycle_permutations). pi is read exactly off the set's Clifford
-action, the tableau cycle_unitary checks U against: each generator image
-is found by its masks in the next basis's table of subset products
-(_group), whose signs on every column are one table read, so no dense
-matrix is touched. orbit_maps composes them into permutations
-of the integer string keys whose orbits the selector sweep labels: a table
-map for the cycle, and one XOR mask for conjugation. verify_cycle checks U
-against pi.
+the imaginary generators, read off their masks. A Clifford action that
+permutes the bases sends element b of basis j to element pi_j(b) of basis
+sigma(j): the cycle unitary with sigma(j) = j+1, cyclically
+(MubSet.cycle_permutations), and each symmetry the partition declares,
+as the multiplier of an (n, 2n+1) set with sigma(j) = g j mod L
+(MubSet.symmetry_permutations). sigma and pi are read exactly off the
+action, for U the tableau cycle_unitary checks U against: each generator
+image is found by its masks in the bases' tables of subset products
+(_group, built once per set), whose signs on every column are one table
+read, so no dense matrix is touched. orbits.orbit_maps composes them into
+permutations of the integer string keys whose orbits the selector sweep
+labels. verify_cycle checks U against pi.
 """
 
 from __future__ import annotations
@@ -134,40 +136,80 @@ class MubSet:
     def cycle_permutations(self) -> np.ndarray | None:
         """pi[j, b]: the element of basis j+1 (cyclically) that U carries
         element b of basis j onto, derived once from the set's action; None
-        without an action or unless U cycles the bases."""
+        without an action or unless U cycles the bases. With the Paulis,
+        complex conjugation and, for an (n, 2n+1) set, the multiplier
+        (symmetry_permutations), U generates the group Paulis x AGL(1, L) x K
+        whose orbits the sweep labels (orbit_maps)."""
         return self._cycle[0]
 
     @cached_property
     def _cycle(self) -> tuple[np.ndarray | None, str]:
-        """(pi, "") with pi as in cycle_permutations, or (None, why). The set's
-        action maps all L n basis generators at once. Each image U g_i U^H of
-        a generator of basis j must be +-g_S, a product of generators of
-        basis j+1 (its _group table), which has sign (-1)^|S & t| on the
-        column of code t. So the image's sign on a column, read as a label of
-        basis j, is exact, and it is the label that lands on the column."""
+        """(pi, "") with pi as in cycle_permutations, or (None, why)."""
         if self.action is None:
             return None, "no projector match: set has no Clifford action of U"
+        perm, why = self._permutation(self.action, (np.arange(self.L) + 1) % self.L)
+        return perm and perm[1], why
+
+    @cached_property
+    def symmetry_permutations(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(sigma, pi) of each symmetry the provenance declares (its exact
+        cycle_action, Partition.symmetries) that permutes the bases, as in
+        _permutation; one whose images leave the set is left out. For an
+        (n, 2n+1) set this is the multiplier, sigma(j) = g j mod L, so with
+        U, the Paulis and K the group is Paulis x AGL(1, L) x K."""
+        gs = build_gamma_generators(self.provenance.n)
+        actions = (transform.cycle_action(gs, s) for s in self.provenance.symmetries)
+        perms = (self._permutation(a)[0] for a in actions)
+        return tuple(p for p in perms if p is not None)
+
+    @cached_property
+    def _group_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(keys, ps, order) over the subset products g_S of every basis
+        (_group), entry j d + S for basis j: the key x | z << n of the masks,
+        the phase, and the order that sorts the keys. Built once per set
+        and shared by every action's label maps."""
+        n = self.bases[0].generators[0].n
+        groups = [_group(B.generators) for B in self.bases]
+        keys = np.concatenate([xs | zs << n for xs, zs, _ in groups])
+        ps = np.concatenate([ps for _, _, ps in groups])
+        return keys, ps, np.argsort(keys)
+
+    def _permutation(
+        self, action: transform.CliffordAction, to: np.ndarray | None = None
+    ) -> tuple[tuple[np.ndarray, np.ndarray] | None, str]:
+        """((sigma, pi), "") when the action maps basis j onto basis
+        sigma[j] (to[j], if given) and element b of basis j onto element
+        pi[j, b] of that basis, for every j; else (None, why). The action
+        maps all L n basis generators at once. Each image g g_i g^H must be
+        +-g_S, a product of the generators of one basis (its _group table),
+        the same basis for all n generators of basis j; +-g_S has sign
+        (-1)^|S & t| on the column of code t. So the image's sign on a
+        column, read as a label of basis j, is exact, and it is the label
+        that lands on the column. An action is an automorphism, so no two
+        bases land on one."""
         gens = [g for B in self.bases for g in B.generators]
         n, L, d = gens[0].n, self.L, self.d
         masks = np.array([(g.xmask, g.zmask, g.phase) for g in gens]).T
-        x, z, p, s = self.action.conjugate_masks(*masks)
-        key = (row_mask(x, n) | row_mask(z, n) << n).reshape(L, n)
-        p = (p + 1 - s).reshape(L, n)  # the sign folded into the phase
+        x, z, p, s = action.conjugate_masks(*masks)
+        key = row_mask(x, n) | row_mask(z, n) << n
+        keys, ps, order = self._group_tables
+        at = order[np.searchsorted(keys, key, sorter=order).clip(max=L * d - 1)]
+        lead = (p + 1 - s - ps[at]) % 4  # 0 or 2 where the image is +-g_S
+        sigma, S = (at // d).reshape(L, n), (at % d).reshape(L, n)
+        want = sigma[:, :1] if to is None else to[:, None]
+        bad = ((keys[at] != key) | (lead % 2 == 1)).reshape(L, n) | (sigma != want)
+        bad = bad.any(axis=1)
         flip = _sign_tables(n)[0][:, row_mask(np.arange(d), n)]  # [S, column]
+        minus = (lead.reshape(L, n) == 2)[:, :, None] ^ flip[S]  # [j, i, column]
         bit = 1 << np.arange(n - 1, -1, -1)  # g_i's sign is bit n-1-i
         pi = np.full((L, d), -1)
-        for j in range(L):
-            nxt = (j + 1) % L
-            xs, zs, ps = _group(self.bases[nxt].generators)
-            table = xs | zs << n
-            order = np.argsort(table)
-            S = order[np.searchsorted(table, key[j], sorter=order).clip(max=d - 1)]
-            lead = (p[j] - ps[S]) % 4  # 0 or 2 where the image is +-g_S
-            minus = (lead == 2)[:, None] ^ flip[S]  # [i, column]
-            pi[j, bit @ minus] = np.arange(d)
-            if (table[S] != key[j]).any() or (lead % 2).any() or (pi[j] < 0).any():
-                return None, f"no projector match: U maps basis {j} off basis {nxt}"
-        return pi, ""
+        pi[np.arange(L)[:, None], bit @ minus] = np.arange(d)
+        bad |= (pi < 0).any(axis=1)
+        if bad.any():
+            j = int(np.argmax(bad))
+            where = "the set" if to is None else f"basis {to[j]}"
+            return None, f"no projector match: the action maps basis {j} off {where}"
+        return (sigma[:, 0], pi), ""
 
 
 @dataclass(frozen=True)
@@ -488,88 +530,6 @@ def _projector_distances(V: np.ndarray, W: np.ndarray) -> np.ndarray:
     # C G = [[ew, ee], [ww + ew, we + ee]] with ew = conj(we)
     sq = (we.conj() ** 2 + 2 * ee * (ww + we.conj()) + (we + ee) ** 2).real
     return np.sqrt(np.maximum(sq, 0))
-
-
-def _cycle_strings(ms: MubSet) -> np.ndarray:
-    """Strings b that the cycle unitary maps to themselves.
-
-    U|b_j^(j)> equals |b_{j+1}^(j+1)> up to phase for every j, cyclically,
-    so the selector P_b commutes with U. Empty if U does not cycle the bases
-    or is None.
-    """
-    pi = ms.cycle_permutations
-    if pi is None:
-        return np.empty((0, ms.L), dtype=np.int64)
-    rows = np.empty((ms.d, ms.L), dtype=np.int64)
-    rows[:, 0] = np.arange(ms.d)
-    for j in range(1, ms.L):
-        rows[:, j] = pi[j - 1, rows[:, j - 1]]
-    return rows[pi[-1, rows[:, -1]] == rows[:, 0]]
-
-
-def orbit_maps(ms: MubSet) -> list[np.ndarray]:
-    """The int32 key permutations of the strings with prefix (0, 0) whose
-    orbits the sweep labels: f, when U cycles the bases, and k, when it
-    moves some key. A string's key is its index: with d = 2^n, digit j fills
-    bits n (L-1-j) to n (L-j) - 1. Both keep the spectrum, and both map
-    Pauli orbits onto Pauli orbits, so each stands for one generator of the
-    group of the Paulis, U and complex conjugation K. Entry b of a map is
-    the key b goes to.
-
-    f(b) is the Pauli representative of U.b, (U.b)_{j+1} = pi_j(b_j): P_{U.b}
-    = U P_b U^dag. f is left out when U is None or does not cycle the bases.
-    U is Clifford, so U W U^dag is one Pauli W' for every Pauli W, and pi,
-    read exactly off U's action, has U.(W.b) = W'.(U.b). With b_0 = b_1 = 0,
-    (U.b)_1 = pi_0(0) is fixed, so the one Pauli that brings U.b back to
-    prefix (0, 0) depends on b_{L-1} alone: digit j of f(b) is
-    T_j[b_{j-1}, b_{L-1}], read with shifts, masks and gathers.
-
-    k(b) is the Pauli representative of K.b, P_{K.b} = conj(P_b). A
-    Hermitian generator i^p X^x Z^z has p = |x & z| mod 2 and conjugates to
-    (-1)^p times itself, so K flips the bits of a label of basis j that
-    name its generators with odd |x & z|, and the Pauli that brings K.b back
-    to prefix (0, 0) flips more: digit j of k(b) is b_j ^ m_j
-    (_conjugation_labels), read off the generator masks with no dense read.
-    So k is the XOR of the key with one mask, left out when the mask is 0.
-
-    Each map holds d^(L-2) int32 keys, so the caller keeps that below 2^31.
-    """
-    if ms.L < 3:
-        return []
-    n, L, d = ms.d.bit_length() - 1, ms.L, ms.d
-    mask = d - 1
-    shift = [n * (L - 1 - j) for j in range(L)]  # digit j's field starts here
-    keys = np.arange(d ** (L - 2), dtype=np.int32)
-    maps = []
-    pi = ms.cycle_permutations
-    if pi is not None:
-        # T[j - 2, x, y]: digit j of f(b) for b_{j-1} = x and b_{L-1} = y (f
-        # reads row 0 of T_2, as b_1 = 0). The Pauli W for each b_{L-1}
-        # takes (U.b)_0 = pi_{L-1}(b_{L-1}) to label 0 of basis 0 and
-        # (U.b)_1 = pi_0(0) to label 0 of basis 1
-        pl = ms.pauli_labels
-        W = pl.pauli_of[pi[-1], pi[0, 0]]
-        digit, x = np.arange(2, L)[:, None, None], np.arange(d)[:, None]
-        T = (pi[digit - 1, x] ^ pl.tau[digit, W]).astype(np.int32)
-        last = keys & mask
-        f = T[0, 0, last] << shift[2]  # b_1 = 0
-        for j in range(3, L):
-            f |= T[j - 2, (keys >> shift[j - 1]) & mask, last] << shift[j]
-        maps.append(f)
-    flips = sum(int(m) << s for m, s in zip(_conjugation_labels(ms), shift))
-    if flips:
-        maps.append(keys ^ flips)
-    return maps
-
-
-def _conjugation_labels(ms: MubSet) -> np.ndarray:
-    """m[j]: the bits k flips in digit j, those complex conjugation flips
-    (y_j) and then those the Pauli W = pauli_of[y_0, y_1] flips:
-    m_j = y_j ^ tau[j, W], so m_0 = m_1 = 0."""
-    pl, n = ms.pauli_labels, ms.d.bit_length() - 1
-    xz = np.array([[g.xmask & g.zmask for g in B.generators] for B in ms.bases])
-    y = (parity(xz) << np.arange(n - 1, -1, -1)).sum(axis=1)  # [j]: bits K flips
-    return y ^ pl.tau[:, pl.pauli_of[y[0], y[1]]]
 
 
 def cycle_coherent_family(ms: MubSet, b: int) -> np.ndarray:

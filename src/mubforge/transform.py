@@ -113,14 +113,16 @@ class CliffordAction:
         """U a U^H for every a = i^phase X^x Z^z of the mask arrays, as
         (x', z', phase', sign) with phase' in {0, 1} (canonical) and sign
         +-1. Each set bit k multiplies in row k on the right, adding
-        p_k + 2 parity(z & x_k) to the phase (pauli.multiply)."""
+        p_k + 2 parity(z & x_k) to the phase (pauli.multiply), the parity
+        read from one table of the 2^n masks."""
         n = self.n
         x, z = np.asarray(x, dtype=np.int64), np.asarray(z, dtype=np.int64)
         ox, oz = np.zeros_like(x), np.zeros_like(z)
         ph = np.array(phase, dtype=np.int64)
+        two_parity = 2 * parity(np.arange(1 << n))
         for k, (tx, tz, tp) in enumerate(zip(self.x, self.z, self.phase)):
             on = (x >> k if k < n else z >> k - n) & 1
-            ph += on * (tp + 2 * parity(oz & tx))
+            ph += on * (tp + two_parity[oz & tx])
             ox ^= -on & tx
             oz ^= -on & tz
         ph %= 4

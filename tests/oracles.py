@@ -45,6 +45,7 @@ from mubforge.transform import (
     CycleSpec,
     NotAMonomialError,
     conjugate_term,
+    cycle_action,
 )
 from mubforge.wigner import GF, PhasePointOperator, point_operator
 
@@ -305,14 +306,64 @@ def symmetrize(rho: np.ndarray, U: np.ndarray, L: int) -> np.ndarray:
 # --------------------------------------------------------------- entropy
 
 
+def dense_label_map(ms, action):
+    """(sigma, pi) of a Clifford action on the bases of ms, read densely:
+    the action sends element b of basis j to element pi[j, b] of basis
+    sigma[j]; None if it carries some basis off the set. Each generator
+    g_i of basis j has its image from conjugate_masks made dense with
+    to_dense; element b has sign -1 under g_i where bit n-1-i of b is set
+    (mub.Basis), so its image is the one column of one basis that every
+    image generator fixes with b's signs."""
+    n, d = ms.d.bit_length() - 1, ms.d
+    V = np.stack([B.vectors for B in ms.bases])  # (L, d, d)
+    bits = 1 << np.arange(n - 1, -1, -1)
+    sigma, pi = [], []
+    for B in ms.bases:
+        masks = np.array([(g.xmask, g.zmask, g.phase) for g in B.generators]).T
+        x, z, p, sign = (a.tolist() for a in action.conjugate_masks(*masks))
+        M = np.stack([s * to_dense(PauliTerm(n, *t)) for *t, s in zip(x, z, p, sign)])
+        MV = M[:, None] @ V  # (n, L, d, d): image i on every column of every basis
+        plus = np.abs(MV - V).max(axis=2) < EIGEN_TOL  # [i, k, column]
+        minus = np.abs(MV + V).max(axis=2) < EIGEN_TOL
+        fixed = np.flatnonzero((plus | minus).all(axis=(0, 2)))
+        if len(fixed) != 1:
+            return None
+        (k,) = fixed
+        label = bits @ minus[:, k]  # the label whose signs column c has
+        if sorted(label.tolist()) != list(range(d)):
+            return None
+        sigma.append(k)
+        pi.append(np.argsort(label))
+    return np.array(sigma), np.array(pi)
+
+
+def declared_actions(ms):
+    """The exact actions of the symmetries ms's provenance declares."""
+    gs = build_gamma_generators(ms.provenance.n)
+    return [cycle_action(gs, spec) for spec in ms.provenance.symmetries]
+
+
+def digit_action_step(ms, sigma, pi):
+    """The key map of the action (sigma, pi) on (m, L) digit rows: row b
+    goes to g.b, (g.b)_{sigma(j)} = pi_j(b_j), then its Pauli
+    representative."""
+    j = np.arange(ms.L)
+
+    def step(strings):
+        out = np.empty_like(strings)
+        out[:, sigma] = pi[j, strings]
+        return ms.pauli_labels.representatives(out)
+
+    return step
+
+
 def digit_orbit_step(ms):
-    """mub.orbit_maps's f on (m, L) digit rows, step by step: U.b from the
+    """orbits.orbit_maps's f on (m, L) digit rows, step by step: U.b from the
     label maps, rolled into place, then its Pauli representative."""
     pi = ms.cycle_permutations
     if pi is None or not carried_by(ms.pauli_labels, pi):
         return lambda strings: strings
-    reps, j = ms.pauli_labels.representatives, np.arange(ms.L)
-    return lambda strings: reps(np.roll(pi[j, strings], 1, axis=1))
+    return digit_action_step(ms, (np.arange(ms.L) + 1) % ms.L, pi)
 
 
 def dense_conjugation(ms) -> np.ndarray:
@@ -324,31 +375,52 @@ def dense_conjugation(ms) -> np.ndarray:
 
 
 def digit_conjugation_step(ms):
-    """mub.orbit_maps's k on (m, L) digit rows: every digit moved by
+    """orbits.orbit_maps's k on (m, L) digit rows: every digit moved by
     dense_conjugation, then the Pauli representative."""
     kappa, j = dense_conjugation(ms), np.arange(ms.L)
     return lambda strings: ms.pauli_labels.representatives(kappa[j, strings])
 
 
-def digit_orbit_minima(ms, digits: np.ndarray, conjugate: bool = True):
-    """The digit rows that are the smallest of their orbit under the group
-    digit_orbit_step and, if conjugate, digit_conjugation_step generate,
-    each with d^2 times its orbit's size. Every row's orbit under the step
-    is walked in full, each member encoded again, and joined with each
-    member's conjugate: the two commute, so that is the whole orbit."""
+def bfs_orbit_minima(maps, count):
+    """The smallest key and size of every orbit under the group the
+    permutations maps generate, each orbit walked breadth-first."""
+    label = [-1] * count
+    kept, sizes = [], []
+    for start in range(count):
+        if label[start] >= 0:
+            continue
+        label[start], todo, size = start, [start], 1
+        while todo:
+            key = todo.pop()
+            for p in maps:
+                image = int(p[key])
+                if label[image] < 0:
+                    label[image] = start
+                    todo.append(image)
+                    size += 1
+        kept.append(start)
+        sizes.append(size)
+    return kept, sizes
+
+
+def digit_orbit_minima(ms, conjugate: bool = True, symmetries: bool = True):
+    """The reduced digit rows (prefix (0, 0), in key order) that are the
+    smallest of their orbit under the group that digit_orbit_step, if
+    symmetries a digit_action_step for each of ms.symmetry_permutations,
+    and if conjugate digit_conjugation_step generate, each with d^2 times
+    its orbit's size. Each step moves every row, the images are encoded
+    again, and the orbits are walked breadth-first."""
     d, L = ms.d, ms.L
-    step, powers = digit_orbit_step(ms), d ** np.arange(L - 1, -1, -1)
-    conj = digit_conjugation_step(ms) if conjugate else (lambda strings: strings)
-    start = digits @ powers
-    members, cur, back = [], digits, np.zeros(len(digits), dtype=bool)
-    while not back.all():  # a row that is back walks its orbit again
-        members += [cur @ powers, conj(cur) @ powers]
-        cur = step(cur)
-        back |= cur @ powers == start
-    orbit = np.sort(np.column_stack(members), axis=1)
-    size = 1 + np.count_nonzero(np.diff(orbit, axis=1), axis=1)
-    keep = orbit[:, 0] == start
-    return digits[keep], d * d * size[keep]
+    powers = d ** np.arange(L - 1, -1, -1)
+    digits = (np.arange(d ** (L - 2))[:, None] // powers) % d
+    steps = [digit_orbit_step(ms)]
+    if symmetries:
+        steps += [digit_action_step(ms, *perm) for perm in ms.symmetry_permutations]
+    if conjugate:
+        steps.append(digit_conjugation_step(ms))
+    maps = [step(digits) @ powers for step in steps]
+    kept, sizes = bfs_orbit_minima(maps, len(digits))
+    return digits[kept], d * d * np.array(sizes)
 
 
 def iter_sweep_rows(ms, budget: int = DEFAULT_BUDGET):

@@ -1,6 +1,7 @@
 import json
 from dataclasses import astuple, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +13,7 @@ from mubforge.classes import (
     fixture_d4,
     is_prime,
     partition_to_json,
+    primitive_root,
     validate_partition,
 )
 from mubforge.pauli import (
@@ -90,6 +92,61 @@ def test_build_2n1_n1_is_pauli_triple():
     gs = build_gamma_generators(1)
     singles = [c.members[0] for c in part.classes]
     assert {canonical(m)[0] for m in singles} == {canonical(g)[0] for g in gs.gammas}
+
+
+def _class_images(part, spec):
+    """(keys, images): each class's members as the sorted keys x | z << n,
+    signs dropped, and the same of their images under spec's exact action,
+    all on the mask arrays."""
+
+    def keys(x, z):
+        return sorted((x | z << part.n).tolist())
+
+    action = cycle_action(build_gamma_generators(part.n), spec)
+    masks = [
+        np.array([(m.xmask, m.zmask, m.phase) for m in c.members]).T
+        for c in part.classes
+    ]
+    return (
+        [keys(x, z) for x, z, _ in masks],
+        [keys(*action.conjugate_masks(*m)[:2]) for m in masks],
+    )
+
+
+@pytest.mark.parametrize("n", [n for n in range(1, 10) if is_prime(2 * n + 1)])
+def test_the_multiplier_maps_class_j_onto_class_g_j(n):
+    # exactly, with no dense matrix: the declared cycle (g^0, .., g^(L-2))
+    # over G_1..G_2n, g the least primitive root mod L, sends class j onto
+    # class g j mod L
+    part = build_classes_2n1(n)
+    L = part.L
+    (spec,) = part.symmetries
+    g = primitive_root(L)
+    assert spec.groups == (tuple(pow(g, k, L) for k in range(L - 1)),)
+    assert sorted(spec.groups[0]) == list(range(1, L))
+    assert all(len({pow(h, k, L) for k in range(L - 1)}) < L - 1 for h in range(2, g))
+    keys, images = _class_images(part, spec)
+    assert images == [keys[g * j % L] for j in range(L)]
+
+
+def test_only_the_2n1_builder_declares_a_symmetry():
+    # the Ln builder and the d = 4 fixtures declare none, and the naive
+    # multiplier of L maps no class of (3, 3) or (5, 5) onto a class
+    built = [build_classes_Ln(n, L) for n, L in [(2, 2), (3, 3), (5, 5)]]
+    for part in [fixture_d4(3), fixture_d4(4), *built]:
+        assert part.symmetries == ()
+    for n, L in [(3, 3), (5, 5)]:
+        g = primitive_root(L)
+        naive = CycleSpec(n, (tuple(pow(g, k, L) for k in range(L - 1)),))
+        keys, images = _class_images(build_classes_Ln(n, L), naive)
+        assert not any(image in keys for image in images)
+
+
+def test_symmetries_stay_out_of_the_json_and_of_equality():
+    part = build_classes_2n1(3)
+    assert "symmetr" not in partition_to_json(part)
+    bare = replace(part, symmetries=())
+    assert bare == part and partition_to_json(bare) == partition_to_json(part)
 
 
 @pytest.mark.parametrize("n,L", [(2, 2), (3, 3), (4, 2), (5, 5)])

@@ -598,6 +598,20 @@ def test_commands_run_only_the_lazy_modules_they_call(tmp_path, args, code, ran)
     assert _loaded_after(script, LAZY, cwd=tmp_path, ran=True) == ran
 
 
+def test_only_the_commands_that_load_entropy_import_orbits(tmp_path):
+    # the key maps are sweep code: entropy imports them, and generate and
+    # wigner, which never sweep a MubSet, compile none of it
+    orbits = ["mubforge.orbits"]
+    assert _loaded_after("import mubforge.cli", orbits) == []
+    for args, want in [
+        (["generate", "--n", "3", "--L", "7"], []),
+        (["wigner", "--n", "3"], []),
+        (["bounds", "--dmax", "4", "--Lmax", "3"], orbits),
+    ]:
+        script = f"import mubforge.cli as c; assert c.main({args!r}) == 0"
+        assert _loaded_after(script, orbits, cwd=tmp_path) == want
+
+
 def test_cli_import_leaves_the_pool_and_masked_arrays_out():
     # concurrent.futures is imported only for --threads > 1, and numpy.ma
     # not at all

@@ -1,8 +1,9 @@
-"""The selector sweep: orbits of the Paulis, the cycle unitary and complex
-conjugation, tolerance-aware bins and ties, input checks. The unreduced
-kernel (raw bases, or a MubSet swept with on_chunk) is the oracle for the
-reduced one, and orbits found by brute force over all d^L strings, from
-dense matrices, are the oracle for the orbit labelling."""
+"""The selector sweep: orbits of the Paulis, the cycle unitary, the
+declared symmetries and complex conjugation, tolerance-aware bins and ties,
+input checks. The unreduced kernel (raw bases, or a MubSet swept with
+on_chunk) is the oracle for the reduced one, and orbits found by brute
+force over all d^L strings, from dense matrices, are the oracle for the
+orbit labelling."""
 
 import os
 import random
@@ -13,16 +14,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mubforge import entropy, mub
+from mubforge import entropy, mub, orbits
 from mubforge.classes import build_classes_2n1
 from mubforge.cli import build_partition, constructible
 from mubforge.entropy import LEVEL_TOL, sample_max_eigen, sweep_max_eigen
-from mubforge.mub import build_mub_set, orbit_maps, verify_cycle
+from mubforge.mub import build_mub_set, verify_cycle
+from mubforge.orbits import orbit_maps
 from mubforge.pauli import PauliTerm, to_dense
 from mubforge.wigner import spread_partition
 from oracles import (
+    bfs_orbit_minima,
     carried_by,
+    declared_actions,
     dense_conjugation,
+    dense_label_map,
+    digit_action_step,
     digit_conjugation_step,
     digit_orbit_minima,
     digit_orbit_step,
@@ -115,11 +121,11 @@ def test_reduced_b_star_prefers_cycle_strings(small_ms):
         assert res.b_star[:2] == (0, 0)
 
 
-@pytest.mark.parametrize("n, L, orbits", [(2, 5, 8), (3, 7, 2344)])
+@pytest.mark.parametrize("n, L, orbits", [(2, 5, 4), (3, 7, 440)])
 def test_reduced_sweep_solves_one_string_per_orbit(monkeypatch, n, L, orbits):
-    # one string per orbit of the Paulis, the cycle unitary and complex
-    # conjugation, then the strings the cycle unitary fixes; the raw route
-    # solves all d^L
+    # one string per orbit of Paulis x AGL(1, L) x K (the cycle unitary, the
+    # multiplier and complex conjugation), then the strings the cycle
+    # unitary fixes; the raw route solves all d^L
     ms = build_mub_set(build_partition(n, L))
     solved = []
     kernel = entropy._eigmax_chunks
@@ -141,7 +147,8 @@ def test_reduced_sweep_solves_one_string_per_orbit(monkeypatch, n, L, orbits):
 
 def _dense_label_maps(ms):
     """The label permutation of every basis under X_i and Z_i, i < n, under
-    complex conjugation and under U, from dense matrices: (perm over all
+    complex conjugation, and under U and each declared symmetry where they
+    permute the bases (dense_label_map), from dense matrices: (perm over all
     d^L strings) for each."""
     n, d, L = ms.provenance.n, ms.d, ms.L
     digits = (np.arange(d**L)[:, None] // d ** np.arange(L - 1, -1, -1)) % d
@@ -156,13 +163,13 @@ def _dense_label_maps(ms):
         maps.append(np.column_stack([per[j][digits[:, j]] for j in range(L)]))
     kappa = dense_conjugation(ms)
     maps.append(np.column_stack([kappa[j][digits[:, j]] for j in range(L)]))
-    try:
-        pi = np.array(verify_cycle(ms).permutations)
-    except (ValueError, RuntimeError):  # no U, or U leaves the set
-        pi = None
-    if pi is not None:
-        moved = np.column_stack([pi[j][digits[:, j]] for j in range(L)])
-        maps.append(np.roll(moved, 1, axis=1))
+    actions = [a for a in [ms.action, *declared_actions(ms)] if a is not None]
+    for perm in (dense_label_map(ms, a) for a in actions):
+        if perm is not None:  # None: the action leaves the set
+            sigma, pi = perm
+            moved = np.empty_like(digits)
+            moved[:, sigma] = pi[np.arange(L), digits]
+            maps.append(moved)
     return [m @ powers for m in maps]
 
 
@@ -223,28 +230,6 @@ def test_orbit_walk_matches_brute_force_orbits(kind, arg):
     assert weights.sum() == d**L
 
 
-def bfs_orbit_minima(maps, count):
-    """The smallest key and size of every orbit under the group the
-    permutations maps generate, each orbit walked breadth-first (oracle)."""
-    label = [-1] * count
-    kept, sizes = [], []
-    for start in range(count):
-        if label[start] >= 0:
-            continue
-        label[start], todo, size = start, [start], 1
-        while todo:
-            key = todo.pop()
-            for p in maps:
-                image = int(p[key])
-                if label[image] < 0:
-                    label[image] = start
-                    todo.append(image)
-                    size += 1
-        kept.append(start)
-        sizes.append(size)
-    return kept, sizes
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     count=st.integers(1, 40),
@@ -278,15 +263,17 @@ def test_orbit_labels_take_non_commuting_maps():
 
 @pytest.mark.parametrize("n, L", [(3, 7), (5, 5)])
 def test_a_third_generator_in_the_group_changes_no_orbit(n, L):
-    # f o k lies in the group f and k generate: the orbits stay the same
+    # f o k lies in the group the maps generate, and with k it generates f
+    # again: the orbits stay the same, in any order of the maps
     ms = build_mub_set(build_partition(n, L))
-    f, k = orbit_maps(ms)
+    maps = orbit_maps(ms)
+    f, k = maps[0], maps[-1]
     count = ms.d ** (L - 2)
-    kept, sizes = entropy._orbit_minima([f, k], count)
-    for maps in ([f, k, f[k]], [f[k], k], [k, f]):
-        got_kept, got_sizes = entropy._orbit_minima(maps, count)
+    kept, sizes = entropy._orbit_minima(maps, count)
+    for other in (maps + [f[k]], [f[k]] + maps[1:], maps[::-1]):
+        got_kept, got_sizes = entropy._orbit_minima(other, count)
         assert np.array_equal(got_kept, kept) and np.array_equal(got_sizes, sizes)
-    assert len(kept) == {(3, 7): 2344, (5, 5): 3280}[(n, L)]
+    assert len(kept) == {(3, 7): 440, (5, 5): 3280}[(n, L)]
 
 
 def test_a_reduced_range_int32_labels_cannot_index_is_refused_first(monkeypatch):
@@ -324,22 +311,26 @@ def test_key_walk_sets_cover_the_largest_cycled_ranges():
 
 @pytest.mark.parametrize("kind, arg", KEY_WALK_SETS, ids=lambda a: str(a))
 def test_key_walk_keeps_the_strings_of_the_digit_row_walk(kind, arg):
-    # the table maps on keys against U.b, the conjugate read densely, and
-    # their Pauli representatives formed on digit rows at every step
+    # the table maps on keys against g.b for U and each declared symmetry,
+    # the conjugate read densely, and their Pauli representatives formed on
+    # digit rows at every step
     ms = _orbit_set(kind, arg)
     d, L = ms.d, ms.L
-    keys = np.arange(d ** (L - 2))
     kept, weights = reduced_orbits(ms)
-    digits = (keys[:, None] // d ** np.arange(L - 1, -1, -1)) % d
-    want, want_weights = digit_orbit_minima(ms, digits)
+    want, want_weights = digit_orbit_minima(ms)
     assert kept.tolist() == (want @ d ** np.arange(L - 1, -1, -1)).tolist()
     assert weights.tolist() == want_weights.tolist()
     assert weights.sum() == d**L
-    # conjugation halves the strings the cycle orbits leave
-    solved = {(3, 7): (2344, 4688), (5, 5): (3280, 6560)}.get(arg)
-    if solved is not None:
-        assert len(kept) == solved[0]
-        assert len(digit_orbit_minima(ms, digits, conjugate=False)[0]) == solved[1]
+    # strings solved: the cycle alone, with conjugation, with the
+    # multiplier, and with both; conjugation halves what the cycle leaves
+    solved = {(3, 7): (4688, 2344, 792, 440), (5, 5): (6560, 3280, 6560, 3280)}
+    if arg in solved:
+        got = [
+            len(digit_orbit_minima(ms, conjugate=k, symmetries=m)[0])
+            for m in (False, True)
+            for k in (False, True)
+        ]
+        assert got == list(solved[arg]) and len(kept) == got[-1]
 
 
 @pytest.mark.parametrize("kind, arg", KEY_WALK_SETS, ids=lambda a: str(a))
@@ -353,7 +344,7 @@ def test_conjugation_tables_match_the_dense_conjugate(kind, arg):
     digits = (keys[:, None] // powers) % d
     want = digit_conjugation_step(ms)(digits) @ powers
     if L >= 3:
-        m = mub._conjugation_labels(ms)
+        m = orbits._conjugation_labels(ms)
         assert ((digits ^ m) @ powers).tolist() == want.tolist()
     # k is one of the maps unless it is the identity
     maps = orbit_maps(ms)
@@ -363,19 +354,27 @@ def test_conjugation_tables_match_the_dense_conjugate(kind, arg):
 @pytest.mark.parametrize("kind, arg", KEY_WALK_SETS, ids=lambda a: str(a))
 def test_conjugation_is_an_involution_that_commutes_with_the_cycle(kind, arg):
     # every map permutes the reduced range; k, the XOR with one mask, is an
-    # involution, and the maps commute
+    # involution that commutes with every map. The cycle and the multiplier
+    # m generate AGL(1, L), not an abelian group: m f = f^g m, as m U m^-1
+    # sends basis j to g (g^-1 j + 1) = j + g
     ms = _orbit_set(kind, arg)
     maps = orbit_maps(ms)
     keys = np.arange(ms.d ** (ms.L - 2))
     assert all(p.dtype == np.int32 for p in maps)
     for p in maps:
         assert np.array_equal(np.sort(p), keys)
-        for q in maps:
-            assert np.array_equal(p[q], q[p])
-    if len(maps) == 2:
-        assert np.array_equal(maps[1][maps[1]], keys)
+    if ms.L >= 3 and orbits._conjugation_labels(ms).any():
+        k = maps[-1]
+        assert np.array_equal(k[k], keys)
+        assert all(np.array_equal(p[k], k[p]) for p in maps)
+    if ms.symmetry_permutations:
+        (sigma, _), (f, m) = ms.symmetry_permutations[0], maps[:2]
+        fg = keys
+        for _ in range(sigma[1]):  # sigma(1) = g
+            fg = f[fg]
+        assert np.array_equal(m[f], fg[m])
     if ms.L >= 3:
-        m = mub._conjugation_labels(ms)
+        m = orbits._conjugation_labels(ms)
         assert m[0] == m[1] == 0
 
 
@@ -390,16 +389,16 @@ def test_a_conjugation_mask_off_by_one_bit_misses_the_dense_conjugate(
     powers = d ** np.arange(L - 1, -1, -1)
     keys = np.arange(d ** (L - 2))
     want = digit_conjugation_step(ms)((keys[:, None] // powers) % d) @ powers
-    assert np.array_equal(orbit_maps(ms)[1], want)
-    labels = mub._conjugation_labels
+    assert np.array_equal(orbit_maps(ms)[-1], want)
+    labels = orbits._conjugation_labels
 
     def flipped(ms):
         m = labels(ms).copy()
         m[3] ^= 1
         return m
 
-    monkeypatch.setattr(mub, "_conjugation_labels", flipped)
-    _, k = orbit_maps(ms)
+    monkeypatch.setattr(orbits, "_conjugation_labels", flipped)
+    k = orbit_maps(ms)[-1]
     assert np.array_equal(k[k], keys)
     assert not np.array_equal(k, want)
 
@@ -440,10 +439,42 @@ def test_the_exact_label_maps_carry_every_pauli_to_one_pauli(n, L):
     assert carried_by(ms.pauli_labels, ms.cycle_permutations)
 
 
+@pytest.mark.parametrize("n, L", CYCLED_SETS, ids=str)
+def test_label_maps_of_every_action_equal_the_dense_oracle(n, L):
+    # (sigma, pi) read off the _group tables against each image generator
+    # made dense, for U (sigma(j) = j + 1) and each declared symmetry; an
+    # (n, 2n+1) set declares its multiplier, sigma(j) = g j mod L
+    ms = build_mub_set(build_partition(n, L))
+    sigma, pi = dense_label_map(ms, ms.action)
+    assert sigma.tolist() == [(j + 1) % L for j in range(L)]
+    assert np.array_equal(pi, ms.cycle_permutations)
+    dense = [dense_label_map(ms, a) for a in declared_actions(ms)]
+    assert len(dense) == len(ms.symmetry_permutations) == int(L == 2 * n + 1)
+    for (want_sigma, want_pi), (sigma, pi) in zip(dense, ms.symmetry_permutations):
+        assert np.array_equal(sigma, want_sigma) and np.array_equal(pi, want_pi)
+        g = ms.provenance.symmetries[0].groups[0][1]
+        assert sigma.tolist() == [g * j % L for j in range(L)]
+
+
+def test_five_of_seven_keeps_its_orbits():
+    # the sub-set keeps the (3, 7) provenance's multiplier, but its images
+    # leave the set, as U's do: no map but k, and the same 256 kept strings
+    five = _five_of_seven()
+    (action,) = declared_actions(five)
+    assert dense_label_map(five, action) is None
+    assert five._permutation(action)[0] is None
+    assert five.symmetry_permutations == () and five.cycle_permutations is None
+    maps = orbit_maps(five)
+    kept, weights = reduced_orbits(five)
+    assert len(maps) == 1 and len(kept) == 256 and weights.sum() == 8**5
+
+
 @pytest.mark.parametrize("kind, arg", KEY_WALK_SETS, ids=lambda a: str(a))
 def test_orbit_maps_keep_every_symmetry_they_derive(kind, arg):
-    # f exactly when there are label maps, k exactly when its mask moves a
-    # key; f first, and k the XOR of every key with that mask
+    # f exactly when there are label maps, one map for each declared
+    # symmetry that permutes the bases, k exactly when its mask moves a
+    # key; f first, then the symmetries, and k the XOR of every key with
+    # that mask
     ms = _orbit_set(kind, arg)
     if ms.L < 3:
         assert orbit_maps(ms) == []
@@ -451,16 +482,21 @@ def test_orbit_maps_keep_every_symmetry_they_derive(kind, arg):
     d, L = ms.d, ms.L
     powers = d ** np.arange(L - 1, -1, -1)
     keys = np.arange(d ** (L - 2))
+    digits = (keys[:, None] // powers) % d
     maps = orbit_maps(ms)
     has_f = ms.cycle_permutations is not None
-    flips = int(mub._conjugation_labels(ms) @ powers)
-    assert len(maps) == int(has_f) + int(flips != 0)
+    syms = ms.symmetry_permutations
+    flips = int(orbits._conjugation_labels(ms) @ powers)
+    assert len(maps) == int(has_f) + len(syms) + int(flips != 0)
     if has_f:
-        digits = (keys[:, None] // powers) % d
         assert np.array_equal(maps[0], digit_orbit_step(ms)(digits) @ powers)
+    for p, perm in zip(maps[int(has_f) :], syms):
+        assert np.array_equal(p, digit_action_step(ms, *perm)(digits) @ powers)
     if flips:
         assert np.array_equal(maps[-1], keys ^ flips)
-    solved = {(3, 7): 2344, (5, 5): 3280}.get(arg)
+    # (n, 2n+1) sets declare the multiplier, which permutes their bases
+    assert len(syms) == int(kind == "constructed" and L == 2 * ms.provenance.n + 1)
+    solved = {(3, 7): 440, (5, 5): 3280}.get(arg)
     if solved is not None:
         assert len(entropy._orbit_minima(maps, d ** (L - 2))[0]) == solved
 
