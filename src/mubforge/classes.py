@@ -290,11 +290,9 @@ def validate_partition(
     keys = np.concatenate([key(*m) for m in masks])
     sizes = [len(c.members) for c in part.classes]
     owner = np.repeat(np.arange(len(sizes)), sizes)
-    order = np.argsort(keys, kind="stable")
-    rep = np.flatnonzero(keys[order][1:] == keys[order][:-1])
-    for later, earlier in sorted(zip(order[rep + 1].tolist(), order[rep].tolist())):
-        failures.append(f"member shared by classes {owner[earlier]} and {owner[later]}")
-    p2 = rep.size == 0
+    shared = owner[repeats(keys)].tolist()
+    failures += [f"member shared by classes {j} and {k}" for j, k in shared]
+    p2 = not shared
 
     x, z, p = (np.concatenate(col) for col in zip(*masks))
     gx, gz, gp, sign = action.conjugate_masks(x, z, p)
@@ -318,13 +316,19 @@ def validate_partition(
     )
 
 
+def repeats(keys: np.ndarray) -> np.ndarray:
+    """(earlier, later) rows, ordered by later: each occurrence of a key
+    after its first with the one before it, adjacent in one stable sort."""
+    order = np.argsort(keys, kind="stable")
+    rep = np.flatnonzero(keys[order][1:] == keys[order][:-1])
+    pairs = np.stack([order[rep], order[rep + 1]], axis=1)
+    return pairs[np.argsort(pairs[:, 1])]
+
+
 def _key_set(keys: np.ndarray) -> np.ndarray:
     """The distinct keys, sorted. np.unique would do, but without index
     outputs numpy 2 has it import numpy.ma."""
-    keys = np.sort(keys)
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    return keys[first]
+    return np.sort(np.delete(keys, repeats(keys)[:, 1]))
 
 
 def partition_to_json(part: Partition) -> str:

@@ -108,7 +108,6 @@ from . import mub
 # --budget default and its exit-3 clause do not load this module
 from .mub import (
     DEFAULT_BUDGET,
-    UNBIAS_TOL,
     BudgetExceededError,
     MubSet,
     basis_matrices,
@@ -119,6 +118,7 @@ from .orbits import _cycle_strings, orbit_maps
 from .selector import LEVEL_TOL, _eigmax_chunks, hermitian_eigmax, pvec_operator
 
 LOG2 = math.log(2)
+ORTHONORMAL_TOL = 1e-8  # max | B^H B - I | of a basis the entropies accept
 MINIMIZE_BLOCK = 128  # restarts descending together; bounds the minimizer's memory
 MINIMIZE_ITERS = 500  # moves per restart in the last (or only) descent stage
 ANNEAL_ORDERS = (2.0, 20.0)  # smooth orders an alpha = inf descent passes first
@@ -204,7 +204,7 @@ def _checked_matrices(ms) -> list[np.ndarray]:
     """Basis matrices of a MubSet or a sequence of bases, checked.
 
     Every basis must be a d x d matrix with d >= 2, the same d for all, and
-    orthonormal to UNBIAS_TOL.
+    orthonormal to ORTHONORMAL_TOL.
     """
     mats = basis_matrices(ms)
     if not mats:
@@ -217,9 +217,9 @@ def _checked_matrices(ms) -> list[np.ndarray]:
                 f"basis {j} is {B.shape[0]}-dimensional, basis 0 {mats[0].shape[0]}"
             )
         dev = float(np.max(np.abs(B.conj().T @ B - np.eye(B.shape[0]))))
-        if not dev <= UNBIAS_TOL:
+        if not dev <= ORTHONORMAL_TOL:
             raise ValueError(
-                f"basis {j} is not orthonormal: deviation {dev:.3g} > {UNBIAS_TOL}"
+                f"basis {j} is not orthonormal: deviation {dev:.3g} > {ORTHONORMAL_TOL}"
             )
     return mats
 

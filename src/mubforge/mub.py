@@ -17,6 +17,8 @@ vectors whose nonzero components share one magnitude.
 build_mub_set is the one path from a Partition to a checked MubSet, for the
 cycled partitions of classes.py and the symplectic spread of wigner.py
 alike; a spread has no cycle spec, so its set has U = None and no action.
+It checks unbiasedness exactly, on the masks (_check_unbiased), so the
+float deviation (MubSet.deviation) is a rounding, measured only when read.
 
 The symmetries of a set act on strings of labels (one element per basis).
 A label is its own sign code: label b of basis j has sign -1 under
@@ -49,7 +51,7 @@ from typing import Sequence
 import numpy as np
 
 from . import transform
-from .classes import CommutingClass, Partition
+from .classes import CommutingClass, Partition, repeats
 from .pauli import (
     PauliTerm,
     build_gamma_generators,
@@ -59,11 +61,10 @@ from .pauli import (
     row_mask,
 )
 
-UNBIAS_TOL = 1e-8
-# about the most one block of unbiasedness products, of selectors in
-# selector._eigmax_chunks, or of histogram rows waiting for a merge in
-# entropy._summarize, holds: 1 MB blocks ran faster than 4 MB ones in the
-# unbiasedness check at d = 32 and d = 64, on a core with 2 MB of L2
+# about the most one block of overlap products in MubSet.deviation, of
+# selectors in selector._eigmax_chunks, or of histogram rows waiting for a
+# merge in entropy._summarize, holds: 1 MB blocks ran faster than 4 MB ones
+# in the overlap products at d = 32 and d = 64, on a core with 2 MB of L2
 BLOCK_BYTES = 1 << 20
 DEFAULT_BUDGET = 2**28  # strings a sweep may cover; entropy and the CLI read it
 
@@ -107,15 +108,12 @@ class MubSet:
 
     U and action are cycle_unitary's pair for the partition's cycle spec,
     U checked against the exact action, both None without a spec; the label maps
-    come from action alone, so a set without it has none. deviation is the
-    largest | |<a|b>|^2 - 1/d | over cross-basis pairs, found when the set
-    was built.
+    come from action alone, so a set without it has none.
     """
 
     bases: tuple[Basis, ...]
     U: np.ndarray | None
     provenance: Partition
-    deviation: float
     action: transform.CliffordAction | None
 
     @property
@@ -125,6 +123,20 @@ class MubSet:
     @property
     def d(self) -> int:
         return self.bases[0].d
+
+    @cached_property
+    def deviation(self) -> float:
+        """max | |<a|b>|^2 - 1/d | over cross-basis pairs of the float vectors
+        (their rounding), measured on first read: a block of about BLOCK_BYTES
+        of bases k meets each j < k in one stacked product, a gemm per pair."""
+        B, d, L = basis_matrices(self), self.d, self.L
+        step, worst = max(1, BLOCK_BYTES // (64 * d * d)), 0.0
+        for k0 in range(1, L, step):
+            block = np.stack(B[k0 : k0 + step])
+            for j in range(min(k0 + step, L) - 1):
+                ov = np.abs(B[j].conj().T @ block[max(0, j + 1 - k0) :]) ** 2
+                worst = max(worst, float(np.abs(ov - 1.0 / d).max()))
+        return worst
 
     @cached_property
     def pauli_labels(self) -> "PauliLabels":
@@ -166,8 +178,8 @@ class MubSet:
     def _group_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(keys, ps, order) over the subset products g_S of every basis
         (_group), entry j d + S for basis j: the key x | z << n of the masks,
-        the phase, and the order that sorts the keys. Built once per set
-        and shared by every action's label maps."""
+        the phase, and the order that sorts the keys. Built once per set, by
+        the unbiasedness check, and shared by every action's label maps."""
         n = self.bases[0].generators[0].n
         groups = [_group(B.generators) for B in self.bases]
         keys = np.concatenate([xs | zs << n for xs, zs, _ in groups])
@@ -218,8 +230,8 @@ class PauliLabels:
 
     W sends label b of basis j to label b ^ tau[j, W]: bit n-1-i of
     tau[j, W] is 1 when W anticommutes with generator g_i of basis j, as a
-    label is its sign code (Basis). Only the identity commutes with two
-    disjoint maximal classes, so the Paulis act freely on the pairs of
+    label is its sign code (Basis). The groups of bases 0 and 1 share only
+    +-I (build_mub_set), so the Paulis act freely on the pairs of
     labels of bases 0 and 1: pauli_of[t0, t1] is the one W with
     tau[0, W] = t0 and tau[1, W] = t1. The set keeps the tables, so tau is
     stored in the smallest unsigned type that holds d - 1.
@@ -231,7 +243,6 @@ class PauliLabels:
     @staticmethod
     def of(ms: "MubSet") -> "PauliLabels":
         d, L = ms.d, ms.L
-        w = np.arange(d * d)
         g = np.array([[(q.xmask, q.zmask) for q in B.generators] for B in ms.bases])
         # W = x | z << n flips bit n-1-i of basis j's labels when
         # parity(x & g_i.z) ^ parity(z & g_i.x) is 1; the two halves are
@@ -243,11 +254,7 @@ class PauliLabels:
         tau = (tz[:, :, None] ^ tx[:, None, :]).reshape(L, -1)
         tau = tau.astype(np.min_scalar_type(d - 1))
         pauli_of = np.full((d, d), -1)
-        pauli_of[tau[0], tau[1]] = w
-        if np.any(pauli_of < 0):
-            raise RuntimeError(
-                "Paulis do not act freely on the labels of bases 0 and 1"
-            )
+        pauli_of[tau[0], tau[1]] = np.arange(d * d)
         return PauliLabels(tau, pauli_of)
 
     def representatives(self, strings: np.ndarray) -> np.ndarray:
@@ -448,47 +455,36 @@ def complex_json(M: np.ndarray) -> str:
     return join(items, 0)
 
 
-def _pair_deviations(mats):
-    """(j, k, dev, (a, b), ov) for every pair j < k of bases, in (j, k)
-    order: dev the largest | |<a|b>|^2 - 1/d | of the pair, (a, b) the
-    first element pair attaining it and ov that |<a|b>|^2. Each basis j is
-    paired with the ones after it in stacked products, each product the one
-    B_j^H B_k gemm of a single pair, with at most about BLOCK_BYTES of
-    temporaries at a time."""
-    B = np.stack(mats)
-    L, d = B.shape[:2]
-    step = max(1, BLOCK_BYTES // (64 * d * d))
-    for j in range(L - 1):
-        BH = B[j].conj().T
-        for k0 in range(j + 1, L, step):
-            ov = np.abs(BH @ B[k0 : k0 + step]).reshape(-1, d * d)
-            ov **= 2
-            dev = ov - 1.0 / d
-            np.abs(dev, out=dev)
-            at = dev.argmax(axis=1)
-            rows = np.arange(len(at))
-            top, hit = dev[rows, at].tolist(), ov[rows, at].tolist()
-            for i, a in enumerate(at.tolist()):
-                yield j, k0 + i, top[i], divmod(a, d), hit[i]
+def _check_unbiased(ms: MubSet) -> None:
+    """Raise UnbiasednessError if the groups of two bases share a Pauli
+    besides +-I, naming the first such pair (j, k) in (j, k) order and the
+    Pauli: read exactly off the keys of _group_tables, S = 0 (I) left out.
+    Columns certified as the stabilizer states of their classes
+    (_check_eigenvectors) are mutually unbiased exactly when no two groups
+    share one (Bandyopadhyay et al., Algorithmica 34, 512)."""
+    n, L, d = ms.bases[0].generators[0].n, ms.L, ms.d
+    keys = ms._group_tables[0].reshape(L, d)[:, 1:].reshape(-1)  # g_S at j (d-1) + S-1
+    shared = repeats(keys)  # the first pair of bases holding a key is adjacent
+    if len(shared):
+        j, k = shared.T // (d - 1)
+        i = int(np.argmin(j * L + k))
+        x, z = (row_mask((int(keys[shared[i, 0]]) >> s) % d, n) for s in (0, n))
+        raise UnbiasednessError(
+            f"unbiasedness violated at bases ({j[i]},{k[i]}): both stabilizer "
+            f"groups hold X:{x:#x} Z:{z:#x} up to phase"
+        )
 
 
 def build_mub_set(part: Partition) -> MubSet:
-    """Extract all joint eigenbases and verify mutual unbiasedness, keeping
-    the worst deviation. U and its action are cycle_unitary's for
-    part.spec; without a spec, both are None."""
+    """Extract all joint eigenbases and check mutual unbiasedness exactly
+    (_check_unbiased). U and its action are cycle_unitary's for part.spec;
+    without a spec, both are None."""
     U, action = None, None
     if part.spec is not None:
         U, action = transform.cycle_unitary(build_gamma_generators(part.n), part.spec)
-    bases = tuple(common_eigenbasis(c) for c in part.classes)
-    worst = 0.0
-    for j, k, dev, bad, ov in _pair_deviations([b.vectors for b in bases]):
-        if dev > UNBIAS_TOL:
-            raise UnbiasednessError(
-                f"unbiasedness violated at bases ({j},{k}), elements "
-                f"{bad}, |overlap|^2 = {ov:.6g}"
-            )
-        worst = max(worst, dev)
-    return MubSet(bases, U, part, worst, action)
+    ms = MubSet(tuple(common_eigenbasis(c) for c in part.classes), U, part, action)
+    _check_unbiased(ms)
+    return ms
 
 
 def _cycle_unitary(ms: MubSet) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +28,6 @@ from mubforge.mub import (
     Basis,
     MubSet,
     PauliLabels,
-    _pair_deviations,
     basis_matrices,
     cycle_coherent_family,
     fix_phase,
@@ -236,23 +236,30 @@ def carried_by(pauli_labels: PauliLabels, pi: np.ndarray) -> bool:
 
 def set_by_hand(bases, U: np.ndarray, provenance: Partition) -> MubSet:
     """A MubSet of these bases and U, with U's action read densely by
-    clifford_action, or None (no label maps) when U is not Clifford, and
-    the unbiasedness deviation of the bases."""
+    clifford_action, or None (no label maps) when U is not Clifford."""
     try:
         action = clifford_action(U)
     except NotAMonomialError:
         action = None
-    bases = tuple(bases)
-    return MubSet(bases, U, provenance, raw_unbiasedness_deviation(bases), action)
+    return MubSet(tuple(bases), U, provenance, action)
+
+
+def pair_deviations(bases) -> dict[tuple[int, int], float]:
+    """The largest | |<a|b>|^2 - 1/d | of every pair j < k of bases, in
+    (j, k) order, from one dense product B_j^H B_k per pair: the per-pair
+    loop that MubSet.deviation stacks."""
+    mats = basis_matrices(bases)
+    d = mats[0].shape[0]
+    out = {}
+    for j, k in combinations(range(len(mats)), 2):
+        ov = np.abs(mats[j].conj().T @ mats[k]) ** 2
+        out[j, k] = float(np.max(np.abs(ov - 1.0 / d)))
+    return out
 
 
 def raw_unbiasedness_deviation(bases) -> float:
-    """max over cross-basis pairs of | |<a|b>|^2 - 1/d | for bases that are
-    not a built MubSet (which keeps the value of its build)."""
-    worst = 0.0
-    for _, _, dev, _, _ in _pair_deviations(basis_matrices(bases)):
-        worst = max(worst, dev)
-    return worst
+    """max over cross-basis pairs of | |<a|b>|^2 - 1/d |, pair by pair."""
+    return max(pair_deviations(bases).values(), default=0.0)
 
 
 def sign_patterns(members: Sequence[PauliTerm], basis: Basis) -> tuple:

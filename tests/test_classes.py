@@ -14,6 +14,7 @@ from mubforge.classes import (
     is_prime,
     partition_to_json,
     primitive_root,
+    repeats,
     validate_partition,
 )
 from mubforge.pauli import (
@@ -530,3 +531,17 @@ def test_known_p2_failures_fail_only_p2(n, L):
     assert report.p1 and report.p3 and report.hermitian and report.singletons
     assert not report.p2 and len(report.failures) == P2_REPEATS[n, L]
     assert all(f.startswith("member shared by classes") for f in report.failures)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 6), max_size=30))
+def test_repeats_pair_each_occurrence_with_the_one_before(keys):
+    # oracle: a loop remembering where each key was last seen
+    last, want = {}, []
+    for i, key in enumerate(keys):
+        if key in last:
+            want.append([last[key], i])
+        last[key] = i
+    got = repeats(np.array(keys, dtype=np.int64))
+    assert got.shape == (len(want), 2)
+    assert got.tolist() == want

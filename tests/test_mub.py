@@ -1,11 +1,15 @@
 import json
 import math
+import re
 from dataclasses import replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import mubforge.mub
 
 from mubforge.classes import (
     CommutingClass,
@@ -16,8 +20,10 @@ from mubforge.classes import (
 from mubforge.mub import (
     Basis,
     DiagonalizationError,
+    MubSet,
     UnbiasednessError,
     _check_eigenvectors,
+    _check_unbiased,
     _generators,
     basis_from_involutions,
     build_mub_set,
@@ -35,6 +41,7 @@ from mubforge.mub import _projector_distances, fix_phase
 from oracles import (
     EIGEN_TOL,
     invariant_states,
+    pair_deviations,
     phase_ramp_states,
     raw_unbiasedness_deviation,
     set_by_hand,
@@ -778,43 +785,105 @@ def test_row_mask_table_equals_the_bit_loop(n):
     assert row_mask(np.arange(1 << n), n).tolist() == want
 
 
-def pairwise_deviation(mats):
-    """The per-pair unbiasedness loop of build_mub_set that the stacked
-    products replaced (oracle): the worst deviation, or the error message
-    of the first failing pair in (j, k) order."""
-    d = mats[0].shape[0]
-    worst = 0.0
-    for j, k in combinations(range(len(mats)), 2):
-        ov = np.abs(mats[j].conj().T @ mats[k]) ** 2
-        dev = np.abs(ov - 1.0 / d)
-        bad = np.unravel_index(np.argmax(dev), ov.shape)
-        if dev[bad] > 1e-8:
-            return (
-                f"unbiasedness violated at bases ({j},{k}), elements "
-                f"{tuple(map(int, bad))}, |overlap|^2 = {ov[bad]:.6g}"
-            )
-        worst = max(worst, float(dev[bad]))
-    return worst
+def exact_flags(bases, part):
+    """{(j, k): the exact check rejects bases j and k as a pair}, for every
+    pair j < k, each pair checked alone."""
+    return {
+        (j, k): _raises_unbiasedness(MubSet((bases[j], bases[k]), None, part, None))
+        for j, k in combinations(range(len(bases)), 2)
+    }
+
+
+def _raises_unbiasedness(ms):
+    try:
+        _check_unbiased(ms)
+    except UnbiasednessError:
+        return True
+    return False
+
+
+def stabilizes_up_to_sign(message, *bases):
+    """The Pauli an UnbiasednessError names, made Hermitian, maps every
+    vector of every one of the bases to +-itself, densely."""
+    x, z = (int(m, 16) for m in re.findall(r"[XZ]:(0x[0-9a-f]+)", message))
+    n = bases[0].d.bit_length() - 1
+    P = to_dense(PauliTerm(n, x, z, (x & z).bit_count() % 4))
+    for B in bases:
+        signs = np.einsum("ij,ik,kj->j", B.vectors.conj(), P, B.vectors)
+        assert np.allclose(np.abs(signs), 1, atol=1e-12)
+        assert np.allclose(P @ B.vectors, B.vectors * signs, atol=1e-12)
+
+
+def _unbiasedness_cases():
+    """Every constructible (n, L) with n <= 6, the spreads for n = 2..6,
+    the spread(3) partition with class 2 again at 5 and class 6 again at 8,
+    and with class 1 again at 2 and class 0 at 3, and Ln(9, 3), where one
+    Pauli lies in all three classes."""
+    from mubforge.cli import build_partition, constructible
+
+    cases = {
+        f"({n},{L})": lambda n=n, L=L: build_partition(n, L)
+        for n in range(1, 7)
+        for L in range(2, 2 * n + 2)
+        if constructible(n, L)
+    }
+    cases.update({f"spread({n})": lambda n=n: spread_partition(n) for n in range(2, 7)})
+
+    def repeated_spread(order):
+        c = spread_partition(3).classes
+        return lambda: replace(spread_partition(3), classes=tuple(c[i] for i in order))
+
+    cases["spread(3) repeated"] = repeated_spread([0, 1, 2, 3, 4, 2, 6, 7, 6])
+    # pairs (1,2) and (0,3): the first in (j, k) order is not the first by k
+    cases["spread(3) nested"] = repeated_spread([0, 1, 1, 0, 4, 5, 6, 7, 8])
+    cases["(9,3)"] = lambda: build_classes_Ln(9, 3)
+    return cases
+
+
+UNBIASEDNESS_CASES = _unbiasedness_cases()
+
+
+@pytest.mark.parametrize("name", list(UNBIASEDNESS_CASES))
+def test_exact_unbiasedness_flags_the_pairs_the_dense_loop_does(monkeypatch, name):
+    part = UNBIASEDNESS_CASES[name]()
+    if part.n > 6:
+        # the exact member check holds [member, row, column] arrays, 134 MB
+        # each at n = 9; the vectors are those it certifies for n <= 6
+        monkeypatch.setattr(mubforge.mub, "_check_eigenvectors", lambda *a: None)
+    bases = [common_eigenbasis(c) for c in part.classes]
+    dense = {jk: dev > 1e-8 for jk, dev in pair_deviations(bases).items()}
+    assert exact_flags(bases, part) == dense
+    failing = [jk for jk, bad in dense.items() if bad]
+    if not failing:
+        assert build_mub_set(part).L == len(bases)
+        return
+    with pytest.raises(UnbiasednessError) as err:
+        _check_unbiased(MubSet(tuple(bases), None, part, None))
+    j, k = failing[0]
+    assert str(err.value).startswith(f"unbiasedness violated at bases ({j},{k}): ")
+    stabilizes_up_to_sign(str(err.value), bases[j], bases[k])
+    if name == "(9,3)":  # one Pauli in all three bases: every pair fails
+        assert failing == [(0, 1), (0, 2), (1, 2)]
 
 
 @pytest.mark.parametrize("block_bytes", [1, None])
 @pytest.mark.parametrize("name", ["(2,3)", "(3,7)", "(5,5)", "(6,13)", "spread(5)"])
 def test_stacked_unbiasedness_equals_the_pairwise_loop(monkeypatch, name, block_bytes):
-    import mubforge.mub
-
+    # the deviation is measured on first read, in stacked products
     if block_bytes is not None:
         monkeypatch.setattr(mubforge.mub, "BLOCK_BYTES", block_bytes)
     part = ORACLE_PARTITIONS[name]
     ms = build_mub_set(part)
-    want = pairwise_deviation([b.vectors for b in ms.bases])
+    assert "deviation" not in vars(ms)
+    want = raw_unbiasedness_deviation(ms.bases)
     assert ms.deviation == want
-    assert raw_unbiasedness_deviation(ms.bases) == want
+    assert vars(ms)["deviation"] == want
 
 
 @pytest.mark.parametrize("block_bytes", [1, None])
 def test_stacked_unbiasedness_names_the_first_failing_pair(monkeypatch, block_bytes):
-    import mubforge.mub
-
+    # BLOCK_BYTES sizes the products of the measurement alone: the build
+    # reads keys, and names the same pair at any block size
     if block_bytes is not None:
         monkeypatch.setattr(mubforge.mub, "BLOCK_BYTES", block_bytes)
     spread = spread_partition(3)
@@ -822,16 +891,48 @@ def test_stacked_unbiasedness_names_the_first_failing_pair(monkeypatch, block_by
     # class 2 again at 5 and class 6 again at 8: pairs (2,5) and (6,8) fail
     part = replace(spread, classes=c[:5] + (c[2], c[6], c[7], c[6]))
     bases = [common_eigenbasis(cls) for cls in part.classes]
-    want = pairwise_deviation([b.vectors for b in bases])
-    assert want.startswith("unbiasedness violated at bases (2,5)")
+    failing = [jk for jk, dev in pair_deviations(bases).items() if dev > 1e-8]
+    assert failing == [(2, 5), (6, 8)]
     with pytest.raises(UnbiasednessError) as err:
         build_mub_set(part)
-    assert str(err.value) == want
+    assert str(err.value).startswith("unbiasedness violated at bases (2,5): ")
+    stabilizes_up_to_sign(str(err.value), bases[2], bases[5])
     # (6,3) classes share members, so its bases are not unbiased
-    from mubforge.classes import build_classes_Ln as Ln
-
-    part = Ln(6, 3)
+    part = build_classes_Ln(6, 3)
     bases = [common_eigenbasis(cls) for cls in part.classes]
+    failing = [jk for jk, dev in pair_deviations(bases).items() if dev > 1e-8]
+    assert failing[0] == (0, 1)
     with pytest.raises(UnbiasednessError) as err:
         build_mub_set(part)
-    assert str(err.value) == pairwise_deviation([b.vectors for b in bases])
+    assert str(err.value).startswith("unbiasedness violated at bases (0,1): ")
+    stabilizes_up_to_sign(str(err.value), bases[0], bases[1])
+
+
+def test_only_generate_measures_the_deviation(tmp_path, monkeypatch):
+    # the sweep, the minimizer and the Wigner bound build sets without
+    # reading the float deviation; generate reads it once, for
+    # validation.json, bases.json and --tol, and writes the fixture's bytes
+    from mubforge.cli import main
+    from mubforge.entropy import minimize_avg_entropy, sweep_max_eigen
+    from mubforge.wigner import point_levels, wigner_entropy_bound
+
+    def unmeasured(ms):
+        raise AssertionError("the float deviation was measured")
+
+    with monkeypatch.context() as m:
+        m.setattr(MubSet, "deviation", property(unmeasured))
+        ms = build_mub_set(build_classes_2n1(3))
+        sweep_max_eigen(ms)
+        minimize_avg_entropy(ms, math.inf, restarts=2)
+        bases = complete_mub_bases(3)
+        wigner_entropy_bound(bases, point_levels(bases))
+    reads, measure = [], MubSet.deviation.func
+    counted = cached_property(lambda ms: reads.append(ms) or measure(ms))
+    counted.__set_name__(MubSet, "deviation")
+    monkeypatch.setattr(MubSet, "deviation", counted)
+    out = tmp_path / "generate"
+    assert main(["generate", "--n", "3", "--L", "7", "--out", str(out)]) == 0
+    assert len(reads) == 1
+    fixture = Path(__file__).parent / "fixtures" / "generate_n3_L7"
+    for name in ("partition.json", "validation.json", "bases.json", "unitary.json"):
+        assert (out / name).read_bytes() == (fixture / name).read_bytes(), name
