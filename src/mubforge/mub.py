@@ -8,11 +8,11 @@ a GF(2) elimination picks n independent generators, each generator-sign
 code t gives the projector P_t as a sum over the generated group, and the
 vector is a column of P_t with entries 0, +-a or +-i a. Every parity of two
 n-bit masks it needs is read from one table per n. No eigensolver and no
-tolerance is involved; every member is checked exactly to map every vector
-to its sign times itself. Vectors are ordered by their sign pattern (member
-0 most significant, +1 before -1), and each vector's global phase makes its
-first nonzero component real positive, the fix_phase convention for
-vectors whose nonzero components share one magnitude.
+tolerance is involved; every generator is checked exactly to map every
+vector to its sign times itself, so every member does. Vectors are ordered
+by their sign pattern (member 0 most significant, +1 before -1), and each
+vector's global phase makes its first nonzero component real positive, the
+fix_phase convention for vectors whose nonzero components share one magnitude.
 
 build_mub_set is the one path from a Partition to a checked MubSet, for the
 cycled partitions of classes.py and the symplectic spread of wigner.py
@@ -92,10 +92,14 @@ class Basis:
     generators are the class members g_0.. that basis_from_involutions chose.
     Column b is its own sign code: it has sign -1 under g_i exactly when bit
     n-1-i of b is set. bases.json names each basis by its place in the set.
+    The exact form is kept: vectors is _amplitudes(codes)[codes] bit for bit
+    (code k for i^k a, 4 off the support), and group is _group(generators).
     """
 
     vectors: np.ndarray
     generators: tuple[PauliTerm, ...]
+    codes: np.ndarray
+    group: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     @property
     def d(self) -> int:
@@ -177,13 +181,11 @@ class MubSet:
     @cached_property
     def _group_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(keys, ps, order) over the subset products g_S of every basis
-        (_group), entry j d + S for basis j: the key x | z << n of the masks,
-        the phase, and the order that sorts the keys. Built once per set, by
-        the unbiasedness check, and shared by every action's label maps."""
-        n = self.bases[0].generators[0].n
-        groups = [_group(B.generators) for B in self.bases]
-        keys = np.concatenate([xs | zs << n for xs, zs, _ in groups])
-        ps = np.concatenate([ps for _, _, ps in groups])
+        (Basis.group), entry j d + S for basis j: the key x | z << n of the
+        masks, the phase, and the order that sorts the keys. Built once per
+        set, by the unbiasedness check, and shared by every action's maps."""
+        xs, zs, ps = (np.concatenate(t) for t in zip(*(B.group for B in self.bases)))
+        keys = xs | zs << self.bases[0].generators[0].n
         return keys, ps, np.argsort(keys)
 
     def _permutation(
@@ -364,12 +366,7 @@ def basis_from_involutions(members: "Sequence[PauliTerm]") -> Basis:
     support = np.zeros((d, d), dtype=bool)
     phase = np.zeros((d, d), dtype=np.int8)  # i^phase on the support
     support[rows, t], phase[rows, t] = True, expo
-    # member m is i^(phase_m - ps[combo_m]) g_combo_m, with that power of i
-    # 1 or -1 as both are Hermitian; its sign on code t carries (-1)^|combo_m & t|
-    combos = np.array(combos)
-    lead = 1 - (np.array([M.phase for M in members]) - ps[combos]) % 4
-    signs = lead[:, None] * sign[combos]
-    _check_eigenvectors(members, support, phase, signs)
+    signs = _check_eigenvectors(members, np.array(combos), (xs, zs, ps), support, phase)
     # canonical order: member 0's sign most significant, +1 before -1. Up to
     # ties a member's sign is first decided by a generator, so this sorts the
     # codes by their generator bits, g_0's most significant: column k has
@@ -381,48 +378,48 @@ def basis_from_involutions(members: "Sequence[PauliTerm]") -> Basis:
     first = changed.argmax(axis=1)  # the member deciding k vs k + 1
     if not (changed.any(axis=1).all() and (ordered[t[:-1], first] == 1).all()):
         raise DiagonalizationError("sign patterns are not distinct")
-    a = math.sqrt(np.count_nonzero(K) / d)  # 1 / sqrt(support size)
-    amp = np.array([complex(a, 0), complex(0, a), complex(-a, 0), complex(0, -a)])
-    vectors = np.where(support, amp[phase], 0)[:, order]
-    return Basis(np.ascontiguousarray(vectors), tuple(gens))
+    codes = np.where(support, phase, np.int8(4)).take(order, axis=1)
+    return Basis(_amplitudes(codes)[codes], tuple(gens), codes, (xs, zs, ps))
 
 
-def _check_eigenvectors(members, support, phase, signs) -> None:
+def _amplitudes(codes: np.ndarray) -> np.ndarray:
+    """What codes index: i^k a at k < 4, a = 1/sqrt(support size), 0 at 4."""
+    a = math.sqrt(1 / np.count_nonzero(codes[:, 0] < 4))
+    return np.array([complex(a, 0), complex(0, a), complex(-a, 0), complex(0, -a), 0])
+
+
+def _check_eigenvectors(members, combos, group, support, phase) -> np.ndarray:
     """Every column is a vector of the form basis_from_involutions builds,
-    and every member maps it to its sign times itself, exactly.
+    and every generator maps it to its sign times itself, exactly; returns
+    the signs [member, code] that follow for the members.
 
-    The form: 1/a^2 support rows, as many as the x masks of the group the
-    members generate, phase 0 at the first of them and off the support. So
-    no column is zero, and a column with one support row (a Z class) has
-    its phase fixed. The map: on the masks, i^p (-1)^|z & r| v[r] lands on
-    row r ^ x (pauli.apply)."""
-    n = members[0].n
-    r = np.arange(1 << n)
-    span = {0}  # the x masks of the group the members generate
-    for M in members:
-        if M.xmask not in span:
-            span |= {s ^ M.xmask for s in span}
-    sizes = np.count_nonzero(support, axis=0)
+    The form: 1/a^2 support rows, as many as the x masks of the group
+    (xs, zs, ps) = _group(generators), phase 0 at the first of them and off
+    the support. g_i is entry 2^i of the group: i^p (-1)^|z & r| v[r] lands
+    on row r ^ x (pauli.apply), with sign (-1)^t_i on code t. Member m is
+    i^(phase_m - ps[S]) g_S, S = combos[m]; that power of i must be +-1."""
+    xs, zs, ps = group
+    n, r = members[0].n, np.arange(len(xs))
+    flip, sign = _sign_tables(n)
     if (
-        (sizes != len(span)).any()
+        (np.count_nonzero(support, axis=0) * np.count_nonzero(xs == 0) != len(r)).any()
         or phase[support.argmax(axis=0), r].any()
         or np.where(support, 0, phase).any()
     ):
         raise DiagonalizationError("a column is not a normalized stabilizer vector")
-    x = row_mask(np.array([M.xmask for M in members]), n)
-    z = row_mask(np.array([M.zmask for M in members]), n)
-    p = np.array([M.phase for M in members])
-    moved = r ^ x[:, None]  # [m, r]
-    turn = (p[:, None] + 2 * _sign_tables(n)[0][z]).astype(np.int8)  # [m, r]
-    # [m, r, t]: the image's phase minus the phase it must have, mod 4
-    diff = phase[moved]
-    diff -= phase
-    diff -= turn[:, :, None] + (1 - signs).astype(np.int8)[:, None, :]
-    diff &= 3
-    wrong = diff != 0
-    wrong &= support
-    if wrong.any() or not (support[moved] == support).all():
+    g = 1 << np.arange(n)  # the subset of each generator alone
+    moved = r ^ xs[g, None]  # [i, r]
+    turn = (ps[g, None] + 2 * flip[zs[g]]).astype(np.int8)  # [i, r]
+    # [i, r, t]: the image's phase minus the phase it must have, mod 4
+    diff = phase[moved] - phase - turn[:, :, None] - 2 * flip[g][:, None, :]
+    lead = (np.array([M.phase for M in members]) - ps[combos]) % 4  # 0 or 2
+    if (
+        (((diff & 3) != 0) & support).any()
+        or (support[moved] != support).any()
+        or (lead % 2).any()
+    ):
         raise DiagonalizationError("a member does not map the basis to its signs")
+    return (1 - lead)[:, None] * sign[combos]
 
 
 def basis_matrices(bases) -> list[np.ndarray]:
@@ -442,13 +439,16 @@ def complex_json(M: np.ndarray) -> str:
     values, inverse = np.unique(
         M.reshape(-1).view(np.dtype((np.void, M.itemsize))), return_inverse=True
     )
-    values = values.view(complex)
-    pairs = np.stack([values.real, values.imag], -1).tolist()
-    tokens = [json.dumps(pair) for pair in pairs]
-    items = np.array(tokens, dtype=object)[inverse.reshape(M.shape)].tolist()
+    return _tokens_json(values.view(complex), inverse.reshape(M.shape))
+
+
+def _tokens_json(values: np.ndarray, index: np.ndarray) -> str:
+    """The nested JSON list of the [real, imag] pairs of values[index]."""
+    tokens = [json.dumps([v.real, v.imag]) for v in values.tolist()]
+    items = np.array(tokens, dtype=object)[index].tolist()
 
     def join(rows, depth):
-        if depth < M.ndim - 1:
+        if depth < index.ndim - 1:
             rows = [join(r, depth + 1) for r in rows]
         return "[" + ", ".join(rows) + "]"
 
@@ -589,7 +589,7 @@ def mub_set_json_parts(ms: MubSet, cycle: CycleReport | None = None):
     head, _, tail = json.dumps(doc).partition('"bases": null')
     bases = (
         f'{", " if i else ""}{{"label": {i}, '
-        f'"vectors": {complex_json(b.vectors.T)}}}'
+        f'"vectors": {_tokens_json(_amplitudes(b.codes), b.codes.T)}}}'
         for i, b in enumerate(ms.bases)
     )
     return chain([head + '"bases": ['], bases, ["]" + tail])
@@ -597,5 +597,5 @@ def mub_set_json_parts(ms: MubSet, cycle: CycleReport | None = None):
 
 def mub_set_to_json(ms: MubSet, cycle: CycleReport | None = None) -> str:
     """The set as JSON: the text of json.dumps(doc) with each basis's
-    vectors written by complex_json."""
+    vectors written from its codes through five tokens (_amplitudes)."""
     return "".join(mub_set_json_parts(ms, cycle))

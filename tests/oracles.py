@@ -26,6 +26,7 @@ from mubforge.entropy import (
 )
 from mubforge.mub import (
     Basis,
+    DiagonalizationError,
     MubSet,
     PauliLabels,
     basis_matrices,
@@ -38,6 +39,8 @@ from mubforge.pauli import (
     PauliTerm,
     build_gamma_generators,
     multiply,
+    parity,
+    row_mask,
     to_dense,
 )
 from mubforge.transform import (
@@ -269,6 +272,40 @@ def sign_patterns(members: Sequence[PauliTerm], basis: Basis) -> tuple:
     V = basis.vectors
     signs = [np.rint(np.einsum("ij,ik,kj->j", V.conj(), M, V).real) for M in mats]
     return tuple(map(tuple, np.array(signs, dtype=int).T.tolist()))
+
+
+def member_check(members: Sequence[PauliTerm], support, phase, signs) -> None:
+    """The per-member check that mub._check_eigenvectors replaced (the slow
+    route): every column has the form basis_from_involutions builds, and
+    every member maps it to its sign signs[m, t] times itself, exactly, on
+    [member, row, code] arrays, so O(d^3). Columns are codes, as there.
+
+    The form: 1/a^2 support rows, as many as the x masks of the group the
+    members generate, phase 0 at the first of them and off the support. The
+    map: on the masks, i^p (-1)^|z & r| v[r] lands on row r ^ x (apply)."""
+    n = members[0].n
+    r = np.arange(1 << n)
+    span = {0}  # the x masks of the group the members generate
+    for M in members:
+        if M.xmask not in span:
+            span |= {s ^ M.xmask for s in span}
+    sizes = np.count_nonzero(support, axis=0)
+    if (
+        (sizes != len(span)).any()
+        or phase[support.argmax(axis=0), r].any()
+        or np.where(support, 0, phase).any()
+    ):
+        raise DiagonalizationError("a column is not a normalized stabilizer vector")
+    x = row_mask(np.array([M.xmask for M in members]), n)
+    z = row_mask(np.array([M.zmask for M in members]), n)
+    p = np.array([M.phase for M in members])
+    moved = r ^ x[:, None]  # [m, r]
+    turn = p[:, None] + 2 * parity(z[:, None] & r)  # [m, r]
+    # [m, r, t]: the image's phase minus the phase it must have, mod 4
+    diff = phase[moved] - phase - turn[:, :, None] - (1 - np.asarray(signs))[:, None, :]
+    wrong = (diff % 4 != 0) & support
+    if wrong.any() or not (support[moved] == support).all():
+        raise DiagonalizationError("a member does not map the basis to its signs")
 
 
 def phase_ramp_states(ms: MubSet, coefficients) -> list[np.ndarray]:

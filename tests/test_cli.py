@@ -371,8 +371,8 @@ def test_generate_builds_the_cycle_unitary_once(tmp_path, monkeypatch):
 def test_generate_reads_u_once(tmp_path, monkeypatch, n, L):
     # no dense read of U: its action is composed exactly as it is built,
     # validation checks that action, and the label maps come from the masks,
-    # derived once: one subset table of each basis for its vectors, and one
-    # for the maps
+    # derived once: one subset table of each basis, built with its vectors
+    # and kept for the maps
     import mubforge.mub
     import mubforge.transform
 
@@ -386,7 +386,7 @@ def test_generate_reads_u_once(tmp_path, monkeypatch, n, L):
     assert run(["generate", "--n", str(n), "--L", str(L), "--out", str(tmp_path)]) == 0
     assert len(reads) == 0
     assert not hasattr(mubforge.mub, "apply")
-    assert len(groups) == 2 * L
+    assert len(groups) == L
 
 
 @pytest.mark.parametrize(

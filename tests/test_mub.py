@@ -22,9 +22,12 @@ from mubforge.mub import (
     DiagonalizationError,
     MubSet,
     UnbiasednessError,
+    _amplitudes,
     _check_eigenvectors,
     _check_unbiased,
     _generators,
+    _group,
+    _tokens_json,
     basis_from_involutions,
     build_mub_set,
     CycleMatchError,
@@ -41,6 +44,7 @@ from mubforge.mub import _projector_distances, fix_phase
 from oracles import (
     EIGEN_TOL,
     invariant_states,
+    member_check,
     pair_deviations,
     phase_ramp_states,
     raw_unbiasedness_deviation,
@@ -673,16 +677,20 @@ def per_class_basis(members):
     a = math.sqrt(np.count_nonzero(K) / d)
     amp = np.array([complex(a, 0), complex(0, a), complex(-a, 0), complex(0, -a)])
     vectors = np.where(support, amp[phase], 0)[:, order]
-    return Basis(np.ascontiguousarray(vectors), tuple(gens))
+    codes = np.where(support, phase, 4).astype(np.int8)[:, order]
+    return Basis(np.ascontiguousarray(vectors), tuple(gens), codes, (xs, zs, ps))
 
 
 def same_basis(got, want):
-    """Bit for bit: vectors (signed zeros included) and generators."""
+    """Bit for bit: vectors (signed zeros included), generators and the
+    int8 codes of the exact form."""
     assert got.vectors.dtype == want.vectors.dtype
     assert got.vectors.shape == want.vectors.shape
     assert got.vectors.tobytes() == want.vectors.tobytes()
     assert got.vectors.flags.c_contiguous
     assert got.generators == want.generators
+    assert got.codes.dtype == want.codes.dtype == np.int8
+    assert np.array_equal(got.codes, want.codes)
 
 
 def _oracle_partitions():
@@ -715,6 +723,45 @@ def test_bases_equal_the_oracle(name):
             same_basis(g, want)
 
 
+@pytest.mark.parametrize("name", list(ORACLE_PARTITIONS))
+def test_kept_exact_form_reproduces_the_basis(name):
+    # the codes give the vectors bit for bit and, through five tokens (the
+    # writer of bases.json), the text complex_json writes; the kept table is
+    # a fresh _group
+    for cls in ORACLE_PARTITIONS[name].classes:
+        b = common_eigenbasis(cls)
+        assert _amplitudes(b.codes)[b.codes].tobytes() == b.vectors.tobytes()
+        text = _tokens_json(_amplitudes(b.codes), b.codes.T)
+        assert text == complex_json(b.vectors.T) == json.dumps(complex_lists(b.vectors.T))
+        for kept, fresh in zip(b.group, _group(b.generators), strict=True):
+            assert kept.dtype == fresh.dtype and np.array_equal(kept, fresh)
+
+
+def test_n9_bases_build_in_bounded_memory():
+    # the check holds [generator, row, column] arrays, 2.4 MB at n = 9; a
+    # check of every member (oracles.member_check) holds [member, row,
+    # column] arrays, 134 MB each, and peaks at about 580 MB here
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import resource\n"
+        "from mubforge.classes import build_classes_Ln\n"
+        "from mubforge.mub import common_eigenbasis\n"
+        "bases = [common_eigenbasis(c) for c in build_classes_Ln(9, 3).classes]\n"
+        "print(len(bases), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    )
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    count, peak_kb = map(int, out.stdout.split())
+    assert count == 3
+    assert peak_kb < 200 * 1024
+
+
 def _check_arrays(members, basis):
     """The (support, phase, signs) arrays of the member check, read back
     from a built basis. Their columns are codes, bit i for generator g_i,
@@ -730,39 +777,68 @@ def _check_arrays(members, basis):
     return support, phase, signs
 
 
+@pytest.mark.parametrize("name", list(ORACLE_PARTITIONS))
+def test_generator_check_and_member_oracle_accept_every_basis(name):
+    # the n-generator check and the per-member route it replaced both pass
+    # every built basis, and the signs the check derives are those read
+    # densely off the vectors
+    for cls in ORACLE_PARTITIONS[name].classes:
+        members = list(cls.members)
+        basis = basis_from_involutions(members)
+        support, phase, signs = _check_arrays(members, basis)
+        combos = np.array(_generators(members)[1])
+        got = _check_eigenvectors(members, combos, basis.group, support, phase)
+        assert np.array_equal(got, signs)
+        member_check(members, support, phase, signs)
+
+
 def test_member_check_catches_a_corrupted_entry():
     part = spread_partition(3)
     bases = build_mub_set(part).bases
     d = part.d
     rng = np.random.default_rng(12)
     for cls, basis in zip(part.classes, bases):
-        members = cls.members
+        members = list(cls.members)
         support, phase, signs = _check_arrays(members, basis)
-        _check_eigenvectors(members, support, phase, signs)  # the built basis passes
+        combos = np.array(_generators(members)[1])
+
+        def rejected(members=members, support=support, phase=phase):
+            # by the generator check and by the per-member oracle alike
+            with pytest.raises(DiagonalizationError):
+                _check_eigenvectors(members, combos, basis.group, support, phase)
+            with pytest.raises(DiagonalizationError):
+                member_check(members, support, phase, signs)
+
+        # the built basis passes both
+        _check_eigenvectors(members, combos, basis.group, support, phase)
+        member_check(members, support, phase, signs)
         for _ in range(5):
             r, t = rng.integers(d), rng.integers(d)
             bad = phase.copy()
             bad[r, t] = (bad[r, t] + rng.integers(1, 4)) % 4
-            with pytest.raises(DiagonalizationError):
-                _check_eigenvectors(members, support, bad, signs)
+            rejected(phase=bad)
             bad = support.copy()
             bad[r, t] = ~bad[r, t]
-            with pytest.raises(DiagonalizationError):
-                _check_eigenvectors(members, bad, phase, signs)
+            rejected(support=bad)
         # in every class, the Z class included: an all-zero column, and a
         # column whose first nonzero entry is rephased
         bad = support.copy()
         bad[:, 0] = False
-        with pytest.raises(DiagonalizationError):
-            _check_eigenvectors(members, bad, phase, signs)
+        rejected(support=bad)
         bad = phase.copy()
         bad[support[:, 0].argmax(), 0] = 1
-        with pytest.raises(DiagonalizationError):
-            _check_eigenvectors(members, support, bad, signs)
-        bad = signs.copy()
-        bad[5, 3] *= -1
-        with pytest.raises(DiagonalizationError):
-            _check_eigenvectors(members, support, phase, bad)
+        rejected(phase=bad)
+        # columns 0 and d/2 swapped: their codes differ under the last
+        # generator alone, so each column keeps its form and every other
+        # generator's sign
+        cols = np.arange(d)
+        cols[[0, d // 2]] = [d // 2, 0]
+        rejected(support=support[:, cols], phase=phase[:, cols])
+        # a member that is +-i times the product of its generators
+        for k in (1, 3):
+            bad = list(members)
+            bad[5] = replace(bad[5], phase=(bad[5].phase + k) % 4)
+            rejected(members=bad)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -844,12 +920,8 @@ UNBIASEDNESS_CASES = _unbiasedness_cases()
 
 
 @pytest.mark.parametrize("name", list(UNBIASEDNESS_CASES))
-def test_exact_unbiasedness_flags_the_pairs_the_dense_loop_does(monkeypatch, name):
+def test_exact_unbiasedness_flags_the_pairs_the_dense_loop_does(name):
     part = UNBIASEDNESS_CASES[name]()
-    if part.n > 6:
-        # the exact member check holds [member, row, column] arrays, 134 MB
-        # each at n = 9; the vectors are those it certifies for n <= 6
-        monkeypatch.setattr(mubforge.mub, "_check_eigenvectors", lambda *a: None)
     bases = [common_eigenbasis(c) for c in part.classes]
     dense = {jk: dev > 1e-8 for jk, dev in pair_deviations(bases).items()}
     assert exact_flags(bases, part) == dense

@@ -502,22 +502,22 @@ def test_orbit_maps_keep_every_symmetry_they_derive(kind, arg):
 
 
 def test_cycle_maps_are_derived_once_per_set(monkeypatch):
-    # from the masks, with no apply: one subset table of each basis, once
-    # per set, with the action cycle_unitary checked. The build reads the
-    # tables first, for its unbiasedness check
+    # from the masks, with no apply: one subset table of each basis, built
+    # with its vectors and kept, with the action cycle_unitary checked. The
+    # build reads the tables first, for its unbiasedness check
     groups, group = [], mub._group
     monkeypatch.setattr(mub, "_group", lambda g: groups.append(g) or group(g))
     ms = build_mub_set(build_partition(3, 7))
-    assert len(groups) == 2 * ms.L  # each basis's vectors, and the tables
+    assert len(groups) == ms.L  # each basis's vectors, whose tables are kept
     sweep_max_eigen(ms)
     report = verify_cycle(ms)
     assert not hasattr(mub, "apply")
-    assert len(groups) == 2 * ms.L
+    assert len(groups) == ms.L
     assert report.permutations == tuple(map(tuple, ms.cycle_permutations.tolist()))
     assert ms.cycle_permutations is ms.cycle_permutations
     # a set without U's action has no label maps
     assert replace(ms, action=None).cycle_permutations is None
-    assert len(groups) == 2 * ms.L
+    assert len(groups) == ms.L
 
 
 def test_cycle_orbits_match_the_pauli_only_route_d8_L7(monkeypatch):
