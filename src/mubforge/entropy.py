@@ -124,6 +124,7 @@ MINIMIZE_ITERS = 500  # moves per restart in the last (or only) descent stage
 ANNEAL_ORDERS = (2.0, 20.0)  # smooth orders an alpha = inf descent passes first
 ANNEAL_MOVES = 50  # moves per restart in each annealing stage
 STALL_ETA = 2.0**-8  # a row stops once a rejected step leaves eta at or below this
+SMALLEST_NORMAL = 2.0**-1022  # a sum p^alpha below it is rescaled
 
 
 @dataclass(frozen=True)
@@ -195,7 +196,13 @@ def _entropy_of(p: np.ndarray, alpha: float) -> float:
 
 
 def avg_entropy(ms: "MubSet | Sequence", state, alpha: float) -> float:
-    """Arithmetic mean of the per-basis entropies."""
+    """Arithmetic mean of the per-basis entropies. A unit vector is one row
+    of the minimizer's value pass; a density matrix, or an input that is
+    refused, goes basis by basis through renyi_entropy."""
+    state = np.asarray(state, dtype=complex)
+    if state.ndim == 1 and alpha > 0 and abs(np.linalg.norm(state) - 1) <= 1e-8:
+        f, _ = _avg_entropy_values(_basis_stack(ms), state[None], alpha)
+        return float(f[0])
     mats = _checked_matrices(ms)
     return sum(renyi_entropy(B, state, alpha) for B in mats) / len(mats)
 
@@ -406,105 +413,95 @@ def sample_max_eigen(ms, samples: int, seed: int) -> SweepResult:
     return _summarize(_eigmax_chunks(np.stack(mats), strings), samples)
 
 
-def _log2(x: np.ndarray) -> np.ndarray:
-    # math.log2 element by element, streamed through fromiter: np.log2 differs
-    # from it in the last bit for about one argument in a thousand, which
-    # would move the objective off the one-vector oracle in tests/test_entropy.py
-    logs = np.fromiter(map(math.log2, x.ravel().tolist()), float, x.size)
-    return logs.reshape(x.shape)
-
-
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_k a[r, k] b[r, k] for every row r, one BLAS dot per row."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
 def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of every row of a complex (R, d) array, summed as
-    np.linalg.norm sums a vector: a BLAS dot of the real parts plus one of
-    the imaginary parts, all 2R dots in one stacked matmul."""
-    v = x.view(float).reshape(len(x), -1, 2).transpose(0, 2, 1)  # (R, 2, d)
-    sq = (v[:, :, None, :] @ v[..., None])[..., 0, 0]
-    return np.sqrt(sq[:, 0] + sq[:, 1])
+    """Euclidean norm of every row of a C-contiguous complex (R, d) array."""
+    v = x.view(float)
+    return np.sqrt(np.add.reduce(v * v, axis=-1))
 
 
 def _basis_stack(ms):
-    """(B, BH, cols) for the checked bases: the (L, d, d) stack, its conjugate
-    transposes, and the (L d, d) columns, row j d + k being column k of B_j."""
-    B = np.stack(_checked_matrices(ms)).astype(complex)
-    BH = np.ascontiguousarray(B.conj()).transpose(0, 2, 1)
-    return B, BH, B.transpose(0, 2, 1).reshape(-1, B.shape[1])
+    """(A, G, cols) for the checked bases B_0..B_{L-1}: G = [B_0 | ... |
+    B_{L-1}], (d, L d); A = G^dag, Fortran-ordered, so that A psi is every
+    B_j^dag psi at once; cols = G^T, row j d + k column k of B_j."""
+    G = np.concatenate(_checked_matrices(ms), axis=1).astype(complex)
+    return G.conj().T, G, np.ascontiguousarray(G.T)
+
+
+def _pick(x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x[r, j, b[r, j]] for every (r, j) of b, in one flat take."""
+    starts = np.arange(0, x.size, x.shape[-1]).reshape(b.shape)
+    return x.reshape(-1).take(b + starts)
 
 
 def _avg_entropy_values(stack, psi: np.ndarray, alpha):
-    """Value pass: average entropy (R,) and the intermediates the gradient
-    pass reads.
+    """Value pass: average entropy (R,) and the parts the gradient pass reads.
 
-    stack is _basis_stack's (B, BH, cols); psi holds one unit vector per row.
-    Intermediates are basis-major, (L, R, ...): c = B^dag psi, which goes
-    through stacked matrix-vector matmuls, the same BLAS call per row and
-    basis as the one-vector product; then each basis's argmax b and top
-    outcome for alpha = inf, log2 p for alpha = 1, or p and S = sum p^alpha.
-    The L terms are summed over the leading axis, which numpy reduces by
-    adding one term at a time in basis order, as the one-vector loop does
-    (a reduction along the last axis regroups the terms).
+    stack is _basis_stack's; psi holds one unit vector per row. c = A psi
+    is one BLAS gemv per row, so a row's numbers do not depend on its
+    block. The parts are (R, L, ...): c = B_j^dag psi, then each basis's
+    argmax b and top outcome for alpha = inf, log2 p for alpha = 1, or
+    p = |c|^2 and S = sum p^alpha. Where S is below the normal floats, the
+    basis's largest p, m, is factored out: the parts hold p / m and
+    m sum (p / m)^alpha, which the gradient reads unchanged, and
+    log2 S = alpha log2 m + log2 sum (p / m)^alpha; elsewhere m = 1 leaves
+    the bits alone. A row's L terms are added in basis order
+    (np.add.accumulate; a reduction may regroup them).
     """
-    BH = stack[1]
-    c = (BH[:, None] @ psi[:, :, None])[..., 0]  # (L, R, d)
+    A = stack[0]
+    R, d = psi.shape
+    c = (A @ psi[:, :, None]).reshape(R, len(A) // d, d)
     p = np.maximum(np.abs(c) ** 2, 1e-300)
     if math.isinf(alpha):  # only the largest outcome of each basis counts
-        b = p.argmax(axis=-1)  # (L, R)
-        top = np.take_along_axis(p, b[..., None], -1)[..., 0]
-        terms, parts = -_log2(top), (c, b, top)
+        b = p.argmax(axis=-1)  # (R, L); with _pick, faster than p.max
+        top = _pick(p, b)
+        terms, parts = -np.log2(top), (c, b, top)
     elif alpha == 1:
         lp = np.log2(p)
         terms, parts = -np.add.reduce(p * lp, axis=-1), (c, lp)
     else:
         S = np.add.reduce(p**alpha, axis=-1)
-        try:
-            log_S = _log2(S)
-        except ValueError:  # math.log2(0.0): every p^alpha of a basis underflowed
-            raise ValueError(
-                f"order {alpha:g} underflows sum p^alpha in d = {psi.shape[1]}; "
-                "use --alpha inf"
-            ) from None
+        if S.min(initial=1.0) < SMALLEST_NORMAL:
+            m = np.where(S < SMALLEST_NORMAL, p.max(axis=-1), 1.0)
+            p = p / m[..., None]
+            S = np.add.reduce(p**alpha, axis=-1)
+            log_S = np.log2(S) + alpha * np.log2(m)
+            S *= m
+        else:
+            log_S = np.log2(S)
         terms, parts = log_S / (1 - alpha), (c, p, S)
-    return np.add.reduce(terms, axis=0) / len(BH), parts
+    return np.add.accumulate(terms, axis=-1)[:, -1] / terms.shape[1], parts
 
 
 def _avg_entropy_grads(stack, parts, alpha, rows) -> np.ndarray:
     """Gradient pass: the Wirtinger gradient d/d(psi*) (len(rows), d) of the
-    rows `rows` (an index array or a slice) of a value pass's `parts`.
-
-    Each row's numbers are those of the one-vector computation
-    (serial_avg_entropy_and_grad in tests/test_entropy.py), up to the sign
-    of a zero, whichever rows are chosen:
-    - For finite alpha, g = sum_j B_j (w * c) goes through stacked
-      matrix-vector matmuls, the same BLAS call per row and basis as the
-      one-vector product.
-    - For alpha = inf, w * c has one nonzero entry per basis, so B_j (w * c)
-      is a gather: column b_j of B_j times that entry. On stabilizer bases
-      every entry of B_j is 0, +-a or +-ia, so each product is rounded once,
-      as inside the matrix-vector product; on other bases it may differ in
-      the last bit.
-    - The L terms are summed in basis order, as in the value pass.
+    rows `rows` (an index array or a slice) of a value pass's `parts`; each
+    row's numbers are those of its one-row call.
+    - Finite alpha: g = sum_j B_j (w * c) = G (w * c), one gemv per row.
+    - alpha = inf: w * c has one nonzero entry per basis, at b_j, so
+      B_j (w * c) is column b_j of B_j times that entry, a gather. On
+      stabilizer bases every entry of B_j is 0, +-a or +-ia, so each
+      product is rounded once, as inside a gemv. The L terms are added in
+      basis order.
     """
-    B, _, cols = stack
-    L, d = B.shape[:2]
-    c, *rest = (x[:, rows] for x in parts)
+    _, G, cols = stack
+    d = len(G)
+    L = G.shape[1] // d
+    c, *rest = (x[rows] for x in parts)
     if math.isinf(alpha):
         b, top = rest
-        c_top = np.take_along_axis(c, b[..., None], -1)  # (L, r, 1)
-        coef = c_top * (-1.0 / (top * LOG2))[..., None]
-        g = cols.take(b + np.arange(0, L * d, d)[:, None], axis=0) * coef
-    elif alpha == 1:
-        (lp,) = rest
-        g = (B[:, None] @ (-(lp + 1 / LOG2) * c)[..., None])[..., 0]
+        coef = (_pick(c, b) * (-1.0 / (top * LOG2))).T[..., None]  # (L, r, 1)
+        # (L, r, d), summed over the leading axis one basis at a time
+        g = cols.take(b.T + np.arange(0, L * d, d)[:, None], axis=0) * coef
+        g = np.add.reduce(g)
     else:
-        p, S = rest
-        w = alpha * p ** (alpha - 1) / ((1 - alpha) * S * LOG2)[..., None]
-        g = (B[:, None] @ (w * c)[..., None])[..., 0]
-    return np.add.reduce(g, axis=0) / L
+        if alpha == 1:
+            (lp,) = rest
+            wc = -(lp + 1 / LOG2) * c
+        else:
+            p, S = rest
+            wc = alpha * p ** (alpha - 1) / ((1 - alpha) * S * LOG2)[..., None] * c
+        g = (G @ wc.reshape(len(c), L * d, 1))[..., 0]
+    return g / L
 
 
 def _avg_entropy_rows(stack, psi: np.ndarray, alpha):
@@ -516,7 +513,7 @@ def _avg_entropy_rows(stack, psi: np.ndarray, alpha):
 
 def _tangent_rows(psi: np.ndarray, g: np.ndarray):
     """Gradient projected on the tangent space of each row, and its norm."""
-    g_t = g - _row_dot(psi.conj(), g)[:, None] * psi
+    g_t = g - np.add.reduce(psi.conj() * g, axis=-1)[:, None] * psi
     return g_t, _row_norms(g_t)
 
 
@@ -528,7 +525,7 @@ def _descend_rows(stack, psi: np.ndarray, alpha, cap: int):
     tangent gradient below 1e-12, or a rejected step that leaves eta at or
     below STALL_ETA (read at call time), 7 rejected steps in a row from 0.5
     at the default 2^-8. Only live rows are evaluated, and each takes the
-    one-vector descent's steps with the same numbers:
+    steps it takes alone, as a one-row block, with the same numbers:
     - The live rows' state is kept packed. Every iteration halves all step
       sizes and runs the value pass on every live row's candidate; only the
       rows that pass Armijo get the gradient pass, their new state, tangent
@@ -596,7 +593,7 @@ def minimize_avg_entropy(
     true minimum and is deterministic for a fixed seed.
 
     The restarts descend together, MINIMIZE_BLOCK at a time, as the rows of
-    one (R, d) array against the stacked (L, d, d) bases; each row keeps its
+    one (R, d) array against _basis_stack's arrays; each row keeps its
     own step size and stop rule, and every stage runs the same loop, which
     forms a gradient only for the rows whose step passed Armijo. Each
     start is 2d gauss(0.0, 1.0) draws of random.Random(seed), taken in

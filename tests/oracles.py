@@ -8,7 +8,9 @@ not in mubforge. scipy, which mubforge does not need, is imported here only.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
@@ -19,6 +21,7 @@ import scipy.linalg
 from mubforge.classes import CommutingClass, Partition
 from mubforge.entropy import (
     DEFAULT_BUDGET,
+    LOG2,
     _checked_matrices,
     _eigmax_chunks,
     _sweep_size,
@@ -474,6 +477,53 @@ def iter_sweep_rows(ms, budget: int = DEFAULT_BUDGET):
     total = _sweep_size(mats, budget)
     for digits, lam in _eigmax_chunks(np.stack(mats), range(total)):
         yield from zip(map(tuple, digits.tolist()), lam.tolist())
+
+
+def slow_avg_entropy_and_grad(mats, psi, alpha):
+    """Average order-alpha entropy of the unit vector psi and its Wirtinger
+    gradient d/d(psi*), one basis at a time: a matrix-vector product per
+    basis and math.log2 per term, the terms summed in basis order."""
+    L = len(mats)
+    d = psi.shape[0]
+    f = 0.0
+    g = np.zeros(d, dtype=complex)
+    for B in mats:
+        c = B.conj().T @ psi
+        p = np.maximum(np.abs(c) ** 2, 1e-300)
+        if math.isinf(alpha):
+            b = int(np.argmax(p))
+            f += -math.log2(p[b])
+            w = np.zeros(d)
+            w[b] = -1.0 / (p[b] * LOG2)
+        elif alpha == 1:
+            f += float(-np.sum(p * np.log2(p)))
+            w = -(np.log2(p) + 1 / LOG2)
+        else:
+            S = float(np.sum(p**alpha))
+            f += math.log2(S) / (1 - alpha)
+            w = alpha * p ** (alpha - 1) / ((1 - alpha) * S * LOG2)
+        g += B @ (w * c)
+    return f / L, g / L
+
+
+def decimal_avg_entropy_and_grad(mats, psi, alpha):
+    """slow_avg_entropy_and_grad for a finite order alpha != 1, with sum
+    p^alpha, its log and the weights in 40-digit decimal arithmetic, whose
+    exponent range holds p^alpha where a float underflows."""
+    L = len(mats)
+    f = Decimal(0)
+    g = np.zeros(psi.shape[0], dtype=complex)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        a, ln2 = Decimal(alpha), Decimal(2).ln()
+        for B in mats:
+            c = B.conj().T @ psi
+            P = [Decimal(x) for x in np.maximum(np.abs(c) ** 2, 1e-300).tolist()]
+            S = sum(x**a for x in P)
+            f += S.ln() / ln2 / (1 - a)
+            w = [float(a * x ** (a - 1) / ((1 - a) * S * ln2)) for x in P]
+            g += B @ (np.array(w) * c)
+    return float(f / L), g / L
 
 
 # ---------------------------------------------------------------- wigner

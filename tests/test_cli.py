@@ -93,14 +93,16 @@ def test_minimize_alpha_two(capsys):
     assert "1.000000" in capsys.readouterr().out
 
 
-def test_minimize_order_that_underflows_is_refused(capsys):
-    # p^1000 underflows to 0 for every outcome of some basis, and log2 of
-    # the sum then has no value: a bad-arguments exit naming the cause
-    args = ["minimize", "--n", "2", "--L", "4", "--alpha", "1000", "--restarts", "8"]
-    assert run(args) == 4
-    err = capsys.readouterr().err
-    assert err == (
-        "bad arguments: order 1000 underflows sum p^alpha in d = 4; use --alpha inf\n"
+@pytest.mark.parametrize("alpha", [700, 1000])
+def test_minimize_order_whose_sum_underflows_is_rescaled(capsys, alpha):
+    # p^alpha underflows to 0 for every outcome of some basis on the way
+    # down; with each such basis's largest p factored out the minimum is
+    # alpha / (alpha - 1) log2(8/5), as orders 300 to 600 print without it
+    args = ["minimize", "--n", "2", "--L", "4", "--alpha", str(alpha)]
+    assert run(args + ["--restarts", "8"]) == 0
+    want = alpha / (alpha - 1) * math.log2(8 / 5)
+    assert capsys.readouterr().out.splitlines()[1].startswith(
+        f"min avg H_{alpha} ~= {want:.9f} bits"
     )
 
 

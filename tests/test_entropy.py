@@ -25,7 +25,13 @@ from mubforge.entropy import (
     sweep_max_eigen,
 )
 from mubforge.mub import build_mub_set
-from oracles import iter_sweep_rows, phase_ramp_states, symmetrize
+from oracles import (
+    decimal_avg_entropy_and_grad,
+    iter_sweep_rows,
+    phase_ramp_states,
+    slow_avg_entropy_and_grad,
+    symmetrize,
+)
 
 TARGET_D4_L4 = 0.6780719051126378  # -log2(5/8)
 TARGET_D4_L3 = 0.5849625007211562  # -log2(2/3)
@@ -322,45 +328,55 @@ def test_symmetrized_top_eigenstate_saturates_jensen(ms4):
     assert abs(np.trace(rho @ P.matrix) - np.trace(sym @ P.matrix)) < 1e-10
 
 
-# Test-only oracle: the scalar minimizer that the batched one replaced, one
-# restart and one vector at a time.
-def serial_avg_entropy_and_grad(mats, psi, alpha):
-    L = len(mats)
-    d = psi.shape[0]
-    f = 0.0
-    g = np.zeros(d, dtype=complex)
-    for B in mats:
-        c = B.conj().T @ psi
-        p = np.maximum(np.abs(c) ** 2, 1e-300)
-        if math.isinf(alpha):
-            b = int(np.argmax(p))
-            f += -math.log2(p[b])
-            w = np.zeros(d)
-            w[b] = -1.0 / (p[b] * entropy.LOG2)
-        elif alpha == 1:
-            f += float(-np.sum(p * np.log2(p)))
-            w = -(np.log2(p) + 1 / entropy.LOG2)
-        else:
-            S = float(np.sum(p**alpha))
-            f += math.log2(S) / (1 - alpha)
-            w = alpha * p ** (alpha - 1) / ((1 - alpha) * S * entropy.LOG2)
-        g += B @ (w * c)
-    return f / L, g / L
+# Test-only oracle: the minimizer one restart at a time. A route gives the
+# objective and gradient of one vector, its tangent projection and its norm:
+# one_row_route runs the kernel's own functions on one-row blocks, so the
+# batched descent must take the same steps with the same numbers;
+# slow_route is the per-basis loop of tests/oracles.py with numpy's
+# vector norm.
+def one_row_route(ms):
+    stack = entropy._basis_stack(ms)
+
+    def tangent(psi, g):
+        g_t, gn = entropy._tangent_rows(psi[None], g[None])
+        return g_t[0], float(gn[0])
+
+    return (
+        functools.partial(serial_avg_entropy_and_grad, stack),
+        tangent,
+        lambda x: entropy._row_norms(x[None])[0],
+    )
 
 
-def serial_descend(mats, psi, alpha, iters):
-    f, g = serial_avg_entropy_and_grad(mats, psi, alpha)
+def slow_route(ms):
+    mats = [b.vectors for b in ms.bases]
+
+    def tangent(psi, g):
+        g_t = g - (psi.conj() @ g) * psi
+        return g_t, float(np.linalg.norm(g_t))
+
+    return functools.partial(slow_avg_entropy_and_grad, mats), tangent, np.linalg.norm
+
+
+def serial_avg_entropy_and_grad(stack, psi, alpha):
+    """The kernel's value and gradient passes on psi as a one-row block."""
+    f, g = entropy._avg_entropy_rows(stack, psi[None], alpha)
+    return f[0], g[0]
+
+
+def serial_descend(route, psi, alpha, iters):
+    evaluate, tangent, norm = route
+    f, g = evaluate(psi, alpha)
     eta = 0.5
     for _ in range(iters):
-        g_t = g - (psi.conj() @ g) * psi
-        gn = float(np.linalg.norm(g_t))
+        g_t, gn = tangent(psi, g)
         if gn < 1e-12:
             break
         moved = False
         while eta > entropy.STALL_ETA:
             cand = psi - eta * g_t
-            cand /= np.linalg.norm(cand)
-            fc, gc = serial_avg_entropy_and_grad(mats, cand, alpha)
+            cand /= norm(cand)
+            fc, gc = evaluate(cand, alpha)
             if fc < f - 0.25 * eta * gn * gn:
                 psi, f, g = cand, fc, gc
                 moved = True
@@ -372,11 +388,14 @@ def serial_descend(mats, psi, alpha, iters):
     return psi
 
 
-def serial_minimize(ms, alpha, restarts, seed, iters=500, anneal=50):
+def serial_minimize(
+    ms, alpha, restarts, seed, iters=500, anneal=50, route=one_row_route
+):
     # anneal caps the moves of the order-2 and order-20 stages, iters those
     # of the last stage
-    mats = [b.vectors for b in ms.bases]
-    d = mats[0].shape[0]
+    route = route(ms)
+    evaluate, _, norm = route
+    d = ms.d
     stages = [(alpha, iters)]
     if math.isinf(alpha):
         stages[:0] = [(2.0, anneal), (20.0, anneal)]
@@ -385,10 +404,10 @@ def serial_minimize(ms, alpha, restarts, seed, iters=500, anneal=50):
     for _ in range(restarts):
         x = np.array([rng.gauss(0.0, 1.0) for _ in range(2 * d)])
         psi = x[:d] + 1j * x[d:]
-        psi /= np.linalg.norm(psi)
+        psi /= norm(psi)
         for stage, cap in stages:
-            psi = serial_descend(mats, psi, stage, cap)
-        val, _ = serial_avg_entropy_and_grad(mats, psi, alpha)
+            psi = serial_descend(route, psi, stage, cap)
+        val, _ = evaluate(psi, alpha)
         if val < best_val - 1e-15:
             best_val, best_psi = val, psi
     return best_psi, best_val
@@ -411,11 +430,11 @@ def same_state(a, b):
 
 
 @functools.lru_cache(maxsize=None)
-def serial_runs(name, alpha):
+def serial_runs(name, alpha, route=one_row_route):
     """serial_minimize at the oracle tests' (seed, restarts) pairs."""
     ms = build_mub_set(build_partition(*ORACLE_SETS[name]))
     return [
-        serial_minimize(ms, alpha, restarts, seed)
+        serial_minimize(ms, alpha, restarts, seed, route=route)
         for seed, restarts, _ in oracle_runs(name)
     ]
 
@@ -434,11 +453,12 @@ def batched_runs(ms, name, alpha):
 @pytest.mark.parametrize("alpha", [1, 2, math.inf])
 @pytest.mark.parametrize("name", list(ORACLE_SETS))
 def test_batched_minimizer_matches_serial(oracle_sets, name, alpha):
-    # the value to 1e-12; the state to 1e-7, since a value known to ~1e-16
-    # pins a minimizer only to about its square root
+    # against the slow route's descent: the value to 1e-12; the state to
+    # 1e-7, since a value known to ~1e-16 pins a minimizer only to about its
+    # square root
     ms = oracle_sets[name]
     for (psi, val), (want_psi, want) in zip(
-        batched_runs(ms, name, alpha), serial_runs(name, alpha)
+        batched_runs(ms, name, alpha), serial_runs(name, alpha, slow_route)
     ):
         assert abs(val - want) < 1e-12
         assert same_state(psi, want_psi) < 1e-7
@@ -541,63 +561,106 @@ def test_serial_descend_reads_the_kernels_stall_floor(oracle_sets, alpha, stall)
     assert passes != free
 
 
-def test_log2_is_math_log2():
-    # np.log2 differs from math.log2 in the last bit for a few arguments in a
-    # thousand on some builds; the objective must carry math.log2's bits
-    x = np.random.default_rng(67).uniform(1e-3, 1.0, size=(50, 200))
-    want = np.array([[math.log2(v) for v in row] for row in x.tolist()])
-    assert np.array_equal(entropy._log2(x), want)
-
-
 def random_rows(rng, rows, d):
     x = rng.normal(size=(rows, 2 * d))
     psi = x[:, :d] + 1j * x[:, d:]
     return psi / np.linalg.norm(psi, axis=1)[:, None]
 
 
-def assert_split_passes_match(stack, psi, alpha, f, g):
-    """The value pass, then the gradient pass on row subsets as _descend_rows
-    picks them (ascending index arrays), give the rows of the full kernel's
-    (f, g) to the bit."""
-    R = len(psi)
-    every = np.arange(R)
-    picked = np.flatnonzero(np.random.default_rng(R).random(R) < 0.3)
-    f_v, parts = entropy._avg_entropy_values(stack, psi, alpha)
-    assert f_v.tobytes() == f.tobytes()
+def kernel_rows(ms, seed):
+    """128 unit rows: Gaussian ones, with the first basis's vectors 0, 1 and
+    2 at rows 1, 36 and 100. Those have p = 1/d in every other basis, so
+    sum p^alpha underflows there at order 700, and blocks of 2, 37 and 128
+    rows mix rows that are rescaled with rows that are not."""
+    psi = random_rows(np.random.default_rng(seed), 128, ms.d)
+    psi[[1, 36, 100]] = ms.bases[0].vectors[:, :3].T
+    return psi
+
+
+def assert_rows_match_one_row_calls(stack, psi, alpha):
+    """Each row of the value pass, of the gradient pass on every row and on
+    row subsets as _descend_rows picks them (ascending index arrays), of the
+    tangent projection and of the row norms equals the one-row call's to
+    the bit."""
+    f, parts = entropy._avg_entropy_values(stack, psi, alpha)
+    g = entropy._avg_entropy_grads(stack, parts, alpha, slice(None))
+    g_t, gn = entropy._tangent_rows(psi, g)
+    norms = entropy._row_norms(psi)
+    for r, row in enumerate(psi):
+        want_f, want_g = serial_avg_entropy_and_grad(stack, row, alpha)
+        want_t, want_n = entropy._tangent_rows(row[None], want_g[None])
+        assert f[r] == want_f
+        assert np.array_equal(g[r], want_g)
+        assert np.array_equal(g_t[r], want_t[0]) and gn[r] == want_n[0]
+        assert norms[r] == entropy._row_norms(row[None])[0]
+    every = np.arange(len(psi))
+    picked = np.flatnonzero(np.random.default_rng(len(psi)).random(len(psi)) < 0.3)
     for rows in (every, every[:1], every[-1:], picked):
         g_rows = entropy._avg_entropy_grads(stack, parts, alpha, rows)
         assert np.array_equal(g_rows, g[rows])
 
 
-@pytest.mark.parametrize("alpha", [0.5, 1, 2, 3.0, 20.0, math.inf])
+@pytest.mark.parametrize("alpha", [0.5, 1, 2, 3.0, 20.0, math.inf, 700.0])
 @pytest.mark.parametrize("name", list(ORACLE_SETS))
 def test_batched_kernel_is_serial_to_the_bit(oracle_sets, name, alpha):
+    # a row's numbers do not depend on the block it sits in: blocks of 1, 2,
+    # 37 and 128 rows against one-row calls
+    ms = oracle_sets[name]
+    stack = entropy._basis_stack(ms)
+    psi = kernel_rows(ms, len(name))
+    for rows in (1, 2, 37, 128):
+        assert_rows_match_one_row_calls(stack, psi[:rows], alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1, 2, 3.0, 20.0, math.inf])
+@pytest.mark.parametrize("name", list(ORACLE_SETS))
+def test_kernel_agrees_with_the_slow_route(oracle_sets, name, alpha):
+    # one matrix-vector product per row and np.log2 against one per basis
+    # and math.log2
     ms = oracle_sets[name]
     mats = [b.vectors for b in ms.bases]
     psi = random_rows(np.random.default_rng(len(name)), 37, ms.d)
-    stack = entropy._basis_stack(ms)
-    f, g = entropy._avg_entropy_rows(stack, psi, alpha)
+    f, g = entropy._avg_entropy_rows(entropy._basis_stack(ms), psi, alpha)
     for r, row in enumerate(psi):
-        want_f, want_g = serial_avg_entropy_and_grad(mats, row, alpha)
-        assert f[r] == want_f
-        assert np.array_equal(g[r], want_g)
-    assert_split_passes_match(stack, psi, alpha, f, g)
+        want_f, want_g = slow_avg_entropy_and_grad(mats, row, alpha)
+        assert abs(f[r] - want_f) <= 1e-15
+        assert np.max(np.abs(g[r] - want_g)) <= 1e-15
+
+
+@pytest.mark.parametrize("alpha", [700.0, 1000.0])
+@pytest.mark.parametrize("name", list(ORACLE_SETS))
+def test_orders_whose_sum_underflows_are_rescaled(oracle_sets, name, alpha):
+    # sum p^alpha is 0.0 in float at the basis-vector rows, yet the value
+    # and gradient equal the decimal route's: the value to 1e-15, the
+    # gradient to 1e-12, since its weights carry alpha times the rounding
+    # of p
+    ms = oracle_sets[name]
+    mats = [b.vectors for b in ms.bases]
+    psi = kernel_rows(ms, len(name))[:37]
+    assert np.sum((np.abs(mats[1].conj().T @ psi[1]) ** 2) ** alpha) == 0.0
+    f, g = entropy._avg_entropy_rows(entropy._basis_stack(ms), psi, alpha)
+    for r, row in enumerate(psi):
+        want_f, want_g = decimal_avg_entropy_and_grad(mats, row, alpha)
+        assert abs(f[r] - want_f) <= 1e-15
+        assert np.max(np.abs(g[r] - want_g)) <= 1e-12
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1, 2, 3.0, 20.0, math.inf])
 def test_batched_kernel_on_random_unitaries(alpha):
-    # raw bases with no zero entries: the alpha = inf gradient, a gather in
-    # place of a matrix-vector product, may differ in the last bit
+    # raw bases with no zero entries: rows are still independent of their
+    # block, and agree with the slow route, where the alpha = inf gradient
+    # is a matrix-vector product and not a gather, to 1e-15
     rng = np.random.default_rng(61)
     mats = [np.linalg.qr(random_rows(rng, 4, 4).T)[0] for _ in range(3)]
     psi = random_rows(rng, 37, 4)
     stack = entropy._basis_stack(mats)
     f, g = entropy._avg_entropy_rows(stack, psi, alpha)
     for r, row in enumerate(psi):
-        want_f, want_g = serial_avg_entropy_and_grad(mats, row, alpha)
-        assert f[r] == want_f
+        want_f, want_g = slow_avg_entropy_and_grad(mats, row, alpha)
+        assert abs(f[r] - want_f) <= 1e-15
         assert np.max(np.abs(g[r] - want_g)) <= 1e-15
-    assert_split_passes_match(stack, psi, alpha, f, g)
+    for rows in (1, 2, 37):
+        assert_rows_match_one_row_calls(stack, psi[:rows], alpha)
 
 
 @settings(max_examples=20, deadline=None)
