@@ -27,7 +27,6 @@ rather than assumed, exactly on the mask arrays, under that same action.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -332,6 +331,8 @@ def _key_set(keys: np.ndarray) -> np.ndarray:
 
 
 def partition_to_json(part: Partition) -> str:
+    import json
+
     spec = part.spec
     doc = {
         "n": part.n,

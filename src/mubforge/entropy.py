@@ -13,12 +13,9 @@ Both arise from a bound on the top eigenvalue of the selector operators
 
     P_b = (1/L) sum_j |b^(j)><b^(j)|,      b in {0..d-1}^L,
 
-and sweep_max_eigen certifies tightness by covering all d^L of them. Every
-selector eigenvalue goes through one kernel, selector._eigmax_chunks, which
-this module binds under the same name beside hermitian_eigmax,
-pvec_operator and LEVEL_TOL. It builds and solves the selectors a block of
-strings at a time, the block sized so that at most about mub.BLOCK_BYTES of
-them are live in each worker, whatever d.
+and sweep_max_eigen certifies tightness by covering all d^L of them, each
+selector eigenvalue from the one kernel, selector._eigmax_chunks, a block
+of strings at a time.
 
 Pauli reduction. Each basis of a MubSet is the joint eigenbasis of a class
 C_j of d-1 commuting Pauli operators that, with the identity, span a
@@ -157,62 +154,59 @@ def bounds(L: int, d: int) -> BoundSet:
     return BoundSet(small, large)
 
 
+def _checked_state(state, alpha: float = 1.0) -> np.ndarray:
+    """state as a complex array: a unit vector or a density matrix of
+    trace 1. alpha must be positive."""
+    if not alpha > 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    state = np.asarray(state, dtype=complex)
+    if state.ndim not in (1, 2):
+        raise ValueError("state must be a vector or a density matrix")
+    what = ("norm", "trace")[state.ndim - 1]
+    size = np.linalg.norm(state) if state.ndim == 1 else np.trace(state)
+    if not abs(size - 1) <= 1e-8:
+        raise ValueError(f"state {what} {size:.6g}, want 1")
+    return state
+
+
+def _outcomes(G: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """<b|state|b> for every column b of G."""
+    if state.ndim == 1:
+        return np.abs(G.conj().T @ state) ** 2
+    return np.real(np.add.reduce(G.conj() * (state @ G), axis=0))
+
+
 def outcome_distribution(basis, state) -> np.ndarray:
     """p_b for a unit vector or a density matrix."""
     (B,) = basis_matrices([basis])
-    state = np.asarray(state, dtype=complex)
-    if state.ndim == 1:
-        if abs(np.linalg.norm(state) - 1) > 1e-8:
-            raise ValueError(f"state norm {np.linalg.norm(state):.6g}, want 1")
-        p = np.abs(B.conj().T @ state) ** 2
-    elif state.ndim == 2:
-        if abs(np.trace(state) - 1) > 1e-8:
-            raise ValueError(f"state trace {np.trace(state):.6g}, want 1")
-        p = np.real(np.sum(B.conj() * (state @ B), axis=0))
-    else:
-        raise ValueError("state must be a vector or a density matrix")
-    return np.maximum(p, 0.0)
+    return np.maximum(_outcomes(B, _checked_state(state)), 0.0)
 
 
 def renyi_entropy(basis, state, alpha: float) -> float:
-    """Order-alpha entropy of the outcome distribution, in bits.
-
-    alpha = 1 is Shannon (computed directly with 0 log 0 = 0), alpha = 2 the
-    collision entropy, alpha = inf the min-entropy -log2 max_b p_b.
-    """
-    p = outcome_distribution(basis, state)
-    return _entropy_of(p, alpha)
-
-
-def _entropy_of(p: np.ndarray, alpha: float) -> float:
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if math.isinf(alpha):
-        return -math.log2(float(np.max(p)))
-    if alpha == 1:
-        q = p[p > 0]
-        return float(-np.sum(q * np.log2(q)))
-    return float(np.log2(np.sum(p**alpha)) / (1 - alpha))
+    """Order-alpha entropy of the outcome distribution, in bits: alpha = 1
+    is Shannon, alpha = 2 the collision entropy, alpha = inf the
+    min-entropy -log2 max_b p_b."""
+    return avg_entropy([basis], state, alpha)
 
 
 def avg_entropy(ms: "MubSet | Sequence", state, alpha: float) -> float:
     """Arithmetic mean of the per-basis entropies. A unit vector is one row
-    of the minimizer's value pass; a density matrix, or an input that is
-    refused, goes basis by basis through renyi_entropy."""
-    state = np.asarray(state, dtype=complex)
-    if state.ndim == 1 and alpha > 0 and abs(np.linalg.norm(state) - 1) <= 1e-8:
-        f, _ = _avg_entropy_values(_basis_stack(ms), state[None], alpha)
-        return float(f[0])
-    mats = _checked_matrices(ms)
-    return sum(renyi_entropy(B, state, alpha) for B in mats) / len(mats)
+    of the minimizer's value pass; a density matrix's outcome rows go
+    through the same terms, finite at every order."""
+    state = _checked_state(state, alpha)
+    stack = _basis_stack(ms)
+    if state.ndim == 1:
+        f, _ = _avg_entropy_values(stack, state[None], alpha)
+    else:
+        p = np.maximum(_outcomes(stack[1], state), 1e-300)
+        f, _ = _avg_entropy_terms(p.reshape(1, -1, len(state)), alpha)
+    return float(f[0])
 
 
 def _checked_matrices(ms) -> list[np.ndarray]:
-    """Basis matrices of a MubSet or a sequence of bases, checked.
-
-    Every basis must be a d x d matrix with d >= 2, the same d for all, and
-    orthonormal to ORTHONORMAL_TOL.
-    """
+    """Basis matrices of a MubSet or a sequence of bases, checked: each a
+    d x d matrix with d >= 2, the same d for all, orthonormal to
+    ORTHONORMAL_TOL."""
     mats = basis_matrices(ms)
     if not mats:
         raise ValueError("need at least one basis")
@@ -433,31 +427,25 @@ def _pick(x: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x.reshape(-1).take(b + starts)
 
 
-def _avg_entropy_values(stack, psi: np.ndarray, alpha):
-    """Value pass: average entropy (R,) and the parts the gradient pass reads.
-
-    stack is _basis_stack's; psi holds one unit vector per row. c = A psi
-    is one BLAS gemv per row, so a row's numbers do not depend on its
-    block. The parts are (R, L, ...): c = B_j^dag psi, then each basis's
-    argmax b and top outcome for alpha = inf, log2 p for alpha = 1, or
-    p = |c|^2 and S = sum p^alpha. Where S is below the normal floats, the
-    basis's largest p, m, is factored out: the parts hold p / m and
+def _avg_entropy_terms(p: np.ndarray, alpha):
+    """Average entropy (R,) of the outcome rows p (R, L, d), floored at
+    1e-300, and the parts (R, L, ...) the gradient pass reads: argmax b and
+    top outcome for alpha = inf, log2 p for alpha = 1, else p and
+    S = sum p^alpha. Where S is below the normal floats, the basis's
+    largest p, m, is factored out: the parts hold p / m and
     m sum (p / m)^alpha, which the gradient reads unchanged, and
     log2 S = alpha log2 m + log2 sum (p / m)^alpha; elsewhere m = 1 leaves
     the bits alone. A row's L terms are added in basis order
-    (np.add.accumulate; a reduction may regroup them).
+    (np.add.accumulate; a reduction may regroup them). This is the one
+    place the module forms H_alpha (the gradient pass forms its weights).
     """
-    A = stack[0]
-    R, d = psi.shape
-    c = (A @ psi[:, :, None]).reshape(R, len(A) // d, d)
-    p = np.maximum(np.abs(c) ** 2, 1e-300)
     if math.isinf(alpha):  # only the largest outcome of each basis counts
         b = p.argmax(axis=-1)  # (R, L); with _pick, faster than p.max
         top = _pick(p, b)
-        terms, parts = -np.log2(top), (c, b, top)
+        terms, parts = -np.log2(top), (b, top)
     elif alpha == 1:
         lp = np.log2(p)
-        terms, parts = -np.add.reduce(p * lp, axis=-1), (c, lp)
+        terms, parts = -np.add.reduce(p * lp, axis=-1), (lp,)
     else:
         S = np.add.reduce(p**alpha, axis=-1)
         if S.min(initial=1.0) < SMALLEST_NORMAL:
@@ -468,8 +456,21 @@ def _avg_entropy_values(stack, psi: np.ndarray, alpha):
             S *= m
         else:
             log_S = np.log2(S)
-        terms, parts = log_S / (1 - alpha), (c, p, S)
+        terms, parts = log_S / (1 - alpha), (p, S)
     return np.add.accumulate(terms, axis=-1)[:, -1] / terms.shape[1], parts
+
+
+def _avg_entropy_values(stack, psi: np.ndarray, alpha):
+    """Value pass: average entropy (R,) and the parts the gradient pass
+    reads, c = B_j^dag psi (R, L, d) and _avg_entropy_terms's of |c|^2.
+    psi holds one unit vector per row; c = A psi is one BLAS gemv per row
+    (stack is _basis_stack's), so a row's numbers do not depend on its block.
+    """
+    A = stack[0]
+    R, d = psi.shape
+    c = (A @ psi[:, :, None]).reshape(R, len(A) // d, d)
+    f, parts = _avg_entropy_terms(np.maximum(np.abs(c) ** 2, 1e-300), alpha)
+    return f, (c, *parts)
 
 
 def _avg_entropy_grads(stack, parts, alpha, rows) -> np.ndarray:
@@ -593,9 +594,7 @@ def minimize_avg_entropy(
     true minimum and is deterministic for a fixed seed.
 
     The restarts descend together, MINIMIZE_BLOCK at a time, as the rows of
-    one (R, d) array against _basis_stack's arrays; each row keeps its
-    own step size and stop rule, and every stage runs the same loop, which
-    forms a gradient only for the rows whose step passed Armijo. Each
+    one (R, d) array (_descend_rows, the same loop in every stage). Each
     start is 2d gauss(0.0, 1.0) draws of random.Random(seed), taken in
     restart order, and the first restart more than 1e-15 below all earlier
     ones wins, so neither the value nor the state depends on the block

@@ -41,7 +41,6 @@ labels. verify_cycle checks U against pi.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -444,6 +443,8 @@ def complex_json(M: np.ndarray) -> str:
 
 def _tokens_json(values: np.ndarray, index: np.ndarray) -> str:
     """The nested JSON list of the [real, imag] pairs of values[index]."""
+    import json
+
     tokens = [json.dumps([v.real, v.imag]) for v in values.tolist()]
     items = np.array(tokens, dtype=object)[index].tolist()
 
@@ -571,6 +572,8 @@ def mub_set_json_parts(ms: MubSet, cycle: CycleReport | None = None):
     """The text of mub_set_to_json as an iterator of pieces, one per basis
     between the head and the tail, so a writer never holds the whole
     document. The head and the tail are built before this returns."""
+    import json
+
     from .classes import partition_to_json
 
     doc = {

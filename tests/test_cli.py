@@ -600,6 +600,27 @@ def test_commands_run_only_the_lazy_modules_they_call(tmp_path, args, code, ran)
     assert _loaded_after(script, LAZY, cwd=tmp_path, ran=True) == ran
 
 
+@pytest.mark.parametrize(
+    "args, loaded",
+    [
+        (["reproduce-fig", "--which", "1", "--restarts", "2"], []),
+        (["wigner", "--n", "2"], []),
+        (["sweep", "--n", "2", "--L", "3"], []),
+        (["bounds", "--dmax", "8", "--Lmax", "3", "--out", "b.csv"], []),
+        (["minimize", "--n", "2", "--L", "3", "--restarts", "2"], []),
+        (
+            ["minimize", "--n", "2", "--L", "3", "--restarts", "2", "--out", "m.json"],
+            ["json"],
+        ),
+        (["generate", "--n", "2", "--L", "3"], ["json"]),
+    ],
+    ids=["fig1", "wigner", "sweep", "bounds", "minimize", "minimize-out", "generate"],
+)
+def test_json_loads_only_where_json_is_written(tmp_path, args, loaded):
+    script = f"import mubforge.cli as c; assert c.main({args!r}) == 0"
+    assert _loaded_after(script, ["json"], cwd=tmp_path) == loaded
+
+
 def test_only_the_commands_that_load_entropy_import_orbits(tmp_path):
     # the key maps are sweep code: entropy imports them, and generate and
     # wigner, which never sweep a MubSet, compile none of it

@@ -645,6 +645,81 @@ def test_orders_whose_sum_underflows_are_rescaled(oracle_sets, name, alpha):
         assert np.max(np.abs(g[r] - want_g)) <= 1e-12
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1, 2, 20.0, 700.0, 1000.0, math.inf])
+@pytest.mark.parametrize("name", list(ORACLE_SETS))
+def test_unbiased_outcomes_score_log2_d_at_every_order(oracle_sets, name, alpha):
+    # the maximally mixed state in every basis, and a basis vector in a basis
+    # unbiased to it: p = 1/d, whose sum p^alpha underflows at orders 700 and
+    # 1000, and each entropy is log2 d, finite and without a warning
+    ms = oracle_sets[name]
+    want = math.log2(ms.d)
+    assert abs(avg_entropy(ms, np.eye(ms.d) / ms.d, alpha) - want) <= 1e-12
+    psi = ms.bases[0].vectors[:, 0]
+    assert abs(renyi_entropy(ms.bases[1], psi, alpha) - want) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1, 2, 20.0, math.inf])
+@pytest.mark.parametrize("name", list(ORACLE_SETS))
+def test_density_matrices_score_as_their_vectors(oracle_sets, name, alpha):
+    ms = oracle_sets[name]
+    for psi in random_rows(np.random.default_rng(len(name)), 8, ms.d):
+        rho = np.outer(psi, psi.conj())
+        assert abs(avg_entropy(ms, rho, alpha) - avg_entropy(ms, psi, alpha)) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [700.0, 1000.0])
+@pytest.mark.parametrize("name", list(ORACLE_SETS))
+def test_density_matrices_whose_sum_underflows_are_rescaled(oracle_sets, name, alpha):
+    # kernel_rows' basis vectors, as density matrices: sum p^alpha is 0.0 in
+    # float, yet each value is the vector's and the decimal route's
+    ms = oracle_sets[name]
+    mats = [b.vectors for b in ms.bases]
+    psi = kernel_rows(ms, len(name))[:37]
+    assert np.sum((np.abs(mats[1].conj().T @ psi[1]) ** 2) ** alpha) == 0.0
+    for row in psi:
+        h = avg_entropy(ms, np.outer(row, row.conj()), alpha)
+        want, _ = decimal_avg_entropy_and_grad(mats, row, alpha)
+        assert abs(h - avg_entropy(ms, row, alpha)) <= 1e-12
+        assert abs(h - want) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1, 2, 700.0, math.inf])
+def test_renyi_entropy_is_avg_entropy_of_one_basis(ms4, alpha):
+    for psi in random_rows(np.random.default_rng(47), 4, 4):
+        for state in (psi, np.outer(psi, psi.conj())):
+            for B in ms4.bases:
+                assert renyi_entropy(B, state, alpha) == avg_entropy([B], state, alpha)
+
+
+def test_renyi_entropy_refuses_a_non_orthonormal_basis(ms4):
+    # the bases go through avg_entropy's check, to ORTHONORMAL_TOL
+    psi = ms4.bases[1].vectors[:, 0]
+    with pytest.raises(ValueError, match="basis 0 is not orthonormal"):
+        renyi_entropy(1.01 * ms4.bases[0].vectors, psi, 2)
+
+
+@pytest.mark.parametrize(
+    "state, alpha, match",
+    [
+        (np.array([1.0, 1.0, 0, 0]), 2, "state norm 1.41421, want 1"),
+        (np.full(4, np.nan), 2, "state norm nan, want 1"),
+        (np.eye(4) / 2, 2, r"state trace 2\+0j, want 1"),
+        (np.zeros((2, 2, 2)), 2, "state must be a vector or a density matrix"),
+        (np.eye(4) / 4, 0, "alpha must be positive"),
+        (np.full(4, 0.5), math.nan, "alpha must be positive"),
+    ],
+    ids=["norm", "nan", "trace", "ndim", "alpha-0", "alpha-nan"],
+)
+def test_every_entropy_checks_the_state_the_same_way(ms4, state, alpha, match):
+    with pytest.raises(ValueError, match=match):
+        avg_entropy(ms4, state, alpha)
+    with pytest.raises(ValueError, match=match):
+        renyi_entropy(ms4.bases[0], state, alpha)
+    if alpha == 2:
+        with pytest.raises(ValueError, match=match):
+            outcome_distribution(ms4.bases[0], state)
+
+
 @pytest.mark.parametrize("alpha", [0.5, 1, 2, 3.0, 20.0, math.inf])
 def test_batched_kernel_on_random_unitaries(alpha):
     # raw bases with no zero entries: rows are still independent of their
