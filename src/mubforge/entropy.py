@@ -29,13 +29,13 @@ lies in both maximal abelian algebras, which share only the identity (the
 classes are disjoint). So the d^2 Pauli
 operators (up to phase) act freely on the d^2 pairs (b_0, b_1), hence
 transitively: every orbit of strings has d^2 members, exactly one of them
-with b_0 = b_1 = 0. Sweeping those d^(L-2) strings gives lambda*, and
-each histogram count times d^2. A string with prefix (0, 0) precedes all
-others, so each orbit's smallest string is in the reduced range, and so is
-the smallest string attaining lambda*: the tie rule below picks the same
-b* from either range. Every complete set of d+1 bases is a MubSet built
-this way too, the symplectic spread of wigner.complete_mub_bases included,
-so its sweep gets the reduction; a spread set has no cycle unitary.
+with b_0 = b_1 = 0. Sweeping those d^(L-2) strings gives lambda*. A
+string with prefix (0, 0) precedes all others, so each orbit's smallest
+string is in the reduced range, and so is the smallest string attaining
+lambda*: the tie rule below picks the same b* from either range. Every
+complete set of d+1 bases is a MubSet built this way too, the symplectic
+spread of wigner.complete_mub_bases included, so its sweep gets the
+reduction; a spread set has no cycle unitary.
 
 Cycle and conjugation orbits. The cycle unitary U of a MubSet maps basis
 j onto basis j+1, cyclically: U|b^(j)> is |pi_j(b)^(j+1)> up to phase, so
@@ -56,17 +56,16 @@ image of b, and orbits.orbit_maps gives each as a permutation of the
 d^(L-2) keys. The group they generate with the Paulis (Paulis x
 AGL(1, L) x K for an (n, 2n+1) set) has orbits that are unions of Pauli
 orbits, and its orbit through b holds d^2 times as many strings as the
-orbit of b under the maps. Its smallest member has prefix (0, 0),
-so it is the smallest key of that orbit. The sweep labels the orbits of
-the maps in one pass over all d^(L-2) keys (_orbit_minima), which works
-for any number of maps, commuting or not, and solves only each orbit's
-smallest string, weighted d^2 times the orbit's size. Since each orbit's
-smallest string is still solved, lambda* and the tie rule below give the
-same b* as the Pauli reduction alone. The maps pi_j follow exactly from
-each action (mub.MubSet.cycle_permutations and symmetry_permutations).
-Where there are none (U is None or leaves the set), f is left out, as is
-a symmetry that leaves the set, and k alone may join the Pauli orbits in
-pairs.
+orbit of b under the maps. Its smallest member has prefix (0, 0), so it is
+the smallest key of that orbit. The sweep labels the orbits of the maps in
+one pass over all d^(L-2) keys (_orbit_minima), which works for any number
+of maps, commuting or not, and solves only each orbit's smallest string.
+Since each orbit's smallest string is still solved, lambda* and the tie
+rule below give the same b* as the Pauli reduction alone. The maps pi_j
+follow exactly from each action (mub.MubSet.cycle_permutations and
+symmetry_permutations). Where there are none (U is None or leaves the
+set), f is left out, as is a symmetry that leaves the set, and k alone may
+join the Pauli orbits in pairs.
 
 The maps run on integer keys: a string's key is its index, digit j in its
 own n-bit field since d = 2^n. On a string with b_0 = b_1 = 0 the Pauli
@@ -80,13 +79,12 @@ mask. Labels and maps are int32, one array of d^(L-2) each
 before any is allocated. The kept keys go to the kernel as string indices,
 which it decodes to digits a block at a time.
 
-Ties and bins. Orbit members agree only to rounding, so eigenvalues within
-LEVEL_TOL are one level. Histogram bins group eigenvalues that chain
-within LEVEL_TOL (no fixed bin edges), and b* is the smallest string
-within LEVEL_TOL of lambda*, preferring for a MubSet the strings the cycle
-unitary maps to themselves. Block boundaries are fixed independently of
-the worker count and blocks are combined in order, so results are
-bit-identical for any number of workers and any block size.
+Ties. Orbit members agree only to rounding, so eigenvalues within
+LEVEL_TOL are one level, and b* is the smallest string within LEVEL_TOL
+of lambda*, preferring for a MubSet the strings the cycle unitary maps to
+themselves. Block boundaries are fixed independently of the worker count
+and blocks are combined in order, so results are bit-identical for any
+number of workers and any block size.
 """
 
 from __future__ import annotations
@@ -94,13 +92,11 @@ from __future__ import annotations
 import math
 import operator
 import random
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import mub
 # DEFAULT_BUDGET and BudgetExceededError live in mub, so that the CLI's
 # --budget default and its exit-3 clause do not load this module
 from .mub import (
@@ -138,7 +134,6 @@ class BoundSet:
 class SweepResult:
     b_star: tuple[int, ...]
     lambda_star: float
-    histogram: Counter
     count: int
 
     @property
@@ -154,14 +149,16 @@ def bounds(L: int, d: int) -> BoundSet:
     return BoundSet(small, large)
 
 
-def _checked_state(state, alpha: float = 1.0) -> np.ndarray:
+def _checked_state(state, d: int, alpha: float = 1.0) -> np.ndarray:
     """state as a complex array: a unit vector or a density matrix of
-    trace 1. alpha must be positive."""
+    trace 1, in the bases' dimension d. alpha must be positive."""
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     state = np.asarray(state, dtype=complex)
     if state.ndim not in (1, 2):
         raise ValueError("state must be a vector or a density matrix")
+    if state.shape != (d,) * state.ndim:
+        raise ValueError(f"state has shape {state.shape}, bases have dimension {d}")
     what = ("norm", "trace")[state.ndim - 1]
     size = np.linalg.norm(state) if state.ndim == 1 else np.trace(state)
     if not abs(size - 1) <= 1e-8:
@@ -179,7 +176,7 @@ def _outcomes(G: np.ndarray, state: np.ndarray) -> np.ndarray:
 def outcome_distribution(basis, state) -> np.ndarray:
     """p_b for a unit vector or a density matrix."""
     (B,) = basis_matrices([basis])
-    return np.maximum(_outcomes(B, _checked_state(state)), 0.0)
+    return np.maximum(_outcomes(B, _checked_state(state, len(B))), 0.0)
 
 
 def renyi_entropy(basis, state, alpha: float) -> float:
@@ -193,8 +190,8 @@ def avg_entropy(ms: "MubSet | Sequence", state, alpha: float) -> float:
     """Arithmetic mean of the per-basis entropies. A unit vector is one row
     of the minimizer's value pass; a density matrix's outcome rows go
     through the same terms, finite at every order."""
-    state = _checked_state(state, alpha)
     stack = _basis_stack(ms)
+    state = _checked_state(state, len(stack[1]), alpha)
     if state.ndim == 1:
         f, _ = _avg_entropy_values(stack, state[None], alpha)
     else:
@@ -236,10 +233,10 @@ def _sweep_size(mats, budget: int) -> int:
     return total
 
 
-def _orbit_minima(maps, count: int):
-    """(kept, sizes): the keys 0..count-1 that are the smallest of their
-    orbit under the group the key permutations `maps` generate
-    (orbits.orbit_maps), in increasing order, and the size of each one's orbit.
+def _orbit_minima(maps, count: int) -> np.ndarray:
+    """The keys 0..count-1 that are the smallest of their orbit under the
+    group the key permutations `maps` generate (orbits.orbit_maps), in
+    increasing order.
 
     Every key holds a label, at first itself. A round gives each key the
     least label among its own and those of its images under every map; the
@@ -250,8 +247,8 @@ def _orbit_minima(maps, count: int):
     key that keeps its own label. The maps need not commute, and there may
     be any number of them. The labels are int32, so count must be below
     2^31. Besides the maps, a round holds two int32 arrays of count entries
-    (the labels and the next labels, swapped after each map), and the sizes
-    are counted in one int64 array of as many.
+    (the labels and the next labels, swapped after each map) and np.take's
+    intp copy of the map it applies: 16 bytes a key with 64-bit intp.
     """
     low, new = np.arange(count, dtype=np.int32), np.empty(count, dtype=np.int32)
     changed = True
@@ -262,28 +259,7 @@ def _orbit_minima(maps, count: int):
             changed = changed or not np.array_equal(new, low)
             low, new = new, low
     del new
-    kept = np.flatnonzero(low == np.arange(count, dtype=np.int32))
-    return kept, np.bincount(low)[kept]
-
-
-def _merge_bins(bins: np.ndarray) -> np.ndarray:
-    """Merge (lo, hi, count) rows whose values chain within LEVEL_TOL.
-
-    This is single-linkage grouping: values are in one bin when a chain of
-    values, each within LEVEL_TOL of the next, joins them. Bins therefore
-    have no fixed edges, and merging the bins of any split of the values
-    gives the bins of the whole.
-    """
-    bins = bins[np.argsort(bins[:, 0], kind="stable")]
-    reach = np.maximum.accumulate(bins[:, 1])
-    start = np.flatnonzero(np.r_[True, bins[1:, 0] - reach[:-1] > LEVEL_TOL])
-    return np.column_stack(
-        [
-            bins[start, 0],
-            np.maximum.reduceat(bins[:, 1], start),
-            np.add.reduceat(bins[:, 2], start),
-        ]
-    )
+    return np.flatnonzero(low == np.arange(count, dtype=np.int32))
 
 
 def _lex_records(cands, top: float) -> list:
@@ -296,30 +272,16 @@ def _lex_records(cands, top: float) -> list:
     return out
 
 
-def _summarize(blocks, count: int, weights: np.ndarray | None = None) -> SweepResult:
-    """lambda*, b* and the histogram of the (digits, lambdas) blocks.
-
-    b* is the lexicographically smallest string within LEVEL_TOL of
-    lambda*. Histogram keys are each bin's smallest lambda; each string
-    adds its weight, the number of strings it stands for (weights, in the
-    order of the blocks' strings, or 1 each), to its bin.
-    """
-    best, cands, bins, pending, at = -math.inf, [], np.empty((0, 3)), [], 0
+def _summarize(blocks, count: int) -> SweepResult:
+    """lambda* and b* of the (digits, lambdas) blocks: b* is the
+    lexicographically smallest string within LEVEL_TOL of lambda*."""
+    best, cands = -math.inf, []
     for digits, lam in blocks:
         best = max(best, float(lam.max()))
         keep = lam >= best - LEVEL_TOL
         new = zip(map(tuple, digits[keep].tolist()), lam[keep].tolist())
         cands = _lex_records(cands + list(new), best)
-        w = 1 if weights is None else weights[at : at + len(lam)]
-        at += len(lam)
-        pending.append(np.column_stack([lam, lam, np.broadcast_to(w, lam.shape)]))
-        # amortized, since bins may be many; pending rows are three float64s,
-        # so at most about one block's bytes of them wait for a merge
-        if sum(map(len, pending)) >= max(len(bins), mub.BLOCK_BYTES // 24):
-            bins, pending = _merge_bins(np.vstack([bins, *pending])), []
-    bins = _merge_bins(np.vstack([bins, *pending]))
-    hist = Counter({float(lo): int(n) for lo, _, n in bins})
-    return SweepResult(cands[0][0], best, hist, count)
+    return SweepResult(cands[0][0], best, count)
 
 
 def _reported(blocks, on_chunk):
@@ -338,14 +300,14 @@ def sweep_max_eigen(
 
     A MubSet is swept over the strings with b_0 = b_1 = 0 that are the
     smallest of their orbit under the key permutations of orbits.orbit_maps,
-    each standing for the d^2 |orbit| strings of its orbit under the Paulis,
-    the cycle unitary, the declared symmetries and complex conjugation:
-    Paulis x AGL(1, L) x K for an (n, 2n+1) set (module docstring); raw bases
-    are swept over all d^L. The orbits are labelled once over the d^(L-2)
-    keys (_orbit_minima), and the kept keys, which are string indices, go
-    to the kernel as they are; a reduced range of 2^31 keys or more, which
-    int32 labels cannot index, is refused with BudgetExceededError before
-    anything is allocated. `count` is d^L either way. For a MubSet, b* is
+    one string for each orbit under the Paulis, the cycle unitary, the
+    declared symmetries and complex conjugation: Paulis x AGL(1, L) x K for
+    an (n, 2n+1) set (module docstring); raw bases are swept over all d^L.
+    The orbits are labelled once over the d^(L-2) keys (_orbit_minima), and
+    the kept keys, which are string indices, go to the kernel as they are;
+    a reduced range of 2^31 keys or more, which int32 labels cannot index,
+    is refused with BudgetExceededError before anything is allocated.
+    `count` is d^L either way. For a MubSet, b* is
     the smallest string within LEVEL_TOL of lambda* that the cycle unitary
     maps to itself, if there is one; otherwise, and for raw bases, the
     smallest string within LEVEL_TOL of lambda*. The kernel solves the
@@ -359,7 +321,7 @@ def sweep_max_eigen(
     total = _sweep_size(mats, budget)
     d, L = mats[0].shape[0], len(mats)
     B = np.stack(mats)
-    strings, weights = range(total), None
+    strings = range(total)
     if isinstance(ms, MubSet) and L >= 2 and on_chunk is None:
         count = d ** (L - 2)
         if count >= 2**31:
@@ -368,12 +330,11 @@ def sweep_max_eigen(
                 "index fewer than 2^31; use sampling"
             )
         # with b_0 = b_1 = 0 a key is its string's index
-        strings, sizes = _orbit_minima(orbit_maps(ms), count)
-        weights = d * d * sizes
+        strings = _orbit_minima(orbit_maps(ms), count)
     blocks = _eigmax_chunks(B, strings, workers)
     if on_chunk is not None:
         blocks = _reported(blocks, on_chunk)
-    res = _summarize(blocks, total, weights)
+    res = _summarize(blocks, total)
     if isinstance(ms, MubSet):
         cyc = _cycle_strings(ms)
         if len(cyc):

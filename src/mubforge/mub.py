@@ -60,10 +60,10 @@ from .pauli import (
     row_mask,
 )
 
-# about the most one block of overlap products in MubSet.deviation, of
-# selectors in selector._eigmax_chunks, or of histogram rows waiting for a
-# merge in entropy._summarize, holds: 1 MB blocks ran faster than 4 MB ones
-# in the overlap products at d = 32 and d = 64, on a core with 2 MB of L2
+# about the most one block of overlap products in MubSet.deviation, or of
+# selectors in selector._eigmax_chunks, holds: 1 MB blocks ran faster than
+# 4 MB ones in the overlap products at d = 32 and d = 64, on a core with
+# 2 MB of L2
 BLOCK_BYTES = 1 << 20
 DEFAULT_BUDGET = 2**28  # strings a sweep may cover; entropy and the CLI read it
 

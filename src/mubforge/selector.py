@@ -10,7 +10,7 @@ it serves the sweeps of entropy and the phase-point levels of wigner alike.
 pvec_operator forms one P_b densely, and hermitian_eigmax solves one
 Hermitian matrix with a deterministic eigenvector: together they are the
 oracle the kernel is checked against. LEVEL_TOL is the width of one level,
-shared by the sweeps' bins and ties and the Wigner maximum.
+shared by the sweeps' ties and the Wigner maximum.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from . import mub
 from .mub import basis_matrices
 
-LEVEL_TOL = 1e-10  # eigenvalues closer than this are one level: bins, b* ties
+LEVEL_TOL = 1e-10  # eigenvalues closer than this are one level: b* ties
 
 
 @dataclass(frozen=True)

@@ -433,6 +433,19 @@ def test_sweep_stdout_matches_fixture(capsys, n, L):
     assert capsys.readouterr().out == want
 
 
+@pytest.mark.parametrize("n, L", [(2, 4), (2, 5), (3, 3)])
+def test_unreduced_sweep_prints_the_fixture_lambda_line(tmp_path, capsys, n, L):
+    # with --out every one of the d^L rows is streamed to the CSV, so the
+    # sweep is unreduced; its lambda* line is the reduced route's, line 2
+    # of the fixture
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--n", str(n), "--L", str(L), "--out", str(out)]) == 0
+    want = (FIXTURES / f"sweep_n{n}_L{L}.txt").read_text().splitlines()[1]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("lambda")] == [want]
+    assert len(out.read_text().splitlines()) == 1 + 2 ** (n * L)
+
+
 @pytest.mark.parametrize(
     "args",
     [

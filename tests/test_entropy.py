@@ -223,7 +223,7 @@ def test_sweep_deterministic_across_workers(monkeypatch, ms4):
     b = sweep_max_eigen(ms4, workers=4)
     assert a.lambda_star == b.lambda_star
     assert a.b_star == b.b_star
-    assert a.histogram == b.histogram
+    assert a.count == b.count
 
 
 def test_sweep_budget_refusal(ms4):
@@ -707,8 +707,14 @@ def test_renyi_entropy_refuses_a_non_orthonormal_basis(ms4):
         (np.zeros((2, 2, 2)), 2, "state must be a vector or a density matrix"),
         (np.eye(4) / 4, 0, "alpha must be positive"),
         (np.full(4, 0.5), math.nan, "alpha must be positive"),
+        # a d = 8 state against d = 4 bases, not numpy's matmul error
+        (np.ones(8) / 8**0.5, 2, r"state has shape \(8,\), bases have dimension 4"),
+        (np.eye(8) / 8, 2, r"state has shape \(8, 8\), bases have dimension 4"),
     ],
-    ids=["norm", "nan", "trace", "ndim", "alpha-0", "alpha-nan"],
+    ids=[
+        "norm", "nan", "trace", "ndim", "alpha-0", "alpha-nan",
+        "dim-vector", "dim-density",
+    ],
 )
 def test_every_entropy_checks_the_state_the_same_way(ms4, state, alpha, match):
     with pytest.raises(ValueError, match=match):

@@ -1,6 +1,6 @@
 """The selector sweep: orbits of the Paulis, the cycle unitary, the
-declared symmetries and complex conjugation, tolerance-aware bins and ties,
-input checks. The unreduced kernel (raw bases, or a MubSet swept with
+declared symmetries and complex conjugation, tolerance-aware levels and
+ties, input checks. The unreduced kernel (raw bases, or a MubSet swept with
 on_chunk) is the oracle for the reduced one, and orbits found by brute
 force over all d^L strings, from dense matrices, are the oracle for the
 orbit labelling."""
@@ -58,20 +58,45 @@ def assert_same_sweep(a, b):
     assert abs(a.lambda_star - b.lambda_star) < 1e-12
     assert a.b_star == b.b_star
     assert a.count == b.count
-    ha, hb = sorted(a.histogram.items()), sorted(b.histogram.items())
-    assert [n for _, n in ha] == [n for _, n in hb]
-    assert all(abs(x - y) < 1e-12 for (x, _), (y, _) in zip(ha, hb))
 
 
-def oracle_bins(lams):
-    """Single-linkage levels of a plain list: (smallest value, count)."""
-    lams = sorted(lams)
-    out = [[lams[0], 1]]
-    for prev, x in zip(lams, lams[1:]):
+def oracle_bins(lams, weights=None):
+    """Single-linkage levels of plain lists: (smallest value, total weight)
+    of the values that chain within LEVEL_TOL, each value weighing 1
+    unless weights are given."""
+    pairs = sorted(zip(lams, [1] * len(lams) if weights is None else weights))
+    out = [list(pairs[0])]
+    for (prev, _), (x, w) in zip(pairs, pairs[1:]):
         if x - prev > LEVEL_TOL:
             out.append([x, 0])
-        out[-1][1] += 1
+        out[-1][1] += w
     return [tuple(b) for b in out]
+
+
+def assert_same_levels(a, b):
+    """Two oracle_bins lists with the same weights, their values to 1e-12."""
+    assert [n for _, n in a] == [n for _, n in b]
+    assert all(abs(x - y) < 1e-12 for (x, _), (y, _) in zip(a, b))
+
+
+KERNEL = entropy._eigmax_chunks
+
+
+def kernel_calls(monkeypatch, ms, **kwargs):
+    """sweep_max_eigen's result and, for every kernel call, the digits and
+    the lambdas it yielded, each joined over its blocks."""
+    calls = []
+
+    def recording(*args, **kw):
+        blocks = []
+        calls.append(blocks)
+        for part in KERNEL(*args, **kw):
+            blocks.append(part)
+            yield part
+
+    monkeypatch.setattr(entropy, "_eigmax_chunks", recording)
+    res = sweep_max_eigen(ms, **kwargs)
+    return res, [tuple(np.concatenate(a) for a in zip(*b)) for b in calls]
 
 
 @pytest.fixture(scope="module", params=SMALL_SETS, ids=lambda p: f"n{p[0]}-L{p[1]}")
@@ -83,27 +108,55 @@ def test_small_sets_cover_the_figure_sets():
     assert {(2, 2), (2, 3), (2, 4), (2, 5), (3, 3)} <= set(SMALL_SETS)
 
 
-def test_reduced_matches_unreduced(small_ms):
-    res = sweep_max_eigen(small_ms)
+def every_lambda(ms):
+    """The unreduced sweep's result and the lambda of each of its strings."""
+    lams = []
+    res = sweep_max_eigen(ms, on_chunk=lambda digits, lam: lams.append(lam))
+    return res, np.concatenate(lams)
+
+
+def assert_reduction_keeps_levels(monkeypatch, ms, lams):
+    """The reduced sweep solves the smallest string of every orbit over all
+    d^L strings (brute_force_orbits), and its lambdas, each weighted by its
+    orbit's size, chain into the levels of lams, every string's lambda: the
+    reduction loses no level. Returns the reduced sweep's result."""
+    d, L = ms.d, ms.L
+    res, calls = kernel_calls(monkeypatch, ms)
+    digits, kept = calls[0]
+    low, size = brute_force_orbits(ms)
+    minima = np.flatnonzero(low == np.arange(d**L))
+    assert (digits @ d ** np.arange(L - 1, -1, -1)).tolist() == minima.tolist()
+    assert_same_levels(
+        oracle_bins(kept.tolist(), size[minima].tolist()), oracle_bins(lams.tolist())
+    )
+    return res
+
+
+def test_reduced_matches_unreduced(monkeypatch, small_ms):
+    full, lams = every_lambda(small_ms)
+    res = assert_reduction_keeps_levels(monkeypatch, small_ms, lams)
     assert res.count == small_ms.d**small_ms.L
-    assert sum(res.histogram.values()) == res.count
-    assert_same_sweep(res, unreduced(small_ms))
+    assert_same_sweep(res, full)
 
 
-def test_raw_sweep_matches_row_oracle(small_ms):
-    # raw bases: plain lexicographic tie rule and chained bins, recomputed
-    # from every row of the unreduced kernel
+def test_raw_sweep_matches_row_oracle(monkeypatch, small_ms):
+    # raw bases: plain lexicographic tie rule, recomputed from every row of
+    # the unreduced kernel
     rows = list(iter_sweep_rows(small_ms))
     top = max(lam for _, lam in rows)
     res = sweep_max_eigen(small_ms.bases)
     assert res.lambda_star == top
     assert res.b_star == min(b for b, lam in rows if lam >= top - LEVEL_TOL)
-    assert sorted(res.histogram.items()) == oracle_bins([lam for _, lam in rows])
-    # the reduced sweep's levels are the same, d^2 strings per orbit
-    red = sweep_max_eigen(small_ms)
-    assert [n for _, n in sorted(red.histogram.items())] == [
-        n for _, n in oracle_bins([lam for _, lam in rows])
-    ]
+    # the reduced sweep's levels are the same, each kept string standing
+    # for d^2 times its orbit's size in the digit-row walk
+    _, calls = kernel_calls(monkeypatch, small_ms)
+    digits, kept = calls[0]
+    want, weights = digit_orbit_minima(small_ms)
+    assert np.array_equal(digits, want)
+    assert_same_levels(
+        oracle_bins(kept.tolist(), weights.tolist()),
+        oracle_bins([lam for _, lam in rows]),
+    )
 
 
 def test_reduced_b_star_prefers_cycle_strings(small_ms):
@@ -212,22 +265,18 @@ ORBIT_SETS = [("constructed", p) for p in SMALL_SETS] + [
 
 def reduced_orbits(ms):
     """_orbit_minima over the reduced range with orbit_maps' permutations:
-    the kept keys, and d^2 times their orbits' sizes."""
-    kept, sizes = entropy._orbit_minima(orbit_maps(ms), ms.d ** (ms.L - 2))
-    return kept, ms.d**2 * sizes
+    the kept keys."""
+    return entropy._orbit_minima(orbit_maps(ms), ms.d ** (ms.L - 2))
 
 
 @pytest.mark.parametrize("kind, arg", ORBIT_SETS, ids=lambda a: str(a))
 def test_orbit_walk_matches_brute_force_orbits(kind, arg):
     ms = _orbit_set(kind, arg)
     d, L = ms.d, ms.L
-    low, size = brute_force_orbits(ms)
+    low, _ = brute_force_orbits(ms)
     minima = np.flatnonzero(low == np.arange(d**L))
     assert np.all(minima < d ** (L - 2))  # every smallest member has prefix (0, 0)
-    kept, weights = reduced_orbits(ms)
-    assert kept.tolist() == minima.tolist()
-    assert weights.tolist() == size[minima].tolist()
-    assert weights.sum() == d**L
+    assert reduced_orbits(ms).tolist() == minima.tolist()
 
 
 @settings(max_examples=60, deadline=None)
@@ -245,11 +294,8 @@ def test_orbit_labels_match_a_breadth_first_walk(count, seeds, cycles):
         p = np.empty(count, dtype=np.int32)
         p[order] = np.roll(order, -1)
         maps.append(p)
-    kept, sizes = entropy._orbit_minima(maps, count)
-    want_kept, want_sizes = bfs_orbit_minima(maps, count)
-    assert kept.tolist() == want_kept
-    assert sizes.tolist() == want_sizes
-    assert sizes.sum() == count
+    want_kept, _ = bfs_orbit_minima(maps, count)
+    assert entropy._orbit_minima(maps, count).tolist() == want_kept
 
 
 def test_orbit_labels_take_non_commuting_maps():
@@ -257,8 +303,7 @@ def test_orbit_labels_take_non_commuting_maps():
     a = np.array([1, 0, 2, 3], dtype=np.int32)
     b = np.array([0, 2, 1, 3], dtype=np.int32)
     assert not np.array_equal(a[b], b[a])
-    kept, sizes = entropy._orbit_minima([a, b], 4)
-    assert (kept.tolist(), sizes.tolist()) == ([0, 3], [3, 1])
+    assert entropy._orbit_minima([a, b], 4).tolist() == [0, 3]
 
 
 @pytest.mark.parametrize("n, L", [(3, 7), (5, 5)])
@@ -269,10 +314,9 @@ def test_a_third_generator_in_the_group_changes_no_orbit(n, L):
     maps = orbit_maps(ms)
     f, k = maps[0], maps[-1]
     count = ms.d ** (L - 2)
-    kept, sizes = entropy._orbit_minima(maps, count)
+    kept = entropy._orbit_minima(maps, count)
     for other in (maps + [f[k]], [f[k]] + maps[1:], maps[::-1]):
-        got_kept, got_sizes = entropy._orbit_minima(other, count)
-        assert np.array_equal(got_kept, kept) and np.array_equal(got_sizes, sizes)
+        assert np.array_equal(entropy._orbit_minima(other, count), kept)
     assert len(kept) == {(3, 7): 440, (5, 5): 3280}[(n, L)]
 
 
@@ -316,11 +360,9 @@ def test_key_walk_keeps_the_strings_of_the_digit_row_walk(kind, arg):
     # digit rows at every step
     ms = _orbit_set(kind, arg)
     d, L = ms.d, ms.L
-    kept, weights = reduced_orbits(ms)
-    want, want_weights = digit_orbit_minima(ms)
+    kept = reduced_orbits(ms)
+    want, _ = digit_orbit_minima(ms)
     assert kept.tolist() == (want @ d ** np.arange(L - 1, -1, -1)).tolist()
-    assert weights.tolist() == want_weights.tolist()
-    assert weights.sum() == d**L
     # strings solved: the cycle alone, with conjugation, with the
     # multiplier, and with both; conjugation halves what the cycle leaves
     solved = {(3, 7): (4688, 2344, 792, 440), (5, 5): (6560, 3280, 6560, 3280)}
@@ -465,8 +507,7 @@ def test_five_of_seven_keeps_its_orbits():
     assert five._permutation(action)[0] is None
     assert five.symmetry_permutations == () and five.cycle_permutations is None
     maps = orbit_maps(five)
-    kept, weights = reduced_orbits(five)
-    assert len(maps) == 1 and len(kept) == 256 and weights.sum() == 8**5
+    assert len(maps) == 1 and len(reduced_orbits(five)) == 256
 
 
 @pytest.mark.parametrize("kind, arg", KEY_WALK_SETS, ids=lambda a: str(a))
@@ -498,7 +539,7 @@ def test_orbit_maps_keep_every_symmetry_they_derive(kind, arg):
     assert len(syms) == int(kind == "constructed" and L == 2 * ms.provenance.n + 1)
     solved = {(3, 7): 440, (5, 5): 3280}.get(arg)
     if solved is not None:
-        assert len(entropy._orbit_minima(maps, d ** (L - 2))[0]) == solved
+        assert len(entropy._orbit_minima(maps, d ** (L - 2))) == solved
 
 
 def test_cycle_maps_are_derived_once_per_set(monkeypatch):
@@ -521,15 +562,23 @@ def test_cycle_maps_are_derived_once_per_set(monkeypatch):
 
 
 def test_cycle_orbits_match_the_pauli_only_route_d8_L7(monkeypatch):
-    # the same lambda*, b* and histogram counts as labelling no orbits of the
-    # cycle unitary or of conjugation
+    # the same lambda*, b* and levels as labelling no orbits of the cycle
+    # unitary or of conjugation: the 440 kept strings, weighted by the
+    # digit-row walk's orbit sizes, against the 8^5 Pauli orbits of 64 each
     ms = build_mub_set(build_partition(3, 7))
-    res = sweep_max_eigen(ms)
+    res, calls = kernel_calls(monkeypatch, ms)
     monkeypatch.setattr(entropy, "orbit_maps", lambda ms: [])
-    pauli_only = sweep_max_eigen(ms)
+    pauli_only, pauli_calls = kernel_calls(monkeypatch, ms)
     assert_same_sweep(res, pauli_only)
     assert res.b_star == pauli_only.b_star == (0, 0, 0, 2, 0, 0, 5)
-    assert sum(res.histogram.values()) == res.count == 8**7
+    assert res.count == 8**7
+    (_, kept), (_, every) = calls[0], pauli_calls[0]
+    _, weights = digit_orbit_minima(ms)
+    assert len(kept) == 440 and len(every) == 8**5
+    assert_same_levels(
+        oracle_bins(kept.tolist(), weights.tolist()),
+        oracle_bins(every.tolist(), [64] * len(every)),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -563,12 +612,12 @@ def test_cycle_orbit_sweep_is_bit_identical_for_any_chunk(
     assert sweep_max_eigen(ms) == want
 
 
-def test_five_basis_sub_partition_d8():
+def test_five_basis_sub_partition_d8(monkeypatch):
     # the reduction needs only Pauli classes, not a complete or cycled set
     five = _five_of_seven()
     assert len(entropy._cycle_strings(five)) == 0  # U leaves the sub-set
-    res = sweep_max_eigen(five)
-    oracle = sweep_max_eigen(five.bases)
+    oracle, lams = every_lambda(five.bases)
+    res = assert_reduction_keeps_levels(monkeypatch, five, lams)
     assert res.count == oracle.count == 8**5
     assert_same_sweep(res, oracle)
     assert res.b_star[:2] == (0, 0)
@@ -601,34 +650,15 @@ def test_sweep_bit_identical_across_chunk_and_workers(pair_sets, name, per_block
         assert sweep_max_eigen(ms.bases, workers=workers) == raw
 
 
-@settings(max_examples=50, deadline=None)
-@given(
-    levels=st.lists(st.floats(0.1, 1.0), min_size=1, max_size=6),
-    ulps=st.lists(st.integers(-4, 4), min_size=1, max_size=60),
-    cuts=st.lists(st.integers(0, 60), max_size=5),
-)
-def test_bins_ignore_ulps_and_splits(levels, ulps, cuts):
-    base = [levels[i % len(levels)] for i in range(len(ulps))]
-    vals = np.array([np.nextafter(x, 2.0 * u) if u else x for x, u in zip(base, ulps)])
-    whole = entropy._merge_bins(np.column_stack([vals, vals, np.ones_like(vals)]))
-    assert [tuple(r) for r in whole[:, [0, 2]]] == oracle_bins(vals.tolist())
-    # values an ulp apart share a bin
-    assert len(whole) <= len(set(levels))
-    bins = np.empty((0, 3))
-    for part in np.split(vals, sorted(set(min(c, len(vals)) for c in cuts))):
-        if not len(part):  # the kernel yields no empty block
-            continue
-        pts = np.column_stack([part, part, np.ones_like(part)])
-        bins = entropy._merge_bins(np.vstack([bins, pts]))
-    assert np.array_equal(bins, whole)
-
-
 def test_single_level_sweep_is_one_bin():
-    # single qubit, two bases: every string has lambda = (1 + 1/sqrt(2))/2
+    # single qubit, two bases: every string has lambda = (1 + 1/sqrt(2))/2,
+    # so all four chain into one level and b* is the smallest string
     pair = build_mub_set(build_classes_2n1(1)).bases[:2]
-    res = sweep_max_eigen(pair)
-    assert len(res.histogram) == 1
-    assert sum(res.histogram.values()) == 4
+    res, lams = every_lambda(pair)
+    lams = lams.tolist()
+    assert len(lams) == res.count == 4
+    assert oracle_bins(lams) == [(min(lams), 4)]
+    assert abs(res.lambda_star - (1 + 2**-0.5) / 2) < 1e-12
     assert res.b_star == (0, 0)
 
 
@@ -645,7 +675,7 @@ def test_sample_matches_pointwise_oracle():
     assert res.b_star == min(
         tuple(s) for s, lam in zip(strings.tolist(), lams) if lam >= top - LEVEL_TOL
     )
-    assert res.count == 300 == sum(res.histogram.values())
+    assert res.count == 300
 
 
 @pytest.mark.parametrize("seed", [-1, -(2**70)])
@@ -693,14 +723,15 @@ def test_sweeps_accept_raw_orthonormal_arrays():
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_spread_set_reduced_sweep_matches_full_sweep(n):
+def test_spread_set_reduced_sweep_matches_full_sweep(monkeypatch, n):
     # a spread set has Pauli classes but no cycle unitary: the reduction
     # still holds, and no string is preferred as a cycle string
     ms = build_mub_set(spread_partition(n))
     assert ms.U is None and len(entropy._cycle_strings(ms)) == 0
-    res = sweep_max_eigen(ms)
+    oracle, lams = every_lambda(ms.bases)
+    res = assert_reduction_keeps_levels(monkeypatch, ms, lams)
     assert res.count == (2**n) ** ms.L
-    assert_same_sweep(res, sweep_max_eigen(ms.bases))
+    assert_same_sweep(res, oracle)
 
 
 @pytest.mark.parametrize(
@@ -759,9 +790,7 @@ def test_selectors_built_per_chunk_equal_the_projector_stack(monkeypatch, n, L, 
         runs.append((res, np.concatenate(lams)))
     (want, want_lams), (got, got_lams) = runs
     assert got_lams.tobytes() == want_lams.tobytes()
-    assert got.b_star == want.b_star
-    assert got.lambda_star == want.lambda_star
-    assert got.histogram == want.histogram
+    assert got == want
 
 
 def test_selectors_built_per_chunk_equal_the_projector_stack_one_by_one(monkeypatch):
@@ -778,27 +807,7 @@ def test_selectors_built_per_chunk_equal_the_projector_stack_one_by_one(monkeypa
         assert np.array_equal(gd, wd)
     a = entropy._summarize(iter(got), len(strings))
     b = entropy._summarize(iter(want), len(strings))
-    assert (a.b_star, a.lambda_star, a.histogram) == (b.b_star, b.lambda_star, b.histogram)
-
-
-KERNEL = entropy._eigmax_chunks
-
-
-def _recorded_sweep(monkeypatch, ms, **kwargs):
-    """sweep_max_eigen's result and, for every kernel call, the bytes of the
-    digits and of the lambdas it yielded, each joined over its blocks."""
-    calls = []
-
-    def recording(*args, **kw):
-        blocks = []
-        calls.append(blocks)
-        for part in KERNEL(*args, **kw):
-            blocks.append(part)
-            yield part
-
-    monkeypatch.setattr(entropy, "_eigmax_chunks", recording)
-    res = sweep_max_eigen(ms, **kwargs)
-    return res, [[np.concatenate(a).tobytes() for a in zip(*b)] for b in calls]
+    assert a == b
 
 
 # the unreduced (3,7) sweep at one string per block would take minutes
@@ -823,7 +832,8 @@ def test_kernel_is_bit_identical_for_any_block_size(monkeypatch, n, L, mode):
     # strings per block: one, an odd count, more than the default at d = 4 and 8
     for per_block in (1, 7, 4097):
         monkeypatch.setattr(mub, "BLOCK_BYTES", per_block_bytes(per_block, ms.d))
-        runs.append(_recorded_sweep(monkeypatch, ms, **kwargs))
+        res, calls = kernel_calls(monkeypatch, ms, **kwargs)
+        runs.append((res, [[x.tobytes() for x in call] for call in calls]))
     (want, want_calls), *others = runs
     assert want_calls
     for got, got_calls in others:
